@@ -20,7 +20,6 @@ from .protocol import (
     LocalHub,
     ParamBroadcast,
     compute_merge_weights,
-    device_sync,
     merge_deltas,
     sync_round,
 )
@@ -44,7 +43,7 @@ __all__ = [
     "GridWorld", "LocalHub", "ParamBroadcast", "ParameterPartition", "ReplayBuffer",
     "RlRun", "SupervisedRun", "SupervisedTrainer", "build_cascaded",
     "build_share_first", "compute_merge_weights", "concat_parameters",
-    "count_parameters", "describe", "device_sync", "generate_synthetic_dataset",
+    "count_parameters", "describe", "generate_synthetic_dataset",
     "load_cifar10_binary", "load_config", "make_run", "merge_deltas", "nn",
     "parse_config", "partition_dataset", "partition_parameters", "run_experiment",
     "split_gradient", "sync_round",

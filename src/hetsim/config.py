@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .nn.layers import Layer, layer_from_dict
+from .protocol import COORDINATOR_MODES, WEIGHTINGS
 from .topology import BranchedTopology, build_cascaded, build_share_first
 
 TASKS = ("supervised", "rl")
@@ -33,6 +34,14 @@ def _check_keys(d: dict, allowed: set[str], where: str) -> None:
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+
+
+def _require_count(d: dict, key: str, where: str) -> int:
+    """A required integer that must be at least 1."""
+    value = int(_require(d, key, where))
+    if value < 1:
+        raise ConfigError(f"{where}.{key} must be at least 1, got {value}")
+    return value
 
 
 def _parse_layers(specs, where: str) -> tuple[Layer, ...]:
@@ -173,10 +182,12 @@ def parse_config(doc: dict) -> ExperimentConfig:
         optimizer = dd.get("optimizer", {"algorithm": "sgd", "learning_rate": 0.01})
         _check_keys(optimizer, {"algorithm", "learning_rate", "decay", "beta1",
                                 "beta2", "eps", "rho"}, f"{where}.optimizer")
+        rate = float(dd.get("rate", 1.0))
+        if not 0.0 < rate <= 1.0:
+            raise ConfigError(f"{where}: rate must be in (0, 1], got {rate}")
         devices.append(DeviceConfig(
             id=str(_require(dd, "id", where)), branch=branch,
-            data_fraction=dd.get("data_fraction"),
-            rate=float(dd.get("rate", 1.0)),
+            data_fraction=dd.get("data_fraction"), rate=rate,
             replay_capacity=dd.get("replay_capacity"),
             optimizer=dict(optimizer)))
     if len({d.id for d in devices}) != len(devices):
@@ -186,13 +197,19 @@ def parse_config(doc: dict) -> ExperimentConfig:
     _check_keys(coord_doc, {"mode", "weighting"}, "coordinator")
     coordinator = CoordinatorConfig(coord_doc.get("mode", "sync"),
                                     coord_doc.get("weighting", "data-proportional"))
+    if coordinator.mode not in COORDINATOR_MODES:
+        raise ConfigError(f"coordinator.mode must be one of {COORDINATOR_MODES}, "
+                          f"got {coordinator.mode!r}")
+    if coordinator.weighting not in WEIGHTINGS:
+        raise ConfigError(f"coordinator.weighting must be one of {WEIGHTINGS}, "
+                          f"got {coordinator.weighting!r}")
 
     supervised = rl = None
     if task == "supervised":
         sup_doc = _require(doc, "supervised", "config")
         _check_keys(sup_doc, {"rounds", "round_samples", "minibatch_size"}, "supervised")
         supervised = SupervisedConfig(
-            rounds=int(_require(sup_doc, "rounds", "supervised")),
+            rounds=_require_count(sup_doc, "rounds", "supervised"),
             round_samples=int(sup_doc.get("round_samples", 2000)),
             minibatch_size=int(sup_doc.get("minibatch_size", 32)))
         data_doc = _require(doc, "data", "config")
@@ -215,8 +232,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
                              "epsilon_end", "epsilon_decay_steps", "epsilon_test",
                              "batch_size", "warmup_steps", "test_episodes"}, "rl")
         rl = RlConfig(
-            total_steps=int(_require(rl_doc, "total_steps", "rl")),
-            sync_period=int(_require(rl_doc, "sync_period", "rl")),
+            total_steps=_require_count(rl_doc, "total_steps", "rl"),
+            sync_period=_require_count(rl_doc, "sync_period", "rl"),
             gamma=float(rl_doc.get("gamma", 0.99)),
             epsilon_start=float(rl_doc.get("epsilon_start", 1.0)),
             epsilon_end=float(rl_doc.get("epsilon_end", 0.1)),

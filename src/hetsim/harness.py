@@ -70,11 +70,89 @@ def _wire_coordinator(config: ExperimentConfig, devices: list[dict]):
     theta0 = devices[0]["endpoint"].shared_slice().astype(np.float64)
     hub.broadcast_initial(theta0)
     for dev in devices:
-        first = hub.inboxes[dev["endpoint"].device_id].recv()
+        first = hub.take_reply(dev["endpoint"].device_id)
         if not np.array_equal(first.params.astype(config.dtype),
                               dev["endpoint"].shared_slice()):
             raise RuntimeError("initial shared parameters disagree across devices")
     return coordinator, hub
+
+
+class _Run:
+    """One seed's devices, coordinator wiring, sync logging and checkpoints.
+
+    Subclasses name their clock attribute (``CLOCK``) and the device key of
+    their learner (``LEARNER``), and build each device's learner in
+    :meth:`_make_learner`.
+    """
+
+    CLOCK: str
+    LEARNER: str
+
+    def __init__(self, config: ExperimentConfig, seed: int):
+        self.config = config
+        self.seed = seed
+        setattr(self, self.CLOCK, 0)
+        self.rows: list[MetricsRow] = []
+        self.devices: list[dict] = []
+        for i, dev_cfg in enumerate(config.devices):
+            net = build_device_network(config, dev_cfg)
+            store = _init_device_store(net, config, seed, dev_cfg.id)
+            learner, data_size = self._make_learner(
+                i, dev_cfg, net, store, make_optimizer(dev_cfg.optimizer))
+            self.devices.append({
+                "cfg": dev_cfg, "net": net, "store": store,
+                "endpoint": DeviceEndpoint(i, net.partition, store, data_size),
+                self.LEARNER: learner})
+        if config.mode == "isolated":
+            self.coordinator, self.hub = None, None
+        else:
+            self.coordinator, self.hub = _wire_coordinator(config, self.devices)
+
+    def _make_learner(self, index: int, dev_cfg: DeviceConfig, net: DeviceNetwork,
+                      store, optimizer):
+        """The device's learner and the data size its merge weight uses."""
+        raise NotImplementedError
+
+    def _row(self, t: int, device: str, phase: str, metric: str, value: float):
+        self.rows.append(MetricsRow(self.seed, t, device, phase, metric, value))
+
+    def _sync_and_log(self, t: int) -> None:
+        """One sync round, then a bytes_sent row per update (zero if isolated)."""
+        if self.hub is None:
+            for dev in self.devices:
+                self._row(t, dev["cfg"].id, "train", "bytes_sent", 0.0)
+            return
+        sync_round([d["endpoint"] for d in self.devices], self.hub)
+        for device_index, nbytes in self.hub.update_log:
+            self._row(t, self.devices[device_index]["cfg"].id,
+                      "train", "bytes_sent", float(nbytes))
+        self.hub.update_log.clear()
+
+    # -- checkpointing --------------------------------------------------------
+
+    def state_dict(self) -> dict:
+        state = {"seed": self.seed, self.CLOCK: getattr(self, self.CLOCK),
+                 "devices": [{self.LEARNER: dev[self.LEARNER].state_dict(),
+                              "endpoint": dev["endpoint"].state_dict()}
+                             for dev in self.devices]}
+        if self.coordinator is not None:
+            state["coordinator"] = {
+                "theta": self.coordinator.theta.copy(),
+                "round_index": self.coordinator.round_index,
+            }
+        return state
+
+    def load_state_dict(self, state: dict) -> None:
+        if state["seed"] != self.seed:
+            raise ValueError("checkpoint seed does not match run seed")
+        setattr(self, self.CLOCK, int(state[self.CLOCK]))
+        for dev, dev_state in zip(self.devices, state["devices"]):
+            dev[self.LEARNER].load_state_dict(dev_state[self.LEARNER])
+            dev["endpoint"].load_state_dict(dev_state["endpoint"])
+        if self.coordinator is not None:
+            self.coordinator.theta = state["coordinator"]["theta"].copy()
+            self.coordinator.round_index = int(state["coordinator"]["round_index"])
+        self.rows = []
 
 
 def _summarize(rows: list[MetricsRow], final_metric: str) -> dict:
@@ -113,50 +191,32 @@ def _load_supervised_data(config: ExperimentConfig, seed: int) -> tuple[Dataset,
     return load_cifar10_binary(d["train_path"]), load_cifar10_binary(d["test_path"])
 
 
-class SupervisedRun:
+class SupervisedRun(_Run):
     """One seed of a round-based supervised experiment."""
+
+    CLOCK = "round"
+    LEARNER = "trainer"
 
     def __init__(self, config: ExperimentConfig, seed: int):
         if config.supervised is None:
             raise ValueError("config has no supervised section")
-        self.config = config
-        self.seed = seed
-        self.round = 0
-        self.rows: list[MetricsRow] = []
-        self._log_offset = 0
-
-        train_pool, self.test_set = _load_supervised_data(config, seed)
+        pool, self.test_set = _load_supervised_data(config, seed)
         fractions = [d.data_fraction for d in config.devices]
-        self.partition = partition_dataset(train_pool, fractions,
-                                           child_seed(seed, "partition"))
+        self.partition = partition_dataset(pool, fractions, child_seed(seed, "partition"))
+        # per device: train features, train labels, validation features and labels
+        self._shards = [(pool.features[train], pool.labels[train],
+                         pool.features[val], pool.labels[val])
+                        for train, val in zip(self.partition.train_indices,
+                                              self.partition.val_indices)]
+        super().__init__(config, seed)
 
-        self.devices: list[dict] = []
-        for i, dev_cfg in enumerate(config.devices):
-            net = build_device_network(config, dev_cfg)
-            store = _init_device_store(net, config, seed, dev_cfg.id)
-            optimizer = make_optimizer(dev_cfg.optimizer)
-            shard_size = self.partition.shard_size(i)
-            endpoint = DeviceEndpoint(i, net.partition, store, mode="local-step",
-                                      data_size=shard_size, sync_period=1)
-            trainer = SupervisedTrainer(
-                net, store, optimizer,
-                train_pool.features[self.partition.train_indices[i]],
-                train_pool.labels[self.partition.train_indices[i]],
-                train_pool.features[self.partition.val_indices[i]],
-                train_pool.labels[self.partition.val_indices[i]],
-                rng=child_rng(seed, "train", dev_cfg.id),
-                round_samples=config.supervised.round_samples,
-                minibatch_size=config.supervised.minibatch_size)
-            self.devices.append({"cfg": dev_cfg, "net": net, "store": store,
-                                 "endpoint": endpoint, "trainer": trainer})
-
-        if config.mode == "isolated":
-            self.coordinator, self.hub = None, None
-        else:
-            self.coordinator, self.hub = _wire_coordinator(config, self.devices)
-
-    def _row(self, rnd: int, device: str, phase: str, metric: str, value: float):
-        self.rows.append(MetricsRow(self.seed, rnd, device, phase, metric, value))
+    def _make_learner(self, index, dev_cfg, net, store, optimizer):
+        trainer = SupervisedTrainer(
+            net, store, optimizer, *self._shards[index],
+            rng=child_rng(self.seed, "train", dev_cfg.id),
+            round_samples=self.config.supervised.round_samples,
+            minibatch_size=self.config.supervised.minibatch_size)
+        return trainer, self.partition.shard_size(index)
 
     def play_round(self) -> None:
         self.round += 1
@@ -164,16 +224,7 @@ class SupervisedRun:
             _, loss, acc = dev["trainer"].train_round()
             self._row(self.round, dev["cfg"].id, "train", "loss", loss)
             self._row(self.round, dev["cfg"].id, "train", "accuracy", acc)
-        if self.hub is not None:
-            sync_round([d["endpoint"] for d in self.devices], self.hub)
-            new_events = self.hub.update_log[self._log_offset:]
-            self._log_offset = len(self.hub.update_log)
-            for device_index, nbytes in new_events:
-                self._row(self.round, self.devices[device_index]["cfg"].id,
-                          "train", "bytes_sent", float(nbytes))
-        else:
-            for dev in self.devices:
-                self._row(self.round, dev["cfg"].id, "train", "bytes_sent", 0.0)
+        self._sync_and_log(self.round)
         for dev in self.devices:
             val_acc = dev["trainer"].validate_and_snapshot()
             self._row(self.round, dev["cfg"].id, "validation", "accuracy", val_acc)
@@ -190,36 +241,6 @@ class SupervisedRun:
             self.play_round()
         self.finalize()
         return self.rows
-
-    # -- checkpointing --------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        state = {"seed": self.seed, "round": self.round, "devices": [], "log_offset": 0}
-        for dev in self.devices:
-            state["devices"].append({
-                "trainer": dev["trainer"].state_dict(),
-                "endpoint": dev["endpoint"].state_dict(),
-            })
-        if self.coordinator is not None:
-            state["coordinator"] = {
-                "theta": self.coordinator.theta.copy(),
-                "round_index": self.coordinator.round_index,
-            }
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        if state["seed"] != self.seed:
-            raise ValueError("checkpoint seed does not match run seed")
-        self.round = int(state["round"])
-        for dev, dev_state in zip(self.devices, state["devices"]):
-            dev["trainer"].load_state_dict(dev_state["trainer"])
-            dev["endpoint"].load_state_dict(dev_state["endpoint"])
-        if self.coordinator is not None:
-            self.coordinator.theta = state["coordinator"]["theta"].copy()
-            self.coordinator.round_index = int(state["coordinator"]["round_index"])
-        self.rows = []
-        if self.hub is not None:
-            self._log_offset = len(self.hub.update_log)
 
 
 # ---------------------------------------------------------------------------
@@ -242,51 +263,34 @@ def _acts_now(global_step: int, rate: float) -> bool:
     return int(np.floor(global_step * rate)) > int(np.floor((global_step - 1) * rate))
 
 
-class RlRun:
+class RlRun(_Run):
     """One seed of a DDQL gridworld experiment on the shared global clock."""
+
+    CLOCK = "step"
+    LEARNER = "learner"
 
     def __init__(self, config: ExperimentConfig, seed: int):
         if config.rl is None:
             raise ValueError("config has no rl section")
-        self.config = config
-        self.seed = seed
-        self.step = 0
-        self.rows: list[MetricsRow] = []
-        self._log_offset = 0
         rl = config.rl
         self.schedule = EpsilonSchedule(rl.epsilon_start, rl.epsilon_end,
                                         rl.epsilon_decay_steps, rl.epsilon_test)
+        super().__init__(config, seed)
 
-        self.devices: list[dict] = []
-        for i, dev_cfg in enumerate(config.devices):
-            net = build_device_network(config, dev_cfg)
-            store = _init_device_store(net, config, seed, dev_cfg.id)
-            optimizer = make_optimizer(dev_cfg.optimizer)
-            replay = ReplayBuffer(dev_cfg.replay_capacity)
-            learner = DdqlLearner(
-                net, store, optimizer,
-                env=_make_env(config.environment, child_rng(seed, "env", dev_cfg.id)),
-                eval_env=_make_env(config.environment,
-                                   child_rng(seed, "eval-env", dev_cfg.id)),
-                replay=replay, schedule=self.schedule,
-                act_rng=child_rng(seed, "act", dev_cfg.id),
-                replay_rng=child_rng(seed, "replay", dev_cfg.id),
-                eval_rng=child_rng(seed, "eval-act", dev_cfg.id),
-                gamma=rl.gamma, batch_size=rl.batch_size,
-                warmup_steps=rl.warmup_steps)
-            endpoint = DeviceEndpoint(i, net.partition, store, mode="local-step",
-                                      data_size=dev_cfg.replay_capacity,
-                                      sync_period=rl.sync_period)
-            self.devices.append({"cfg": dev_cfg, "net": net, "store": store,
-                                 "endpoint": endpoint, "learner": learner})
-
-        if config.mode == "isolated":
-            self.coordinator, self.hub = None, None
-        else:
-            self.coordinator, self.hub = _wire_coordinator(config, self.devices)
-
-    def _row(self, step: int, device: str, phase: str, metric: str, value: float):
-        self.rows.append(MetricsRow(self.seed, step, device, phase, metric, value))
+    def _make_learner(self, index, dev_cfg, net, store, optimizer):
+        seed, rl = self.seed, self.config.rl
+        learner = DdqlLearner(
+            net, store, optimizer,
+            env=_make_env(self.config.environment, child_rng(seed, "env", dev_cfg.id)),
+            eval_env=_make_env(self.config.environment,
+                               child_rng(seed, "eval-env", dev_cfg.id)),
+            replay=ReplayBuffer(dev_cfg.replay_capacity), schedule=self.schedule,
+            act_rng=child_rng(seed, "act", dev_cfg.id),
+            replay_rng=child_rng(seed, "replay", dev_cfg.id),
+            eval_rng=child_rng(seed, "eval-act", dev_cfg.id),
+            gamma=rl.gamma, batch_size=rl.batch_size,
+            warmup_steps=rl.warmup_steps)
+        return learner, dev_cfg.replay_capacity
 
     def play_step(self) -> None:
         """One tick of the global clock: interactions, then any sync event."""
@@ -302,16 +306,7 @@ class RlRun:
         for dev in self.devices:
             reward = dev["learner"].test_epoch(self.config.rl.test_episodes)
             self._row(self.step, dev["cfg"].id, "test", "reward", reward)
-        if self.hub is not None:
-            sync_round([d["endpoint"] for d in self.devices], self.hub)
-            new_events = self.hub.update_log[self._log_offset:]
-            self._log_offset = len(self.hub.update_log)
-            for device_index, nbytes in new_events:
-                self._row(self.step, self.devices[device_index]["cfg"].id,
-                          "train", "bytes_sent", float(nbytes))
-        else:
-            for dev in self.devices:
-                self._row(self.step, dev["cfg"].id, "train", "bytes_sent", 0.0)
+        self._sync_and_log(self.step)
         for dev in self.devices:
             dev["learner"].copy_target()
 
@@ -319,36 +314,6 @@ class RlRun:
         while self.step < self.config.rl.total_steps:
             self.play_step()
         return self.rows
-
-    # -- checkpointing --------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        state = {"seed": self.seed, "step": self.step, "devices": []}
-        for dev in self.devices:
-            state["devices"].append({
-                "learner": dev["learner"].state_dict(),
-                "endpoint": dev["endpoint"].state_dict(),
-            })
-        if self.coordinator is not None:
-            state["coordinator"] = {
-                "theta": self.coordinator.theta.copy(),
-                "round_index": self.coordinator.round_index,
-            }
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        if state["seed"] != self.seed:
-            raise ValueError("checkpoint seed does not match run seed")
-        self.step = int(state["step"])
-        for dev, dev_state in zip(self.devices, state["devices"]):
-            dev["learner"].load_state_dict(dev_state["learner"])
-            dev["endpoint"].load_state_dict(dev_state["endpoint"])
-        if self.coordinator is not None:
-            self.coordinator.theta = state["coordinator"]["theta"].copy()
-            self.coordinator.round_index = int(state["coordinator"]["round_index"])
-        self.rows = []
-        if self.hub is not None:
-            self._log_offset = len(self.hub.update_log)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from .network import (
     forward_chain,
     init_chain_params,
     make_keyed,
-    set_finite_checks,
 )
 from .optim import Adam, Optimizer, RmsProp, Sgd, make_optimizer
 from .params import LayerKey, ParamKey, ParamStore, from_flat
@@ -44,5 +43,5 @@ __all__ = [
     "count_operations", "count_parameters", "cross_entropy", "ensure_finite",
     "finite_diff_check", "forward_chain", "from_flat", "huber", "init_chain_params",
     "layer_from_dict", "layer_to_dict", "make_keyed", "make_optimizer",
-    "output_shape", "param_shapes", "reset_clamp_warnings", "set_finite_checks",
+    "output_shape", "param_shapes", "reset_clamp_warnings",
 ]

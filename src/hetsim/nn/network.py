@@ -33,23 +33,13 @@ from .layers import (
 )
 from .params import LayerKey, ParamKey, ParamStore
 
-_FINITE_CHECKS = True
-
 
 class NonFiniteError(FloatingPointError):
     """A NaN or Inf appeared where the math requires finite values."""
 
 
-def set_finite_checks(enabled: bool) -> bool:
-    """Toggle per-op finiteness checking; returns the previous setting."""
-    global _FINITE_CHECKS
-    previous = _FINITE_CHECKS
-    _FINITE_CHECKS = enabled
-    return previous
-
-
 def ensure_finite(name: str, arr: np.ndarray) -> None:
-    if _FINITE_CHECKS and not np.isfinite(arr).all():
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values in {name}")
 
 

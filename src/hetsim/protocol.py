@@ -1,34 +1,29 @@
 """Synchronization protocol between devices and the coordinator.
 
-Devices accumulate an update over a sync period, send only the shared
-slice of it to the coordinator, and receive fresh shared parameters back.
-The coordinator merges updates either synchronously (barrier over all
-registered devices, then one broadcast) or asynchronously (apply each
+Each device trains locally, sends the delta of its shared slice since the
+last sync, and adopts the merged shared parameters it gets back: local-step
+model averaging restricted to the shared block. The coordinator adds the
+weighted deltas with no extra step size, either synchronously (barrier over
+all registered devices, then one broadcast) or asynchronously (apply each
 update on arrival, reply to the sender only).
 
-Two device-side accounting modes share the same wire format:
-
-* ``local-step``: the optimizer runs on-device every step; the update sent
-  is the parameter delta of the shared slice since the last sync. The
-  coordinator applies weighted deltas with no extra step size.
-* ``accumulate``: raw gradients are accumulated between syncs; the shared
-  slice is sent as-is and the local slice is fed through the device
-  optimizer at sync time.
-
-Everything here is single-threaded and deterministic: channels are plain
-FIFO queues, and a :class:`LocalHub` routes messages inline.
+Everything here is single-threaded and deterministic: a :class:`LocalHub`
+hands updates to the coordinator inline and queues replies per device. The
+frame codec below fixes the wire format; the hub meters the payload bytes a
+frame would carry without encoding it.
 """
 from __future__ import annotations
 
 import struct
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .nn.optim import Optimizer
 from .nn.params import ParamStore
 from .topology import ParameterPartition
 
+COORDINATOR_MODES = ("sync", "async")
 WEIGHTINGS = ("data-proportional", "uniform-average", "uniform-sum")
 
 TAG_GRADIENT_UPDATE = 1
@@ -45,15 +40,10 @@ class SyncStallError(ProtocolError):
     """A synchronous round cannot complete because updates are missing."""
 
 
-class DeviceHaltedError(ProtocolError):
-    """The channel to the coordinator is gone; the device must stop."""
-
-
 @dataclass
 class GradientUpdate:
     device_id: int
     delta: np.ndarray
-    local_step_count: int = 0
 
 
 @dataclass
@@ -66,8 +56,7 @@ def encode_message(msg, dtype=np.float64) -> bytes:
     """Length-prefixed little-endian frame: u32 tag, u32 id, u64 length, reals.
 
     The id slot carries the device id for updates and the round counter for
-    broadcasts. Step counters are in-process metadata and do not cross the
-    wire.
+    broadcasts.
     """
     dtype = np.dtype(dtype)
     if isinstance(msg, GradientUpdate):
@@ -166,7 +155,7 @@ class Coordinator:
     """
 
     def __init__(self, mode: str = "sync", weighting: str = "data-proportional"):
-        if mode not in ("sync", "async"):
+        if mode not in COORDINATOR_MODES:
             raise ValueError(f"coordinator mode must be sync or async, got {mode!r}")
         if weighting not in WEIGHTINGS:
             raise ValueError(f"unknown weighting {weighting!r}")
@@ -206,10 +195,6 @@ class Coordinator:
                          for r, w in zip(self._registrations, weights)}
         self.theta = theta0.copy()
         return ParamBroadcast(self.theta.copy(), self.round_index)
-
-    @property
-    def device_ids(self) -> list[int]:
-        return [r.device_id for r in self._registrations]
 
     def weight_of(self, device_id: int) -> float:
         if self._weights is None:
@@ -265,36 +250,23 @@ class Coordinator:
 # ---------------------------------------------------------------------------
 
 class DeviceEndpoint:
-    """Device-side bookkeeping for one device's sync behaviour.
+    """One device's side of a sync: send the shared delta, adopt the merge.
 
-    Owns the split/merge of the device's canonical flat vector (shared
-    block first). In ``local-step`` mode the update is the shared-slice
-    delta since the last broadcast; in ``accumulate`` mode gradients are
-    summed into a buffer between syncs and the local slice is applied
-    through ``local_optimizer`` at sync time.
+    The device's canonical flat vector holds the shared block first. The
+    update is the shared-slice delta since the last adopted broadcast;
+    adopting a broadcast overwrites the shared slice and leaves the local
+    slice alone.
     """
 
     def __init__(self, device_id: int, partition: ParameterPartition, store: ParamStore,
-                 mode: str = "local-step", local_optimizer: Optimizer | None = None,
-                 data_size: int = 1, sync_period: int = 1):
-        if mode not in ("local-step", "accumulate"):
-            raise ValueError(f"unknown device mode {mode!r}")
+                 data_size: int):
         if store.size != partition.total_len:
             raise ValueError("store size does not match partition")
-        if mode == "accumulate" and partition.local_len > 0 and local_optimizer is None:
-            raise ValueError("accumulate mode needs a local optimizer")
         self.device_id = device_id
         self.partition = partition
         self.store = store
-        self.mode = mode
-        self.local_optimizer = local_optimizer
         self.data_size = int(data_size)
-        self.sync_period = int(sync_period)
-        self.steps_since_sync = 0
-        self.sync_count = 0
         self._shared_ref = store.flat[:partition.shared_len].copy()
-        self._acc = np.zeros(partition.total_len, dtype=store.dtype) \
-            if mode == "accumulate" else None
 
     @property
     def shared_len(self) -> int:
@@ -303,31 +275,12 @@ class DeviceEndpoint:
     def shared_slice(self) -> np.ndarray:
         return self.store.flat[:self.partition.shared_len]
 
-    def local_slice(self) -> np.ndarray:
-        return self.store.flat[self.partition.shared_len:]
-
-    def note_step(self) -> None:
-        self.steps_since_sync += 1
-
-    def accumulate_gradient(self, flat_grad: np.ndarray) -> None:
-        if self.mode != "accumulate":
-            raise ProtocolError("accumulate_gradient only valid in accumulate mode")
-        flat_grad = np.asarray(flat_grad)
-        if flat_grad.shape != (self.partition.total_len,):
-            raise ValueError("gradient length does not match parameters")
-        self._acc += flat_grad
-
     def make_update(self) -> GradientUpdate:
-        """Shared-slice update to send; does not yet clear local state."""
-        s = self.partition.shared_len
-        if self.mode == "local-step":
-            delta = self.store.flat[:s] - self._shared_ref
-        else:
-            delta = self._acc[:s].copy()
-        return GradientUpdate(self.device_id, delta, self.steps_since_sync)
+        """Shared-slice delta since the last adopted broadcast."""
+        return GradientUpdate(self.device_id, self.shared_slice() - self._shared_ref)
 
     def apply_broadcast(self, broadcast: ParamBroadcast) -> None:
-        """Adopt fresh shared parameters and finish the sync bookkeeping."""
+        """Adopt fresh shared parameters as the new reference point."""
         vec = np.asarray(broadcast.params)
         s = self.partition.shared_len
         if vec.shape != (s,):
@@ -335,81 +288,42 @@ class DeviceEndpoint:
                 f"broadcast length {vec.shape} != shared length {s}")
         self.store.flat[:s] = vec
         self._shared_ref = self.store.flat[:s].copy()
-        if self.mode == "accumulate":
-            if self.partition.local_len > 0:
-                local = self.store.flat[s:]
-                self.local_optimizer.step(local, self._acc[s:])
-            self._acc[:] = 0.0
-        self.steps_since_sync = 0
-        self.sync_count += 1
 
     # checkpoint support
     def state_dict(self) -> dict:
-        return {
-            "shared_ref": self._shared_ref.copy(),
-            "acc": None if self._acc is None else self._acc.copy(),
-            "steps_since_sync": self.steps_since_sync,
-            "sync_count": self.sync_count,
-        }
+        return {"shared_ref": self._shared_ref.copy()}
 
     def load_state_dict(self, state: dict) -> None:
         self._shared_ref = state["shared_ref"].copy()
-        if state["acc"] is not None:
-            self._acc = state["acc"].copy()
-        self.steps_since_sync = int(state["steps_since_sync"])
-        self.sync_count = int(state["sync_count"])
 
 
 # ---------------------------------------------------------------------------
 # Deterministic in-process wiring
 # ---------------------------------------------------------------------------
 
-class Channel:
-    """FIFO message queue with a closed flag."""
-
-    def __init__(self):
-        self._queue: list = []
-        self.closed = False
-
-    def send(self, msg) -> None:
-        if self.closed:
-            raise DeviceHaltedError("channel closed")
-        self._queue.append(msg)
-
-    def recv(self):
-        if not self._queue:
-            return None
-        return self._queue.pop(0)
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def close(self) -> None:
-        self.closed = True
-
-
 class LocalHub:
     """Routes device updates straight into the coordinator, inline.
 
-    Replies are queued per device. Payload traffic is metered per update
-    so the harness can report exact bytes sent (header bytes excluded).
+    Replies wait in a FIFO inbox per device until the device takes them.
+    ``update_log`` meters each update as (device id, payload bytes), header
+    excluded, so the harness can report exact bytes sent.
     """
 
     def __init__(self, coordinator: Coordinator, dtype=np.float64):
         self.coordinator = coordinator
         self.dtype = np.dtype(dtype)
-        self.inboxes: dict[int, Channel] = {}
-        self.update_log: list[tuple[int, int]] = []  # (device_id, payload bytes)
+        self.inboxes: dict[int, deque[ParamBroadcast]] = {}
+        self.update_log: list[tuple[int, int]] = []
 
-    def connect(self, device_id: int) -> Channel:
-        inbox = Channel()
-        self.inboxes[device_id] = inbox
-        return inbox
+    def connect(self, device_id: int) -> None:
+        self.inboxes[device_id] = deque()
+
+    def _deliver(self, dest: int | None, broadcast: ParamBroadcast) -> None:
+        for device_id in (self.inboxes if dest is None else (dest,)):
+            self.inboxes[device_id].append(broadcast)
 
     def broadcast_initial(self, theta0: np.ndarray) -> None:
-        broadcast = self.coordinator.initialize(theta0)
-        for inbox in self.inboxes.values():
-            inbox.send(ParamBroadcast(broadcast.params.copy(), broadcast.round_index))
+        self._deliver(None, self.coordinator.initialize(theta0))
 
     def send_update(self, update: GradientUpdate) -> None:
         if update.device_id not in self.inboxes:
@@ -417,44 +331,24 @@ class LocalHub:
         self.update_log.append(
             (update.device_id, payload_nbytes(np.asarray(update.delta).size, self.dtype)))
         for dest, broadcast in self.coordinator.handle_update(update):
-            if dest is None:
-                for inbox in self.inboxes.values():
-                    inbox.send(ParamBroadcast(broadcast.params.copy(),
-                                              broadcast.round_index))
-            else:
-                self.inboxes[dest].send(broadcast)
+            self._deliver(dest, broadcast)
 
     def take_reply(self, device_id: int) -> ParamBroadcast:
-        msg = self.inboxes[device_id].recv()
-        if msg is None:
+        inbox = self.inboxes[device_id]
+        if not inbox:
             missing = self.coordinator.missing_device_ids()
             raise SyncStallError(
                 f"device {device_id} is waiting for a broadcast; round stalled, "
                 f"missing updates from devices {missing}")
-        return msg
-
-
-def device_sync(endpoint: DeviceEndpoint, hub: LocalHub) -> None:
-    """One full sync from a device's point of view: send, wait, adopt.
-
-    Under a synchronous coordinator this only completes inline for the last
-    device of a round; use :func:`sync_round` to run a whole barrier round
-    deterministically.
-    """
-    inbox = hub.inboxes.get(endpoint.device_id)
-    if inbox is None or inbox.closed:
-        raise DeviceHaltedError(
-            f"device {endpoint.device_id} has no open channel to the coordinator")
-    hub.send_update(endpoint.make_update())
-    endpoint.apply_broadcast(hub.take_reply(endpoint.device_id))
+        return inbox.popleft()
 
 
 def sync_round(endpoints, hub: LocalHub) -> None:
-    """Run one synchronous barrier round over all endpoints, deterministically.
+    """Run one round over all endpoints, deterministically.
 
-    All devices send first (in the order given), then all adopt the
-    broadcast. Matches the blocking semantics of real device loops without
-    threads.
+    All devices send first (in the order given), then all adopt their
+    reply. Under a synchronous coordinator this is one barrier round and
+    matches the blocking semantics of real device loops without threads.
     """
     for endpoint in endpoints:
         hub.send_update(endpoint.make_update())

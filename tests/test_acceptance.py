@@ -197,7 +197,7 @@ def test_criterion_4_homogeneous_reduction_matches_reference_averaging():
         coordinator.register(i, nets[i].partition.shared_len, sizes[i])
         hub.connect(i)
         endpoints.append(DeviceEndpoint(i, nets[i].partition, stores[i],
-                                        mode="local-step", data_size=sizes[i]))
+                                        data_size=sizes[i]))
     hub.broadcast_initial(stores[0].flatten())
     for i in range(2):
         hub.take_reply(i)
@@ -401,8 +401,7 @@ def test_criterion_9_communication_accounting():
             store = net.init_store(np.random.default_rng(0), np.random.default_rng(i))
             coordinator.register(i, net.partition.shared_len, 1)
             hub.connect(i)
-            endpoints.append(DeviceEndpoint(i, net.partition, store,
-                                            mode="local-step", data_size=1))
+            endpoints.append(DeviceEndpoint(i, net.partition, store, data_size=1))
         hub.broadcast_initial(endpoints[0].shared_slice().astype(np.float64))
         for i in range(len(nets)):
             hub.take_reply(i)

@@ -114,6 +114,34 @@ def test_fractions_must_sum_to_one():
         parse_config(doc)
 
 
+@pytest.mark.parametrize("make_doc,path,value", [
+    (tiny_rl_doc, ("rl", "sync_period"), 0),
+    (tiny_rl_doc, ("rl", "total_steps"), 0),
+    (tiny_supervised_doc, ("supervised", "rounds"), -5),
+    (tiny_supervised_doc, ("supervised", "rounds"), 0),
+    (tiny_rl_doc, ("devices", 1, "rate"), -1),
+    (tiny_rl_doc, ("devices", 1, "rate"), 0),
+    (tiny_rl_doc, ("devices", 1, "rate"), 1.5),
+])
+def test_bad_run_lengths_and_rates_rejected(make_doc, path, value):
+    doc = make_doc()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ConfigError, match=path[-1]):
+        parse_config(doc)
+
+
+@pytest.mark.parametrize("mode", ["isolated", "heterogeneous"])
+@pytest.mark.parametrize("key,value", [("mode", "eventual"), ("weighting", "median")])
+def test_bad_coordinator_settings_rejected(mode, key, value):
+    doc = tiny_supervised_doc(mode)
+    doc["coordinator"][key] = value
+    with pytest.raises(ConfigError, match=f"coordinator.{key}"):
+        parse_config(doc)
+
+
 # -- run modes -------------------------------------------------------------------
 
 def test_isolated_mode_sends_nothing():

@@ -2,13 +2,10 @@
 import numpy as np
 import pytest
 
-from hetsim.nn import Sgd
 from hetsim.nn.params import ParamStore
 from hetsim.protocol import (
-    Channel,
     Coordinator,
     DeviceEndpoint,
-    DeviceHaltedError,
     GradientUpdate,
     LocalHub,
     ParamBroadcast,
@@ -16,7 +13,6 @@ from hetsim.protocol import (
     SyncStallError,
     compute_merge_weights,
     decode_message,
-    device_sync,
     encode_message,
     merge_deltas,
     payload_nbytes,
@@ -30,15 +26,11 @@ def _store(n):
     return store
 
 
-def _endpoint(device_id=0, shared=2, local=3, mode="local-step", data_size=1,
-              opt=None):
+def _endpoint(device_id=0, shared=2, local=3, data_size=1):
     part = ParameterPartition("b", shared, local)
     store = _store(shared + local)
     store.flat[:] = np.arange(shared + local, dtype=np.float64)
-    if mode == "accumulate" and opt is None and local > 0:
-        opt = Sgd(learning_rate=0.1)
-    return DeviceEndpoint(device_id, part, store, mode=mode, local_optimizer=opt,
-                          data_size=data_size), store
+    return DeviceEndpoint(device_id, part, store, data_size=data_size), store
 
 
 # -- merge weights -------------------------------------------------------------
@@ -86,37 +78,15 @@ def test_merge_deltas_length_mismatch():
 
 # -- device endpoint (Algorithm-1 style bookkeeping) ----------------------------
 
-def test_accumulate_mode_send_and_local_update():
-    ep, store = _endpoint(mode="accumulate", shared=2, local=2)
-    store.flat[:] = 0.0
-    ep.accumulate_gradient(np.array([1.0, 2.0, 3.0, 4.0]))
-    update = ep.make_update()
-    np.testing.assert_array_equal(update.delta, [1.0, 2.0])
-    ep.apply_broadcast(ParamBroadcast(np.array([10.0, 20.0]), 1))
-    # local slice stepped by SGD(0.1) on gradient [3, 4]
-    np.testing.assert_allclose(store.flat, [10.0, 20.0, -0.3, -0.4])
-    # accumulated gradient cleared
-    np.testing.assert_array_equal(ep.make_update().delta, [0.0, 0.0])
-
-
-def test_accumulate_zero_gradient_is_fixed_point():
-    ep, store = _endpoint(mode="accumulate", shared=2, local=2)
-    before = store.flatten()
-    update = ep.make_update()
-    np.testing.assert_array_equal(update.delta, [0.0, 0.0])
-    ep.apply_broadcast(ParamBroadcast(before[:2].copy(), 1))
-    np.testing.assert_array_equal(store.flat, before)
-
-
 def test_local_step_mode_sends_shared_delta_since_last_sync():
-    ep, store = _endpoint(mode="local-step", shared=2, local=2)
+    ep, store = _endpoint(shared=2, local=2)
     start = store.flatten()
     store.flat += np.array([0.5, -0.25, 9.0, 9.0])
     update = ep.make_update()
     np.testing.assert_allclose(update.delta, [0.5, -0.25])
     ep.apply_broadcast(ParamBroadcast(np.array([7.0, 8.0]), 1))
     np.testing.assert_array_equal(store.flat[:2], [7.0, 8.0])
-    # local parameters untouched by sync in local-step mode
+    # local parameters untouched by sync
     np.testing.assert_array_equal(store.flat[2:], start[2:] + 9.0)
     np.testing.assert_array_equal(ep.make_update().delta, [0.0, 0.0])
 
@@ -247,7 +217,7 @@ def test_async_bookkeeping_random_interleaving_bit_exact():
     assert np.array_equal(coord.theta, expected)
 
 
-# -- hub wiring and device_sync ---------------------------------------------------
+# -- hub wiring and sync_round ----------------------------------------------------
 
 def test_device_sync_roundtrip_async():
     ep, store = _endpoint(device_id=0, shared=2, local=1)
@@ -258,9 +228,8 @@ def test_device_sync_roundtrip_async():
     hub.broadcast_initial(store.flat[:2].copy())
     hub.take_reply(0)  # drop the initial broadcast
     store.flat[:2] += 1.0
-    device_sync(ep, hub)
+    sync_round([ep], hub)
     np.testing.assert_allclose(store.flat[:2], coord.theta)
-    assert ep.steps_since_sync == 0
 
 
 def test_sync_round_helper_runs_barrier():
@@ -296,20 +265,21 @@ def test_stalled_sync_round_surfaces_diagnostic():
     hub.take_reply(0)
     hub.take_reply(1)
     with pytest.raises(SyncStallError, match="missing"):
-        device_sync(ep0, hub)  # device 1 never sends
+        sync_round([ep0], hub)  # device 1 never sends
 
 
-def test_closed_channel_halts_device():
+def test_hub_replies_are_taken_in_arrival_order():
     ep, store = _endpoint(device_id=0, shared=2, local=0)
     coord = Coordinator("async", "uniform-sum")
     coord.register(0, 2, 1)
     hub = LocalHub(coord)
-    inbox = hub.connect(0)
+    hub.connect(0)
     hub.broadcast_initial(store.flat[:2].copy())
-    hub.take_reply(0)
-    inbox.close()
-    with pytest.raises(DeviceHaltedError):
-        device_sync(ep, hub)
+    hub.send_update(GradientUpdate(0, np.array([1.0, 0.0])))
+    hub.send_update(GradientUpdate(0, np.array([0.0, 1.0])))
+    assert [hub.take_reply(0).round_index for _ in range(3)] == [0, 1, 2]
+    with pytest.raises(SyncStallError):
+        hub.take_reply(0)
 
 
 def test_only_shared_values_cross_the_boundary():
@@ -371,9 +341,3 @@ def test_payload_bytes_is_length_times_width():
     assert payload_nbytes(10_144, np.float64) == 10_144 * 8
     assert payload_nbytes(3, np.float32) == 12
 
-
-def test_channel_fifo_order():
-    ch = Channel()
-    ch.send(1); ch.send(2); ch.send(3)
-    assert [ch.recv(), ch.recv(), ch.recv()] == [1, 2, 3]
-    assert ch.recv() is None
