@@ -11,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .nn.layers import Layer, layer_from_dict
+from .nn.layers import Layer, ShapeError, layer_from_dict
+from .nn.optim import make_optimizer
 from .protocol import COORDINATOR_MODES, WEIGHTINGS
 from .topology import BranchedTopology, build_cascaded, build_share_first
 
@@ -36,9 +37,9 @@ def _check_keys(d: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def _require_count(d: dict, key: str, where: str) -> int:
-    """A required integer that must be at least 1."""
-    value = int(_require(d, key, where))
+def _require_count(d: dict, key: str, where: str, default: int | None = None) -> int:
+    """An integer that must be at least 1; required unless it has a default."""
+    value = int(_require(d, key, where) if default is None else d.get(key, default))
     if value < 1:
         raise ConfigError(f"{where}.{key} must be at least 1, got {value}")
     return value
@@ -138,7 +139,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError("real_width must be 32 or 64")
     seeds = _require(doc, "seeds", "config")
     if (not isinstance(seeds, list) or not seeds
-            or not all(isinstance(s, int) for s in seeds)):
+            or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds)):
         raise ConfigError("seeds must be a non-empty list of integers")
 
     topo_doc = _require(doc, "topology", "config")
@@ -151,22 +152,25 @@ def parse_config(doc: dict) -> ExperimentConfig:
     branches = {bid: _parse_layers(spec, f"topology.branches.{bid}")
                 for bid, spec in branches_doc.items()}
 
-    if scheme == "cascaded":
-        casc = _require(topo_doc, "cascade", "topology")
-        _check_keys(casc, {"complex_branch", "lightweight_branch", "branch_dropout_p"},
-                    "topology.cascade")
-        cb = _require(casc, "complex_branch", "topology.cascade")
-        lb = _require(casc, "lightweight_branch", "topology.cascade")
-        for b in (cb, lb):
-            if b not in branches:
-                raise ConfigError(f"topology.cascade references unknown branch {b!r}")
-        topology = build_cascaded(stem, branches[cb], branches[lb],
-                                  float(casc.get("branch_dropout_p", 0.5)),
-                                  input_shape, complex_id=cb, lightweight_id=lb)
-    else:
-        if topo_doc.get("cascade") is not None:
-            raise ConfigError("topology.cascade is only valid with scheme 'cascaded'")
-        topology = build_share_first(stem, branches, input_shape)
+    try:
+        if scheme == "cascaded":
+            casc = _require(topo_doc, "cascade", "topology")
+            _check_keys(casc, {"complex_branch", "lightweight_branch", "branch_dropout_p"},
+                        "topology.cascade")
+            cb = _require(casc, "complex_branch", "topology.cascade")
+            lb = _require(casc, "lightweight_branch", "topology.cascade")
+            for b in (cb, lb):
+                if b not in branches:
+                    raise ConfigError(f"topology.cascade references unknown branch {b!r}")
+            topology = build_cascaded(stem, branches[cb], branches[lb],
+                                      float(casc.get("branch_dropout_p", 0.5)),
+                                      input_shape, complex_id=cb, lightweight_id=lb)
+        else:
+            if topo_doc.get("cascade") is not None:
+                raise ConfigError("topology.cascade is only valid with scheme 'cascaded'")
+            topology = build_share_first(stem, branches, input_shape)
+    except ShapeError as exc:
+        raise ConfigError(f"topology: {exc}") from exc
 
     devices_doc = _require(doc, "devices", "config")
     if not isinstance(devices_doc, list) or not devices_doc:
@@ -182,13 +186,18 @@ def parse_config(doc: dict) -> ExperimentConfig:
         optimizer = dd.get("optimizer", {"algorithm": "sgd", "learning_rate": 0.01})
         _check_keys(optimizer, {"algorithm", "learning_rate", "decay", "beta1",
                                 "beta2", "eps", "rho"}, f"{where}.optimizer")
+        try:
+            make_optimizer(optimizer)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}.optimizer: {exc}") from exc
         rate = float(dd.get("rate", 1.0))
         if not 0.0 < rate <= 1.0:
             raise ConfigError(f"{where}: rate must be in (0, 1], got {rate}")
         devices.append(DeviceConfig(
             id=str(_require(dd, "id", where)), branch=branch,
             data_fraction=dd.get("data_fraction"), rate=rate,
-            replay_capacity=dd.get("replay_capacity"),
+            replay_capacity=(_require_count(dd, "replay_capacity", where)
+                             if task == "rl" else dd.get("replay_capacity")),
             optimizer=dict(optimizer)))
     if len({d.id for d in devices}) != len(devices):
         raise ConfigError("device ids must be unique")
@@ -210,8 +219,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         _check_keys(sup_doc, {"rounds", "round_samples", "minibatch_size"}, "supervised")
         supervised = SupervisedConfig(
             rounds=_require_count(sup_doc, "rounds", "supervised"),
-            round_samples=int(sup_doc.get("round_samples", 2000)),
-            minibatch_size=int(sup_doc.get("minibatch_size", 32)))
+            round_samples=_require_count(sup_doc, "round_samples", "supervised", 2000),
+            minibatch_size=_require_count(sup_doc, "minibatch_size", "supervised", 32))
         data_doc = _require(doc, "data", "config")
         source = _require(data_doc, "source", "data")
         if source == "synthetic":
@@ -239,18 +248,15 @@ def parse_config(doc: dict) -> ExperimentConfig:
             epsilon_end=float(rl_doc.get("epsilon_end", 0.1)),
             epsilon_decay_steps=int(rl_doc.get("epsilon_decay_steps", 1_000_000)),
             epsilon_test=float(rl_doc.get("epsilon_test", 0.02)),
-            batch_size=int(rl_doc.get("batch_size", 32)),
+            batch_size=_require_count(rl_doc, "batch_size", "rl", 32),
             warmup_steps=rl_doc.get("warmup_steps"),
-            test_episodes=int(rl_doc.get("test_episodes", 1)))
+            test_episodes=_require_count(rl_doc, "test_episodes", "rl", 1))
         env_doc = _require(doc, "environment", "config")
         _check_keys(env_doc, {"type", "width", "height", "start", "goal", "pits",
                               "step_penalty", "goal_reward", "pit_reward",
                               "max_episode_steps", "slip"}, "environment")
         if env_doc.get("type") != "gridworld":
             raise ConfigError("environment.type must be 'gridworld'")
-        for d in devices:
-            if d.replay_capacity is None:
-                raise ConfigError(f"device {d.id}: rl runs need replay_capacity")
 
     return ExperimentConfig(
         task=task, mode=mode, scheme=scheme, seeds=tuple(seeds), topology=topology,

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DeviceConfig, ExperimentConfig
+from .config import ConfigError, DeviceConfig, ExperimentConfig
 from .data import Dataset, generate_synthetic_dataset, load_cifar10_binary, partition_dataset
 from .gridworld import GridWorld
 from .learners import DdqlLearner, EpsilonSchedule, ReplayBuffer, SupervisedTrainer
@@ -320,7 +320,28 @@ class RlRun(_Run):
 # Entry points
 # ---------------------------------------------------------------------------
 
+def _check_data_shapes(config: ExperimentConfig) -> None:
+    """The topology must take the data's input and give one output per class or action."""
+    if config.task == "rl":
+        env = _make_env(config.environment, rng=None)
+        data_in, data_out = (env.state_dim,), (env.n_actions,)
+    elif config.data["source"] == "synthetic":
+        data_in, data_out = (config.data["dims"],), (config.data["num_classes"],)
+    else:  # CIFAR-10
+        data_in, data_out = (32, 32, 3), (10,)
+    topo = config.topology
+    if tuple(topo.input_shape) != data_in:
+        raise ConfigError(f"topology.input_shape {tuple(topo.input_shape)} does not "
+                          f"match the data's {data_in}")
+    for branch_id in topo.branches:
+        out = topo.branch_output_shape(branch_id)
+        if out != data_out:
+            raise ConfigError(f"topology.branches.{branch_id} outputs {out}, the data "
+                              f"needs {data_out}")
+
+
 def make_run(config: ExperimentConfig, seed: int):
+    _check_data_shapes(config)
     return SupervisedRun(config, seed) if config.task == "supervised" else RlRun(config, seed)
 
 

@@ -1,7 +1,6 @@
 """Minimal neural-network engine: layers, losses, optimizers, grad checks."""
 
 from .layers import (
-    Add,
     BranchDropout,
     Conv2D,
     Dense,
@@ -16,7 +15,6 @@ from .layers import (
     count_operations,
     count_parameters,
     layer_from_dict,
-    layer_to_dict,
     output_shape,
     param_shapes,
 )
@@ -36,12 +34,12 @@ from .params import LayerKey, ParamKey, ParamStore, from_flat
 from .gradcheck import GradCheckReport, finite_diff_check
 
 __all__ = [
-    "Add", "Adam", "BranchDropout", "ChainCache", "Conv2D", "Dense", "Dropout",
+    "Adam", "BranchDropout", "ChainCache", "Conv2D", "Dense", "Dropout",
     "Flatten", "GradCheckReport", "Layer", "LayerKey", "MaxPool2D", "NonFiniteError",
     "Optimizer", "ParamKey", "ParamStore", "ReLU", "RmsProp", "Sgd", "ShapeError",
     "Softmax", "backward_chain", "build_layout", "chain_shapes", "clamp_warning_count",
     "count_operations", "count_parameters", "cross_entropy", "ensure_finite",
     "finite_diff_check", "forward_chain", "from_flat", "huber", "init_chain_params",
-    "layer_from_dict", "layer_to_dict", "make_keyed", "make_optimizer",
-    "output_shape", "param_shapes", "reset_clamp_warnings",
+    "layer_from_dict", "make_keyed", "make_optimizer", "output_shape", "param_shapes",
+    "reset_clamp_warnings",
 ]

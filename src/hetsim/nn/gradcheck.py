@@ -39,16 +39,12 @@ def _chain_grads(keyed_layers: list[KeyedLayer], store: ParamStore, x, label,
     rng = np.random.default_rng(rng_seed)
     out, cache = forward_chain(keyed_layers, store, x, mode=mode, rng=rng)
     grads = store.zeros_like()
-    if isinstance(keyed_layers[-1][1], Softmax):
-        _, dlogits = cross_entropy(out, _labels_for(out, label))
-        # fused softmax+CE gradient enters just below the final softmax
-        sub = cache
-        sub.keyed_layers = cache.keyed_layers[:-1]
-        sub.per_layer = cache.per_layer[:-1]
-        backward_chain(sub, dlogits, store, grads)
+    ends_in_softmax = isinstance(keyed_layers[-1][1], Softmax)
+    if ends_in_softmax:
+        _, dy = cross_entropy(out, _labels_for(out, label))
     else:
         dy = 2.0 * (out - float(label))
-        backward_chain(cache, dy, store, grads)
+    backward_chain(cache, dy, store, grads, from_logits=ends_in_softmax)
     return grads
 
 

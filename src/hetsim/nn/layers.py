@@ -1,14 +1,25 @@
-"""Layer specifications with shape and parameter-count inference.
+"""Layer kinds: each class is the one definition of its kind.
 
-Layers are immutable descriptions; the actual parameter tensors live in a
-:class:`~hetsim.nn.params.ParamStore` and the math lives in
-:mod:`hetsim.nn.network`. Spatial layers use VALID (no padding) semantics
-throughout, and pooling windows step by their own size.
+A layer is an immutable description. Its class gives, for one batch-less
+input shape, the output shape, the parameter tensor shapes and a rough
+operation count, and it holds the hand-written forward and backward
+arithmetic on batches (sample axis first; images are (N, H, W, C)).
+Parameter tensors live in a :class:`~hetsim.nn.params.ParamStore` under
+``(layer_key, name)``; :mod:`hetsim.nn.network` chains layers together.
+Spatial layers use VALID (no padding) semantics throughout, and pooling
+windows step by their own size.
+
+``forward(store, key, x, train, rng)`` returns ``(y, cache)``;
+``backward(store, key, cache, dy, grads)`` accumulates parameter gradients
+into ``grads`` and returns ``dx``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Union
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 Shape = tuple[int, ...]
 
@@ -17,17 +28,62 @@ class ShapeError(ValueError):
     """A layer cannot accept the shape it was given."""
 
 
+class Layer:
+    """Base of every layer kind; the defaults suit a parameter-free kind
+    that keeps its input shape."""
+
+    def output_shape(self, in_shape: Shape) -> Shape:
+        return tuple(in_shape)
+
+    def param_shapes(self, in_shape: Shape) -> dict[str, Shape]:
+        return {}
+
+    def operations(self, in_shape: Shape) -> int:
+        """One op per output element; MACs for layers with weights."""
+        return math.prod(self.output_shape(in_shape))
+
+
+def _check_flat(in_shape: Shape) -> None:
+    if len(in_shape) != 1:
+        raise ShapeError(
+            f"Dense expects a flat input, got shape {in_shape}; add Flatten first")
+
+
+def _check_image(kind: str, in_shape: Shape) -> None:
+    if len(in_shape) != 3:
+        raise ShapeError(f"{kind} expects (H, W, C) input, got {in_shape}")
+
+
 @dataclass(frozen=True)
-class Dense:
+class Dense(Layer):
     units: int
 
     def __post_init__(self):
         if self.units < 1:
             raise ValueError("Dense units must be positive")
 
+    def output_shape(self, in_shape):
+        _check_flat(in_shape)
+        return (self.units,)
+
+    def param_shapes(self, in_shape):
+        _check_flat(in_shape)
+        return {"w": (in_shape[0], self.units), "b": (self.units,)}
+
+    def operations(self, in_shape):
+        return in_shape[0] * self.units + self.units
+
+    def forward(self, store, key, x, train, rng):
+        return x @ store.view((key, "w")) + store.view((key, "b")), x
+
+    def backward(self, store, key, x, dy, grads):
+        grads.view((key, "w"))[...] += x.T @ dy
+        grads.view((key, "b"))[...] += dy.sum(axis=0)
+        return dy @ store.view((key, "w")).T
+
 
 @dataclass(frozen=True)
-class Conv2D:
+class Conv2D(Layer):
     kh: int
     kw: int
     out_channels: int
@@ -37,14 +93,65 @@ class Conv2D:
         if min(self.kh, self.kw, self.out_channels, self.stride) < 1:
             raise ValueError("Conv2D dimensions and stride must be positive")
 
+    def output_shape(self, in_shape):
+        _check_image("Conv2D", in_shape)
+        h, w, _ = in_shape
+        ho = (h - self.kh) // self.stride + 1
+        wo = (w - self.kw) // self.stride + 1
+        if ho < 1 or wo < 1:
+            raise ShapeError(f"Conv2D window {self.kh}x{self.kw} too large for {in_shape}")
+        return (ho, wo, self.out_channels)
+
+    def param_shapes(self, in_shape):
+        _check_image("Conv2D", in_shape)
+        return {"w": (self.kh, self.kw, in_shape[2], self.out_channels),
+                "b": (self.out_channels,)}
+
+    def operations(self, in_shape):
+        return math.prod(self.output_shape(in_shape)) * (self.kh * self.kw * in_shape[2] + 1)
+
+    def forward(self, store, key, x, train, rng):
+        n, h, win, cin = x.shape
+        kh, kw, s = self.kh, self.kw, self.stride
+        ho = (h - kh) // s + 1
+        wo = (win - kw) // s + 1
+        # windows: (N, H-kh+1, W-kw+1, C, kh, kw) -> stride subsample
+        windows = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::s, ::s]
+        cols = windows.reshape(n, ho, wo, cin * kh * kw)
+        w = store.view((key, "w"))
+        wmat = w.transpose(2, 0, 1, 3).reshape(cin * kh * kw, self.out_channels)
+        y = cols @ wmat + store.view((key, "b"))
+        return y, (cols, x.shape, wmat)
+
+    def backward(self, store, key, cache, dy, grads):
+        cols, x_shape, wmat = cache
+        n, ho, wo, cout = dy.shape
+        cin = x_shape[3]
+        kh, kw, s = self.kh, self.kw, self.stride
+        dy2 = dy.reshape(-1, cout)
+        dwmat = cols.reshape(-1, cin * kh * kw).T @ dy2
+        grads.view((key, "w"))[...] += dwmat.reshape(cin, kh, kw, cout).transpose(1, 2, 0, 3)
+        grads.view((key, "b"))[...] += dy2.sum(axis=0)
+        dcols = (dy2 @ wmat.T).reshape(n, ho, wo, cin, kh, kw)
+        dx = np.zeros(x_shape, dtype=dy.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                dx[:, i:i + ho * s:s, j:j + wo * s:s, :] += dcols[:, :, :, :, i, j]
+        return dx
+
 
 @dataclass(frozen=True)
-class ReLU:
-    pass
+class ReLU(Layer):
+    def forward(self, store, key, x, train, rng):
+        mask = x > 0
+        return x * mask, mask
+
+    def backward(self, store, key, mask, dy, grads):
+        return dy * mask
 
 
 @dataclass(frozen=True)
-class MaxPool2D:
+class MaxPool2D(Layer):
     ph: int
     pw: int
 
@@ -52,18 +159,80 @@ class MaxPool2D:
         if min(self.ph, self.pw) < 1:
             raise ValueError("MaxPool2D window must be positive")
 
+    def output_shape(self, in_shape):
+        _check_image("MaxPool2D", in_shape)
+        h, w, c = in_shape
+        ho = (h - self.ph) // self.ph + 1
+        wo = (w - self.pw) // self.pw + 1
+        if ho < 1 or wo < 1:
+            raise ShapeError(f"MaxPool2D window {self.ph}x{self.pw} too large for {in_shape}")
+        return (ho, wo, c)
+
+    def forward(self, store, key, x, train, rng):
+        n, h, w, c = x.shape
+        ph, pw = self.ph, self.pw
+        ho = (h - ph) // ph + 1
+        wo = (w - pw) // pw + 1
+        windows = sliding_window_view(x, (ph, pw), axis=(1, 2))[:, ::ph, ::pw]
+        flat = windows.reshape(n, ho, wo, c, ph * pw)
+        am = flat.argmax(axis=-1)
+        y = np.take_along_axis(flat, am[..., None], axis=-1)[..., 0]
+        return y, (am, x.shape)
+
+    def backward(self, store, key, cache, dy, grads):
+        am, x_shape = cache
+        n, ho, wo, c = dy.shape
+        ph, pw = self.ph, self.pw
+        dwin = np.zeros((n, ho, wo, c, ph * pw), dtype=dy.dtype)
+        np.put_along_axis(dwin, am[..., None], dy[..., None], axis=-1)
+        dwin = dwin.reshape(n, ho, wo, c, ph, pw)
+        dx = np.zeros(x_shape, dtype=dy.dtype)
+        for i in range(ph):
+            for j in range(pw):
+                dx[:, i:i + ho * ph:ph, j:j + wo * pw:pw, :] += dwin[:, :, :, :, i, j]
+        return dx
+
+
+class _Masked(Layer):
+    """Inverted dropout, active in train mode only.
+
+    Subclasses hold ``p`` and choose the shape of the keep/drop draw.
+    """
+
+    def draw_shape(self, shape: Shape) -> Shape:
+        raise NotImplementedError
+
+    def forward(self, store, key, x, train, rng):
+        if not train:
+            return x, None
+        if rng is None:
+            raise ValueError("train-mode dropout needs an rng")
+        draw_shape = self.draw_shape(x.shape)
+        if self.p >= 1.0:
+            scale = np.zeros(draw_shape, dtype=store.dtype)
+        else:
+            keep = rng.random(draw_shape) >= self.p
+            scale = (keep / (1.0 - self.p)).astype(store.dtype, copy=False)
+        return x * scale, scale
+
+    def backward(self, store, key, scale, dy, grads):
+        return dy if scale is None else dy * scale
+
 
 @dataclass(frozen=True)
-class Dropout:
+class Dropout(_Masked):
     p: float
 
     def __post_init__(self):
         if not 0.0 <= self.p < 1.0:
             raise ValueError("Dropout p must be in [0, 1)")
 
+    def draw_shape(self, shape):
+        return shape
+
 
 @dataclass(frozen=True)
-class BranchDropout:
+class BranchDropout(_Masked):
     """Per-sample all-or-nothing dropout of an entire activation vector.
 
     Unlike :class:`Dropout`, p == 1 is allowed so tests can force the
@@ -76,29 +245,35 @@ class BranchDropout:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("BranchDropout p must be in [0, 1]")
 
-
-@dataclass(frozen=True)
-class Flatten:
-    pass
-
-
-@dataclass(frozen=True)
-class Softmax:
-    pass
+    def draw_shape(self, shape):
+        # one keep/drop decision per sample, broadcast over the whole vector
+        return (shape[0],) + (1,) * (len(shape) - 1)
 
 
 @dataclass(frozen=True)
-class Add:
-    """Elementwise sum of two equal-shape inputs.
+class Flatten(Layer):
+    def output_shape(self, in_shape):
+        return (math.prod(in_shape),)
 
-    Only meaningful at the combine point of a cascaded topology; it is
-    rejected inside plain sequential chains.
-    """
+    def forward(self, store, key, x, train, rng):
+        return x.reshape(x.shape[0], -1), x.shape
+
+    def backward(self, store, key, x_shape, dy, grads):
+        return dy.reshape(x_shape)
 
 
-Layer = Union[
-    Dense, Conv2D, ReLU, MaxPool2D, Dropout, BranchDropout, Flatten, Softmax, Add
-]
+@dataclass(frozen=True)
+class Softmax(Layer):
+    def forward(self, store, key, x, train, rng):
+        z = x - x.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        p = e / e.sum(axis=-1, keepdims=True)
+        return p, p
+
+    def backward(self, store, key, p, dy, grads):
+        inner = (dy * p).sum(axis=-1, keepdims=True)
+        return p * (dy - inner)
+
 
 _KIND_TO_CLS = {
     "dense": Dense,
@@ -109,9 +284,7 @@ _KIND_TO_CLS = {
     "branch_dropout": BranchDropout,
     "flatten": Flatten,
     "softmax": Softmax,
-    "add": Add,
 }
-_CLS_TO_KIND = {cls: kind for kind, cls in _KIND_TO_CLS.items()}
 
 
 def layer_from_dict(spec: dict) -> Layer:
@@ -129,67 +302,14 @@ def layer_from_dict(spec: dict) -> Layer:
         raise ValueError(f"bad parameters for layer kind {kind!r}: {exc}") from exc
 
 
-def layer_to_dict(layer: Layer) -> dict:
-    d = {"kind": _CLS_TO_KIND[type(layer)]}
-    for field in getattr(layer, "__dataclass_fields__", {}):
-        d[field] = getattr(layer, field)
-    return d
-
-
 def output_shape(layer: Layer, in_shape: Shape) -> Shape:
     """Shape produced by ``layer`` on a single (batch-less) input of ``in_shape``."""
-    if isinstance(layer, Dense):
-        if len(in_shape) != 1:
-            raise ShapeError(
-                f"Dense expects a flat input, got shape {in_shape}; add Flatten first"
-            )
-        return (layer.units,)
-    if isinstance(layer, Conv2D):
-        if len(in_shape) != 3:
-            raise ShapeError(f"Conv2D expects (H, W, C) input, got {in_shape}")
-        h, w, _ = in_shape
-        ho = (h - layer.kh) // layer.stride + 1
-        wo = (w - layer.kw) // layer.stride + 1
-        if ho < 1 or wo < 1:
-            raise ShapeError(f"Conv2D window {layer.kh}x{layer.kw} too large for {in_shape}")
-        return (ho, wo, layer.out_channels)
-    if isinstance(layer, MaxPool2D):
-        if len(in_shape) != 3:
-            raise ShapeError(f"MaxPool2D expects (H, W, C) input, got {in_shape}")
-        h, w, c = in_shape
-        ho = (h - layer.ph) // layer.ph + 1
-        wo = (w - layer.pw) // layer.pw + 1
-        if ho < 1 or wo < 1:
-            raise ShapeError(f"MaxPool2D window {layer.ph}x{layer.pw} too large for {in_shape}")
-        return (ho, wo, c)
-    if isinstance(layer, Flatten):
-        n = 1
-        for d in in_shape:
-            n *= d
-        return (n,)
-    if isinstance(layer, (ReLU, Dropout, BranchDropout, Softmax)):
-        return in_shape
-    if isinstance(layer, Add):
-        raise ShapeError("Add is only valid at a cascade combine point, not in a chain")
-    raise TypeError(f"unknown layer {layer!r}")
+    return layer.output_shape(tuple(in_shape))
 
 
 def param_shapes(layer: Layer, in_shape: Shape) -> dict[str, Shape]:
     """Parameter tensor shapes for ``layer``, keyed by tensor name."""
-    if isinstance(layer, Dense):
-        if len(in_shape) != 1:
-            raise ShapeError(
-                f"Dense expects a flat input, got shape {in_shape}; add Flatten first"
-            )
-        return {"w": (in_shape[0], layer.units), "b": (layer.units,)}
-    if isinstance(layer, Conv2D):
-        if len(in_shape) != 3:
-            raise ShapeError(f"Conv2D expects (H, W, C) input, got {in_shape}")
-        return {
-            "w": (layer.kh, layer.kw, in_shape[2], layer.out_channels),
-            "b": (layer.out_channels,),
-        }
-    return {}
+    return layer.param_shapes(tuple(in_shape))
 
 
 def chain_shapes(layers: tuple[Layer, ...] | list[Layer], input_shape: Shape) -> list[Shape]:
@@ -197,7 +317,7 @@ def chain_shapes(layers: tuple[Layer, ...] | list[Layer], input_shape: Shape) ->
     shapes = []
     shape = tuple(input_shape)
     for layer in layers:
-        shape = output_shape(layer, shape)
+        shape = layer.output_shape(shape)
         shapes.append(shape)
     return shapes
 
@@ -207,12 +327,8 @@ def count_parameters(layers: tuple[Layer, ...] | list[Layer], input_shape: Shape
     total = 0
     shape = tuple(input_shape)
     for layer in layers:
-        for pshape in param_shapes(layer, shape).values():
-            n = 1
-            for d in pshape:
-                n *= d
-            total += n
-        shape = output_shape(layer, shape)
+        total += sum(math.prod(p) for p in layer.param_shapes(shape).values())
+        shape = layer.output_shape(shape)
     return total
 
 
@@ -226,15 +342,7 @@ def count_operations(layers: tuple[Layer, ...] | list[Layer], input_shape: Shape
     total = 0
     shape = tuple(input_shape)
     for layer in layers:
-        out = output_shape(layer, shape)
-        n_out = 1
-        for d in out:
-            n_out *= d
-        if isinstance(layer, Dense):
-            total += shape[0] * layer.units + layer.units
-        elif isinstance(layer, Conv2D):
-            total += n_out * (layer.kh * layer.kw * shape[2] + 1)
-        else:
-            total += n_out
+        out = layer.output_shape(shape)
+        total += layer.operations(shape)
         shape = out
     return total

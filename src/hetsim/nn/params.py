@@ -63,9 +63,6 @@ class ParamStore:
         offset, n, shape = self._offsets[key]
         return self.flat[offset:offset + n].reshape(shape)
 
-    def offset_of(self, key: ParamKey) -> int:
-        return self._offsets[key][0]
-
     def flatten(self) -> np.ndarray:
         """Copy of the canonical flat vector."""
         return self.flat.copy()

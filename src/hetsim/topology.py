@@ -16,12 +16,12 @@ before biases. This order is what crosses the wire, so it must be stable.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .nn.layers import (
-    Add,
     BranchDropout,
     Layer,
     ShapeError,
@@ -37,9 +37,6 @@ from .nn.network import (
     forward_chain,
     init_chain_params,
     make_keyed,
-    _dropout_mask,
-    _softmax_backward,
-    _softmax_forward,
 )
 from .nn.params import ParamStore
 
@@ -99,13 +96,9 @@ def build_share_first(stem, branches: dict, input_shape) -> BranchedTopology:
     input_shape = tuple(input_shape)
     if not branches:
         raise ValueError("at least one branch is required")
-    if any(isinstance(l, Add) for l in stem):
-        raise ShapeError("Add is not a chain layer")
     _validate_chain(stem, input_shape, "stem")
     topo = BranchedTopology(input_shape, stem, {k: tuple(v) for k, v in branches.items()})
     for branch_id, layers in topo.branches.items():
-        if any(isinstance(l, Add) for l in layers):
-            raise ShapeError("Add is not a chain layer")
         _validate_chain(layers, topo.stem_output_shape, f"branch {branch_id!r}")
     return topo
 
@@ -160,45 +153,34 @@ class DeviceNetwork:
         cascade = topology.cascade
         self.is_cascade_complex = bool(cascade) and branch_id == cascade.complex_branch
 
-        stem_keyed = make_keyed("stem", topology.stem)
-        own_keyed = make_keyed(_branch_scope(branch_id), topology.branches[branch_id])
+        self._stem = make_keyed("stem", topology.stem)
+        self._own = make_keyed(_branch_scope(branch_id), topology.branches[branch_id])
+        self._chain = self._stem + self._own
         stem_out = topology.stem_output_shape
-
+        # (keyed chain, input shape) segments in canonical flat order
+        self._shared = [(self._stem, self.input_shape)]
+        self._local = [(self._own, stem_out)]
         if cascade is not None:
             light_id = cascade.lightweight_branch
-            light_keyed = make_keyed(_branch_scope(light_id), topology.branches[light_id])
             if branch_id == light_id:
-                self._shared_keyed = stem_keyed + own_keyed
-                self._local_keyed = []
-            elif self.is_cascade_complex:
-                self._shared_keyed = stem_keyed + light_keyed
-                self._local_keyed = own_keyed
-                self._light_keyed = light_keyed
-                # lightweight logits live just below its final softmax
-                self._light_head = light_keyed[:-1]
-            else:
+                self._local = []
+            elif not self.is_cascade_complex:
                 raise KeyError(f"branch {branch_id!r} is not part of the cascade")
-        else:
-            self._shared_keyed = stem_keyed
-            self._local_keyed = own_keyed
+            light = make_keyed(_branch_scope(light_id), topology.branches[light_id])
+            self._shared.append((light, stem_out))
+            # lightweight logits live just below its final softmax
+            self._light_head = light[:-1]
+            self._branch_drop = BranchDropout(cascade.branch_dropout_p)
+            self._softmax = Softmax()
 
-        self._stem_keyed = stem_keyed
-        self._stem_out_shape = stem_out
-
-        shared_layout = []
-        shape = tuple(self.input_shape)
-        # shared layout follows the shared chain(s) in canonical order
-        shared_layout += build_layout(stem_keyed, shape)
-        if cascade is not None:
-            light_layers = topology.branches[cascade.lightweight_branch]
-            light_keyed_all = make_keyed(_branch_scope(cascade.lightweight_branch), light_layers)
-            shared_layout += build_layout(light_keyed_all, stem_out)
-        local_layout = build_layout(self._local_keyed, stem_out) if self._local_keyed else []
-
+        shared_layout = [entry for keyed, shape in self._shared
+                         for entry in build_layout(keyed, shape)]
+        local_layout = [entry for keyed, shape in self._local
+                        for entry in build_layout(keyed, shape)]
         self._layout = shared_layout + local_layout
-        self._shared_len = sum(int(np.prod(s)) for _, s in shared_layout)
-        self._local_len = sum(int(np.prod(s)) for _, s in local_layout)
-        self.partition = ParameterPartition(branch_id, self._shared_len, self._local_len)
+        self.partition = ParameterPartition(
+            branch_id, sum(math.prod(s) for _, s in shared_layout),
+            sum(math.prod(s) for _, s in local_layout))
 
     # -- construction ------------------------------------------------------
 
@@ -212,15 +194,11 @@ class DeviceNetwork:
         devices start from one broadcast state.
         """
         store = ParamStore(self._layout, dtype)
-        init_chain_params(self._stem_keyed, self.input_shape, store, shared_rng)
-        cascade = self.topology.cascade
-        if cascade is not None:
-            light_keyed = make_keyed(_branch_scope(cascade.lightweight_branch),
-                                     self.topology.branches[cascade.lightweight_branch])
-            init_chain_params(light_keyed, self._stem_out_shape, store, shared_rng)
-        if self._local_keyed:
-            rng = local_rng if local_rng is not None else shared_rng
-            init_chain_params(self._local_keyed, self._stem_out_shape, store, rng)
+        for keyed, shape in self._shared:
+            init_chain_params(keyed, shape, store, shared_rng)
+        rng = local_rng if local_rng is not None else shared_rng
+        for keyed, shape in self._local:
+            init_chain_params(keyed, shape, store, rng)
         return store
 
     @property
@@ -228,7 +206,7 @@ class DeviceNetwork:
         return list(self._layout)
 
     def count_params(self) -> int:
-        return self._shared_len + self._local_len
+        return self.partition.total_len
 
     def output_shape(self) -> tuple[int, ...]:
         return self.topology.branch_output_shape(self.branch_id)
@@ -248,32 +226,23 @@ class DeviceNetwork:
             if force_branch_drop:
                 raise ValueError("force_branch_drop only applies to the cascaded "
                                  "complex network")
-            # own branch layers sit in the local block, except for the cascade
-            # lightweight device whose whole network is shared
-            own = self._local_keyed or self._shared_keyed[len(self._stem_keyed):]
-            return forward_chain(self._stem_keyed + own, store, x, mode=mode, rng=rng)
+            return forward_chain(self._chain, store, x, mode=mode, rng=rng)
 
-        stem_out, stem_cache = forward_chain(self._stem_keyed, store, x, mode=mode, rng=rng)
+        stem_out, stem_cache = forward_chain(self._stem, store, x, mode=mode, rng=rng)
         light_logits, light_cache = forward_chain(self._light_head, store, stem_out,
                                                   mode=mode, rng=rng)
-        complex_logits, complex_cache = forward_chain(self._local_keyed, store, stem_out,
+        complex_logits, complex_cache = forward_chain(self._own, store, stem_out,
                                                       mode=mode, rng=rng)
-        p = self.topology.cascade.branch_dropout_p
         if force_branch_drop:
             scale = store.dtype.type(0.0)
             merged = light_logits.copy()
-        elif mode == "train":
-            if rng is None:
-                raise ValueError("train-mode branch dropout needs an rng")
-            bd = BranchDropout(p)
-            scale = _dropout_mask(bd, complex_logits.shape, rng, store.dtype)
-            merged = complex_logits * scale + light_logits
         else:
-            scale = None
-            merged = complex_logits + light_logits
-        out = _softmax_forward(merged)
+            dropped, scale = self._branch_drop.forward(
+                store, None, complex_logits, mode == "train", rng)
+            merged = dropped + light_logits
+        out, _ = self._softmax.forward(store, None, merged, False, None)
         ensure_finite("cascade output", out)
-        return out, ("cascade", stem_cache, light_cache, complex_cache, scale, out)
+        return out, (stem_cache, light_cache, complex_cache, scale, out)
 
     def backward(self, cache, dy: np.ndarray, store: ParamStore,
                  from_logits: bool = False) -> ParamStore:
@@ -284,23 +253,16 @@ class DeviceNetwork:
         softmax is skipped.
         """
         grads = store.zeros_like()
-        if not isinstance(cache, tuple) or cache[0] != "cascade":
-            chain_cache = cache
-            if from_logits:
-                if not isinstance(chain_cache.keyed_layers[-1][1], Softmax):
-                    raise ValueError("from_logits requires a Softmax-terminated network")
-                chain_cache = type(chain_cache)(
-                    chain_cache.keyed_layers[:-1], chain_cache.per_layer[:-1],
-                    chain_cache.mode, chain_cache.input_shape,
-                    chain_cache.params_checksum)
-            backward_chain(chain_cache, dy, store, grads)
+        if not self.is_cascade_complex:
+            backward_chain(cache, dy, store, grads, from_logits=from_logits)
             return grads
 
-        _, stem_cache, light_cache, complex_cache, scale, out = cache
-        dmerged = np.asarray(dy) if from_logits else _softmax_backward(out, np.asarray(dy))
-        dlight = dmerged
-        dcomplex = dmerged * scale if scale is not None else dmerged
-        d_stem_light = backward_chain(light_cache, dlight, store, grads)
+        stem_cache, light_cache, complex_cache, scale, out = cache
+        dmerged = np.asarray(dy)
+        if not from_logits:
+            dmerged = self._softmax.backward(store, None, out, dmerged, grads)
+        dcomplex = self._branch_drop.backward(store, None, scale, dmerged, grads)
+        d_stem_light = backward_chain(light_cache, dmerged, store, grads)
         d_stem_complex = backward_chain(complex_cache, dcomplex, store, grads)
         backward_chain(stem_cache, d_stem_light + d_stem_complex, store, grads)
         return grads

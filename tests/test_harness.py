@@ -114,6 +114,14 @@ def test_fractions_must_sum_to_one():
         parse_config(doc)
 
 
+def _set(doc, path, value):
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
 @pytest.mark.parametrize("make_doc,path,value", [
     (tiny_rl_doc, ("rl", "sync_period"), 0),
     (tiny_rl_doc, ("rl", "total_steps"), 0),
@@ -122,15 +130,42 @@ def test_fractions_must_sum_to_one():
     (tiny_rl_doc, ("devices", 1, "rate"), -1),
     (tiny_rl_doc, ("devices", 1, "rate"), 0),
     (tiny_rl_doc, ("devices", 1, "rate"), 1.5),
+    (tiny_supervised_doc, ("supervised", "minibatch_size"), 0),
+    (tiny_supervised_doc, ("supervised", "round_samples"), 0),
+    (tiny_supervised_doc, ("supervised", "round_samples"), -3),
+    (tiny_rl_doc, ("rl", "batch_size"), 0),
+    (tiny_rl_doc, ("rl", "test_episodes"), 0),
+    (tiny_rl_doc, ("devices", 0, "replay_capacity"), 0),
+    (tiny_rl_doc, ("seeds",), [True]),
 ])
 def test_bad_run_lengths_and_rates_rejected(make_doc, path, value):
-    doc = make_doc()
-    target = doc
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
     with pytest.raises(ConfigError, match=path[-1]):
+        parse_config(_set(make_doc(), path, value))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("learning_rate", "0.1"), ("learning_rate", -0.1), ("algorithm", "lbfgs"),
+])
+def test_bad_optimizer_settings_rejected(key, value):
+    doc = tiny_supervised_doc()
+    doc["devices"][1]["optimizer"][key] = value
+    with pytest.raises(ConfigError, match=r"devices\[1\]\.optimizer"):
         parse_config(doc)
+
+
+@pytest.mark.parametrize("make_doc,path,value", [
+    (tiny_supervised_doc, ("topology", "input_shape"), [2, 2, 2]),  # Dense on an image
+    (tiny_supervised_doc, ("topology", "stem", 0), {"kind": "add"}),
+    (tiny_supervised_doc, ("topology", "input_shape"), [9]),
+    (tiny_supervised_doc, ("data", "num_classes"), 5),
+    (tiny_rl_doc, ("topology", "input_shape"), [8]),
+    (tiny_rl_doc, ("topology", "branches", "complex", 2, "units"), 3),  # 4 actions
+])
+def test_topology_must_fit_the_data(make_doc, path, value):
+    # a bad topology fails to parse; one that disagrees with the data fails
+    # when the run is built, before any device trains
+    with pytest.raises(ConfigError, match="topology"):
+        make_run(parse_config(_set(make_doc(), path, value)), 7)
 
 
 @pytest.mark.parametrize("mode", ["isolated", "heterogeneous"])
@@ -183,9 +218,11 @@ def test_same_config_same_seed_byte_identical_csv(tmp_path):
 
 def test_rl_run_deterministic_and_sync_cadence():
     config = parse_config(tiny_rl_doc())
-    rows_a = make_run(config, 3).run()
-    rows_b = make_run(config, 3).run()
+    run_a, run_b = make_run(config, 3), make_run(config, 3)
+    rows_a, rows_b = run_a.run(), run_b.run()
     assert rows_a == rows_b
+    for a, b in zip(run_a.devices, run_b.devices):
+        np.testing.assert_array_equal(a["store"].flat, b["store"].flat)
     test_steps = sorted({r.round for r in rows_a if r.phase == "test"})
     assert test_steps == [40, 80, 120]  # exactly every sync_period
 
@@ -277,20 +314,30 @@ def test_supervised_checkpoint_resume_bit_identical(tmp_path):
     resumed = load_run_checkpoint(config, 7, path)
     resumed_rows = resumed.run()
     assert resumed_rows == _rows_after(straight_rows, 3)
+    for a, b in zip(resumed.devices, straight.devices):
+        np.testing.assert_array_equal(a["store"].flat, b["store"].flat)
 
 
 def test_rl_checkpoint_resume_bit_identical(tmp_path):
     config = parse_config(tiny_rl_doc())
-    straight_rows = make_run(config, 3).run()
+    straight = make_run(config, 3)
+    straight_rows = straight.run()
 
+    # between sync events, so the target net differs from the online net
     partial = make_run(config, 3)
-    while partial.step < 40:
+    while partial.step < 50:
         partial.play_step()
     path = tmp_path / "run.ckpt"
     save_run_checkpoint(partial, path)
     resumed = load_run_checkpoint(config, 3, path)
     resumed_rows = resumed.run()
-    assert resumed_rows == _rows_after(straight_rows, 40)
+    assert resumed_rows == _rows_after(straight_rows, 50)
+    # the rows of this short run barely depend on training, so compare the
+    # parameters the resumed optimizer state and target net produced
+    for a, b in zip(resumed.devices, straight.devices):
+        np.testing.assert_array_equal(a["store"].flat, b["store"].flat)
+        np.testing.assert_array_equal(a["learner"].target_store.flat,
+                                      b["learner"].target_store.flat)
 
 
 def test_checkpoint_at_round_zero_equals_fresh_run(tmp_path):
@@ -423,3 +470,4 @@ def test_shipped_example_configs_parse():
                  "supervised_cifar10"):
         config = load_config(f"configs/{name}.json")
         assert config.devices
+        assert "bytes/sync" in describe(config)
