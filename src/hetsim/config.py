@@ -6,12 +6,13 @@ Unknown keys are rejected everywhere so typos fail loudly. See the
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .nn.layers import Layer, ShapeError, layer_from_dict
+from .nn.layers import Layer, layer_from_dict
 from .nn.optim import make_optimizer
 from .protocol import COORDINATOR_MODES, WEIGHTINGS
 from .topology import BranchedTopology, build_cascaded, build_share_first
@@ -37,12 +38,29 @@ def _check_keys(d: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def _require_count(d: dict, key: str, where: str, default: int | None = None) -> int:
-    """An integer that must be at least 1; required unless it has a default."""
-    value = int(_require(d, key, where) if default is None else d.get(key, default))
-    if value < 1:
-        raise ConfigError(f"{where}.{key} must be at least 1, got {value}")
-    return value
+def _whole(value, what: str, minimum: int) -> int:
+    """A JSON integer (or integral float) of at least ``minimum``; no bools."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{what} must be a whole number, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{what} must be at least {minimum}, got {value}")
+    return int(value)
+
+
+def _require_count(d: dict, key: str, where: str, default: int | None = None,
+                   minimum: int = 1) -> int:
+    """A whole number of at least ``minimum``; required unless it has a default."""
+    value = _require(d, key, where) if default is None else d.get(key, default)
+    return _whole(value, f"{where}.{key}", minimum)
+
+
+def _real(value, what: str) -> float:
+    """A finite JSON number; no bools."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not math.isfinite(value)):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _parse_layers(specs, where: str) -> tuple[Layer, ...]:
@@ -144,7 +162,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     topo_doc = _require(doc, "topology", "config")
     _check_keys(topo_doc, {"input_shape", "stem", "branches", "cascade"}, "topology")
-    input_shape = tuple(_require(topo_doc, "input_shape", "topology"))
+    shape_doc = _require(topo_doc, "input_shape", "topology")
+    if not isinstance(shape_doc, list) or not shape_doc:
+        raise ConfigError(f"topology.input_shape must be a non-empty list, got {shape_doc!r}")
+    input_shape = tuple(_whole(n, "topology.input_shape", 1) for n in shape_doc)
     stem = _parse_layers(_require(topo_doc, "stem", "topology"), "topology.stem")
     branches_doc = _require(topo_doc, "branches", "topology")
     if not isinstance(branches_doc, dict) or not branches_doc:
@@ -152,24 +173,26 @@ def parse_config(doc: dict) -> ExperimentConfig:
     branches = {bid: _parse_layers(spec, f"topology.branches.{bid}")
                 for bid, spec in branches_doc.items()}
 
+    if scheme == "cascaded":
+        casc = _require(topo_doc, "cascade", "topology")
+        _check_keys(casc, {"complex_branch", "lightweight_branch", "branch_dropout_p"},
+                    "topology.cascade")
+        cb = _require(casc, "complex_branch", "topology.cascade")
+        lb = _require(casc, "lightweight_branch", "topology.cascade")
+        for b in (cb, lb):
+            if b not in branches:
+                raise ConfigError(f"topology.cascade references unknown branch {b!r}")
+        branch_dropout_p = _real(casc.get("branch_dropout_p", 0.5),
+                                 "topology.cascade.branch_dropout_p")
+    elif topo_doc.get("cascade") is not None:
+        raise ConfigError("topology.cascade is only valid with scheme 'cascaded'")
     try:
         if scheme == "cascaded":
-            casc = _require(topo_doc, "cascade", "topology")
-            _check_keys(casc, {"complex_branch", "lightweight_branch", "branch_dropout_p"},
-                        "topology.cascade")
-            cb = _require(casc, "complex_branch", "topology.cascade")
-            lb = _require(casc, "lightweight_branch", "topology.cascade")
-            for b in (cb, lb):
-                if b not in branches:
-                    raise ConfigError(f"topology.cascade references unknown branch {b!r}")
-            topology = build_cascaded(stem, branches[cb], branches[lb],
-                                      float(casc.get("branch_dropout_p", 0.5)),
+            topology = build_cascaded(stem, branches[cb], branches[lb], branch_dropout_p,
                                       input_shape, complex_id=cb, lightweight_id=lb)
         else:
-            if topo_doc.get("cascade") is not None:
-                raise ConfigError("topology.cascade is only valid with scheme 'cascaded'")
             topology = build_share_first(stem, branches, input_shape)
-    except ShapeError as exc:
+    except ValueError as exc:  # a ShapeError, or the branch dropout range
         raise ConfigError(f"topology: {exc}") from exc
 
     devices_doc = _require(doc, "devices", "config")
@@ -180,9 +203,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
         where = f"devices[{i}]"
         _check_keys(dd, {"id", "branch", "data_fraction", "rate", "replay_capacity",
                          "optimizer"}, where)
+        device_id = str(_require(dd, "id", where))
         branch = _require(dd, "branch", where)
         if branch not in branches:
             raise ConfigError(f"{where}: unknown branch {branch!r}")
+        if branch not in topology.branches:
+            raise ConfigError(f"{where} ({device_id!r}): branch {branch!r} is not one of "
+                              f"the cascade's branches {sorted(topology.branches)}")
         optimizer = dd.get("optimizer", {"algorithm": "sgd", "learning_rate": 0.01})
         _check_keys(optimizer, {"algorithm", "learning_rate", "decay", "beta1",
                                 "beta2", "eps", "rho"}, f"{where}.optimizer")
@@ -190,12 +217,14 @@ def parse_config(doc: dict) -> ExperimentConfig:
             make_optimizer(optimizer)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}.optimizer: {exc}") from exc
-        rate = float(dd.get("rate", 1.0))
+        rate = _real(dd.get("rate", 1.0), f"{where}.rate")
         if not 0.0 < rate <= 1.0:
             raise ConfigError(f"{where}: rate must be in (0, 1], got {rate}")
+        fraction = dd.get("data_fraction")
+        if fraction is not None:
+            fraction = _real(fraction, f"{where}.data_fraction")
         devices.append(DeviceConfig(
-            id=str(_require(dd, "id", where)), branch=branch,
-            data_fraction=dd.get("data_fraction"), rate=rate,
+            id=device_id, branch=branch, data_fraction=fraction, rate=rate,
             replay_capacity=(_require_count(dd, "replay_capacity", where)
                              if task == "rl" else dd.get("replay_capacity")),
             optimizer=dict(optimizer)))
@@ -240,17 +269,24 @@ def parse_config(doc: dict) -> ExperimentConfig:
         _check_keys(rl_doc, {"total_steps", "sync_period", "gamma", "epsilon_start",
                              "epsilon_end", "epsilon_decay_steps", "epsilon_test",
                              "batch_size", "warmup_steps", "test_episodes"}, "rl")
+        warmup = rl_doc.get("warmup_steps")
         rl = RlConfig(
             total_steps=_require_count(rl_doc, "total_steps", "rl"),
             sync_period=_require_count(rl_doc, "sync_period", "rl"),
-            gamma=float(rl_doc.get("gamma", 0.99)),
-            epsilon_start=float(rl_doc.get("epsilon_start", 1.0)),
-            epsilon_end=float(rl_doc.get("epsilon_end", 0.1)),
-            epsilon_decay_steps=int(rl_doc.get("epsilon_decay_steps", 1_000_000)),
-            epsilon_test=float(rl_doc.get("epsilon_test", 0.02)),
+            gamma=_real(rl_doc.get("gamma", 0.99), "rl.gamma"),
+            epsilon_start=_real(rl_doc.get("epsilon_start", 1.0), "rl.epsilon_start"),
+            epsilon_end=_real(rl_doc.get("epsilon_end", 0.1), "rl.epsilon_end"),
+            epsilon_decay_steps=_require_count(rl_doc, "epsilon_decay_steps", "rl",
+                                               1_000_000, minimum=0),
+            epsilon_test=_real(rl_doc.get("epsilon_test", 0.02), "rl.epsilon_test"),
             batch_size=_require_count(rl_doc, "batch_size", "rl", 32),
-            warmup_steps=rl_doc.get("warmup_steps"),
+            warmup_steps=None if warmup is None else _whole(warmup, "rl.warmup_steps", 0),
             test_episodes=_require_count(rl_doc, "test_episodes", "rl", 1))
+        if not 0.0 < rl.gamma < 1.0:
+            raise ConfigError(f"rl.gamma must be in (0, 1), got {rl.gamma}")
+        for key in ("epsilon_start", "epsilon_end", "epsilon_test"):
+            if not 0.0 <= getattr(rl, key) <= 1.0:
+                raise ConfigError(f"rl.{key} must be in [0, 1], got {getattr(rl, key)}")
         env_doc = _require(doc, "environment", "config")
         _check_keys(env_doc, {"type", "width", "height", "start", "goal", "pits",
                               "step_penalty", "goal_reward", "pit_reward",

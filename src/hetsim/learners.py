@@ -28,22 +28,41 @@ class ReplayBuffer:
 
     Once full, each insert overwrites the oldest entry. A sampled batch
     never repeats a slot (sampling without replacement within the batch).
+    Each field lives in one array of ``capacity`` rows, allocated on the
+    first insert with that state's shape and dtype; actions are int64,
+    rewards float64 and terminal flags bool.
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._slots: list = [None] * capacity
+        self._fields: tuple[np.ndarray, ...] | None = None
         self._next = 0
         self._size = 0
 
     def __len__(self) -> int:
         return self._size
 
+    def _write(self, i: int, state, action, reward, next_state, terminal) -> None:
+        state, next_state = np.asarray(state), np.asarray(next_state)
+        if self._fields is None:
+            rows = (self.capacity, *state.shape)
+            self._fields = (np.zeros(rows, state.dtype), np.zeros(self.capacity, np.int64),
+                            np.zeros(self.capacity, np.float64),
+                            np.zeros(rows, state.dtype), np.zeros(self.capacity, bool))
+        states, actions, rewards, next_states, terminals = self._fields
+        if state.shape != states.shape[1:] or next_state.shape != states.shape[1:]:
+            raise ValueError(f"transition states of shape {state.shape} and "
+                             f"{next_state.shape}; the buffer holds {states.shape[1:]}")
+        states[i] = state
+        actions[i] = int(action)
+        rewards[i] = float(reward)
+        next_states[i] = next_state
+        terminals[i] = bool(terminal)
+
     def add(self, state, action, reward, next_state, terminal) -> None:
-        self._slots[self._next] = (np.asarray(state), int(action), float(reward),
-                                   np.asarray(next_state), bool(terminal))
+        self._write(self._next, state, action, reward, next_state, terminal)
         self._next = (self._next + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -51,21 +70,24 @@ class ReplayBuffer:
         if batch_size > self._size:
             raise ValueError(f"cannot sample {batch_size} from {self._size} transitions")
         idx = rng.choice(self._size, size=batch_size, replace=False)
-        rows = [self._slots[i] for i in idx]
-        states = np.stack([r[0] for r in rows])
-        actions = np.array([r[1] for r in rows], dtype=np.int64)
-        rewards = np.array([r[2] for r in rows])
-        next_states = np.stack([r[3] for r in rows])
-        terminals = np.array([r[4] for r in rows], dtype=bool)
-        return states, actions, rewards, next_states, terminals
+        return tuple(field[idx] for field in self._fields)
 
     def state_dict(self) -> dict:
-        return {"slots": list(self._slots), "next": self._next, "size": self._size}
+        """``slots`` holds one (state, action, reward, next_state, terminal)
+        tuple per filled slot and None for the rest."""
+        slots: list = [None] * self.capacity
+        for i in range(self._size):
+            s, a, r, ns, t = (field[i] for field in self._fields)
+            slots[i] = (s.copy(), int(a), float(r), ns.copy(), bool(t))
+        return {"slots": slots, "next": self._next, "size": self._size}
 
     def load_state_dict(self, state: dict) -> None:
         if len(state["slots"]) != self.capacity:
             raise ValueError("replay capacity mismatch")
-        self._slots = list(state["slots"])
+        self._fields = None
+        for i, slot in enumerate(state["slots"]):
+            if slot is not None:
+                self._write(i, *slot)
         self._next = int(state["next"])
         self._size = int(state["size"])
 

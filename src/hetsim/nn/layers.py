@@ -16,7 +16,7 @@ into ``grads`` and returns ``dx``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -296,6 +296,17 @@ def layer_from_dict(spec: dict) -> Layer:
     if cls is None:
         raise ValueError(f"unknown layer kind {kind!r}")
     kwargs = {k: v for k, v in spec.items() if k != "kind"}
+    for f in fields(cls):  # JSON numbers: no bools or strings, ints stay whole
+        if f.name not in kwargs:
+            continue
+        value = kwargs[f.name]
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or isinstance(value, float) and not math.isfinite(value)):
+            raise ValueError(f"{kind}.{f.name} must be a number, got {value!r}")
+        if f.type == "int":
+            if isinstance(value, float) and not value.is_integer():
+                raise ValueError(f"{kind}.{f.name} must be a whole number, got {value!r}")
+            kwargs[f.name] = int(value)
     try:
         return cls(**kwargs)
     except TypeError as exc:

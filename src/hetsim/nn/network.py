@@ -9,11 +9,17 @@ sample axis first.
 Stochastic layers (Dropout, BranchDropout) draw their masks from the
 generator passed to :func:`forward_chain` and are active only in train
 mode; eval mode is a pure function of (params, input).
+
+A cache is only valid for the parameter values its forward pass read.
+The forward pass keeps an exact copy of the chain's own span of the flat
+parameter vector, and the backward pass compares that span with the copy
+bit for bit, so any write in between (through ``flat``, a view, an
+optimizer step or a broadcast; ``0.0 -> -0.0`` included) is caught. The
+cost scales with the chain's parameters, not with the whole vector.
 """
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,17 +76,18 @@ def init_chain_params(keyed_layers: list[KeyedLayer], input_shape, store: ParamS
         shape = layer.output_shape(shape)
 
 
-def _params_checksum(store: ParamStore) -> int:
-    return zlib.crc32(store.flat.tobytes())
-
-
 @dataclass
 class ChainCache:
-    """Everything a chain's backward pass needs from its forward pass."""
+    """Everything a chain's backward pass needs from its forward pass.
+
+    ``span`` is the ``[lo, hi)`` slice of ``store.flat`` the chain's layers
+    read, and ``snapshot`` a copy of that slice taken at forward time.
+    """
 
     keyed_layers: list[KeyedLayer]
     per_layer: list
-    params_checksum: int = 0
+    span: tuple[int, int]
+    snapshot: np.ndarray
 
 
 def forward_chain(keyed_layers: list[KeyedLayer], store: ParamStore, x: np.ndarray,
@@ -100,7 +107,8 @@ def forward_chain(keyed_layers: list[KeyedLayer], store: ParamStore, x: np.ndarr
         out, c = layer.forward(store, key, out, train, rng)
         caches.append(c)
         ensure_finite(f"{layer.__class__.__name__} output", out)
-    return out, ChainCache(list(keyed_layers), caches, _params_checksum(store))
+    lo, hi = store.span_of(key for key, _ in keyed_layers)
+    return out, ChainCache(list(keyed_layers), caches, (lo, hi), store.flat[lo:hi].copy())
 
 
 def backward_chain(cache: ChainCache, dy: np.ndarray, store: ParamStore,
@@ -108,12 +116,17 @@ def backward_chain(cache: ChainCache, dy: np.ndarray, store: ParamStore,
     """Backpropagate through a chain; accumulates into ``grads``, returns dx.
 
     ``store`` must be the same store the forward pass read from, with the
-    same values: mutating parameters invalidates the cache. With
+    same values: the chain's span of ``store.flat`` is compared bitwise
+    with the copy the forward pass took, and any difference raises
+    ``ValueError`` (the cache is stale). With
     ``from_logits`` the chain must end in Softmax and ``dy`` is taken
     w.r.t. that softmax's input (the fused cross-entropy form), so the
     final softmax is skipped.
     """
-    if _params_checksum(store) != cache.params_checksum:
+    lo, hi = cache.span
+    now, then = store.flat[lo:hi], cache.snapshot
+    bits = np.dtype(f"u{then.itemsize}")  # compare bit patterns, not values
+    if now.dtype != then.dtype or not np.array_equal(now.view(bits), then.view(bits)):
         raise ValueError("parameters changed since the forward pass; the cache "
                          "is stale, rerun forward")
     steps = list(zip(cache.keyed_layers, cache.per_layer))

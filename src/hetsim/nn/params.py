@@ -18,19 +18,29 @@ ParamKey = tuple[LayerKey, str]
 
 
 class ParamStore:
-    """Named parameter tensors backed by one flat contiguous array."""
+    """Named parameter tensors backed by one flat contiguous array.
+
+    ``flat`` is written in place, never rebound: each tensor's view into it
+    is bound once, at construction, and would stop aliasing a new array.
+    Every writer (``set_flat``, optimizer steps, sync broadcasts, parameter
+    initialization) assigns into the existing array. Each layer's tensors
+    occupy one ``[lo, hi)`` span of ``flat`` (:meth:`span_of`).
+    """
 
     def __init__(self, layout: list[tuple[ParamKey, tuple[int, ...]]], dtype=np.float64,
                  flat: np.ndarray | None = None):
         self._layout = list(layout)
         self._dtype = np.dtype(dtype)
-        self._offsets: dict[ParamKey, tuple[int, int, tuple[int, ...]]] = {}
+        offsets: dict[ParamKey, tuple[int, int, tuple[int, ...]]] = {}
+        self._layer_spans: dict[LayerKey, tuple[int, int]] = {}
         offset = 0
         for key, shape in self._layout:
-            if key in self._offsets:
+            if key in offsets:
                 raise ValueError(f"duplicate parameter key {key}")
             n = math.prod(shape)
-            self._offsets[key] = (offset, n, tuple(shape))
+            offsets[key] = (offset, n, tuple(shape))
+            lo, _ = self._layer_spans.get(key[0], (offset, offset))
+            self._layer_spans[key[0]] = (lo, offset + n)
             offset += n
         self._size = offset
         if flat is None:
@@ -42,6 +52,8 @@ class ParamStore:
                     f"flat vector has length {flat.shape}, store needs ({self._size},)"
                 )
             self.flat = flat.copy()
+        self._views = {key: self.flat[o:o + n].reshape(shape)
+                       for key, (o, n, shape) in offsets.items()}
 
     @property
     def layout(self) -> list[tuple[ParamKey, tuple[int, ...]]]:
@@ -60,8 +72,18 @@ class ParamStore:
 
     def view(self, key: ParamKey) -> np.ndarray:
         """Writable view of one parameter tensor (shares memory with .flat)."""
-        offset, n, shape = self._offsets[key]
-        return self.flat[offset:offset + n].reshape(shape)
+        return self._views[key]
+
+    def span_of(self, layer_keys) -> tuple[int, int]:
+        """The ``[lo, hi)`` slice of ``flat`` covering these layers' tensors.
+
+        Layers without parameters contribute nothing; if none of the layers
+        has parameters the span is empty, ``(0, 0)``.
+        """
+        spans = [self._layer_spans[k] for k in layer_keys if k in self._layer_spans]
+        if not spans:
+            return 0, 0
+        return min(lo for lo, _ in spans), max(hi for _, hi in spans)
 
     def flatten(self) -> np.ndarray:
         """Copy of the canonical flat vector."""

@@ -8,6 +8,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 from hetsim.cli import main as cli_main
 from hetsim.config import parse_config
@@ -275,6 +276,7 @@ def _load_doc(path):
         return json.load(fh)
 
 
+@pytest.mark.slow
 def test_criterion_6a_supervised_trend_orderings():
     t0 = time.time()
     base = _load_doc("configs/supervised_synthetic.json")
@@ -310,6 +312,7 @@ def _rl_reach_and_final(rows, device, threshold, total_steps):
     return reach, float(np.mean(rewards[-5:]))
 
 
+@pytest.mark.slow
 def test_criterion_6b_rl_trend_orderings():
     t0 = time.time()
     base = _load_doc("configs/rl_gridworld.json")

@@ -182,6 +182,46 @@ def test_cache_reuse_after_parameter_mutation_is_an_error():
         backward_chain(cache, np.ones((2, 2)), store, store.zeros_like())
 
 
+def _cascade_complex(seed=3):
+    t = topo.build_cascaded([Dense(6), ReLU()], [Dense(5), ReLU(), Dense(3)],
+                            [Dense(4), ReLU(), Dense(3), Softmax()], 0.5, (4,))
+    net = topo.DeviceNetwork(t, "complex")
+    return net, net.init_store(np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("tensor", [
+    (("stem", 0), "w"),                  # shared stem
+    (("branch:lightweight", 2), "b"),    # shared lightweight head
+    (("branch:complex", 2), "w"),        # local complex branch
+])
+def test_write_to_any_part_of_a_cascade_makes_its_cache_stale(tensor):
+    net, store = _cascade_complex()
+    x = np.random.default_rng(0).normal(size=(2, 4))
+    probs, cache = net.forward(store, x, mode="train", rng=np.random.default_rng(1))
+    _, dlogits = cross_entropy(probs, np.array([0, 2]))
+    store.view(tensor).reshape(-1)[0] += 1e-12
+    with pytest.raises(ValueError, match="stale"):
+        net.backward(cache, dlogits, store, from_logits=True)
+
+
+def test_zero_to_negative_zero_write_makes_the_cache_stale():
+    keyed, store = _build([Dense(3), Dense(2)], (4,), seed=1)
+    bias = store.view((("net", 1), "b"))
+    assert bias[0] == 0.0 and not np.signbit(bias[0])  # biases start at +0.0
+    _, cache = forward_chain(keyed, store, np.ones((2, 4)))
+    bias[0] = -0.0  # equal as a float, different bits
+    with pytest.raises(ValueError, match="stale"):
+        backward_chain(cache, np.ones((2, 2)), store, store.zeros_like())
+
+
+def test_parameter_free_chain_backprops():
+    keyed, store = _build([ReLU()], (3,), seed=0)
+    assert store.size == 0
+    out, cache = forward_chain(keyed, store, np.array([[-1.0, 0.5, 2.0]]))
+    dx = backward_chain(cache, np.ones_like(out), store, store.zeros_like())
+    np.testing.assert_array_equal(dx, [[0.0, 1.0, 1.0]])
+
+
 def test_dropout_eval_mode_check_is_deterministic():
     keyed, store = _build([Dense(4), Dropout(0.5), Dense(2)], (3,), seed=9)
     x = np.random.default_rng(9).normal(size=(2, 3))

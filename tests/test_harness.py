@@ -137,10 +137,32 @@ def _set(doc, path, value):
     (tiny_rl_doc, ("rl", "test_episodes"), 0),
     (tiny_rl_doc, ("devices", 0, "replay_capacity"), 0),
     (tiny_rl_doc, ("seeds",), [True]),
+    # numbers must be numbers of the right kind, never truncated or coerced
+    (tiny_supervised_doc, ("supervised", "minibatch_size"), 2.7),
+    (tiny_supervised_doc, ("supervised", "minibatch_size"), "abc"),
+    (tiny_supervised_doc, ("supervised", "rounds"), True),
+    (tiny_rl_doc, ("rl", "epsilon_decay_steps"), 10.5),
+    (tiny_rl_doc, ("rl", "warmup_steps"), "8"),
+    (tiny_rl_doc, ("rl", "gamma"), "x"),
+    (tiny_rl_doc, ("rl", "gamma"), 1.5),
+    (tiny_rl_doc, ("rl", "epsilon_start"), 2.0),
+    (tiny_rl_doc, ("devices", 1, "rate"), "0.5"),
+    (tiny_supervised_doc, ("devices", 1, "data_fraction"), "0.2"),
+    (tiny_supervised_doc, ("topology", "cascade", "branch_dropout_p"), 1.5),
+    (tiny_supervised_doc, ("topology", "cascade", "branch_dropout_p"), "half"),
 ])
 def test_bad_run_lengths_and_rates_rejected(make_doc, path, value):
     with pytest.raises(ConfigError, match=path[-1]):
         parse_config(_set(make_doc(), path, value))
+
+
+def test_cascaded_device_must_use_a_cascade_branch():
+    doc = tiny_supervised_doc()
+    doc["topology"]["branches"]["extra"] = [{"kind": "dense", "units": 4},
+                                            {"kind": "softmax"}]
+    doc["devices"][1]["branch"] = "extra"
+    with pytest.raises(ConfigError, match=r"devices\[1\] \('weak'\).*'extra'"):
+        parse_config(doc)
 
 
 @pytest.mark.parametrize("key,value", [
@@ -160,6 +182,10 @@ def test_bad_optimizer_settings_rejected(key, value):
     (tiny_supervised_doc, ("data", "num_classes"), 5),
     (tiny_rl_doc, ("topology", "input_shape"), [8]),
     (tiny_rl_doc, ("topology", "branches", "complex", 2, "units"), 3),  # 4 actions
+    # shapes and layer sizes must be whole JSON numbers
+    (tiny_supervised_doc, ("topology", "input_shape"), 8),
+    (tiny_supervised_doc, ("topology", "stem", 0, "units"), 2.5),
+    (tiny_supervised_doc, ("topology", "stem", 0, "units"), True),
 ])
 def test_topology_must_fit_the_data(make_doc, path, value):
     # a bad topology fails to parse; one that disagrees with the data fails

@@ -58,6 +58,52 @@ def test_replay_sample_larger_than_size_rejected():
         buf.sample(np.random.default_rng(0), 2)
 
 
+def test_replay_sample_dtypes_and_shapes():
+    buf = ReplayBuffer(capacity=8)
+    for i in range(6):
+        buf.add(np.full((2, 3), i, dtype=np.float32), i % 4, 0.5 * i,
+                np.full((2, 3), i + 1, dtype=np.float32), i == 5)
+    states, actions, rewards, next_states, terminals = buf.sample(
+        np.random.default_rng(0), 4)
+    assert states.shape == next_states.shape == (4, 2, 3)
+    assert states.dtype == next_states.dtype == np.float32
+    assert actions.shape == rewards.shape == terminals.shape == (4,)
+    assert (actions.dtype, rewards.dtype, terminals.dtype) == (np.int64, np.float64, bool)
+    np.testing.assert_array_equal(next_states, states + 1)
+    np.testing.assert_array_equal(rewards, 0.5 * states[:, 0, 0])
+    np.testing.assert_array_equal(terminals, states[:, 0, 0] == 5)
+
+
+def test_replay_rejects_a_state_of_another_shape():
+    buf = ReplayBuffer(capacity=4)
+    buf.add(np.zeros(3), 0, 0.0, np.zeros(3), False)
+    with pytest.raises(ValueError, match="shape"):
+        buf.add(np.zeros(1), 0, 0.0, np.zeros(1), False)
+
+
+@pytest.mark.parametrize("n_adds", [0, 3, 7])
+def test_replay_state_dict_round_trip(n_adds):
+    buf = ReplayBuffer(capacity=5)
+    for i in range(n_adds):
+        buf.add(np.array([i, -i], dtype=np.float64), i, float(i), np.array([i + 1, 0.0]),
+                i % 2 == 0)
+    state = buf.state_dict()
+    assert len(state["slots"]) == 5
+    assert sum(slot is not None for slot in state["slots"]) == min(n_adds, 5)
+    again = ReplayBuffer(capacity=5)
+    again.load_state_dict(state)
+    assert len(again) == len(buf)
+    for a, b in zip(again.state_dict()["slots"], state["slots"]):
+        assert (a is None and b is None) or all(np.array_equal(x, y) for x, y in zip(a, b))
+    if n_adds >= 2:  # both sample the same rows from the same stream
+        for x, y in zip(buf.sample(np.random.default_rng(4), 2),
+                        again.sample(np.random.default_rng(4), 2)):
+            np.testing.assert_array_equal(x, y)
+    buf.add(np.ones(2), 1, 1.0, np.ones(2), True)
+    again.add(np.ones(2), 1, 1.0, np.ones(2), True)
+    assert buf.state_dict()["next"] == again.state_dict()["next"]
+
+
 # -- epsilon schedule -------------------------------------------------------------
 
 def test_epsilon_endpoints_exact():

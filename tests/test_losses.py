@@ -66,6 +66,30 @@ def test_unnormalized_probabilities_rejected():
         cross_entropy(np.array([[0.5, 0.4]]), np.array([0]))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_row_sum_check_agrees_with_allclose_at_the_edge(dtype):
+    # the tolerance is atol 1e-6 + rtol 1e-5 * 1.0; probe just inside and outside
+    decisions = set()
+    for sign in (1.0, -1.0):
+        for gap in (1.0e-5, 1.09e-5, 1.1e-5 - 1e-12, 1.1e-5, 1.1e-5 + 1e-12, 1.11e-5,
+                    1.2e-5, 2e-5):
+            probs = np.array([[0.25, 0.75 + sign * gap], [0.5, 0.5]], dtype=dtype)
+            accepted = np.allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
+            decisions.add(accepted)
+            if accepted:
+                cross_entropy(probs, np.array([0, 1]))
+            else:
+                with pytest.raises(ValueError, match="sum to 1"):
+                    cross_entropy(probs, np.array([0, 1]))
+    assert decisions == {True, False}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rows_fail_the_sum_check(bad):
+    with pytest.raises(ValueError, match="sum to 1"):
+        cross_entropy(np.array([[bad, 0.5]]), np.array([1]))
+
+
 def test_cross_entropy_is_nonnegative():
     rng = np.random.default_rng(3)
     for _ in range(50):

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetsim.nn import Dense, Flatten, ReLU, build_layout, from_flat, make_keyed
+from hetsim.nn import Dense, Flatten, ReLU, Sgd, build_layout, from_flat, make_keyed
 from hetsim.nn.params import ParamStore
+from hetsim.protocol import DeviceEndpoint, ParamBroadcast
+from hetsim.topology import ParameterPartition
 
 
 def _layout(dims):
@@ -77,3 +79,39 @@ def test_parameterless_chain_has_empty_store():
     store = ParamStore(build_layout(keyed, (2, 2, 1)))
     assert store.size == 0
     assert store.flatten().size == 0
+
+
+def _aliases_flat(store):
+    return all(np.shares_memory(store.view(key), store.flat) for key in store.keys())
+
+
+def test_views_stay_bound_to_flat_after_every_in_place_writer():
+    store = ParamStore(_layout([(3, 4), (4, 2)]))
+    key = store.keys()[0]
+    store.set_flat(np.arange(store.size, dtype=np.float64))
+    assert _aliases_flat(store) and store.view(key)[0, 1] == 1.0
+    Sgd(learning_rate=1.0).step(store.flat, np.ones(store.size))
+    assert _aliases_flat(store) and store.view(key)[0, 1] == 0.0
+    endpoint = DeviceEndpoint(0, ParameterPartition("b", 16, store.size - 16), store, 1)
+    endpoint.apply_broadcast(ParamBroadcast(np.full(16, 7.0)))
+    assert _aliases_flat(store) and store.view(key)[0, 1] == 7.0
+
+
+def test_copies_have_views_into_their_own_flat():
+    store = ParamStore(_layout([(2, 3), (3, 1)]))
+    store.flat[:] = 1.0
+    for other in (store.copy(), store.zeros_like(), from_flat(store.layout, store.flat)):
+        assert _aliases_flat(other)
+        assert not any(np.shares_memory(other.view(k), store.flat) for k in other.keys())
+        other.view(store.keys()[0])[...] = 5.0
+        assert (store.flat == 1.0).all()
+
+
+def test_layer_spans_cover_each_layers_tensors():
+    keyed = make_keyed("net", [Dense(4), ReLU(), Dense(2)])
+    store = ParamStore(build_layout(keyed, (3,)))  # 3*4 + 4, then 4*2 + 2
+    assert store.span_of([("net", 0)]) == (0, 16)
+    assert store.span_of([("net", 2)]) == (16, 26)
+    assert store.span_of([("net", 0), ("net", 1), ("net", 2)]) == (0, 26)
+    assert store.span_of([("net", 1)]) == (0, 0)  # ReLU has no parameters
+    assert store.span_of([]) == (0, 0)
