@@ -2,7 +2,9 @@
 
 Layout: 4-byte magic, u32 version, 32-byte topology hash, 32-byte SHA-256
 of the payload, then the pickled payload. Loading verifies all four and
-refuses checkpoints written for a different topology.
+refuses checkpoints written for a different topology. Saving writes a
+temporary file and then replaces the target, so a crash mid-write leaves
+the previous checkpoint whole.
 """
 from __future__ import annotations
 
@@ -11,6 +13,8 @@ import json
 import pickle
 import struct
 from pathlib import Path
+
+from .fileio import atomic_open
 
 MAGIC = b"HSIM"
 VERSION = 1
@@ -32,7 +36,7 @@ def topology_hash(raw_config: dict) -> bytes:
 def save_checkpoint(path, payload: dict, topo_hash: bytes) -> None:
     body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     digest = hashlib.sha256(body).digest()
-    with Path(path).open("wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_HEAD.pack(MAGIC, VERSION))
         fh.write(topo_hash)
         fh.write(digest)

@@ -159,6 +159,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if (not isinstance(seeds, list) or not seeds
             or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds)):
         raise ConfigError("seeds must be a non-empty list of integers")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"seeds must be distinct, got {seeds}")
 
     topo_doc = _require(doc, "topology", "config")
     _check_keys(topo_doc, {"input_shape", "stem", "branches", "cascade"}, "topology")

@@ -1,8 +1,11 @@
 """Experiment orchestration: run modes, seeding, metrics, checkpoints.
 
-Everything runs on one deterministic worker: devices take turns in config
-order, and the coordinator is invoked inline through the protocol hub. A
-run's metrics output is a pure function of (config, seed list).
+Each seed runs on one deterministic worker: its devices take turns in
+config order, and the coordinator is invoked inline through the protocol
+hub. Seeds are independent (every stream comes from ``child_rng(seed,
+...)``), so :func:`run_experiment` may run them in separate processes; it
+writes their rows in config seed order, and a run's metrics output is a
+pure function of (config, seed list).
 
 Run modes:
 
@@ -16,6 +19,7 @@ Run modes:
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +28,7 @@ from .config import ConfigError, DeviceConfig, ExperimentConfig
 from .data import Dataset, generate_synthetic_dataset, load_cifar10_binary, partition_dataset
 from .gridworld import GridWorld
 from .learners import DdqlLearner, EpsilonSchedule, ReplayBuffer, SupervisedTrainer
+from .fileio import atomic_open
 from .metrics import MetricsRow, write_aggregated_csv, write_csv
 from .nn.optim import make_optimizer
 from .protocol import Coordinator, DeviceEndpoint, LocalHub, sync_round
@@ -345,17 +350,50 @@ def make_run(config: ExperimentConfig, seed: int):
     return SupervisedRun(config, seed) if config.task == "supervised" else RlRun(config, seed)
 
 
+def _run_seeds(config: ExperimentConfig, seeds: list[int]) -> dict[int, list[MetricsRow]]:
+    return {seed: make_run(config, seed).run() for seed in seeds}
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return 1
+
+
+def _run_all_seeds(config: ExperimentConfig, seeds: list[int]) -> dict[int, list[MetricsRow]]:
+    """Every seed's rows, the seeds split over ``min(seeds, usable CPUs)`` processes.
+
+    This process runs ``seeds[0::k]``; forked worker ``j`` runs ``seeds[j::k]``.
+    A worker's exception is re-raised here; a worker that dies raises
+    ``BrokenProcessPool``.
+    """
+    k = min(len(seeds), _usable_cpus())
+    if k == 1:
+        return _run_seeds(config, seeds)
+    # imported here: make_run and sequential runs never pay for the pool modules
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork: workers start without importing numpy or hetsim again
+    with ProcessPoolExecutor(k - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(_run_seeds, config, seeds[j::k]) for j in range(1, k)]
+        by_seed = _run_seeds(config, seeds[0::k])
+        for future in futures:
+            by_seed.update(future.result())
+    return by_seed
+
+
 def run_experiment(config: ExperimentConfig, out_dir=None, seed_offset: int = 0) -> dict:
     """Run every seed, write metrics and the aggregated companion, return a summary."""
-    rows: list[MetricsRow] = []
-    for seed in config.seeds:
-        run = make_run(config, seed + seed_offset)
-        rows.extend(run.run())
+    seeds = [s + seed_offset for s in config.seeds]
+    by_seed = _run_all_seeds(config, seeds)
+    rows = [row for seed in seeds for row in by_seed[seed]]
     final_metric = "accuracy" if config.task == "supervised" else "reward"
     summary = {
         "task": config.task,
         "mode": config.mode,
-        "seeds": [s + seed_offset for s in config.seeds],
+        "seeds": seeds,
         "devices": _summarize(rows, final_metric),
     }
     if out_dir is not None:
@@ -363,7 +401,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed_offset: int = 0)
         out.mkdir(parents=True, exist_ok=True)
         write_csv(rows, out / "metrics.csv")
         write_aggregated_csv(rows, out / "metrics_agg.csv")
-        with (out / "summary.json").open("w", encoding="utf-8") as fh:
+        with atomic_open(out / "summary.json", "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return summary

@@ -346,7 +346,8 @@ class SupervisedTrainer:
             self.store.set_flat(flat)
         correct = 0
         for lo in range(0, len(x), chunk):
-            probs, _ = self.network.forward(self.store, x[lo:lo + chunk], mode="eval")
+            # [0]: the chunk's cache is freed before the next chunk runs
+            probs = self.network.forward(self.store, x[lo:lo + chunk], mode="eval")[0]
             correct += int((probs.argmax(axis=1) == y[lo:lo + chunk]).sum())
         if saved is not None:
             self.store.set_flat(saved)

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .fileio import atomic_open
+
 CSV_HEADER = "seed,round,device,phase,metric,value"
 AGG_HEADER = "round,device,phase,metric,median,min,max"
 
@@ -27,8 +29,7 @@ def _fmt(value: float) -> str:
 
 
 def write_csv(rows: list[MetricsRow], path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in rows:
             fh.write(f"{r.seed},{r.round},{r.device},{r.phase},{r.metric},{_fmt(r.value)}\n")
@@ -66,8 +67,7 @@ def aggregate_rows(rows: list[MetricsRow]) -> list[dict]:
 
 
 def write_aggregated_csv(rows: list[MetricsRow], path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(AGG_HEADER + "\n")
         for g in aggregate_rows(rows):
             fh.write(f"{g['round']},{g['device']},{g['phase']},{g['metric']},"

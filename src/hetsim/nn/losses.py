@@ -14,7 +14,11 @@ _clamp_warnings = 0
 
 
 def clamp_warning_count() -> int:
-    """How many times a predicted probability had to be clamped so far."""
+    """How many times a predicted probability had to be clamped so far.
+
+    The count is this process's only: clamps in seeds that
+    ``run_experiment`` ran in a forked worker process are not included.
+    """
     return _clamp_warnings
 
 

@@ -12,7 +12,8 @@ import pytest
 
 from hetsim.cli import main as cli_main
 from hetsim.config import parse_config
-from hetsim.harness import make_run, run_experiment
+from hetsim.harness import run_experiment
+from hetsim.metrics import read_csv
 from hetsim.nn import (
     BranchDropout,
     Conv2D,
@@ -313,19 +314,20 @@ def _rl_reach_and_final(rows, device, threshold, total_steps):
 
 
 @pytest.mark.slow
-def test_criterion_6b_rl_trend_orderings():
+def test_criterion_6b_rl_trend_orderings(tmp_path):
     t0 = time.time()
     base = _load_doc("configs/rl_gridworld.json")
     threshold = 0.9 * OPTIMAL_GRIDWORLD_RETURN
     total = base["rl"]["total_steps"]
     stats = {}
     for mode in ("heterogeneous", "isolated"):
+        doc = copy.deepcopy(base)
+        doc["mode"] = mode
+        run_experiment(parse_config(doc), out_dir=tmp_path / mode)
+        all_rows = read_csv(tmp_path / mode / "metrics.csv")
         reaches, finals = [], []
         for seed in base["seeds"]:
-            doc = copy.deepcopy(base)
-            doc["mode"] = mode
-            doc["seeds"] = [seed]
-            rows = make_run(parse_config(doc), seed).run()
+            rows = [r for r in all_rows if r.seed == seed]
             reach, _ = _rl_reach_and_final(rows, "weak", threshold, total)
             _, final_powerful = _rl_reach_and_final(rows, "powerful", threshold, total)
             reaches.append(reach)

@@ -1,13 +1,18 @@
 """Harness behaviour: determinism, run modes, byte accounting, checkpoints,
-CSV formats, and the CLI surface."""
+CSV formats, seeds in worker processes, and the CLI surface."""
 import json
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 from hetsim.cli import main as cli_main
 from hetsim.config import ConfigError, load_config, parse_config
+from hetsim import metrics
 from hetsim.harness import (
+    RlRun,
+    SupervisedRun,
     build_device_network,
     describe,
     load_run_checkpoint,
@@ -16,14 +21,16 @@ from hetsim.harness import (
     save_run_checkpoint,
     weakest_branch,
 )
-from hetsim.checkpoint import CheckpointError
+from hetsim.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from hetsim.metrics import (
     MetricsRow,
     aggregate_rows,
     read_csv,
     sliding_window,
+    write_aggregated_csv,
     write_csv,
 )
+from hetsim.protocol import SyncStallError
 
 
 def tiny_supervised_doc(mode="heterogeneous", seeds=(7,)):
@@ -137,6 +144,7 @@ def _set(doc, path, value):
     (tiny_rl_doc, ("rl", "test_episodes"), 0),
     (tiny_rl_doc, ("devices", 0, "replay_capacity"), 0),
     (tiny_rl_doc, ("seeds",), [True]),
+    (tiny_supervised_doc, ("seeds",), [7, 7, 8]),
     # numbers must be numbers of the right kind, never truncated or coerced
     (tiny_supervised_doc, ("supervised", "minibatch_size"), 2.7),
     (tiny_supervised_doc, ("supervised", "minibatch_size"), "abc"),
@@ -317,6 +325,102 @@ def test_seed_offset_shifts_seeds(tmp_path):
     assert {r.seed for r in rows} == {17}
 
 
+# -- seeds in worker processes ------------------------------------------------------
+
+def _usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _count_forks(monkeypatch):
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _variant_doc(make_doc, variant, seeds):
+    mode = variant if variant in ("isolated", "homogeneous") else "heterogeneous"
+    doc = make_doc(mode, seeds=seeds)
+    if variant == "async":
+        doc["coordinator"]["mode"] = "async"
+    if variant == "real-width-32":
+        doc["real_width"] = 32
+    return doc
+
+
+OUTPUT_FILES = ("metrics.csv", "metrics_agg.csv", "summary.json")
+
+
+@pytest.mark.parametrize("variant", ["isolated", "homogeneous", "heterogeneous",
+                                     "async", "real-width-32"])
+@pytest.mark.parametrize("make_doc,seeds", [(tiny_supervised_doc, (7, 8, 9)),
+                                            (tiny_rl_doc, (3, 4, 5))])
+def test_outputs_byte_identical_with_one_and_two_usable_cpus(
+        tmp_path, monkeypatch, make_doc, seeds, variant):
+    config = parse_config(_variant_doc(make_doc, variant, seeds))
+    forks = _count_forks(monkeypatch)
+    _usable_cpus(monkeypatch, 1)
+    run_experiment(config, out_dir=tmp_path / "one", seed_offset=10)
+    assert forks == []
+    _usable_cpus(monkeypatch, 2)
+    run_experiment(config, out_dir=tmp_path / "two", seed_offset=10)
+    assert len(forks) == 1  # one worker; this process runs the other seeds
+    for name in OUTPUT_FILES:
+        assert (tmp_path / "one" / name).read_bytes() == \
+            (tmp_path / "two" / name).read_bytes(), name
+    seeds_in_order = [r.seed for r in read_csv(tmp_path / "two" / "metrics.csv")]
+    assert sorted(set(seeds_in_order), key=seeds_in_order.index) == [s + 10 for s in seeds]
+
+
+def test_single_seed_starts_no_process(tmp_path, monkeypatch):
+    forks = _count_forks(monkeypatch)
+    _usable_cpus(monkeypatch, 2)
+    run_experiment(parse_config(tiny_supervised_doc(seeds=(7,))), out_dir=tmp_path)
+    assert forks == []
+
+
+@pytest.mark.parametrize("run_cls,make_doc,seeds,error", [
+    (SupervisedRun, tiny_supervised_doc, (7, 8, 9), SyncStallError),
+    (RlRun, tiny_rl_doc, (3, 4, 5), ConfigError),
+])
+def test_worker_exception_reraised_with_its_type_and_message(
+        monkeypatch, run_cls, make_doc, seeds, error):
+    # patched before the call, so the forked worker runs the patched method
+    caller = os.getpid()
+    real_run = run_cls.run
+
+    def run(self):
+        if os.getpid() != caller:
+            raise error(f"seed {self.seed} failed in a worker")
+        return real_run(self)
+
+    monkeypatch.setattr(run_cls, "run", run)
+    _usable_cpus(monkeypatch, 2)
+    with pytest.raises(error, match=f"seed {seeds[1]} failed in a worker"):
+        run_experiment(parse_config(make_doc(seeds=seeds)))
+
+
+def test_worker_that_dies_is_an_error_not_missing_rows(tmp_path, monkeypatch):
+    caller = os.getpid()
+    real_run = SupervisedRun.run
+
+    def run(self):
+        if os.getpid() != caller:
+            os._exit(3)
+        return real_run(self)
+
+    monkeypatch.setattr(SupervisedRun, "run", run)
+    _usable_cpus(monkeypatch, 2)
+    with pytest.raises(BrokenProcessPool):
+        run_experiment(parse_config(tiny_supervised_doc(seeds=(7, 8))), out_dir=tmp_path)
+    assert not (tmp_path / "metrics.csv").exists()
+
+
 # -- checkpointing ----------------------------------------------------------------
 
 def _rows_after(rows, cutoff):
@@ -408,6 +512,38 @@ def test_csv_exact_header_and_roundtrip(tmp_path):
     assert text.splitlines()[0] == "seed,round,device,phase,metric,value"
     assert len(text.splitlines()) == 2
     assert read_csv(path) == rows
+
+
+@pytest.mark.parametrize("writer", [write_csv, write_aggregated_csv])
+def test_failed_metrics_write_leaves_the_old_file_whole(tmp_path, monkeypatch, writer):
+    path = tmp_path / "metrics.csv"
+    writer([MetricsRow(1, t, "dev", "train", "loss", 0.5) for t in range(5)], path)
+    old = path.read_bytes()
+    calls = []
+
+    def fmt(value):
+        calls.append(value)
+        if len(calls) == 4:
+            raise OSError("disk full")
+        return repr(float(value))
+
+    monkeypatch.setattr(metrics, "_fmt", fmt)
+    with pytest.raises(OSError, match="disk full"):
+        writer([MetricsRow(2, t, "dev", "train", "loss", 1.5) for t in range(5)], path)
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["metrics.csv"]
+
+
+def test_failed_checkpoint_write_leaves_the_old_checkpoint_whole(tmp_path):
+    path = tmp_path / "run.ckpt"
+    topo_hash = bytes(32)
+    save_checkpoint(path, {"step": 1}, topo_hash)
+    old = path.read_bytes()
+    with pytest.raises(TypeError):  # the header is written, then the str hash fails
+        save_checkpoint(path, {"step": 2}, "not bytes")
+    assert path.read_bytes() == old
+    assert load_checkpoint(path, topo_hash) == {"step": 1}
+    assert os.listdir(tmp_path) == ["run.ckpt"]
 
 
 def test_aggregation_order_statistics():

@@ -1,5 +1,7 @@
 """Learner behaviour: replay ring, epsilon schedule, double-Q targets,
 convergence on a known MDP, and the supervised round loop."""
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -277,6 +279,22 @@ def test_one_round_on_separable_blobs_reaches_95_percent():
     trainer.train_round()
     accuracy = trainer.evaluate(trainer.train_x, trainer.train_y)
     assert accuracy >= 0.95
+
+
+def test_evaluate_frees_each_chunk_cache_before_the_next_chunk():
+    trainer = _blob_trainer()
+    real_forward = trainer.network.forward
+    caches = []
+
+    def forward(*args, **kwargs):
+        assert all(ref() is None for ref in caches), "an earlier chunk's cache is alive"
+        out, cache = real_forward(*args, **kwargs)
+        caches.append(weakref.ref(cache))
+        return out, cache
+
+    trainer.network.forward = forward
+    trainer.evaluate(trainer.train_x, trainer.train_y, chunk=100)
+    assert len(caches) == 4
 
 
 def test_singleton_shard_uses_replacement():
