@@ -26,9 +26,9 @@ import numpy as np
 
 from .config import ConfigError, DeviceConfig, ExperimentConfig
 from .data import Dataset, generate_synthetic_dataset, load_cifar10_binary, partition_dataset
+from .fileio import atomic_open
 from .gridworld import GridWorld
 from .learners import DdqlLearner, EpsilonSchedule, ReplayBuffer, SupervisedTrainer
-from .fileio import atomic_open
 from .metrics import MetricsRow, write_aggregated_csv, write_csv
 from .nn.optim import make_optimizer
 from .protocol import Coordinator, DeviceEndpoint, LocalHub, sync_round
@@ -354,13 +354,6 @@ def _run_seeds(config: ExperimentConfig, seeds: list[int]) -> dict[int, list[Met
     return {seed: make_run(config, seed).run() for seed in seeds}
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return 1
-
-
 def _run_all_seeds(config: ExperimentConfig, seeds: list[int]) -> dict[int, list[MetricsRow]]:
     """Every seed's rows, the seeds split over ``min(seeds, usable CPUs)`` processes.
 
@@ -368,14 +361,19 @@ def _run_all_seeds(config: ExperimentConfig, seeds: list[int]) -> dict[int, list
     A worker's exception is re-raised here; a worker that dies raises
     ``BrokenProcessPool``.
     """
-    k = min(len(seeds), _usable_cpus())
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = 1
+    k = min(len(seeds), cpus)
     if k == 1:
         return _run_seeds(config, seeds)
     # imported here: make_run and sequential runs never pay for the pool modules
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # fork: workers start without importing numpy or hetsim again
+    # fork: workers start without importing numpy and hetsim again, which
+    # spawn would do on every call
     with ProcessPoolExecutor(k - 1, mp_context=multiprocessing.get_context("fork")) as pool:
         futures = [pool.submit(_run_seeds, config, seeds[j::k]) for j in range(1, k)]
         by_seed = _run_seeds(config, seeds[0::k])
