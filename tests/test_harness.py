@@ -144,7 +144,6 @@ def _set(doc, path, value):
     (tiny_rl_doc, ("rl", "test_episodes"), 0),
     (tiny_rl_doc, ("devices", 0, "replay_capacity"), 0),
     (tiny_rl_doc, ("seeds",), [True]),
-    (tiny_supervised_doc, ("seeds",), [7, 7, 8]),
     # numbers must be numbers of the right kind, never truncated or coerced
     (tiny_supervised_doc, ("supervised", "minibatch_size"), 2.7),
     (tiny_supervised_doc, ("supervised", "minibatch_size"), "abc"),
@@ -158,6 +157,8 @@ def _set(doc, path, value):
     (tiny_supervised_doc, ("devices", 1, "data_fraction"), "0.2"),
     (tiny_supervised_doc, ("topology", "cascade", "branch_dropout_p"), 1.5),
     (tiny_supervised_doc, ("topology", "cascade", "branch_dropout_p"), "half"),
+    # seeds must be distinct
+    (tiny_supervised_doc, ("seeds",), [7, 7, 8]),
 ])
 def test_bad_run_lengths_and_rates_rejected(make_doc, path, value):
     with pytest.raises(ConfigError, match=path[-1]):
