@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .gridworld import GridWorld
 from .nn.layers import Layer, layer_from_dict
 from .nn.optim import make_optimizer
 from .protocol import COORDINATOR_MODES, WEIGHTINGS
@@ -61,6 +62,70 @@ def _real(value, what: str) -> float:
             or isinstance(value, float) and not math.isfinite(value)):
         raise ConfigError(f"{what} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _cell(value, what: str) -> tuple[int, int]:
+    """A grid cell: a list of two whole numbers, x then y."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{what} must be a list of two whole numbers, got {value!r}")
+    return _whole(value[0], what, 0), _whole(value[1], what, 0)
+
+
+def _parse_data(data_doc) -> dict:
+    """The ``data`` section, with counts as ints and reals as floats."""
+    if not isinstance(data_doc, dict):
+        raise ConfigError("data must be an object")
+    source = _require(data_doc, "source", "data")
+    if source == "synthetic":
+        _check_keys(data_doc, {"source", "num_classes", "per_class", "dims",
+                               "class_separation", "test_per_class"}, "data")
+        data = {"source": source}
+        for key in ("num_classes", "per_class", "dims"):
+            data[key] = _require_count(data_doc, key, "data")
+        data["class_separation"] = _real(_require(data_doc, "class_separation", "data"),
+                                         "data.class_separation")
+        if "test_per_class" in data_doc:
+            data["test_per_class"] = _require_count(data_doc, "test_per_class", "data")
+        if data["dims"] < 2 and data["num_classes"] > data["dims"]:  # means on a circle
+            raise ConfigError("data.dims must be at least 2 when num_classes exceeds it")
+        return data
+    if source == "cifar10":
+        _check_keys(data_doc, {"source", "train_path", "test_path"}, "data")
+        for key in ("train_path", "test_path"):
+            if not isinstance(_require(data_doc, key, "data"), str):
+                raise ConfigError(f"data.{key} must be a path string")
+        return dict(data_doc)
+    raise ConfigError(f"data.source must be synthetic or cifar10, got {source!r}")
+
+
+def _parse_environment(env_doc) -> dict:
+    """The ``environment`` section, typed, and checked by the gridworld's own
+    range rules; cells become tuples, ready to pass to :class:`GridWorld`."""
+    if not isinstance(env_doc, dict):
+        raise ConfigError("environment must be an object")
+    _check_keys(env_doc, {"type", "width", "height", "start", "goal", "pits",
+                          "step_penalty", "goal_reward", "pit_reward",
+                          "max_episode_steps", "slip"}, "environment")
+    if env_doc.get("type") != "gridworld":
+        raise ConfigError("environment.type must be 'gridworld'")
+    env = {"type": "gridworld"}
+    for key, value in env_doc.items():
+        what = f"environment.{key}"
+        if key in ("width", "height", "max_episode_steps"):
+            env[key] = _whole(value, what, 1)
+        elif key in ("step_penalty", "goal_reward", "pit_reward", "slip"):
+            env[key] = _real(value, what)
+        elif key in ("start", "goal"):
+            env[key] = _cell(value, what)
+        elif key == "pits":
+            if not isinstance(value, list):
+                raise ConfigError(f"{what} must be a list of cells, got {value!r}")
+            env[key] = [_cell(cell, f"{what}[{i}]") for i, cell in enumerate(value)]
+    try:
+        GridWorld(**{k: v for k, v in env.items() if k != "type"})
+    except ValueError as exc:
+        raise ConfigError(f"environment: {exc}") from exc
+    return env
 
 
 def _parse_layers(specs, where: str) -> tuple[Layer, ...]:
@@ -244,7 +309,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"coordinator.weighting must be one of {WEIGHTINGS}, "
                           f"got {coordinator.weighting!r}")
 
-    supervised = rl = None
+    supervised = rl = data = environment = None
     if task == "supervised":
         sup_doc = _require(doc, "supervised", "config")
         _check_keys(sup_doc, {"rounds", "round_samples", "minibatch_size"}, "supervised")
@@ -252,15 +317,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
             rounds=_require_count(sup_doc, "rounds", "supervised"),
             round_samples=_require_count(sup_doc, "round_samples", "supervised", 2000),
             minibatch_size=_require_count(sup_doc, "minibatch_size", "supervised", 32))
-        data_doc = _require(doc, "data", "config")
-        source = _require(data_doc, "source", "data")
-        if source == "synthetic":
-            _check_keys(data_doc, {"source", "num_classes", "per_class", "dims",
-                                   "class_separation", "test_per_class"}, "data")
-        elif source == "cifar10":
-            _check_keys(data_doc, {"source", "train_path", "test_path"}, "data")
-        else:
-            raise ConfigError(f"data.source must be synthetic or cifar10, got {source!r}")
+        data = _parse_data(_require(doc, "data", "config"))
         fractions = [d.data_fraction for d in devices]
         if any(f is None for f in fractions):
             raise ConfigError("supervised runs need data_fraction on every device")
@@ -289,17 +346,12 @@ def parse_config(doc: dict) -> ExperimentConfig:
         for key in ("epsilon_start", "epsilon_end", "epsilon_test"):
             if not 0.0 <= getattr(rl, key) <= 1.0:
                 raise ConfigError(f"rl.{key} must be in [0, 1], got {getattr(rl, key)}")
-        env_doc = _require(doc, "environment", "config")
-        _check_keys(env_doc, {"type", "width", "height", "start", "goal", "pits",
-                              "step_penalty", "goal_reward", "pit_reward",
-                              "max_episode_steps", "slip"}, "environment")
-        if env_doc.get("type") != "gridworld":
-            raise ConfigError("environment.type must be 'gridworld'")
+        environment = _parse_environment(_require(doc, "environment", "config"))
 
     return ExperimentConfig(
         task=task, mode=mode, scheme=scheme, seeds=tuple(seeds), topology=topology,
         devices=tuple(devices), coordinator=coordinator, supervised=supervised,
-        rl=rl, data=doc.get("data"), environment=doc.get("environment"),
+        rl=rl, data=data, environment=environment,
         real_width=real_width, raw=doc)
 
 

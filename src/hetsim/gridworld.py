@@ -30,6 +30,8 @@ class GridWorld:
             raise ValueError("start and goal must differ")
         if not 0.0 <= slip < 1.0:
             raise ValueError("slip must be in [0, 1)")
+        if max_episode_steps < 1:
+            raise ValueError("max_episode_steps must be at least 1")
         self.width = width
         self.height = height
         self.start = tuple(start)

@@ -226,7 +226,7 @@ class SupervisedRun(_Run):
     def play_round(self) -> None:
         self.round += 1
         for dev in self.devices:
-            _, loss, acc = dev["trainer"].train_round()
+            loss, acc = dev["trainer"].train_round()
             self._row(self.round, dev["cfg"].id, "train", "loss", loss)
             self._row(self.round, dev["cfg"].id, "train", "accuracy", acc)
         self._sync_and_log(self.round)
@@ -252,15 +252,9 @@ class SupervisedRun(_Run):
 # Reinforcement-learning runs
 # ---------------------------------------------------------------------------
 
-def _make_env(env_doc: dict, rng) -> GridWorld:
-    kwargs = {k: v for k, v in env_doc.items() if k != "type"}
-    if "start" in kwargs:
-        kwargs["start"] = tuple(kwargs["start"])
-    if "goal" in kwargs:
-        kwargs["goal"] = tuple(kwargs["goal"])
-    if "pits" in kwargs:
-        kwargs["pits"] = [tuple(p) for p in kwargs["pits"]]
-    return GridWorld(rng=rng, **kwargs)
+def _make_env(env: dict, rng) -> GridWorld:
+    """A gridworld from the parsed ``environment`` section (cells are tuples)."""
+    return GridWorld(rng=rng, **{k: v for k, v in env.items() if k != "type"})
 
 
 def _acts_now(global_step: int, rate: float) -> bool:

@@ -178,8 +178,7 @@ class DdqlLearner:
     # -- acting --------------------------------------------------------------
 
     def q_of(self, store: ParamStore, states: np.ndarray) -> np.ndarray:
-        out, _ = self.network.forward(store, states, mode="eval")
-        return out
+        return self.network.predict(store, states)
 
     def act(self, state: np.ndarray, epsilon: float) -> int:
         q = self.q_of(self.store, state[None])[0]
@@ -320,9 +319,8 @@ class SupervisedTrainer:
         replace = n < self.round_samples
         return self.rng.choice(n, size=self.round_samples, replace=replace)
 
-    def train_round(self) -> tuple[np.ndarray, float, float]:
-        """Train one round; returns (flat parameter delta, mean loss, accuracy)."""
-        start = self.store.flatten()
+    def train_round(self) -> tuple[float, float]:
+        """Train one round; returns (mean loss, accuracy)."""
         idx = self._draw_round_indices()
         losses, correct = [], 0
         for lo in range(0, len(idx), self.minibatch_size):
@@ -334,8 +332,7 @@ class SupervisedTrainer:
             self.optimizer.step(self.store.flat, grads.flat)
             losses.append(loss * len(batch))
             correct += int((probs.argmax(axis=1) == y).sum())
-        delta = self.store.flat - start
-        return delta, float(np.sum(losses) / len(idx)), correct / len(idx)
+        return float(np.sum(losses) / len(idx)), correct / len(idx)
 
     def evaluate(self, x: np.ndarray, y: np.ndarray, flat: np.ndarray | None = None,
                  chunk: int = 512) -> float:
@@ -346,8 +343,7 @@ class SupervisedTrainer:
             self.store.set_flat(flat)
         correct = 0
         for lo in range(0, len(x), chunk):
-            # [0]: the chunk's cache is freed before the next chunk runs
-            probs = self.network.forward(self.store, x[lo:lo + chunk], mode="eval")[0]
+            probs = self.network.predict(self.store, x[lo:lo + chunk])
             correct += int((probs.argmax(axis=1) == y[lo:lo + chunk]).sum())
         if saved is not None:
             self.store.set_flat(saved)

@@ -32,6 +32,13 @@ class Layer:
     """Base of every layer kind; the defaults suit a parameter-free kind
     that keeps its input shape."""
 
+    #: True if a NaN or +-inf in the input can leave no trace in the output
+    #: (a max or a softmax can absorb a -inf; a window that skips pixels
+    #: never reads them). A kind without the flag turns any non-finite input
+    #: into a non-finite output, so a chain checks for non-finite values only
+    #: in front of the layers that have it (see :mod:`hetsim.nn.network`).
+    drops_non_finite = False
+
     def output_shape(self, in_shape: Shape) -> Shape:
         return tuple(in_shape)
 
@@ -92,6 +99,10 @@ class Conv2D(Layer):
     def __post_init__(self):
         if min(self.kh, self.kw, self.out_channels, self.stride) < 1:
             raise ValueError("Conv2D dimensions and stride must be positive")
+
+    @property
+    def drops_non_finite(self):
+        return self.stride > 1  # strided windows can skip rows and columns
 
     def output_shape(self, in_shape):
         _check_image("Conv2D", in_shape)
@@ -154,6 +165,7 @@ class ReLU(Layer):
 class MaxPool2D(Layer):
     ph: int
     pw: int
+    drops_non_finite = True
 
     def __post_init__(self):
         if min(self.ph, self.pw) < 1:
@@ -264,6 +276,8 @@ class Flatten(Layer):
 
 @dataclass(frozen=True)
 class Softmax(Layer):
+    drops_non_finite = True  # exp(-inf) is 0
+
     def forward(self, store, key, x, train, rng):
         z = x - x.max(axis=-1, keepdims=True)
         e = np.exp(z)

@@ -1,10 +1,24 @@
 """Sequential layer chains: parameter layout, initialization, forward, backward.
 
 There is no autograd graph. Each layer kind in :mod:`hetsim.nn.layers`
-defines its own forward/backward pair; a chain runs the forwards in order,
-checking that every output is finite, and is differentiated by replaying
-the cached per-layer state in reverse. Inputs are always batched with the
-sample axis first.
+defines its own forward/backward pair; a chain runs the forwards in order
+and is differentiated by replaying the cached per-layer state in reverse.
+Inputs are always batched with the sample axis first. A
+:class:`ChainPlan` holds what a chain needs on every call (its keyed
+layers, its parameter span and where to check for non-finite values) and
+is built once per chain.
+
+Non-finite values are checked where they could otherwise vanish: at the
+output of the layer before each layer that can drop one
+(``Layer.drops_non_finite``: max pooling, softmax, a strided convolution)
+and at the chain's own output; the chain's input is never checked. Every
+other layer kind turns a NaN or +-inf anywhere in its input into a
+non-finite output, so a non-finite value that appears after one check
+point still shows at the next, and the plan raises on exactly the inputs
+that a check after every layer raises on. The error names the first layer
+whose output is non-finite, found among the outputs the plan keeps since
+its last check point, so nothing is recomputed and no dropout mask is
+redrawn.
 
 Stochastic layers (Dropout, BranchDropout) draw their masks from the
 generator passed to :func:`forward_chain` and are active only in train
@@ -33,6 +47,8 @@ class NonFiniteError(FloatingPointError):
 
 
 def ensure_finite(name: str, arr: np.ndarray) -> None:
+    """Raise :class:`NonFiniteError` naming ``name`` if ``arr`` holds a NaN
+    or +-inf. Chains call it only at their check points (module docstring)."""
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values in {name}")
 
@@ -84,10 +100,63 @@ class ChainCache:
     read, and ``snapshot`` a copy of that slice taken at forward time.
     """
 
-    keyed_layers: list[KeyedLayer]
+    keyed_layers: tuple[KeyedLayer, ...]
     per_layer: list
     span: tuple[int, int]
     snapshot: np.ndarray
+
+
+class ChainPlan:
+    """A chain's keyed layers, its parameter span and its finite-check points.
+
+    ``span`` is the ``[lo, hi)`` slice of the flat parameter vector that the
+    chain's layers read. A plan holds no store: one plan serves every store
+    of the layout it was built for, and looks tensors up by key per call.
+    """
+
+    def __init__(self, keyed_layers: list[KeyedLayer], span: tuple[int, int]):
+        self.keyed_layers = tuple(keyed_layers)
+        self.span = span
+        # (key, layer, check its output): before a dropping layer, and at the end
+        n = len(self.keyed_layers)
+        self._steps = tuple(
+            (key, layer, i == n - 1 or self.keyed_layers[i + 1][1].drops_non_finite)
+            for i, (key, layer) in enumerate(self.keyed_layers))
+
+    def _run(self, store: ParamStore, x: np.ndarray, train: bool,
+             rng: np.random.Generator | None, caches: list | None) -> np.ndarray:
+        out = np.asarray(x, dtype=store.dtype)
+        unchecked: list[np.ndarray] = []  # outputs since the last check point
+        for i, (key, layer, check) in enumerate(self._steps):
+            out, c = layer.forward(store, key, out, train, rng)
+            if caches is not None:
+                caches.append(c)
+            unchecked.append(out)
+            if check:
+                if not np.isfinite(out).all():  # name the first, as a per-layer check would
+                    for (_, kept), y in zip(self.keyed_layers[i + 1 - len(unchecked):],
+                                            unchecked):
+                        ensure_finite(f"{kept.__class__.__name__} output", y)
+                unchecked = []
+        return out
+
+    def forward(self, store: ParamStore, x: np.ndarray, mode: str = "eval",
+                rng: np.random.Generator | None = None) -> tuple[np.ndarray, "ChainCache"]:
+        """Output and the backward cache, with a copy of the chain's span.
+
+        ``mode`` is "train" or "eval". Train mode requires ``rng`` if the
+        chain contains stochastic layers.
+        """
+        if mode not in ("train", "eval"):
+            raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+        caches: list = []
+        out = self._run(store, x, mode == "train", rng, caches)
+        lo, hi = self.span
+        return out, ChainCache(self.keyed_layers, caches, self.span, store.flat[lo:hi].copy())
+
+    def predict(self, store: ParamStore, x: np.ndarray) -> np.ndarray:
+        """Eval-mode output only: no cache and no parameter copy."""
+        return self._run(store, x, False, None, None)
 
 
 def forward_chain(keyed_layers: list[KeyedLayer], store: ParamStore, x: np.ndarray,
@@ -95,20 +164,11 @@ def forward_chain(keyed_layers: list[KeyedLayer], store: ParamStore, x: np.ndarr
                   ) -> tuple[np.ndarray, ChainCache]:
     """Run a sequential chain; returns output and the backward cache.
 
-    ``mode`` is "train" or "eval". Train mode requires ``rng`` if the chain
-    contains stochastic layers.
+    The :class:`ChainPlan` is built per call; code that runs one chain many
+    times keeps the plan instead.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    train = mode == "train"
-    caches = []
-    out = np.asarray(x, dtype=store.dtype)
-    for key, layer in keyed_layers:
-        out, c = layer.forward(store, key, out, train, rng)
-        caches.append(c)
-        ensure_finite(f"{layer.__class__.__name__} output", out)
-    lo, hi = store.span_of(key for key, _ in keyed_layers)
-    return out, ChainCache(list(keyed_layers), caches, (lo, hi), store.flat[lo:hi].copy())
+    plan = ChainPlan(keyed_layers, store.span_of(key for key, _ in keyed_layers))
+    return plan.forward(store, x, mode, rng)
 
 
 def backward_chain(cache: ChainCache, dy: np.ndarray, store: ParamStore,

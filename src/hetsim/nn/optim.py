@@ -2,8 +2,11 @@
 
 All state (moments, step counter) is per-optimizer-instance and
 shape-matched to the parameter vector. Steps mutate the parameter array
-in place so that any views into it stay valid. A step with non-finite
-gradients raises before touching parameters or state.
+in place so that any views into it stay valid; Adam and RMSProp also
+update their moment arrays in place, with at most two temporaries per
+step, in the operation order of the textbook expressions (noted beside
+each update), so the bits are those of the expression form. A step with
+non-finite gradients raises before touching parameters or state.
 
 Default hyperparameters: Adam lr 0.00025, RMSProp lr 0.0001 with lr decay
 1e-6 per step. Decay follows the common schedule lr_t = lr / (1 + decay * t)
@@ -69,11 +72,24 @@ class Adam(Optimizer):
         if self._m is None:
             self._m = np.zeros_like(params)
             self._v = np.zeros_like(params)
-        self._m = self.beta1 * self._m + (1 - self.beta1) * grads
-        self._v = self.beta2 * self._v + (1 - self.beta2) * grads * grads
-        mhat = self._m / (1 - self.beta1 ** self.t)
-        vhat = self._v / (1 - self.beta2 ** self.t)
-        params -= lr * mhat / (np.sqrt(vhat) + self.eps)
+        m, v = self._m, self._v
+        # m = beta1 * m + (1 - beta1) * g
+        tmp = np.multiply(grads, 1 - self.beta1)
+        m *= self.beta1
+        m += tmp
+        # v = beta2 * v + ((1 - beta2) * g) * g
+        np.multiply(grads, 1 - self.beta2, out=tmp)
+        tmp *= grads
+        v *= self.beta2
+        v += tmp
+        # params -= (lr * (m / (1 - beta1**t))) / (sqrt(v / (1 - beta2**t)) + eps)
+        np.divide(m, 1 - self.beta1 ** self.t, out=tmp)
+        tmp *= lr
+        den = np.divide(v, 1 - self.beta2 ** self.t)
+        np.sqrt(den, out=den)
+        den += self.eps
+        tmp /= den
+        params -= tmp
 
     def state_dict(self) -> dict:
         return {"t": self.t,
@@ -96,8 +112,18 @@ class RmsProp(Optimizer):
     def _update(self, params, grads, lr):
         if self._acc is None:
             self._acc = np.zeros_like(params)
-        self._acc = self.rho * self._acc + (1 - self.rho) * grads * grads
-        params -= lr * grads / (np.sqrt(self._acc) + self.eps)
+        acc = self._acc
+        # acc = rho * acc + ((1 - rho) * g) * g
+        tmp = np.multiply(grads, 1 - self.rho)
+        tmp *= grads
+        acc *= self.rho
+        acc += tmp
+        # params -= (lr * g) / (sqrt(acc) + eps)
+        np.multiply(grads, lr, out=tmp)
+        den = np.sqrt(acc)
+        den += self.eps
+        tmp /= den
+        params -= tmp
 
     def state_dict(self) -> dict:
         return {"t": self.t, "acc": None if self._acc is None else self._acc.copy()}

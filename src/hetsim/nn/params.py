@@ -17,6 +17,34 @@ LayerKey = tuple[str, int]
 ParamKey = tuple[LayerKey, str]
 
 
+def layer_spans(layout: list[tuple[ParamKey, tuple[int, ...]]]
+                ) -> dict[LayerKey, tuple[int, int]]:
+    """Each layer's ``[lo, hi)`` slice of the flat vector ``layout`` describes.
+
+    Only layers with parameters appear; a layer's tensors are adjacent.
+    """
+    spans: dict[LayerKey, tuple[int, int]] = {}
+    offset = 0
+    for (layer_key, _), shape in layout:
+        n = math.prod(shape)
+        lo, _ = spans.get(layer_key, (offset, offset))
+        spans[layer_key] = (lo, offset + n)
+        offset += n
+    return spans
+
+
+def cover(spans: dict[LayerKey, tuple[int, int]], layer_keys) -> tuple[int, int]:
+    """The ``[lo, hi)`` slice covering the ``spans`` of these layers.
+
+    Layers without parameters contribute nothing; if none of the layers
+    has parameters the span is empty, ``(0, 0)``.
+    """
+    hit = [spans[k] for k in layer_keys if k in spans]
+    if not hit:
+        return 0, 0
+    return min(lo for lo, _ in hit), max(hi for _, hi in hit)
+
+
 class ParamStore:
     """Named parameter tensors backed by one flat contiguous array.
 
@@ -31,29 +59,40 @@ class ParamStore:
                  flat: np.ndarray | None = None):
         self._layout = list(layout)
         self._dtype = np.dtype(dtype)
-        offsets: dict[ParamKey, tuple[int, int, tuple[int, ...]]] = {}
-        self._layer_spans: dict[LayerKey, tuple[int, int]] = {}
+        self._offsets: dict[ParamKey, tuple[int, int, tuple[int, ...]]] = {}
         offset = 0
         for key, shape in self._layout:
-            if key in offsets:
+            if key in self._offsets:
                 raise ValueError(f"duplicate parameter key {key}")
             n = math.prod(shape)
-            offsets[key] = (offset, n, tuple(shape))
-            lo, _ = self._layer_spans.get(key[0], (offset, offset))
-            self._layer_spans[key[0]] = (lo, offset + n)
+            self._offsets[key] = (offset, n, tuple(shape))
             offset += n
         self._size = offset
+        self._layer_spans = layer_spans(self._layout)
         if flat is None:
-            self.flat = np.zeros(self._size, dtype=self._dtype)
+            flat = np.zeros(self._size, dtype=self._dtype)
         else:
             flat = np.asarray(flat, dtype=self._dtype)
             if flat.shape != (self._size,):
                 raise ValueError(
                     f"flat vector has length {flat.shape}, store needs ({self._size},)"
                 )
-            self.flat = flat.copy()
-        self._views = {key: self.flat[o:o + n].reshape(shape)
-                       for key, (o, n, shape) in offsets.items()}
+            flat = flat.copy()
+        self._bind(flat)
+
+    def _bind(self, flat: np.ndarray) -> None:
+        self.flat = flat
+        self._views = {key: flat[o:o + n].reshape(shape)
+                       for key, (o, n, shape) in self._offsets.items()}
+
+    def _twin(self, flat: np.ndarray) -> "ParamStore":
+        """A store of this layout over ``flat`` (owned by the twin), reusing
+        the validated offset table instead of rebuilding it."""
+        twin = ParamStore.__new__(ParamStore)
+        twin._layout, twin._dtype, twin._size = self._layout, self._dtype, self._size
+        twin._offsets, twin._layer_spans = self._offsets, self._layer_spans
+        twin._bind(flat)
+        return twin
 
     @property
     def layout(self) -> list[tuple[ParamKey, tuple[int, ...]]]:
@@ -75,15 +114,9 @@ class ParamStore:
         return self._views[key]
 
     def span_of(self, layer_keys) -> tuple[int, int]:
-        """The ``[lo, hi)`` slice of ``flat`` covering these layers' tensors.
-
-        Layers without parameters contribute nothing; if none of the layers
-        has parameters the span is empty, ``(0, 0)``.
-        """
-        spans = [self._layer_spans[k] for k in layer_keys if k in self._layer_spans]
-        if not spans:
-            return 0, 0
-        return min(lo for lo, _ in spans), max(hi for _, hi in spans)
+        """The ``[lo, hi)`` slice of ``flat`` covering these layers' tensors
+        (see :func:`cover`)."""
+        return cover(self._layer_spans, layer_keys)
 
     def flatten(self) -> np.ndarray:
         """Copy of the canonical flat vector."""
@@ -96,10 +129,12 @@ class ParamStore:
         self.flat[:] = vec
 
     def copy(self) -> "ParamStore":
-        return ParamStore(self._layout, self._dtype, flat=self.flat)
+        return self._twin(self.flat.copy())
 
     def zeros_like(self) -> "ParamStore":
-        return ParamStore(self._layout, self._dtype)
+        """A zero-filled store of the same layout and dtype, with its own
+        ``flat``; built without re-validating the layout."""
+        return self._twin(np.zeros(self._size, dtype=self._dtype))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParamStore):

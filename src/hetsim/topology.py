@@ -31,14 +31,14 @@ from .nn.layers import (
     count_parameters as chain_count_parameters,
 )
 from .nn.network import (
+    ChainPlan,
     backward_chain,
     build_layout,
     ensure_finite,
-    forward_chain,
     init_chain_params,
     make_keyed,
 )
-from .nn.params import ParamStore
+from .nn.params import ParamStore, cover, layer_spans
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,9 @@ class DeviceNetwork:
 
     Handles both plain chains (share-first branches, cascade lightweight
     device) and the cascaded complex device whose forward pass merges two
-    branch outputs.
+    branch outputs. Each chain's :class:`~hetsim.nn.network.ChainPlan` is
+    built once, here; :meth:`forward` keeps a cache for :meth:`backward`,
+    and :meth:`predict` is the eval pass that keeps none.
     """
 
     def __init__(self, topology: BranchedTopology, branch_id: str):
@@ -153,13 +155,12 @@ class DeviceNetwork:
         cascade = topology.cascade
         self.is_cascade_complex = bool(cascade) and branch_id == cascade.complex_branch
 
-        self._stem = make_keyed("stem", topology.stem)
-        self._own = make_keyed(_branch_scope(branch_id), topology.branches[branch_id])
-        self._chain = self._stem + self._own
+        stem = make_keyed("stem", topology.stem)
+        own = make_keyed(_branch_scope(branch_id), topology.branches[branch_id])
         stem_out = topology.stem_output_shape
         # (keyed chain, input shape) segments in canonical flat order
-        self._shared = [(self._stem, self.input_shape)]
-        self._local = [(self._own, stem_out)]
+        self._shared = [(stem, self.input_shape)]
+        self._local = [(own, stem_out)]
         if cascade is not None:
             light_id = cascade.lightweight_branch
             if branch_id == light_id:
@@ -168,8 +169,7 @@ class DeviceNetwork:
                 raise KeyError(f"branch {branch_id!r} is not part of the cascade")
             light = make_keyed(_branch_scope(light_id), topology.branches[light_id])
             self._shared.append((light, stem_out))
-            # lightweight logits live just below its final softmax
-            self._light_head = light[:-1]
+            light_head = light[:-1]  # lightweight logits, below its final softmax
             self._branch_drop = BranchDropout(cascade.branch_dropout_p)
             self._softmax = Softmax()
 
@@ -181,6 +181,17 @@ class DeviceNetwork:
         self.partition = ParameterPartition(
             branch_id, sum(math.prod(s) for _, s in shared_layout),
             sum(math.prod(s) for _, s in local_layout))
+
+        spans = layer_spans(self._layout)
+
+        def plan(keyed):
+            return ChainPlan(keyed, cover(spans, (key for key, _ in keyed)))
+
+        if self.is_cascade_complex:
+            self._stem_plan, self._light_plan = plan(stem), plan(light_head)
+            self._own_plan = plan(own)
+        else:
+            self._plan = plan(stem + own)
 
     # -- construction ------------------------------------------------------
 
@@ -226,23 +237,36 @@ class DeviceNetwork:
             if force_branch_drop:
                 raise ValueError("force_branch_drop only applies to the cascaded "
                                  "complex network")
-            return forward_chain(self._chain, store, x, mode=mode, rng=rng)
+            return self._plan.forward(store, x, mode, rng)
 
-        stem_out, stem_cache = forward_chain(self._stem, store, x, mode=mode, rng=rng)
-        light_logits, light_cache = forward_chain(self._light_head, store, stem_out,
-                                                  mode=mode, rng=rng)
-        complex_logits, complex_cache = forward_chain(self._own, store, stem_out,
-                                                      mode=mode, rng=rng)
+        stem_out, stem_cache = self._stem_plan.forward(store, x, mode, rng)
+        light_logits, light_cache = self._light_plan.forward(store, stem_out, mode, rng)
+        complex_logits, complex_cache = self._own_plan.forward(store, stem_out, mode, rng)
         if force_branch_drop:
             scale = store.dtype.type(0.0)
             merged = light_logits.copy()
         else:
-            dropped, scale = self._branch_drop.forward(
-                store, None, complex_logits, mode == "train", rng)
+            dropped, scale = self._branch_drop.forward(store, None, complex_logits,
+                                                       mode == "train", rng)
             merged = dropped + light_logits
+        out = self._combine_output(store, merged)
+        return out, (stem_cache, light_cache, complex_cache, scale, out)
+
+    def predict(self, store: ParamStore, x: np.ndarray) -> np.ndarray:
+        """The eval-mode output of :meth:`forward`, bit for bit, without
+        building a cache or copying parameters."""
+        if not self.is_cascade_complex:
+            return self._plan.predict(store, x)
+        stem_out = self._stem_plan.predict(store, x)
+        light_logits = self._light_plan.predict(store, stem_out)
+        # eval-mode branch dropout passes the complex logits through
+        return self._combine_output(store, self._own_plan.predict(store, stem_out)
+                                    + light_logits)
+
+    def _combine_output(self, store: ParamStore, merged: np.ndarray) -> np.ndarray:
         out, _ = self._softmax.forward(store, None, merged, False, None)
         ensure_finite("cascade output", out)
-        return out, (stem_cache, light_cache, complex_cache, scale, out)
+        return out
 
     def backward(self, cache, dy: np.ndarray, store: ParamStore,
                  from_logits: bool = False) -> ParamStore:
@@ -250,7 +274,7 @@ class DeviceNetwork:
 
         With ``from_logits`` the upstream gradient is taken w.r.t. the
         pre-softmax logits (the fused cross-entropy form) and the final
-        softmax is skipped.
+        softmax is skipped. Each call accumulates into a new store.
         """
         grads = store.zeros_like()
         if not self.is_cascade_complex:

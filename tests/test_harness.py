@@ -159,6 +159,16 @@ def _set(doc, path, value):
     (tiny_supervised_doc, ("topology", "cascade", "branch_dropout_p"), "half"),
     # seeds must be distinct
     (tiny_supervised_doc, ("seeds",), [7, 7, 8]),
+    # data and environment fields are checked at parse time, not in make_run
+    (tiny_supervised_doc, ("data", "per_class"), 0),
+    (tiny_supervised_doc, ("data", "test_per_class"), 0),
+    (tiny_supervised_doc, ("data", "class_separation"), "x"),
+    (tiny_supervised_doc, ("data", "num_classes"), "4"),
+    (tiny_rl_doc, ("environment", "slip"), 2.0),
+    (tiny_rl_doc, ("environment", "width"), 0),
+    (tiny_rl_doc, ("environment", "goal"), [5, 5]),
+    (tiny_rl_doc, ("environment", "step_penalty"), "a"),
+    (tiny_rl_doc, ("environment", "max_episode_steps"), 0),
 ])
 def test_bad_run_lengths_and_rates_rejected(make_doc, path, value):
     with pytest.raises(ConfigError, match=path[-1]):

@@ -1,7 +1,5 @@
 """Learner behaviour: replay ring, epsilon schedule, double-Q targets,
 convergence on a known MDP, and the supervised round loop."""
-import weakref
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +14,9 @@ from hetsim.learners import (
     epsilon_greedy_action,
 )
 from hetsim.nn import Adam, RmsProp, Sgd
-from hetsim.topology import DeviceNetwork, build_share_first
+from hetsim.nn import network as network_module
+from hetsim.nn.network import ChainPlan
+from hetsim.topology import DeviceNetwork, build_cascaded, build_share_first
 from hetsim.nn import Dense, ReLU, Softmax
 
 
@@ -281,20 +281,41 @@ def test_one_round_on_separable_blobs_reaches_95_percent():
     assert accuracy >= 0.95
 
 
-def test_evaluate_frees_each_chunk_cache_before_the_next_chunk():
-    trainer = _blob_trainer()
-    real_forward = trainer.network.forward
-    caches = []
+def _cascade_trainer(seed=0):
+    from hetsim.data import generate_synthetic_dataset
+    ds = generate_synthetic_dataset(2, 100, 4, 3.0, seed=seed)
+    topo = build_cascaded([Dense(6), ReLU()], [Dense(5), ReLU(), Dense(2)],
+                          [Dense(2), Softmax()], 0.5, (4,))
+    net = DeviceNetwork(topo, "complex")
+    return SupervisedTrainer(
+        net, net.init_store(np.random.default_rng(seed)), RmsProp(learning_rate=0.01),
+        ds.features[:150], ds.labels[:150], ds.features[150:], ds.labels[150:],
+        rng=np.random.default_rng(seed + 1), round_samples=64)
 
-    def forward(*args, **kwargs):
-        assert all(ref() is None for ref in caches), "an earlier chunk's cache is alive"
-        out, cache = real_forward(*args, **kwargs)
-        caches.append(weakref.ref(cache))
-        return out, cache
 
-    trainer.network.forward = forward
-    trainer.evaluate(trainer.train_x, trainer.train_y, chunk=100)
-    assert len(caches) == 4
+def test_eval_passes_build_no_cache_and_take_no_snapshot(monkeypatch):
+    trainers = [_blob_trainer(), _cascade_trainer()]
+    learner = _q_learner()
+    for _ in range(80):
+        learner.interact()  # warm: train_batch runs q_of beside its training forward
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eval pass built a cache or copied parameters")
+
+    # DeviceNetwork.forward and ChainPlan.forward are the only places that
+    # build a ChainCache, and the ChainCache holds the parameter snapshot
+    monkeypatch.setattr(DeviceNetwork, "forward", refuse)
+    monkeypatch.setattr(ChainPlan, "forward", refuse)
+    monkeypatch.setattr(network_module, "ChainCache", refuse)
+    for trainer in trainers:
+        before = trainer.store.flatten()
+        trainer.evaluate(trainer.train_x, trainer.train_y, chunk=40)
+        trainer.evaluate(trainer.val_x, trainer.val_y, flat=before + 0.5)
+        trainer.validate_and_snapshot()
+        np.testing.assert_array_equal(trainer.store.flat, before)
+    learner.act(np.array([1.0, 0.0]), 0.0)
+    learner.q_of(learner.target_store, np.eye(2))
+    learner.test_epoch(episodes=2, max_steps=5)
 
 
 def test_singleton_shard_uses_replacement():
@@ -306,10 +327,11 @@ def test_singleton_shard_uses_replacement():
     assert np.all(idx == 0)
 
 
-def test_zero_learning_rate_gives_zero_delta():
+def test_zero_learning_rate_leaves_parameters_unchanged():
     trainer = _blob_trainer(lr=0.0)
-    delta, _, _ = trainer.train_round()
-    np.testing.assert_array_equal(delta, np.zeros_like(delta))
+    before = trainer.store.flatten()
+    trainer.train_round()
+    assert np.array_equal(trainer.store.flat.view(np.uint64), before.view(np.uint64))
 
 
 def test_snapshot_tracks_best_validation_round():

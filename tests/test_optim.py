@@ -94,3 +94,77 @@ def test_state_roundtrip_restores_trajectory():
         a.step(theta_a, g)
         b.step(theta_b, g)
     np.testing.assert_array_equal(theta_a, theta_b)
+
+
+# -- in-place moments: the same bits as the expression form ----------------------
+
+def _adam_reference(theta, grads, lrs, b1=0.9, b2=0.999, eps=1e-8, m=None, v=None, t0=0):
+    """The textbook expressions, evaluated as written, one step per gradient."""
+    m = np.zeros_like(theta) if m is None else m
+    v = np.zeros_like(theta) if v is None else v
+    for t, (g, lr) in enumerate(zip(grads, lrs), start=t0 + 1):
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        mhat = m / (1 - b1 ** t)
+        vhat = v / (1 - b2 ** t)
+        theta -= lr * mhat / (np.sqrt(vhat) + eps)
+    return m, v
+
+
+def _rmsprop_reference(theta, grads, lrs, rho=0.9, eps=1e-7, acc=None):
+    acc = np.zeros_like(theta) if acc is None else acc
+    for g, lr in zip(grads, lrs):
+        acc = rho * acc + (1 - rho) * g * g
+        theta -= lr * g / (np.sqrt(acc) + eps)
+    return acc
+
+
+def _bits(a):
+    return a.view(f"u{a.itemsize}")
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("algorithm", ["adam", "rmsprop"])
+def test_in_place_steps_are_bit_identical_to_the_expression_form(algorithm, dtype):
+    rng = np.random.default_rng(11)
+    theta0 = rng.standard_normal(257).astype(dtype)
+    grads = [(rng.standard_normal(257) * 10.0 ** rng.integers(-6, 3)).astype(dtype)
+             for _ in range(10)]
+    lr, decay = 0.003, 0.25
+    lrs = [lr / (1.0 + decay * t) for t in range(10)]
+    opt = make_optimizer({"algorithm": algorithm, "learning_rate": lr, "decay": decay})
+    theta = theta0.copy()
+    for g in grads[:5]:
+        opt.step(theta, g)
+    want = theta0.copy()
+    if algorithm == "adam":
+        state = _adam_reference(want, grads[:5], lrs[:5])
+    else:
+        state = _rmsprop_reference(want, grads[:5], lrs[:5])
+    assert theta.dtype == dtype
+    assert np.array_equal(_bits(theta), _bits(want))
+
+    # five more steps from a state_dict round trip, on both sides
+    again = make_optimizer({"algorithm": algorithm, "learning_rate": lr, "decay": decay})
+    again.load_state_dict(opt.state_dict())
+    for g in grads[5:]:
+        again.step(theta, g)
+    if algorithm == "adam":
+        _adam_reference(want, grads[5:], lrs[5:], m=state[0], v=state[1], t0=5)
+    else:
+        _rmsprop_reference(want, grads[5:], lrs[5:], acc=state)
+    assert np.array_equal(_bits(theta), _bits(want))
+
+
+def test_state_dict_is_a_copy_of_the_in_place_moments():
+    opt = Adam(learning_rate=0.1)
+    theta = np.ones(3)
+    opt.step(theta, np.ones(3))
+    saved = opt.state_dict()
+    m_then = saved["m"].copy()
+    opt.step(theta, np.ones(3))
+    np.testing.assert_array_equal(saved["m"], m_then)
+    restored = Adam(learning_rate=0.1)
+    restored.load_state_dict(saved)
+    restored.step(theta, np.ones(3))
+    np.testing.assert_array_equal(saved["m"], m_then)

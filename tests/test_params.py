@@ -107,6 +107,23 @@ def test_copies_have_views_into_their_own_flat():
         assert (store.flat == 1.0).all()
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_zeros_like_views_are_bound_to_its_own_flat(dtype):
+    store = ParamStore(_layout([(2, 3), (3, 1)]), dtype)
+    store.flat[:] = 1.0
+    a, b = store.zeros_like(), store.zeros_like()
+    for twin in (a, b):
+        assert twin.dtype == dtype and twin.flat.dtype == dtype
+        assert twin.layout == store.layout and twin.size == store.size
+        assert (twin.flat == 0.0).all()
+        assert _aliases_flat(twin)
+        assert twin.span_of([("net", 1)]) == store.span_of([("net", 1)])
+    a.view(store.keys()[2])[...] = 4.0
+    assert (a.flat[9:12] == 4.0).all() and (b.flat == 0.0).all() and (store.flat == 1.0).all()
+    a.flat[:] = 2.0  # written in place: every view follows
+    assert all((a.view(k) == 2.0).all() for k in a.keys())
+
+
 def test_layer_spans_cover_each_layers_tensors():
     keyed = make_keyed("net", [Dense(4), ReLU(), Dense(2)])
     store = ParamStore(build_layout(keyed, (3,)))  # 3*4 + 4, then 4*2 + 2

@@ -227,3 +227,21 @@ def test_canonical_layout_is_stable_across_runs():
     # shared block: stem first, then the lightweight branch, then local complex
     stem_count = sum(1 for (scope, _), _n in names if scope == "stem")
     assert all(scope == "stem" for (scope, _), _n in names[:stem_count])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("make_topo,branch", [
+    (lambda: small_cascade(0.5), "complex"),
+    (lambda: small_cascade(0.5), "lightweight"),
+    (cifar_cascaded, "complex"),
+    (lambda: build_share_first([Dense(8), ReLU(), Dropout(0.5)],
+                               {"b": [Dense(3)]}, (5,)), "b"),
+])
+def test_predict_is_the_eval_forward_bit_for_bit(make_topo, branch, dtype):
+    net = DeviceNetwork(make_topo(), branch)
+    store = net.init_store(np.random.default_rng(0), np.random.default_rng(1), dtype=dtype)
+    x = np.random.default_rng(2).normal(size=(3, *net.input_shape))
+    want, _ = net.forward(store, x, mode="eval")
+    got = net.predict(store, x)
+    assert got.dtype == want.dtype == dtype
+    assert np.array_equal(got.view(f"u{got.itemsize}"), want.view(f"u{want.itemsize}"))
