@@ -19,6 +19,10 @@ from .protocol import COORDINATOR_MODES, WEIGHTINGS
 from .topology import BranchedTopology, build_cascaded, build_share_first
 
 TASKS = ("supervised", "rl")
+# per task: the config sections and the device keys that only it reads
+TASK_SECTIONS = {"supervised": {"supervised", "data"}, "rl": {"rl", "environment"}}
+TASK_DEVICE_KEYS = {"supervised": {"data_fraction"}, "rl": {"rate", "replay_capacity"}}
+OPTIMIZER_REALS = ("learning_rate", "decay", "beta1", "beta2", "eps", "rho")
 MODES = ("isolated", "homogeneous", "heterogeneous")
 SCHEMES = ("share-first", "cascaded")
 
@@ -128,6 +132,28 @@ def _parse_environment(env_doc) -> dict:
     return env
 
 
+def _reject_other_task(d: dict, keys: set[str], where: str, task: str) -> None:
+    """Keys that only the other task reads are errors, not silently dropped."""
+    foreign = set(d) & keys
+    if foreign:
+        raise ConfigError(f"{where}: {sorted(foreign)} do not apply to a {task} task")
+
+
+def _parse_optimizer(opt_doc, where: str) -> dict:
+    """An optimizer object with finite reals, checked by the optimizer's own
+    range rules (:mod:`hetsim.nn.optim`)."""
+    if not isinstance(opt_doc, dict):
+        raise ConfigError(f"{where} must be an object, got {opt_doc!r}")
+    _check_keys(opt_doc, {"algorithm", *OPTIMIZER_REALS}, where)
+    optimizer = {key: _real(value, f"{where}.{key}") if key in OPTIMIZER_REALS else value
+                 for key, value in opt_doc.items()}
+    try:
+        make_optimizer(optimizer)
+    except (TypeError, ValueError) as exc:  # an unknown or unhashable algorithm
+        raise ConfigError(f"{where}: {exc}") from exc
+    return optimizer
+
+
 def _parse_layers(specs, where: str) -> tuple[Layer, ...]:
     if not isinstance(specs, list):
         raise ConfigError(f"{where}: expected a list of layer dicts")
@@ -211,6 +237,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     task = _require(doc, "task", "config")
     if task not in TASKS:
         raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
+    other_task = next(t for t in TASKS if t != task)
+    _reject_other_task(doc, TASK_SECTIONS[other_task], "config", task)
     mode = _require(doc, "mode", "config")
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
@@ -268,8 +296,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
     devices = []
     for i, dd in enumerate(devices_doc):
         where = f"devices[{i}]"
+        if not isinstance(dd, dict):
+            raise ConfigError(f"{where} must be an object, got {dd!r}")
         _check_keys(dd, {"id", "branch", "data_fraction", "rate", "replay_capacity",
                          "optimizer"}, where)
+        _reject_other_task(dd, TASK_DEVICE_KEYS[other_task], where, task)
         device_id = str(_require(dd, "id", where))
         branch = _require(dd, "branch", where)
         if branch not in branches:
@@ -277,24 +308,22 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if branch not in topology.branches:
             raise ConfigError(f"{where} ({device_id!r}): branch {branch!r} is not one of "
                               f"the cascade's branches {sorted(topology.branches)}")
-        optimizer = dd.get("optimizer", {"algorithm": "sgd", "learning_rate": 0.01})
-        _check_keys(optimizer, {"algorithm", "learning_rate", "decay", "beta1",
-                                "beta2", "eps", "rho"}, f"{where}.optimizer")
-        try:
-            make_optimizer(optimizer)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}.optimizer: {exc}") from exc
+        optimizer = _parse_optimizer(dd.get("optimizer", {"algorithm": "sgd",
+                                                          "learning_rate": 0.01}),
+                                     f"{where}.optimizer")
         rate = _real(dd.get("rate", 1.0), f"{where}.rate")
         if not 0.0 < rate <= 1.0:
             raise ConfigError(f"{where}: rate must be in (0, 1], got {rate}")
         fraction = dd.get("data_fraction")
         if fraction is not None:
             fraction = _real(fraction, f"{where}.data_fraction")
+            if not 0.0 < fraction <= 1.0:
+                raise ConfigError(f"{where}.data_fraction must be in (0, 1], got {fraction}")
         devices.append(DeviceConfig(
             id=device_id, branch=branch, data_fraction=fraction, rate=rate,
             replay_capacity=(_require_count(dd, "replay_capacity", where)
-                             if task == "rl" else dd.get("replay_capacity")),
-            optimizer=dict(optimizer)))
+                             if task == "rl" else None),
+            optimizer=optimizer))
     if len({d.id for d in devices}) != len(devices):
         raise ConfigError("device ids must be unique")
 

@@ -235,10 +235,28 @@ class SupervisedRun(_Run):
             self._row(self.round, dev["cfg"].id, "validation", "accuracy", val_acc)
 
     def finalize(self) -> None:
+        """One test accuracy row per device, from its best-validation snapshot.
+
+        A snapshot is scored once per distinct model: a device whose network
+        equals an earlier device's (the same topology by value and the same
+        branch) and whose snapshot has the same bits (so ``0.0`` and ``-0.0``
+        differ) reuses that accuracy, which the same pass would reproduce bit
+        for bit. In homogeneous mode, where every sync broadcasts one set of
+        parameters, most devices end on a snapshot another already holds.
+        """
+        scored: list[tuple[DeviceNetwork, np.ndarray, float]] = []
         for dev in self.devices:
-            trainer = dev["trainer"]
-            acc = trainer.evaluate(self.test_set.features, self.test_set.labels,
-                                   flat=trainer.snapshot)
+            trainer, net = dev["trainer"], dev["net"]
+            snap = trainer.snapshot
+            bits = snap.view(np.dtype(f"u{snap.itemsize}"))
+            for other, other_bits, acc in scored:
+                if (other.branch_id == net.branch_id and other.topology == net.topology
+                        and np.array_equal(other_bits, bits)):
+                    break
+            else:
+                acc = trainer.evaluate(self.test_set.features, self.test_set.labels,
+                                       flat=snap)
+                scored.append((net, bits, acc))
             self._row(self.round, dev["cfg"].id, "test", "accuracy", acc)
 
     def run(self) -> list[MetricsRow]:

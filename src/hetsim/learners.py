@@ -226,7 +226,16 @@ class DdqlLearner:
     # -- evaluation & synchronization -----------------------------------------
 
     def test_epoch(self, episodes: int = 1, max_steps: int | None = None) -> float:
-        """Mean return of greedy-ish episodes (epsilon = schedule.test)."""
+        """Mean return of greedy-ish episodes (epsilon = schedule.test).
+
+        The parameters cannot change during the call, so each distinct state
+        is passed through the network once: its Q row is kept, keyed by the
+        state's bytes, and reused whenever the state comes back. A batch-1
+        pass on the same parameters and input gives the same bits, so the
+        returns are those of a pass per step. The rows are only read, and
+        they are dropped when the call returns.
+        """
+        q_rows: dict[bytes, np.ndarray] = {}
         total = 0.0
         for _ in range(episodes):
             state = self.eval_env.reset()
@@ -234,7 +243,10 @@ class DdqlLearner:
             ep = 0.0
             steps = 0
             while not done:
-                q = self.q_of(self.store, state[None])[0]
+                key = state.tobytes()
+                q = q_rows.get(key)
+                if q is None:
+                    q = q_rows[key] = self.q_of(self.store, state[None])[0]
                 action = epsilon_greedy_action(q, self.schedule.test, self.eval_rng)
                 state, reward, done = self.eval_env.step(action)
                 ep += reward

@@ -11,7 +11,10 @@ windows step by their own size.
 
 ``forward(store, key, x, train, rng)`` returns ``(y, cache)``;
 ``backward(store, key, cache, dy, grads)`` accumulates parameter gradients
-into ``grads`` and returns ``dx``.
+into ``grads`` and returns ``dx``. ``backward_params`` with the same
+arguments accumulates the same parameter gradients, bit for bit, and
+computes no ``dx``: a chain calls it on the layer that reads the network's
+input, whose ``dx`` nothing reads (a no-op for kinds without parameters).
 """
 from __future__ import annotations
 
@@ -49,6 +52,9 @@ class Layer:
         """One op per output element; MACs for layers with weights."""
         return math.prod(self.output_shape(in_shape))
 
+    def backward_params(self, store, key, cache, dy, grads) -> None:
+        """The parameter gradients of :meth:`backward`, without ``dx``."""
+
 
 def _check_flat(in_shape: Shape) -> None:
     if len(in_shape) != 1:
@@ -83,9 +89,12 @@ class Dense(Layer):
     def forward(self, store, key, x, train, rng):
         return x @ store.view((key, "w")) + store.view((key, "b")), x
 
-    def backward(self, store, key, x, dy, grads):
+    def backward_params(self, store, key, x, dy, grads):
         grads.view((key, "w"))[...] += x.T @ dy
         grads.view((key, "b"))[...] += dy.sum(axis=0)
+
+    def backward(self, store, key, x, dy, grads):
+        self.backward_params(store, key, x, dy, grads)
         return dy @ store.view((key, "w")).T
 
 
@@ -134,16 +143,22 @@ class Conv2D(Layer):
         y = cols @ wmat + store.view((key, "b"))
         return y, (cols, x.shape, wmat)
 
+    def backward_params(self, store, key, cache, dy, grads):
+        cols, x_shape, _ = cache
+        cin, cout = x_shape[3], dy.shape[3]
+        dy2 = dy.reshape(-1, cout)
+        dwmat = cols.reshape(-1, cin * self.kh * self.kw).T @ dy2
+        grads.view((key, "w"))[...] += dwmat.reshape(cin, self.kh, self.kw,
+                                                     cout).transpose(1, 2, 0, 3)
+        grads.view((key, "b"))[...] += dy2.sum(axis=0)
+
     def backward(self, store, key, cache, dy, grads):
-        cols, x_shape, wmat = cache
+        self.backward_params(store, key, cache, dy, grads)
+        _, x_shape, wmat = cache
         n, ho, wo, cout = dy.shape
         cin = x_shape[3]
         kh, kw, s = self.kh, self.kw, self.stride
-        dy2 = dy.reshape(-1, cout)
-        dwmat = cols.reshape(-1, cin * kh * kw).T @ dy2
-        grads.view((key, "w"))[...] += dwmat.reshape(cin, kh, kw, cout).transpose(1, 2, 0, 3)
-        grads.view((key, "b"))[...] += dy2.sum(axis=0)
-        dcols = (dy2 @ wmat.T).reshape(n, ho, wo, cin, kh, kw)
+        dcols = (dy.reshape(-1, cout) @ wmat.T).reshape(n, ho, wo, cin, kh, kw)
         dx = np.zeros(x_shape, dtype=dy.dtype)
         for i in range(kh):
             for j in range(kw):

@@ -20,6 +20,13 @@ whose output is non-finite, found among the outputs the plan keeps since
 its last check point, so nothing is recomputed and no dropout mask is
 redrawn.
 
+The backward pass returns the gradient with respect to the chain's input,
+except for a plan built with ``reads_input``: that chain reads the network
+input, whose gradient nothing reads, so the backward pass of its cache
+gives its first layer only its parameter gradients
+(``Layer.backward_params``, the same bits as a full backward) and returns
+None. A cache made by :func:`forward_chain` always returns ``dx``.
+
 Stochastic layers (Dropout, BranchDropout) draw their masks from the
 generator passed to :func:`forward_chain` and are active only in train
 mode; eval mode is a pure function of (params, input).
@@ -98,12 +105,15 @@ class ChainCache:
 
     ``span`` is the ``[lo, hi)`` slice of ``store.flat`` the chain's layers
     read, and ``snapshot`` a copy of that slice taken at forward time.
+    ``reads_input`` comes from the plan: the backward pass then skips the
+    input gradient and returns None.
     """
 
     keyed_layers: tuple[KeyedLayer, ...]
     per_layer: list
     span: tuple[int, int]
     snapshot: np.ndarray
+    reads_input: bool = False
 
 
 class ChainPlan:
@@ -112,11 +122,15 @@ class ChainPlan:
     ``span`` is the ``[lo, hi)`` slice of the flat parameter vector that the
     chain's layers read. A plan holds no store: one plan serves every store
     of the layout it was built for, and looks tensors up by key per call.
+    ``reads_input`` marks a chain whose input is the network's input, so
+    its caches' backward passes compute no input gradient.
     """
 
-    def __init__(self, keyed_layers: list[KeyedLayer], span: tuple[int, int]):
+    def __init__(self, keyed_layers: list[KeyedLayer], span: tuple[int, int],
+                 reads_input: bool = False):
         self.keyed_layers = tuple(keyed_layers)
         self.span = span
+        self.reads_input = reads_input
         # (key, layer, check its output): before a dropping layer, and at the end
         n = len(self.keyed_layers)
         self._steps = tuple(
@@ -152,7 +166,8 @@ class ChainPlan:
         caches: list = []
         out = self._run(store, x, mode == "train", rng, caches)
         lo, hi = self.span
-        return out, ChainCache(self.keyed_layers, caches, self.span, store.flat[lo:hi].copy())
+        return out, ChainCache(self.keyed_layers, caches, self.span, store.flat[lo:hi].copy(),
+                               self.reads_input)
 
     def predict(self, store: ParamStore, x: np.ndarray) -> np.ndarray:
         """Eval-mode output only: no cache and no parameter copy."""
@@ -172,8 +187,9 @@ def forward_chain(keyed_layers: list[KeyedLayer], store: ParamStore, x: np.ndarr
 
 
 def backward_chain(cache: ChainCache, dy: np.ndarray, store: ParamStore,
-                   grads: ParamStore, from_logits: bool = False) -> np.ndarray:
-    """Backpropagate through a chain; accumulates into ``grads``, returns dx.
+                   grads: ParamStore, from_logits: bool = False) -> np.ndarray | None:
+    """Backpropagate through a chain; accumulates into ``grads``, returns dx
+    (None for a cache with ``reads_input``, see the module docstring).
 
     ``store`` must be the same store the forward pass read from, with the
     same values: the chain's span of ``store.flat`` is compared bitwise
@@ -195,6 +211,11 @@ def backward_chain(cache: ChainCache, dy: np.ndarray, store: ParamStore,
             raise ValueError("from_logits requires a Softmax-terminated network")
         steps.pop()
     dx = np.asarray(dy)
-    for (key, layer), c in reversed(steps):
+    for (key, layer), c in reversed(steps[1:] if cache.reads_input else steps):
         dx = layer.backward(store, key, c, dx, grads)
-    return dx
+    if not cache.reads_input:
+        return dx
+    if steps:
+        (key, layer), c = steps[0]
+        layer.backward_params(store, key, c, dx, grads)
+    return None

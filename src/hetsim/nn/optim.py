@@ -11,12 +11,27 @@ non-finite gradients raises before touching parameters or state.
 Default hyperparameters: Adam lr 0.00025, RMSProp lr 0.0001 with lr decay
 1e-6 per step. Decay follows the common schedule lr_t = lr / (1 + decay * t)
 with t counted from 0 on the first step.
+
+The constructors check the ranges: ``learning_rate`` and ``decay`` finite
+and at least 0, ``beta1``, ``beta2`` and ``rho`` in [0, 1), ``eps`` finite
+and above 0. A NaN fails every check.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .network import NonFiniteError
+
+
+def _check_range(name: str, value: float, low: float, high: float = math.inf,
+                 low_open: bool = False) -> None:
+    """``value`` in [low, high), or (low, high) with ``low_open``; NaN fails."""
+    above = value > low if low_open else value >= low
+    if not (above and value < high):
+        interval = f"{'(' if low_open else '['}{low}, {high})"
+        raise ValueError(f"{name} must be in {interval}, got {value!r}")
 
 
 class Optimizer:
@@ -24,10 +39,8 @@ class Optimizer:
 
     def __init__(self, learning_rate: float, decay: float = 0.0):
         # 0 is allowed as a degenerate no-op optimizer (useful in tests)
-        if learning_rate < 0:
-            raise ValueError("learning rate must be non-negative")
-        if decay < 0:
-            raise ValueError("decay must be non-negative")
+        _check_range("learning_rate", learning_rate, 0.0)
+        _check_range("decay", decay, 0.0)
         self.learning_rate = float(learning_rate)
         self.decay = float(decay)
         self.t = 0
@@ -64,6 +77,9 @@ class Adam(Optimizer):
     def __init__(self, learning_rate: float = 0.00025, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8, decay: float = 0.0):
         super().__init__(learning_rate, decay)
+        _check_range("beta1", beta1, 0.0, 1.0)
+        _check_range("beta2", beta2, 0.0, 1.0)
+        _check_range("eps", eps, 0.0, low_open=True)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self._m = None
         self._v = None
@@ -106,6 +122,8 @@ class RmsProp(Optimizer):
     def __init__(self, learning_rate: float = 0.0001, rho: float = 0.9,
                  eps: float = 1e-7, decay: float = 1e-6):
         super().__init__(learning_rate, decay)
+        _check_range("rho", rho, 0.0, 1.0)
+        _check_range("eps", eps, 0.0, low_open=True)
         self.rho, self.eps = rho, eps
         self._acc = None
 

@@ -143,7 +143,10 @@ class DeviceNetwork:
     device) and the cascaded complex device whose forward pass merges two
     branch outputs. Each chain's :class:`~hetsim.nn.network.ChainPlan` is
     built once, here; :meth:`forward` keeps a cache for :meth:`backward`,
-    and :meth:`predict` is the eval pass that keeps none.
+    and :meth:`predict` is the eval pass that keeps none. The chain that
+    reads the network input (the plain chain, or the cascade stem) is
+    planned with ``reads_input``, so :meth:`backward` computes no gradient
+    for the input.
     """
 
     def __init__(self, topology: BranchedTopology, branch_id: str):
@@ -184,14 +187,15 @@ class DeviceNetwork:
 
         spans = layer_spans(self._layout)
 
-        def plan(keyed):
-            return ChainPlan(keyed, cover(spans, (key for key, _ in keyed)))
+        def plan(keyed, reads_input=False):
+            return ChainPlan(keyed, cover(spans, (key for key, _ in keyed)), reads_input)
 
+        # the chain that reads the network input computes no input gradient
         if self.is_cascade_complex:
-            self._stem_plan, self._light_plan = plan(stem), plan(light_head)
-            self._own_plan = plan(own)
+            self._stem_plan = plan(stem, reads_input=True)
+            self._light_plan, self._own_plan = plan(light_head), plan(own)
         else:
-            self._plan = plan(stem + own)
+            self._plan = plan(stem + own, reads_input=True)
 
     # -- construction ------------------------------------------------------
 

@@ -2,13 +2,17 @@
 
 The digests were computed once and committed; a refactor that changes one
 byte of a run's metrics fails here. Cases cover the three run modes of
-both tasks, the asynchronous coordinator and 32-bit reals.
+both tasks, the asynchronous coordinator, 32-bit reals, and a small conv
+cascade on CIFAR-format files (conv2d at stride 1 and 2, max pooling and
+dropout).
 """
 import hashlib
 
+import numpy as np
 import pytest
 
 from hetsim.config import parse_config
+from hetsim.data import Dataset, write_cifar10_binary
 from hetsim.harness import run_experiment
 from test_harness import tiny_rl_doc, tiny_supervised_doc
 
@@ -30,39 +34,92 @@ def _real_width_32(doc):
     return doc
 
 
+def tiny_cifar_doc(inputs, mode="heterogeneous", real_width=64):
+    """A conv cascade on seeded CIFAR-format files written into ``inputs``.
+
+    The stem is conv (stride 1), max pool, conv (stride 2); the weakest
+    branch (the network every homogeneous device trains) starts with
+    dropout. 40 training and 10 test records keep a run well under 1 s.
+    """
+    rng = np.random.default_rng(1234)
+    for name, n in (("train.bin", 40), ("test.bin", 10)):
+        pixels = rng.integers(0, 256, size=(n, 32, 32, 3)) / 255.0
+        write_cifar10_binary(Dataset(pixels, rng.integers(0, 10, size=n), 10, "cifar10"),
+                             inputs / name)
+    opt = {"algorithm": "rmsprop", "learning_rate": 0.001}
+    return {
+        "task": "supervised", "mode": mode, "scheme": "cascaded", "seeds": [5],
+        "real_width": real_width,
+        "topology": {
+            "input_shape": [32, 32, 3],
+            "stem": [{"kind": "conv2d", "kh": 3, "kw": 3, "out_channels": 4},
+                     {"kind": "relu"}, {"kind": "maxpool2d", "ph": 2, "pw": 2},
+                     {"kind": "conv2d", "kh": 3, "kw": 3, "out_channels": 4, "stride": 2},
+                     {"kind": "relu"}, {"kind": "flatten"}],
+            "branches": {
+                "complex": [{"kind": "dense", "units": 16}, {"kind": "relu"},
+                            {"kind": "dense", "units": 10}],
+                "lightweight": [{"kind": "dropout", "p": 0.25},
+                                {"kind": "dense", "units": 10}, {"kind": "softmax"}],
+            },
+            "cascade": {"complex_branch": "complex", "lightweight_branch": "lightweight",
+                        "branch_dropout_p": 0.5},
+        },
+        "devices": [
+            {"id": "powerful", "branch": "complex", "data_fraction": 0.75,
+             "optimizer": dict(opt)},
+            {"id": "weak", "branch": "lightweight", "data_fraction": 0.25,
+             "optimizer": dict(opt)},
+        ],
+        "coordinator": {"mode": "sync", "weighting": "data-proportional"},
+        "supervised": {"rounds": 2, "round_samples": 16, "minibatch_size": 8},
+        "data": {"source": "cifar10", "train_path": str(inputs / "train.bin"),
+                 "test_path": str(inputs / "test.bin")},
+    }
+
+
 CASES = {
     "supervised-isolated": (
-        lambda: tiny_supervised_doc("isolated"),
+        lambda _: tiny_supervised_doc("isolated"),
         "8398f7973c6b55ab9b675992cad9d74050202de3eeccce6f17a40bff1e55a4b6"),
     "supervised-homogeneous": (
-        lambda: tiny_supervised_doc("homogeneous"),
+        lambda _: tiny_supervised_doc("homogeneous"),
         "e5ac10d18b545d9d279c6ea9856d8a895d866e078c0bffdd8b8452007cbaccd9"),
     "supervised-heterogeneous": (
-        lambda: tiny_supervised_doc("heterogeneous"),
+        lambda _: tiny_supervised_doc("heterogeneous"),
         "08a4ca3423a3bad4abf6131a749b301148221cf8acb26cd468db06c5eaf4aac0"),
     "supervised-heterogeneous-async": (
-        lambda: _async(tiny_supervised_doc()),
+        lambda _: _async(tiny_supervised_doc()),
         "a3dcc528369e6e5373973b5836f91a6e726e12a183ee9bb043f9f23bc267a500"),
     "supervised-real-width-32": (
-        lambda: _real_width_32(tiny_supervised_doc()),
+        lambda _: _real_width_32(tiny_supervised_doc()),
         "d87b223acf2b76786513aa9363a6f470ea42b1d5b8cb5c32822b9c512e0dc37e"),
     "rl-isolated": (
-        lambda: _long_rl(tiny_rl_doc("isolated")),
+        lambda _: _long_rl(tiny_rl_doc("isolated")),
         "d7dc43d9aca2f6cfca134ee899f3198e2043306a4ddfe1a318a03fab7eadac0f"),
     "rl-homogeneous": (
-        lambda: _long_rl(tiny_rl_doc("homogeneous")),
+        lambda _: _long_rl(tiny_rl_doc("homogeneous")),
         "f04ccd4b5dadc4c7a782188d77a06df6921ff7cbe32ada71096baa870aecc860"),
     "rl-heterogeneous": (
-        lambda: _long_rl(tiny_rl_doc("heterogeneous")),
+        lambda _: _long_rl(tiny_rl_doc("heterogeneous")),
         "b8784613ad0b6db6926cfb55160d1d684d0e6a4d8475504e1bb3ea842e29da91"),
     "rl-heterogeneous-async": (
-        lambda: _async(_long_rl(tiny_rl_doc())),
+        lambda _: _async(_long_rl(tiny_rl_doc())),
         "677fae0aa4e87ba15c1779798302b934b06db0006d166b1e13cf45507e0da2e7"),
+    "conv-heterogeneous": (
+        lambda inputs: tiny_cifar_doc(inputs),
+        "8e0fb1e43d753a9be99b93e29978a2baebc4255f189d78222a6e75f22aaf0e1b"),
+    "conv-heterogeneous-real-width-32": (
+        lambda inputs: tiny_cifar_doc(inputs, real_width=32),
+        "237f3bad746fe8fff496fd57d6866dc051659dbefedc3ca5d1225fd983b860a8"),
+    "conv-homogeneous": (
+        lambda inputs: tiny_cifar_doc(inputs, "homogeneous"),
+        "2bf64c59e83055e4de60d13fc223a88fb93c8a56dc12dda64c89cc382e0ad414"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_metrics_csv_matches_golden_digest(name, tmp_path):
     make_doc, digest = CASES[name]
-    run_experiment(parse_config(make_doc()), out_dir=tmp_path)
+    run_experiment(parse_config(make_doc(tmp_path)), out_dir=tmp_path)
     assert hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest() == digest

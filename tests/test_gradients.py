@@ -22,6 +22,7 @@ from hetsim.nn import (
     init_chain_params,
     make_keyed,
 )
+from hetsim.nn.network import ChainPlan
 from hetsim.nn.params import ParamStore
 from hetsim import topology as topo
 from hetsim.nn.losses import cross_entropy
@@ -236,3 +237,55 @@ def test_gradcheck_requires_float64():
     store = ParamStore(build_layout(keyed, (2,)), dtype=np.float32)
     with pytest.raises(ValueError):
         finite_diff_check(keyed, store, np.zeros((1, 2)), label=0.0)
+
+
+# -- no input gradient for the chain that reads the network input ----------------
+
+FIRST_LAYER_NETS = {
+    "plain-dense-first": lambda: topo.build_share_first(
+        [Dense(6), ReLU()], {"b": [Dropout(0.3), Dense(3), Softmax()]}, (4,)),
+    "plain-conv-first": lambda: topo.build_share_first(
+        [Conv2D(3, 3, 2), ReLU(), MaxPool2D(2, 2)],
+        {"b": [Flatten(), Dropout(0.3), Dense(3), Softmax()]}, (8, 8, 3)),
+    "cascade-dense-first": lambda: topo.build_cascaded(
+        [Dense(6), ReLU()], [Dense(5), ReLU(), Dense(3)], [Dense(3), Softmax()], 0.5, (4,)),
+    "cascade-conv-first": lambda: topo.build_cascaded(
+        [Conv2D(3, 3, 2), ReLU(), Conv2D(2, 2, 2, stride=2)], [Flatten(), Dense(3)],
+        [Flatten(), Dropout(0.25), Dense(3), Softmax()], 0.5, (9, 9, 1)),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(FIRST_LAYER_NETS))
+def test_first_layer_skip_gives_the_gradients_of_a_full_backward(name, dtype):
+    t = FIRST_LAYER_NETS[name]()
+    branch = t.cascade.complex_branch if t.cascade else "b"
+    net, full = topo.DeviceNetwork(t, branch), topo.DeviceNetwork(t, branch)
+    for plan in vars(full).values():  # every chain of ``full`` returns its dx
+        if isinstance(plan, ChainPlan):
+            plan.reads_input = False
+    store = net.init_store(np.random.default_rng(5), dtype=dtype)
+    x = np.random.default_rng(6).normal(size=(5, *t.input_shape))
+    labels = np.arange(5) % 3
+    grads = []
+    for network in (net, full):
+        probs, cache = network.forward(store, x, mode="train", rng=np.random.default_rng(7))
+        _, dlogits = cross_entropy(probs, labels)
+        grads.append(network.backward(cache, dlogits, store, from_logits=True).flat)
+        first = cache[0] if t.cascade else cache  # the chain that reads x
+        assert first.reads_input == (network is net)
+    assert grads[0].dtype == dtype
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
+def test_only_a_plan_that_reads_the_input_skips_dx():
+    t = FIRST_LAYER_NETS["plain-conv-first"]()
+    net = topo.DeviceNetwork(t, "b")
+    store = net.init_store(np.random.default_rng(0))
+    x = np.random.default_rng(1).normal(size=(2, 8, 8, 3))
+    out, cache = net.forward(store, x)
+    assert backward_chain(cache, np.ones_like(out), store, store.zeros_like()) is None
+    keyed = list(cache.keyed_layers)
+    out, cache = forward_chain(keyed, store, x)
+    dx = backward_chain(cache, np.ones_like(out), store, store.zeros_like())
+    assert dx.shape == x.shape

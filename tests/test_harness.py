@@ -22,6 +22,7 @@ from hetsim.harness import (
     weakest_branch,
 )
 from hetsim.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from hetsim.learners import SupervisedTrainer
 from hetsim.metrics import (
     MetricsRow,
     aggregate_rows,
@@ -129,6 +130,12 @@ def _set(doc, path, value):
     return doc
 
 
+def _with_fraction(index, fraction):
+    """tiny_supervised_doc with one device's data_fraction set, so that a
+    second edit can keep the fractions summing to 1."""
+    return lambda: _set(tiny_supervised_doc(), ("devices", index, "data_fraction"), fraction)
+
+
 @pytest.mark.parametrize("make_doc,path,value", [
     (tiny_rl_doc, ("rl", "sync_period"), 0),
     (tiny_rl_doc, ("rl", "total_steps"), 0),
@@ -169,10 +176,39 @@ def _set(doc, path, value):
     (tiny_rl_doc, ("environment", "goal"), [5, 5]),
     (tiny_rl_doc, ("environment", "step_penalty"), "a"),
     (tiny_rl_doc, ("environment", "max_episode_steps"), 0),
+    # optimizer reals are finite and in the optimizer's own ranges
+    (tiny_supervised_doc, ("devices", 1, "optimizer", "learning_rate"), float("nan")),
+    (tiny_supervised_doc, ("devices", 1, "optimizer", "learning_rate"), float("inf")),
+    (tiny_supervised_doc, ("devices", 1, "optimizer", "learning_rate"), True),
+    (tiny_supervised_doc, ("devices", 1, "optimizer", "decay"), float("nan")),
+    (tiny_supervised_doc, ("devices", 1, "optimizer", "rho"), 1.5),
+    (tiny_rl_doc, ("devices", 1, "optimizer", "beta1"), 1.0),
+    (tiny_rl_doc, ("devices", 1, "optimizer", "eps"), -1),
+    # data fractions are in (0, 1], even when they sum to 1
+    (_with_fraction(0, 1.5), ("devices", 1, "data_fraction"), -0.5),
+    (_with_fraction(1, 1.5), ("devices", 0, "data_fraction"), -0.5),
+    (_with_fraction(0, 1.0), ("devices", 1, "data_fraction"), 0.0),
+    # a device entry is an object
+    (tiny_supervised_doc, ("devices",), [3]),
 ])
 def test_bad_run_lengths_and_rates_rejected(make_doc, path, value):
     with pytest.raises(ConfigError, match=path[-1]):
         parse_config(_set(make_doc(), path, value))
+
+
+@pytest.mark.parametrize("make_doc,path,value", [
+    (tiny_supervised_doc, ("rl",), {"total_steps": "x"}),
+    (tiny_supervised_doc, ("environment",), {"type": "maze"}),
+    (tiny_supervised_doc, ("devices", 1, "replay_capacity"), "x"),
+    (tiny_supervised_doc, ("devices", 1, "rate"), 0.5),
+    (tiny_rl_doc, ("supervised",), {"rounds": 3}),
+    (tiny_rl_doc, ("data",), {"source": "bogus", "oops": 1}),
+    (tiny_rl_doc, ("devices", 1, "data_fraction"), 0.5),
+])
+def test_other_tasks_sections_and_device_keys_rejected(make_doc, path, value):
+    doc = _set(make_doc(), path, value)
+    with pytest.raises(ConfigError, match=f"'{path[-1]}'.* do not apply to a {doc['task']}"):
+        parse_config(doc)
 
 
 def test_cascaded_device_must_use_a_cascade_branch():
@@ -334,6 +370,69 @@ def test_seed_offset_shifts_seeds(tmp_path):
     assert summary["seeds"] == [17]
     rows = read_csv(tmp_path / "metrics.csv")
     assert {r.seed for r in rows} == {17}
+
+
+def _count_test_passes(monkeypatch, run) -> list:
+    """Wrap SupervisedTrainer.evaluate; the list gets each snapshot that a
+    pass over the run's test set scores."""
+    scored = []
+    evaluate = SupervisedTrainer.evaluate
+
+    def counting(trainer, x, y, flat=None, chunk=512):
+        if x is run.test_set.features:
+            scored.append(flat.copy())
+        return evaluate(trainer, x, y, flat, chunk)
+
+    monkeypatch.setattr(SupervisedTrainer, "evaluate", counting)
+    return scored
+
+
+def _test_accuracies(run) -> list[float]:
+    return [r.value for r in run.rows if r.phase == "test"]
+
+
+def _distinct_bits(arrays) -> int:
+    return len({a.tobytes() for a in arrays})
+
+
+def test_homogeneous_finalize_scores_each_distinct_snapshot_once(monkeypatch):
+    doc = tiny_supervised_doc("homogeneous")
+    doc["devices"] = [{"id": f"d{i}", "branch": "lightweight", "data_fraction": 0.25,
+                       "optimizer": {"algorithm": "sgd", "learning_rate": 0.05}}
+                      for i in range(4)]
+    run = make_run(parse_config(doc), 7)
+    while run.round < run.config.supervised.rounds:
+        run.play_round()
+    snapshots = [dev["trainer"].snapshot for dev in run.devices]
+    scored = _count_test_passes(monkeypatch, run)
+    run.finalize()
+    assert len(scored) == _distinct_bits(snapshots) < len(run.devices)
+    assert _distinct_bits(scored) == len(scored)
+    # each device's row is the accuracy its own pass would give
+    assert _test_accuracies(run) == [
+        dev["trainer"].evaluate(run.test_set.features, run.test_set.labels,
+                                flat=dev["trainer"].snapshot) for dev in run.devices]
+
+
+def test_heterogeneous_finalize_scores_every_device(monkeypatch):
+    run = make_run(parse_config(tiny_supervised_doc("heterogeneous")), 7)
+    run.play_round()
+    scored = _count_test_passes(monkeypatch, run)
+    run.finalize()
+    assert len(scored) == len(run.devices) == 2
+
+
+def test_snapshots_that_differ_in_the_sign_of_a_zero_are_both_scored(monkeypatch):
+    run = make_run(parse_config(tiny_supervised_doc("homogeneous")), 7)
+    first, second = (dev["trainer"] for dev in run.devices)
+    first.snapshot[0] = 0.0
+    second.snapshot = first.snapshot.copy()
+    second.snapshot[0] = -0.0
+    scored = _count_test_passes(monkeypatch, run)
+    run.finalize()
+    assert len(scored) == 2 and np.signbit(scored[1][0])
+    accuracy = _test_accuracies(run)
+    assert accuracy[0] == accuracy[1]
 
 
 # -- seeds in worker processes ------------------------------------------------------

@@ -257,6 +257,73 @@ def test_target_copy_makes_networks_identical():
     np.testing.assert_array_equal(learner.store.flat, learner.target_store.flat)
 
 
+# -- test epochs -----------------------------------------------------------------------
+
+def _grid_learner(seed):
+    from hetsim.gridworld import GridWorld
+
+    def grid(stream):
+        return GridWorld(4, 4, start=(0, 0), goal=(3, 3), pits=[(1, 2)], slip=0.3,
+                         max_episode_steps=15, rng=np.random.default_rng([seed, stream]))
+
+    topo = build_share_first([Dense(12), ReLU()], {"b": [Dense(4)]}, (16,))
+    net = DeviceNetwork(topo, "b")
+    return DdqlLearner(
+        net, net.init_store(np.random.default_rng(seed)), Adam(learning_rate=0.01),
+        env=grid(0), eval_env=grid(1), replay=ReplayBuffer(200),
+        schedule=EpsilonSchedule(1.0, 0.1, decay_steps=100, test=0.2),
+        act_rng=np.random.default_rng([seed, 2]),
+        replay_rng=np.random.default_rng([seed, 3]),
+        eval_rng=np.random.default_rng([seed, 4]), batch_size=8, warmup_steps=16)
+
+
+def _reference_test_epoch(learner, episodes, max_steps=None):
+    """The test epoch as one batch-1 pass per step, with no Q-row reuse."""
+    total = 0.0
+    for _ in range(episodes):
+        state = learner.eval_env.reset()
+        done = False
+        ep = 0.0
+        steps = 0
+        while not done:
+            q = learner.q_of(learner.store, state[None])[0]
+            action = epsilon_greedy_action(q, learner.schedule.test, learner.eval_rng)
+            state, reward, done = learner.eval_env.step(action)
+            ep += reward
+            steps += 1
+            if max_steps is not None and steps >= max_steps:
+                break
+        total += ep
+    return total / episodes
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_test_epoch_passes_each_state_once_and_returns_what_a_pass_per_step_does(
+        seed, monkeypatch):
+    learner, reference = _grid_learner(seed), _grid_learner(seed)
+    passes = {learner: [], reference: []}
+    q_of = DdqlLearner.q_of
+
+    def counting(self, store, states):
+        passes[self].append(states.tobytes())
+        return q_of(self, store, states)
+
+    monkeypatch.setattr(DdqlLearner, "q_of", counting)
+    start = learner.eval_env.encode((0, 0)).tobytes()
+    for max_steps in (None, 6, None):  # optimizer steps between the test epochs
+        for _ in range(40):
+            learner.interact()
+            reference.interact()
+        passes[learner].clear()
+        passes[reference].clear()
+        got = learner.test_epoch(episodes=3, max_steps=max_steps)
+        assert got == _reference_test_epoch(reference, episodes=3, max_steps=max_steps)
+        assert learner.eval_rng.bit_generator.state == reference.eval_rng.bit_generator.state
+        assert len(set(passes[learner])) == len(passes[learner]) < len(passes[reference])
+        assert start in passes[learner]  # nothing carried over from the last call
+        np.testing.assert_array_equal(learner.store.flat, reference.store.flat)
+
+
 # -- supervised rounds -----------------------------------------------------------------
 
 def _blob_trainer(n_per_class=200, separation=100.0, lr=0.005, seed=0,
