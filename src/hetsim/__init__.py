@@ -29,10 +29,8 @@ from .topology import (
     ParameterPartition,
     build_cascaded,
     build_share_first,
-    concat_parameters,
     count_parameters,
     partition_parameters,
-    split_gradient,
 )
 
 __version__ = "0.1.0"
@@ -42,9 +40,9 @@ __all__ = [
     "DeviceNetwork", "EpsilonSchedule", "ExperimentConfig", "GradientUpdate",
     "GridWorld", "LocalHub", "ParamBroadcast", "ParameterPartition", "ReplayBuffer",
     "RlRun", "SupervisedRun", "SupervisedTrainer", "build_cascaded",
-    "build_share_first", "compute_merge_weights", "concat_parameters",
-    "count_parameters", "describe", "generate_synthetic_dataset",
+    "build_share_first", "compute_merge_weights", "count_parameters",
+    "describe", "generate_synthetic_dataset",
     "load_cifar10_binary", "load_config", "make_run", "merge_deltas", "nn",
     "parse_config", "partition_dataset", "partition_parameters", "run_experiment",
-    "split_gradient", "sync_round",
+    "sync_round",
 ]

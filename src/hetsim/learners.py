@@ -348,17 +348,16 @@ class SupervisedTrainer:
 
     def evaluate(self, x: np.ndarray, y: np.ndarray, flat: np.ndarray | None = None,
                  chunk: int = 512) -> float:
-        """Accuracy of the given parameters (default: current) on (x, y)."""
-        saved = None
-        if flat is not None:
-            saved = self.store.flatten()
-            self.store.set_flat(flat)
+        """Accuracy of the given parameters (default: current) on (x, y).
+
+        ``flat`` is read through a store of the same layout over it, so the
+        live store is never written, not even by a pass that raises.
+        """
+        store = self.store if flat is None else self.store.over(flat)
         correct = 0
         for lo in range(0, len(x), chunk):
-            probs = self.network.predict(self.store, x[lo:lo + chunk])
+            probs = self.network.predict(store, x[lo:lo + chunk])
             correct += int((probs.argmax(axis=1) == y[lo:lo + chunk]).sum())
-        if saved is not None:
-            self.store.set_flat(saved)
         return correct / len(x)
 
     def validate_and_snapshot(self) -> float:

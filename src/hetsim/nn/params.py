@@ -86,8 +86,8 @@ class ParamStore:
                        for key, (o, n, shape) in self._offsets.items()}
 
     def _twin(self, flat: np.ndarray) -> "ParamStore":
-        """A store of this layout over ``flat`` (owned by the twin), reusing
-        the validated offset table instead of rebuilding it."""
+        """A store of this layout over ``flat`` itself, reusing the validated
+        offset table instead of rebuilding it."""
         twin = ParamStore.__new__(ParamStore)
         twin._layout, twin._dtype, twin._size = self._layout, self._dtype, self._size
         twin._offsets, twin._layer_spans = self._offsets, self._layer_spans
@@ -127,6 +127,15 @@ class ParamStore:
         if vec.shape != (self._size,):
             raise ValueError(f"expected flat length {self._size}, got {vec.shape}")
         self.flat[:] = vec
+
+    def over(self, vec: np.ndarray) -> "ParamStore":
+        """A store of this layout whose ``flat`` is ``vec`` itself, not a copy
+        (cast to this store's dtype only if it differs); ``vec`` must have
+        this store's length. Built without re-validating the layout."""
+        vec = np.asarray(vec, dtype=self._dtype)
+        if vec.shape != (self._size,):
+            raise ValueError(f"expected flat length {self._size}, got {vec.shape}")
+        return self._twin(vec)
 
     def copy(self) -> "ParamStore":
         return self._twin(self.flat.copy())

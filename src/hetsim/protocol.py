@@ -11,6 +11,15 @@ Everything here is single-threaded and deterministic: a :class:`LocalHub`
 hands updates to the coordinator inline and queues replies per device. The
 frame codec below fixes the wire format; the hub meters the payload bytes a
 frame would carry without encoding it.
+
+A round allocates no parameter-sized temporaries beyond the one broadcast
+copy, so in-process messages lend their buffers instead of owning them:
+
+* the delta a :class:`DeviceEndpoint` sends is its own reference buffer,
+  valid until that endpoint adopts its next broadcast;
+* the :class:`Coordinator` reads a delta only until the merge of the
+  round it belongs to (on arrival in async mode), into two float64 buffers
+  of its own that it allocates once.
 """
 from __future__ import annotations
 
@@ -118,20 +127,33 @@ def compute_merge_weights(data_sizes, source: str) -> np.ndarray:
     return sizes / total
 
 
-def merge_deltas(weights, deltas) -> np.ndarray:
-    """Elementwise weighted sum of equal-length flat vectors."""
+def merge_deltas(weights, deltas, out: np.ndarray | None = None,
+                 scratch: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise weighted sum of equal-length flat vectors, in float64.
+
+    Each term ``w * d`` is formed in float64 (a narrower delta is widened
+    first) and added in order to a zeroed sum. ``out`` receives the sum and
+    ``scratch`` holds one term at a time; either may be passed as a float64
+    buffer of the deltas' shape, so that repeated merges allocate nothing.
+    """
     weights = np.asarray(weights, dtype=np.float64)
     if len(deltas) != weights.size:
         raise ValueError(f"{weights.size} weights but {len(deltas)} deltas")
     if not deltas:
         raise ValueError("no deltas to merge")
     length = np.asarray(deltas[0]).shape
-    out = np.zeros_like(np.asarray(deltas[0]), dtype=np.float64)
+    if out is None:
+        out = np.zeros(length, dtype=np.float64)
+    else:
+        out.fill(0.0)
+    if scratch is None:
+        scratch = np.empty(length, dtype=np.float64)
     for w, d in zip(weights, deltas):
         d = np.asarray(d)
         if d.shape != length:
             raise ValueError(f"delta length {d.shape} != {length}")
-        out += w * d
+        np.multiply(w, d, out=scratch, dtype=np.float64)
+        out += scratch
     return out
 
 
@@ -152,6 +174,12 @@ class Coordinator:
     ``mode`` "sync" implements a barrier: one update per registered device,
     then a single broadcast. ``mode`` "async" applies each update as it
     arrives and replies to the sender only.
+
+    A sync round keeps the updates' arrays as they arrive (no copy) and
+    merges them in registration order into a sum buffer, one term at a
+    time through a scratch buffer; async mode forms its one term in the
+    scratch buffer too. Both are float64, theta's length, and allocated
+    once by :meth:`initialize`.
     """
 
     def __init__(self, mode: str = "sync", weighting: str = "data-proportional"):
@@ -166,6 +194,8 @@ class Coordinator:
         self._registrations: list[_Registration] = []
         self._weights: dict[int, float] | None = None
         self._pending: dict[int, np.ndarray] = {}
+        self._merged: np.ndarray | None = None
+        self._scratch: np.ndarray | None = None
 
     # -- registration handshake (precedes round 0) --------------------------
 
@@ -194,6 +224,8 @@ class Coordinator:
         self._weights = {r.device_id: float(w)
                          for r, w in zip(self._registrations, weights)}
         self.theta = theta0.copy()
+        self._merged = np.empty_like(self.theta)
+        self._scratch = np.empty_like(self.theta)
         return ParamBroadcast(self.theta.copy(), self.round_index)
 
     def weight_of(self, device_id: int) -> float:
@@ -226,19 +258,21 @@ class Coordinator:
         """
         self._check(update)
         if self.mode == "async":
-            self.theta += self._weights[update.device_id] * np.asarray(
-                update.delta, dtype=self.theta.dtype)
+            np.multiply(self._weights[update.device_id], update.delta,
+                        out=self._scratch, dtype=np.float64)
+            self.theta += self._scratch
             self.round_index += 1
             return [(update.device_id, ParamBroadcast(self.theta.copy(), self.round_index))]
         if update.device_id in self._pending:
             raise ProtocolError(
                 f"device {update.device_id} sent two updates in one round")
-        self._pending[update.device_id] = np.asarray(update.delta, dtype=self.theta.dtype)
+        self._pending[update.device_id] = np.asarray(update.delta)
         if self.missing_device_ids():
             return []
         merged = merge_deltas(
             [self._weights[r.device_id] for r in self._registrations],
-            [self._pending[r.device_id] for r in self._registrations])
+            [self._pending[r.device_id] for r in self._registrations],
+            out=self._merged, scratch=self._scratch)
         self.theta += merged
         self._pending.clear()
         self.round_index += 1
@@ -256,6 +290,15 @@ class DeviceEndpoint:
     update is the shared-slice delta since the last adopted broadcast;
     adopting a broadcast overwrites the shared slice and leaves the local
     slice alone.
+
+    The endpoint owns one buffer of the shared length, in the store's
+    dtype. Between syncs it holds the reference point (the shared slice as
+    last adopted). :meth:`make_update` overwrites it with the delta and
+    sends the buffer itself, so the delta stays valid only until the next
+    :meth:`apply_broadcast`, which writes the new shared values into the
+    store and into the buffer. A second :meth:`make_update` before that
+    broadcast is a :class:`ProtocolError`: the reference is gone, and a
+    repeated delta would count twice in async mode.
     """
 
     def __init__(self, device_id: int, partition: ParameterPartition, store: ParamStore,
@@ -267,6 +310,7 @@ class DeviceEndpoint:
         self.store = store
         self.data_size = int(data_size)
         self._shared_ref = store.flat[:partition.shared_len].copy()
+        self._delta_sent = False  # the buffer holds a delta, not the reference
 
     @property
     def shared_len(self) -> int:
@@ -276,8 +320,15 @@ class DeviceEndpoint:
         return self.store.flat[:self.partition.shared_len]
 
     def make_update(self) -> GradientUpdate:
-        """Shared-slice delta since the last adopted broadcast."""
-        return GradientUpdate(self.device_id, self.shared_slice() - self._shared_ref)
+        """Shared-slice delta since the last adopted broadcast, in the
+        endpoint's buffer (valid until the next :meth:`apply_broadcast`)."""
+        if self._delta_sent:
+            raise ProtocolError(
+                f"device {self.device_id} already sent its delta; "
+                "it must adopt a broadcast before the next update")
+        np.subtract(self.shared_slice(), self._shared_ref, out=self._shared_ref)
+        self._delta_sent = True
+        return GradientUpdate(self.device_id, self._shared_ref)
 
     def apply_broadcast(self, broadcast: ParamBroadcast) -> None:
         """Adopt fresh shared parameters as the new reference point."""
@@ -286,15 +337,26 @@ class DeviceEndpoint:
         if vec.shape != (s,):
             raise ProtocolError(
                 f"broadcast length {vec.shape} != shared length {s}")
-        self.store.flat[:s] = vec
-        self._shared_ref = self.store.flat[:s].copy()
+        shared = self.shared_slice()
+        shared[...] = vec
+        self._shared_ref[...] = shared
+        self._delta_sent = False
 
     # checkpoint support
     def state_dict(self) -> dict:
+        if self._delta_sent:
+            raise ProtocolError(
+                f"device {self.device_id} has a delta in flight; no reference to save")
         return {"shared_ref": self._shared_ref.copy()}
 
     def load_state_dict(self, state: dict) -> None:
-        self._shared_ref = state["shared_ref"].copy()
+        ref = np.asarray(state["shared_ref"])
+        s = self.partition.shared_len
+        if ref.shape != (s,):
+            raise ProtocolError(
+                f"checkpoint shared_ref has shape {ref.shape}, endpoint shares {s} reals")
+        self._shared_ref[...] = ref
+        self._delta_sent = False
 
 
 # ---------------------------------------------------------------------------

@@ -319,24 +319,3 @@ def count_branch_operations(topology: BranchedTopology, branch_id: str) -> int:
         out = topology.branch_output_shape(branch_id)
         ops += int(np.prod(out))  # the add at the combine point
     return ops
-
-
-def split_gradient(flat: np.ndarray, partition: ParameterPartition):
-    """Split a canonical flat vector into (shared, local) copies."""
-    flat = np.asarray(flat)
-    if flat.shape != (partition.total_len,):
-        raise ValueError(
-            f"flat vector length {flat.shape} != partition total {partition.total_len}")
-    return flat[:partition.shared_len].copy(), flat[partition.shared_len:].copy()
-
-
-def concat_parameters(local: np.ndarray, shared: np.ndarray,
-                      partition: ParameterPartition) -> np.ndarray:
-    """Rebuild a canonical flat vector (shared block first) from its parts."""
-    local = np.asarray(local)
-    shared = np.asarray(shared)
-    if shared.shape != (partition.shared_len,):
-        raise ValueError(f"shared length {shared.shape} != {partition.shared_len}")
-    if local.shape != (partition.local_len,):
-        raise ValueError(f"local length {local.shape} != {partition.local_len}")
-    return np.concatenate([shared, local])

@@ -15,7 +15,7 @@ from hetsim.learners import (
 )
 from hetsim.nn import Adam, RmsProp, Sgd
 from hetsim.nn import network as network_module
-from hetsim.nn.network import ChainPlan
+from hetsim.nn.network import ChainPlan, NonFiniteError
 from hetsim.topology import DeviceNetwork, build_cascaded, build_share_first
 from hetsim.nn import Dense, ReLU, Softmax
 
@@ -383,6 +383,20 @@ def test_eval_passes_build_no_cache_and_take_no_snapshot(monkeypatch):
     learner.act(np.array([1.0, 0.0]), 0.0)
     learner.q_of(learner.target_store, np.eye(2))
     learner.test_epoch(episodes=2, max_steps=5)
+
+
+@pytest.mark.parametrize("make", [_blob_trainer, _cascade_trainer])
+def test_raising_evaluate_leaves_the_live_store_alone(make):
+    trainer = make()
+    trainer.store.flat[:3] = [-0.0, 0.0, -0.0]  # signed zeros must survive too
+    before = trainer.store.flatten()
+    poisoned = before.copy()
+    poisoned[:] = np.nan
+    with pytest.raises(NonFiniteError):
+        trainer.evaluate(trainer.val_x, trainer.val_y, flat=poisoned)
+    assert np.array_equal(trainer.store.flat.view(np.uint64), before.view(np.uint64))
+    assert trainer.evaluate(trainer.val_x, trainer.val_y, flat=before) == \
+        trainer.evaluate(trainer.val_x, trainer.val_y)
 
 
 def test_singleton_shard_uses_replacement():

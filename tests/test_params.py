@@ -132,3 +132,19 @@ def test_layer_spans_cover_each_layers_tensors():
     assert store.span_of([("net", 0), ("net", 1), ("net", 2)]) == (0, 26)
     assert store.span_of([("net", 1)]) == (0, 0)  # ReLU has no parameters
     assert store.span_of([]) == (0, 0)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_over_reads_the_given_vector_without_copying(dtype):
+    store = ParamStore(_layout([(2, 3), (3, 1)]), dtype)
+    vec = np.arange(store.size, dtype=dtype)
+    other = store.over(vec)
+    assert other.flat is vec and other.dtype == dtype
+    assert all(np.shares_memory(other.view(k), vec) for k in other.keys())
+    assert other.span_of([("net", 1)]) == store.span_of([("net", 1)])
+    np.testing.assert_array_equal(other.view(store.keys()[1]), vec[6:9])
+    assert (store.flat == 0.0).all()
+    widened = store.over(np.ones(store.size, dtype=np.float16))
+    assert widened.flat.dtype == dtype and (widened.flat == 1.0).all()
+    with pytest.raises(ValueError, match="expected flat length 13"):
+        store.over(np.zeros(store.size + 1, dtype=dtype))

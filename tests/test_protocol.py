@@ -1,6 +1,10 @@
 """Sync protocol: merge weights, coordinators, device endpoints, wire format."""
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetsim.nn.params import ParamStore
 from hetsim.protocol import (
@@ -95,6 +99,54 @@ def test_broadcast_length_mismatch_is_an_error():
     ep, _ = _endpoint()
     with pytest.raises(ProtocolError):
         ep.apply_broadcast(ParamBroadcast(np.zeros(5), 1))
+
+
+def test_second_update_before_a_broadcast_is_an_error():
+    ep, store = _endpoint(shared=2, local=1)
+    store.flat[:2] += 1.0
+    np.testing.assert_array_equal(ep.make_update().delta, [1.0, 1.0])
+    with pytest.raises(ProtocolError, match="already sent"):
+        ep.make_update()
+    with pytest.raises(ProtocolError, match="in flight"):
+        ep.state_dict()
+    ep.apply_broadcast(ParamBroadcast(np.array([5.0, 6.0]), 1))
+    store.flat[:2] += 0.5
+    np.testing.assert_array_equal(ep.make_update().delta, [0.5, 0.5])
+
+
+def test_checkpoint_reference_is_validated_and_copied_in():
+    ep, store = _endpoint(shared=3, local=2)
+    with pytest.raises(ProtocolError, match=r"\(4,\).*3"):
+        ep.load_state_dict({"shared_ref": np.zeros(4)})
+    with pytest.raises(ProtocolError, match=r"\(2,\).*3"):
+        ep.load_state_dict({"shared_ref": np.zeros(2)})
+    saved = np.array([0.5, 1.0, -1.0])
+    ep.load_state_dict({"shared_ref": saved})
+    saved[:] = 99.0  # the endpoint keeps its own copy
+    np.testing.assert_array_equal(ep.state_dict()["shared_ref"], [0.5, 1.0, -1.0])
+    np.testing.assert_array_equal(ep.make_update().delta, [-0.5, 0.0, 3.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 2**31 - 1))
+def test_only_the_shared_slice_merges_property(shared_len, local_len, seed):
+    """The shared block comes first: the delta is its length, and adopting
+    a broadcast leaves every bit of the local slice as it was."""
+    rng = np.random.default_rng(seed)
+    part = ParameterPartition("b", shared_len, local_len)
+    store = _store(shared_len + local_len)
+    store.flat[:] = rng.normal(size=store.size)
+    ep = DeviceEndpoint(0, part, store, data_size=1)
+    ref = store.flat[:shared_len].copy()
+    store.flat += rng.normal(size=store.size)
+    local = store.flat[shared_len:].copy()
+    update = ep.make_update()
+    assert update.delta.shape == (shared_len,)
+    assert np.array_equal(update.delta, store.flat[:shared_len] - ref)
+    params = rng.normal(size=shared_len)
+    ep.apply_broadcast(ParamBroadcast(params, 1))
+    assert np.array_equal(store.flat[:shared_len], params)
+    assert np.array_equal(store.flat[shared_len:].view(np.uint64), local.view(np.uint64))
 
 
 # -- synchronous coordinator ----------------------------------------------------
@@ -341,3 +393,185 @@ def test_payload_bytes_is_length_times_width():
     assert payload_nbytes(10_144, np.float64) == 10_144 * 8
     assert payload_nbytes(3, np.float32) == 12
 
+
+# -- the in-place round against the allocating reference ----------------------------
+
+class _ReferenceProtocol:
+    """The allocating protocol as first written: a fresh delta per update, a
+    float64 copy per pending update, a fresh ``w * d`` term per device, and
+    a fresh reference copy per adopted broadcast."""
+
+    def __init__(self, stores, shared_len, weights, mode, theta0):
+        self.stores, self.s, self.weights, self.mode = stores, shared_len, weights, mode
+        self.refs = [store.flat[:shared_len].copy() for store in stores]
+        self.theta = theta0.copy()
+        self.sent = []
+
+    def make_update(self, i):
+        return self.stores[i].flat[:self.s] - self.refs[i]
+
+    @staticmethod
+    def merge_deltas(weights, deltas):
+        weights = np.asarray(weights, dtype=np.float64)
+        out = np.zeros_like(np.asarray(deltas[0]), dtype=np.float64)
+        for w, d in zip(weights, deltas):
+            out += w * np.asarray(d)
+        return out
+
+    def apply_broadcast(self, i, params):
+        self.stores[i].flat[:self.s] = params
+        self.refs[i] = self.stores[i].flat[:self.s].copy()
+
+    def sync_round(self, order):
+        replies, pending = {}, {}
+        for i in order:
+            delta = self.make_update(i)
+            self.sent.append((i, delta))
+            if self.mode == "async":
+                self.theta += self.weights[i] * np.asarray(delta, dtype=np.float64)
+                replies[i] = self.theta.copy()
+            else:
+                pending[i] = np.asarray(delta, dtype=np.float64)
+        if self.mode == "sync":
+            ids = sorted(pending)  # registration order
+            self.theta += self.merge_deltas([self.weights[i] for i in ids],
+                                            [pending[i] for i in ids])
+            replies = {i: self.theta.copy() for i in order}
+        for i in order:
+            self.apply_broadcast(i, replies[i])
+
+
+class _RecordingHub(LocalHub):
+    def __init__(self, coordinator, dtype=np.float64):
+        super().__init__(coordinator, dtype)
+        self.sent = []
+
+    def send_update(self, update):
+        self.sent.append((update.device_id, update.delta.copy()))
+        super().send_update(update)
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.view(np.dtype(f"u{a.itemsize}"))
+
+
+def _perturb(rng, flats):
+    """The same 'training' on each pair of stores: noise, plus entries set to
+    zeros of either sign, so that deltas and sums of signed zeros occur.
+    Entry 0 is -0.0 on every device, so its first deltas are all -0.0."""
+    for pair in flats:
+        noise = rng.normal(size=pair[0].size) * rng.integers(0, 2, size=pair[0].size)
+        noise[:4] = 0.0  # these entries only ever hold zeros
+        zeros = rng.choice([-0.0, 0.0], size=pair[0].size)
+        mask = rng.random(pair[0].size) < 0.2
+        for flat in pair:
+            flat += noise.astype(flat.dtype)
+            flat[mask] = zeros[mask]
+            flat[0] = -0.0
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("mode", ["sync", "async"])
+@pytest.mark.parametrize("weighting,sizes", [
+    ("data-proportional", [3, 1, 7]),
+    ("uniform-average", [1, 1, 1, 1, 1]),
+    ("uniform-sum", [2, 5, 1, 4]),
+])
+def test_in_place_rounds_match_the_allocating_reference(dtype, mode, weighting, sizes):
+    rng = np.random.default_rng(len(sizes) * 10 + (mode == "async"))
+    shared, local = 37, 5
+    part = ParameterPartition("b", shared, local)
+    stores, ref_stores = [], []
+    for _ in sizes:
+        store = ParamStore([((("net", 0), "w"), (shared + local,))], dtype)
+        store.flat[:] = rng.normal(size=store.size)
+        store.flat[:4] = [0.0, -0.0, -0.0, 0.0]
+        stores.append(store)
+        ref_stores.append(store.copy())
+    coord = Coordinator(mode, weighting)
+    hub = _RecordingHub(coord, dtype)
+    eps = []
+    for i, (store, size) in enumerate(zip(stores, sizes)):
+        eps.append(DeviceEndpoint(i, part, store, data_size=size))
+        coord.register(i, shared, size)
+        hub.connect(i)
+    theta0 = stores[0].flat[:shared].astype(np.float64)
+    theta0[0] = -0.0  # a sum of -0.0 terms must not keep it negative
+    hub.broadcast_initial(theta0)
+    for i in range(len(sizes)):
+        hub.take_reply(i)
+    reference = _ReferenceProtocol(
+        ref_stores, shared, compute_merge_weights(sizes, weighting), mode, theta0)
+    assert np.array_equal(_bits(coord.theta), _bits(reference.theta))
+
+    negative_zeros = 0
+    for _ in range(12):
+        _perturb(rng, [(a.flat, b.flat) for a, b in zip(stores, ref_stores)])
+        order = [int(i) for i in rng.permutation(len(sizes))]  # out-of-order arrivals
+        sync_round([eps[i] for i in order], hub)
+        reference.sync_round(order)
+        assert [i for i, _ in hub.sent] == [i for i, _ in reference.sent]
+        for (_, got), (_, want) in zip(hub.sent, reference.sent):
+            assert got.dtype == want.dtype and np.array_equal(_bits(got), _bits(want))
+            negative_zeros += int(np.sum((got == 0.0) & np.signbit(got)))
+        hub.sent.clear()
+        reference.sent.clear()
+        assert np.array_equal(_bits(coord.theta), _bits(reference.theta))
+        for i, (store, ref_store) in enumerate(zip(stores, ref_stores)):
+            assert np.array_equal(_bits(store.flat), _bits(ref_store.flat))
+            assert np.array_equal(_bits(eps[i].state_dict()["shared_ref"]),
+                                  _bits(reference.refs[i]))
+    assert negative_zeros and np.any(coord.theta[:4] == 0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+def test_merge_deltas_buffers_match_the_allocating_reference(dtype):
+    rng = np.random.default_rng(5)
+    deltas = [(rng.normal(size=50) * 100).astype(dtype) for _ in range(4)]
+    deltas[1][:10] = 0
+    if dtype != np.int64:
+        deltas[2][:10] = -0.0
+    weights = [0.1, 0.2, 0.3, 0.4]
+    want = _ReferenceProtocol.merge_deltas(weights, deltas)
+    out, scratch = np.full(50, np.nan), np.full(50, np.nan)
+    for got in (merge_deltas(weights, deltas),
+                merge_deltas(weights, deltas, out=out, scratch=scratch)):
+        assert got.dtype == np.float64
+        assert np.array_equal(_bits(got), _bits(want))
+    assert merge_deltas(weights, deltas, out=out) is out
+
+
+def test_second_sync_round_allocates_only_the_broadcast_copy():
+    """Per-device parameter-sized temporaries would show as a multiple of
+    the shared slice's bytes in the traced peak."""
+    n_dev, shared = 8, 1 << 16
+    part = ParameterPartition("b", shared, 3)
+    coord = Coordinator("sync", "data-proportional")
+    hub = LocalHub(coord)
+    eps = []
+    rng = np.random.default_rng(0)
+    theta0 = rng.normal(size=shared)
+    for i in range(n_dev):
+        store = _store(shared + 3)
+        store.flat[:shared] = theta0
+        eps.append(DeviceEndpoint(i, part, store, data_size=i + 1))
+        coord.register(i, shared, i + 1)
+        hub.connect(i)
+    hub.broadcast_initial(theta0)
+    for i in range(n_dev):
+        hub.take_reply(i)
+    noise = rng.normal(size=shared)
+    tracemalloc.start()
+    try:
+        for _ in range(2):  # the peak of the second round counts
+            for k, ep in enumerate(eps):
+                ep.store.flat[:shared] += (k + 1) * noise
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            sync_round(eps, hub)
+            _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    peak -= before
+    assert peak <= 1.5 * shared * 8, f"peak {peak / (shared * 8):.2f}x the shared slice"

@@ -1,16 +1,12 @@
 """Branched topologies: golden parameter counts, partitioning, cascading."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hetsim import (
     build_cascaded,
     build_share_first,
-    concat_parameters,
     count_parameters,
     partition_parameters,
-    split_gradient,
 )
 from hetsim.nn import (
     Conv2D,
@@ -23,7 +19,7 @@ from hetsim.nn import (
     Softmax,
     cross_entropy,
 )
-from hetsim.topology import DeviceNetwork, ParameterPartition
+from hetsim.topology import DeviceNetwork
 
 
 def atari_topology():
@@ -128,30 +124,6 @@ def test_cascade_shares_the_whole_lightweight_network():
     complex_part = partition_parameters(topo, "complex")
     assert complex_part.shared_len + complex_part.local_len == \
         count_parameters(topo, "complex")
-
-
-def test_split_canonical_order_stem_first():
-    part = ParameterPartition("b", 2, 3)
-    shared, local = split_gradient(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), part)
-    np.testing.assert_array_equal(shared, [1.0, 2.0])
-    np.testing.assert_array_equal(local, [3.0, 4.0, 5.0])
-
-
-def test_split_wrong_length_rejected():
-    part = ParameterPartition("b", 2, 3)
-    with pytest.raises(ValueError):
-        split_gradient(np.zeros(4), part)
-    with pytest.raises(ValueError):
-        concat_parameters(np.zeros(3), np.zeros(1), part)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 2**31 - 1))
-def test_concat_split_roundtrip_property(shared_len, local_len, seed):
-    part = ParameterPartition("b", shared_len, local_len)
-    x = np.random.default_rng(seed).normal(size=shared_len + local_len)
-    shared, local = split_gradient(x, part)
-    assert np.array_equal(concat_parameters(local, shared, part), x)
 
 
 # -- device networks and cascade behaviour -------------------------------------
