@@ -30,7 +30,6 @@ from .topology import (
     build_cascaded,
     build_share_first,
     count_parameters,
-    partition_parameters,
 )
 
 __version__ = "0.1.0"
@@ -43,6 +42,6 @@ __all__ = [
     "build_share_first", "compute_merge_weights", "count_parameters",
     "describe", "generate_synthetic_dataset",
     "load_cifar10_binary", "load_config", "make_run", "merge_deltas", "nn",
-    "parse_config", "partition_dataset", "partition_parameters", "run_experiment",
+    "parse_config", "partition_dataset", "run_experiment",
     "sync_round",
 ]

@@ -31,10 +31,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(self.features[indices], self.labels[indices],
-                       self.num_classes, self.provenance)
-
 
 def _class_means(num_classes: int, dims: int, separation: float) -> np.ndarray:
     """Class means: scaled one-hot corners when they fit, else a circle."""
@@ -116,10 +112,6 @@ class DataPartition:
     train_indices: list[np.ndarray]
     val_indices: list[np.ndarray]
     fractions: tuple[float, ...]
-
-    @property
-    def num_devices(self) -> int:
-        return len(self.shard_indices)
 
     def shard_size(self, device: int) -> int:
         return int(self.shard_indices[device].size)

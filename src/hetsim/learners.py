@@ -8,6 +8,7 @@ construction.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,8 @@ class ReplayBuffer:
         self._size = min(self._size + 1, self.capacity)
 
     def sample(self, rng: np.random.Generator, batch_size: int):
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {batch_size}")
         if batch_size > self._size:
             raise ValueError(f"cannot sample {batch_size} from {self._size} transitions")
         idx = rng.choice(self._size, size=batch_size, replace=False)
@@ -112,15 +115,30 @@ class EpsilonSchedule:
         return self.start + (self.end - self.start) * frac
 
 
+def explore_action(epsilon: float, n_actions: int, rng: np.random.Generator) -> int | None:
+    """The exploring half of the epsilon-greedy rule: a uniform action in
+    ``range(n_actions)`` with probability epsilon, else None (act greedily).
+
+    ``rng`` is drawn from once when epsilon > 0, and once more on explore.
+    """
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError("epsilon must be in [0, 1]")
+    if epsilon > 0.0 and rng.random() < epsilon:
+        return int(rng.integers(n_actions))
+    return None
+
+
+def greedy_action(q_values: np.ndarray) -> int:
+    """Argmax over the Q-values; the lowest index wins ties."""
+    return int(np.argmax(q_values))
+
+
 def epsilon_greedy_action(q_values: np.ndarray, epsilon: float,
                           rng: np.random.Generator) -> int:
     """Uniform action with probability epsilon, else argmax (lowest index wins ties)."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon must be in [0, 1]")
     q_values = np.asarray(q_values).reshape(-1)
-    if epsilon > 0.0 and rng.random() < epsilon:
-        return int(rng.integers(q_values.size))
-    return int(np.argmax(q_values))
+    action = explore_action(epsilon, q_values.size, rng)
+    return greedy_action(q_values) if action is None else action
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +184,7 @@ class DdqlLearner:
         self.replay_rng = replay_rng
         self.eval_rng = eval_rng
         self.gamma = gamma
+        self.n_actions = math.prod(network.output_shape())
         self.batch_size = batch_size
         if warmup_steps is None:
             warmup_steps = max(batch_size, replay.capacity // 20)
@@ -181,8 +200,19 @@ class DdqlLearner:
         return self.network.predict(store, states)
 
     def act(self, state: np.ndarray, epsilon: float) -> int:
-        q = self.q_of(self.store, state[None])[0]
-        return epsilon_greedy_action(q, epsilon, self.act_rng)
+        """Epsilon-greedy action for ``state``.
+
+        The explore draw comes first, and the network runs only when the
+        step exploits, so an exploring step reads no Q-values. The draws
+        and actions are those of :func:`epsilon_greedy_action` on the
+        state's Q-row. A non-finite network therefore raises
+        :class:`NonFiniteError` at the first greedy act, not at an
+        exploring one (``train_batch`` reads Q on every warm step).
+        """
+        action = explore_action(epsilon, self.n_actions, self.act_rng)
+        if action is None:
+            action = greedy_action(self.q_of(self.store, state[None])[0])
+        return action
 
     # -- training ------------------------------------------------------------
 
@@ -195,13 +225,14 @@ class DdqlLearner:
         q, cache = self.network.forward(self.store, states, mode="train",
                                         rng=self.act_rng)
         n = len(actions)
-        picked = q[np.arange(n), actions]
+        rows = np.arange(n)
+        picked = q[rows, actions]
         losses, dpicked = huber(y, picked, delta=1.0)
         dq = np.zeros_like(q)
-        dq[np.arange(n), actions] = dpicked / n
+        dq[rows, actions] = dpicked / n
         grads = self.network.backward(cache, dq, self.store)
         self.optimizer.step(self.store.flat, grads.flat)
-        return float(np.mean(losses))
+        return float(losses.sum() / n)  # np.mean's own sum and division
 
     def interact(self) -> dict:
         """One environment interaction plus one training minibatch when warm."""
@@ -228,14 +259,16 @@ class DdqlLearner:
     def test_epoch(self, episodes: int = 1, max_steps: int | None = None) -> float:
         """Mean return of greedy-ish episodes (epsilon = schedule.test).
 
-        The parameters cannot change during the call, so each distinct state
-        is passed through the network once: its Q row is kept, keyed by the
-        state's bytes, and reused whenever the state comes back. A batch-1
-        pass on the same parameters and input gives the same bits, so the
-        returns are those of a pass per step. The rows are only read, and
-        they are dropped when the call returns.
+        Each step draws the explore decision first, as :meth:`act` does,
+        and runs the network only on a greedy step. The parameters cannot
+        change during the call, so each distinct state is passed through
+        the network at most once: its greedy action is kept, keyed by the
+        state's bytes, and reused whenever a greedy step meets the state
+        again. A batch-1 pass on the same parameters and input gives the
+        same bits, so the returns and ``eval_rng`` draws are those of a
+        pass per step. The kept actions are dropped when the call returns.
         """
-        q_rows: dict[bytes, np.ndarray] = {}
+        greedy: dict[bytes, int] = {}
         total = 0.0
         for _ in range(episodes):
             state = self.eval_env.reset()
@@ -243,11 +276,13 @@ class DdqlLearner:
             ep = 0.0
             steps = 0
             while not done:
-                key = state.tobytes()
-                q = q_rows.get(key)
-                if q is None:
-                    q = q_rows[key] = self.q_of(self.store, state[None])[0]
-                action = epsilon_greedy_action(q, self.schedule.test, self.eval_rng)
+                action = explore_action(self.schedule.test, self.n_actions, self.eval_rng)
+                if action is None:
+                    key = state.tobytes()
+                    action = greedy.get(key)
+                    if action is None:
+                        action = greedy[key] = greedy_action(
+                            self.q_of(self.store, state[None])[0])
                 state, reward, done = self.eval_env.step(action)
                 ep += reward
                 steps += 1

@@ -33,28 +33,31 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndar
     ``probs`` must be softmax outputs, shape (N, C); ``labels`` integer class
     indices, shape (N,). The returned gradient is (probs - onehot) / N, valid
     at the input of the final softmax. Zero predicted probabilities are
-    clamped to 1e-12 and counted, not raised.
+    clamped to 1e-12 and counted, not raised. An empty batch raises
+    ``ValueError``.
     """
     global _clamp_warnings
     probs = np.atleast_2d(np.asarray(probs))
     labels = np.atleast_1d(np.asarray(labels, dtype=np.intp))
     n, c = probs.shape
+    if n == 0:
+        raise ValueError("cross-entropy of an empty batch")
     if labels.shape != (n,):
         raise ValueError(f"labels shape {labels.shape} does not match batch {n}")
-    if np.any(labels < 0) or np.any(labels >= c):
+    if labels.min() < 0 or labels.max() >= c:
         raise ValueError("label out of range")
     row_sums = probs.sum(axis=-1)
     # np.allclose(row_sums, 1.0, atol=1e-6) with its default rtol, written out
     if not (np.abs(row_sums - 1.0) <= 1e-6 + 1e-5).all():
         raise ValueError("probabilities must sum to 1 per row")
-    picked = probs[np.arange(n), labels]
-    n_clamped = int((picked < 1e-12).sum())
-    if n_clamped:
-        _clamp_warnings += n_clamped
+    rows = np.arange(n)
+    picked = probs[rows, labels]
+    if picked.min() < 1e-12:  # rows sum to 1, so no NaN reaches here
+        _clamp_warnings += int((picked < 1e-12).sum())
         picked = np.maximum(picked, 1e-12)
-    loss = float(-np.log(picked).mean())
+    loss = float(-(np.log(picked).sum() / n))  # the bits of -log(picked).mean()
     dlogits = probs.copy()
-    dlogits[np.arange(n), labels] -= 1.0
+    dlogits[rows, labels] -= 1.0
     dlogits /= n
     ensure_finite("cross-entropy gradient", dlogits)
     return loss, dlogits

@@ -32,11 +32,12 @@ generator passed to :func:`forward_chain` and are active only in train
 mode; eval mode is a pure function of (params, input).
 
 A cache is only valid for the parameter values its forward pass read.
-The forward pass keeps an exact copy of the chain's own span of the flat
-parameter vector, and the backward pass compares that span with the copy
-bit for bit, so any write in between (through ``flat``, a view, an
-optimizer step or a broadcast; ``0.0 -> -0.0`` included) is caught. The
-cost scales with the chain's parameters, not with the whole vector.
+The forward pass keeps the bytes of the chain's own span of the flat
+parameter vector, and the backward pass compares the span's bytes with
+them, so any write in between (through ``flat``, a view, an optimizer
+step or a broadcast; ``0.0 -> -0.0`` included) is caught, as is a store
+of another dtype when the chain has parameters. The cost scales with the
+chain's parameters, not with the whole vector.
 """
 from __future__ import annotations
 
@@ -104,7 +105,8 @@ class ChainCache:
     """Everything a chain's backward pass needs from its forward pass.
 
     ``span`` is the ``[lo, hi)`` slice of ``store.flat`` the chain's layers
-    read, and ``snapshot`` a copy of that slice taken at forward time.
+    read, and ``snapshot`` that slice's bytes (``tobytes()``) at forward
+    time, so the backward pass compares bits, not values.
     ``reads_input`` comes from the plan: the backward pass then skips the
     input gradient and returns None.
     """
@@ -112,7 +114,7 @@ class ChainCache:
     keyed_layers: tuple[KeyedLayer, ...]
     per_layer: list
     span: tuple[int, int]
-    snapshot: np.ndarray
+    snapshot: bytes
     reads_input: bool = False
 
 
@@ -156,7 +158,7 @@ class ChainPlan:
 
     def forward(self, store: ParamStore, x: np.ndarray, mode: str = "eval",
                 rng: np.random.Generator | None = None) -> tuple[np.ndarray, "ChainCache"]:
-        """Output and the backward cache, with a copy of the chain's span.
+        """Output and the backward cache, with the bytes of the chain's span.
 
         ``mode`` is "train" or "eval". Train mode requires ``rng`` if the
         chain contains stochastic layers.
@@ -166,8 +168,8 @@ class ChainPlan:
         caches: list = []
         out = self._run(store, x, mode == "train", rng, caches)
         lo, hi = self.span
-        return out, ChainCache(self.keyed_layers, caches, self.span, store.flat[lo:hi].copy(),
-                               self.reads_input)
+        return out, ChainCache(self.keyed_layers, caches, self.span,
+                               store.flat[lo:hi].tobytes(), self.reads_input)
 
     def predict(self, store: ParamStore, x: np.ndarray) -> np.ndarray:
         """Eval-mode output only: no cache and no parameter copy."""
@@ -192,17 +194,15 @@ def backward_chain(cache: ChainCache, dy: np.ndarray, store: ParamStore,
     (None for a cache with ``reads_input``, see the module docstring).
 
     ``store`` must be the same store the forward pass read from, with the
-    same values: the chain's span of ``store.flat`` is compared bitwise
-    with the copy the forward pass took, and any difference raises
+    same values: the bytes of the chain's span of ``store.flat`` are
+    compared with those the forward pass kept, and any difference raises
     ``ValueError`` (the cache is stale). With
     ``from_logits`` the chain must end in Softmax and ``dy`` is taken
     w.r.t. that softmax's input (the fused cross-entropy form), so the
     final softmax is skipped.
     """
     lo, hi = cache.span
-    now, then = store.flat[lo:hi], cache.snapshot
-    bits = np.dtype(f"u{then.itemsize}")  # compare bit patterns, not values
-    if now.dtype != then.dtype or not np.array_equal(now.view(bits), then.view(bits)):
+    if store.flat[lo:hi].tobytes() != cache.snapshot:  # bits, not values
         raise ValueError("parameters changed since the forward pass; the cache "
                          "is stale, rerun forward")
     steps = list(zip(cache.keyed_layers, cache.per_layer))

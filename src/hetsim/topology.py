@@ -296,11 +296,6 @@ class DeviceNetwork:
         return grads
 
 
-def partition_parameters(topology: BranchedTopology, branch_id: str) -> ParameterPartition:
-    """Shared/local split of one branch's full network parameters."""
-    return DeviceNetwork(topology, branch_id).partition
-
-
 def count_parameters(topology: BranchedTopology, branch_id: str) -> int:
     """Total parameter count of the stem plus the given branch's network."""
     if topology.cascade is not None and branch_id == topology.cascade.complex_branch:

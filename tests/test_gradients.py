@@ -215,6 +215,15 @@ def test_zero_to_negative_zero_write_makes_the_cache_stale():
         backward_chain(cache, np.ones((2, 2)), store, store.zeros_like())
 
 
+def test_a_store_of_another_dtype_makes_the_cache_stale():
+    keyed, store = _build([Dense(3), Dense(2)], (4,), seed=1)
+    _, cache = forward_chain(keyed, store, np.ones((2, 4)))
+    narrow = ParamStore(store.layout, np.float32)
+    narrow.set_flat(store.flat)  # the same values, rounded to 32 bits
+    with pytest.raises(ValueError, match="stale"):
+        backward_chain(cache, np.ones((2, 2)), narrow, narrow.zeros_like())
+
+
 def test_parameter_free_chain_backprops():
     keyed, store = _build([ReLU()], (3,), seed=0)
     assert store.size == 0

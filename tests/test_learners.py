@@ -1,5 +1,7 @@
 """Learner behaviour: replay ring, epsilon schedule, double-Q targets,
 convergence on a known MDP, and the supervised round loop."""
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +60,16 @@ def test_replay_sample_larger_than_size_rejected():
     buf.add(np.zeros(1), 0, 0.0, np.zeros(1), False)
     with pytest.raises(ValueError):
         buf.sample(np.random.default_rng(0), 2)
+
+
+@pytest.mark.parametrize("filled", [0, 5])
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_replay_sample_rejects_a_batch_below_one(filled, batch_size):
+    buf = ReplayBuffer(capacity=10)
+    for i in range(filled):
+        buf.add(np.array([i]), 0, 0.0, np.array([i]), False)
+    with pytest.raises(ValueError, match="at least 1"):
+        buf.sample(np.random.default_rng(0), batch_size)
 
 
 def test_replay_sample_dtypes_and_shapes():
@@ -259,7 +271,7 @@ def test_target_copy_makes_networks_identical():
 
 # -- test epochs -----------------------------------------------------------------------
 
-def _grid_learner(seed):
+def _grid_learner(seed, test_epsilon=0.2):
     from hetsim.gridworld import GridWorld
 
     def grid(stream):
@@ -271,7 +283,7 @@ def _grid_learner(seed):
     return DdqlLearner(
         net, net.init_store(np.random.default_rng(seed)), Adam(learning_rate=0.01),
         env=grid(0), eval_env=grid(1), replay=ReplayBuffer(200),
-        schedule=EpsilonSchedule(1.0, 0.1, decay_steps=100, test=0.2),
+        schedule=EpsilonSchedule(1.0, 0.1, decay_steps=100, test=test_epsilon),
         act_rng=np.random.default_rng([seed, 2]),
         replay_rng=np.random.default_rng([seed, 3]),
         eval_rng=np.random.default_rng([seed, 4]), batch_size=8, warmup_steps=16)
@@ -297,10 +309,12 @@ def _reference_test_epoch(learner, episodes, max_steps=None):
     return total / episodes
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("seed, test_epsilon",
+                         [(0, 0.2), (1, 0.2), (2, 0.2), (3, 0.2), (4, 0.0), (5, 1.0)])
 def test_test_epoch_passes_each_state_once_and_returns_what_a_pass_per_step_does(
-        seed, monkeypatch):
-    learner, reference = _grid_learner(seed), _grid_learner(seed)
+        seed, test_epsilon, monkeypatch):
+    learner = _grid_learner(seed, test_epsilon)
+    reference = _grid_learner(seed, test_epsilon)
     passes = {learner: [], reference: []}
     q_of = DdqlLearner.q_of
 
@@ -320,8 +334,86 @@ def test_test_epoch_passes_each_state_once_and_returns_what_a_pass_per_step_does
         assert got == _reference_test_epoch(reference, episodes=3, max_steps=max_steps)
         assert learner.eval_rng.bit_generator.state == reference.eval_rng.bit_generator.state
         assert len(set(passes[learner])) == len(passes[learner]) < len(passes[reference])
-        assert start in passes[learner]  # nothing carried over from the last call
+        if test_epsilon == 1.0:
+            assert passes[learner] == []  # every step explores: no pass runs
+        else:
+            assert start in passes[learner]  # nothing carried over from the last call
         np.testing.assert_array_equal(learner.store.flat, reference.store.flat)
+
+
+def _reference_act(learner, state, epsilon):
+    """Acting as a forward pass, then epsilon_greedy_action on the Q-row."""
+    q = learner.q_of(learner.store, state[None])[0]
+    return epsilon_greedy_action(q, epsilon, learner.act_rng)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0, None])  # None: decaying
+def test_act_runs_the_network_only_on_exploit_steps_and_acts_as_before(
+        epsilon, monkeypatch):
+    schedule = (EpsilonSchedule(1.0, 0.05, decay_steps=1500, test=0.2) if epsilon is None
+                else EpsilonSchedule(epsilon, epsilon, decay_steps=1, test=0.2))
+    learner, reference = _grid_learner(6), _grid_learner(6)
+    learner.schedule = reference.schedule = schedule
+    predicts = []
+    predict = DeviceNetwork.predict
+
+    def counting(self, store, x):
+        predicts.append(x.shape[0])
+        return predict(self, store, x)
+
+    monkeypatch.setattr(DeviceNetwork, "predict", counting)
+    got, want = [], []
+    act_passes = exploits = 0
+
+    def act(state, eps):
+        nonlocal act_passes
+        before = len(predicts)
+        got.append(DdqlLearner.act(learner, state, eps))
+        act_passes += len(predicts) - before
+        return got[-1]
+
+    def act_as_before(state, eps):
+        nonlocal exploits
+        exploits += not (eps > 0.0 and copy.deepcopy(reference.act_rng).random() < eps)
+        want.append(_reference_act(reference, state, eps))
+        return want[-1]
+
+    learner.act, reference.act = act, act_as_before  # interact() calls self.act
+    for _ in range(2000):
+        learner.interact()
+        reference.interact()
+    assert got == want
+    assert learner.act_rng.bit_generator.state == reference.act_rng.bit_generator.state
+    assert learner.store.flat.tobytes() == reference.store.flat.tobytes()
+    assert learner.episode_returns == reference.episode_returns
+    assert act_passes == exploits
+    if epsilon == 0.0:
+        assert exploits == 2000
+    elif epsilon == 1.0:
+        assert exploits == 0
+    else:
+        assert 0 < exploits < 2000
+
+
+def test_a_nan_parameter_raises_at_the_first_greedy_act():
+    learner = _grid_learner(0)
+    learner.store.flat[0] = np.nan  # a stem weight: every output row is NaN
+    state = learner.env.reset()
+    for _ in range(50):
+        learner.act(state, 1.0)  # an exploring act reads no Q-values
+    with pytest.raises(NonFiniteError):
+        learner.act(state, 0.0)
+
+
+def test_a_nan_parameter_raises_at_the_first_train_batch():
+    learner = _grid_learner(0)
+    learner.schedule = EpsilonSchedule(1.0, 1.0, decay_steps=1, test=0.2)
+    learner.store.flat[0] = np.nan
+    for _ in range(learner.warmup_steps - 1):
+        learner.interact()  # exploring acts, replay still cold: nothing reads Q
+    with pytest.raises(NonFiniteError):
+        learner.interact()  # the first warm step runs train_batch
+    assert len(learner.replay) == learner.warmup_steps
 
 
 # -- supervised rounds -----------------------------------------------------------------

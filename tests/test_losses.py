@@ -1,6 +1,8 @@
 """Loss definitions, edge cases, and the fused cross-entropy gradient."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetsim.nn import losses
 from hetsim.nn.losses import cross_entropy, huber
@@ -58,6 +60,45 @@ def test_zero_probability_is_clamped_and_counted():
     loss, _ = cross_entropy(probs, np.array([1]))
     assert np.isfinite(loss) and loss == pytest.approx(-np.log(1e-12))
     assert losses.clamp_warning_count() == 1
+    losses.reset_clamp_warnings()
+
+
+def test_empty_batch_rejected():
+    with pytest.raises(ValueError, match="empty batch"):
+        cross_entropy(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+
+
+def _reference_cross_entropy(probs, labels):
+    """The loss, gradient and clamp count as a mean over the picked
+    log-probabilities, with a separate index array per use."""
+    n = len(labels)
+    picked = probs[np.arange(n), labels]
+    n_clamped = int((picked < 1e-12).sum())
+    if n_clamped:
+        picked = np.maximum(picked, 1e-12)
+    loss = float(-np.log(picked).mean())
+    dlogits = probs.copy()
+    dlogits[np.arange(n), labels] -= 1.0
+    dlogits /= n
+    return loss, dlogits, n_clamped
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(2, 12),
+       st.sampled_from([np.float32, np.float64]), st.sampled_from([1.0, 10.0, 80.0]))
+def test_cross_entropy_matches_the_mean_form_bit_for_bit(seed, n, c, dtype, spread):
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(scale=spread, size=(n, c)).astype(dtype)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)  # wide spreads underflow: clamps
+    labels = rng.integers(c, size=n)
+    want_loss, want_grad, want_clamped = _reference_cross_entropy(probs, labels)
+    losses.reset_clamp_warnings()
+    loss, grad = cross_entropy(probs, labels)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert grad.dtype == want_grad.dtype
+    assert grad.tobytes() == want_grad.tobytes()
+    assert losses.clamp_warning_count() == want_clamped
     losses.reset_clamp_warnings()
 
 

@@ -6,7 +6,6 @@ from hetsim import (
     build_cascaded,
     build_share_first,
     count_parameters,
-    partition_parameters,
 )
 from hetsim.nn import (
     Conv2D,
@@ -81,7 +80,7 @@ def test_two_branch_heads_have_matching_output_sizes():
 
 def test_empty_stem_degenerates_to_plain_network():
     topo = build_share_first([], {"only": [Dense(3), Softmax()]}, (4,))
-    part = partition_parameters(topo, "only")
+    part = DeviceNetwork(topo, "only").partition
     assert part.shared_len == 0
     assert part.local_len == 4 * 3 + 3
 
@@ -94,7 +93,7 @@ def test_stem_branch_seam_shape_error():
 def test_unknown_branch_rejected():
     topo = atari_topology()
     with pytest.raises(KeyError):
-        partition_parameters(topo, "nope")
+        DeviceNetwork(topo, "nope")
 
 
 def test_cascade_requires_matching_logits():
@@ -110,18 +109,18 @@ def test_cascade_light_branch_must_end_in_softmax():
 # -- partitioning ---------------------------------------------------------------
 
 def test_share_first_cifar_shared_is_stem():
-    part = partition_parameters(cifar_share_first(), "complex")
+    part = DeviceNetwork(cifar_share_first(), "complex").partition
     assert part.shared_len == 896 + 9_248  # the two stem convolutions
-    part_light = partition_parameters(cifar_share_first(), "lightweight")
+    part_light = DeviceNetwork(cifar_share_first(), "lightweight").partition
     assert part_light.shared_len == 10_144
 
 
 def test_cascade_shares_the_whole_lightweight_network():
     topo = cifar_cascaded()
     for branch in ("complex", "lightweight"):
-        assert partition_parameters(topo, branch).shared_len == 25_834
-    assert partition_parameters(topo, "lightweight").local_len == 0
-    complex_part = partition_parameters(topo, "complex")
+        assert DeviceNetwork(topo, branch).partition.shared_len == 25_834
+    assert DeviceNetwork(topo, "lightweight").partition.local_len == 0
+    complex_part = DeviceNetwork(topo, "complex").partition
     assert complex_part.shared_len + complex_part.local_len == \
         count_parameters(topo, "complex")
 
