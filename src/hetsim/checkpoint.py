@@ -17,7 +17,7 @@ from pathlib import Path
 from .fileio import atomic_open
 
 MAGIC = b"HSIM"
-VERSION = 1
+VERSION = 2  # 2: the run's rows so far; no episode returns
 _HEAD = struct.Struct("<4sI")
 
 

@@ -2,48 +2,23 @@
 from __future__ import annotations
 
 import argparse
-import sys
 from pathlib import Path
 
 from .config import load_config
-from .harness import describe, load_run_checkpoint, make_run, run_experiment, save_run_checkpoint
-from .metrics import read_csv, write_aggregated_csv, write_csv
+from .harness import describe, run_experiment
+from .metrics import read_csv, write_aggregated_csv
 
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    if args.resume or args.checkpoint:
-        if len(config.seeds) != 1:
-            print("checkpointing needs a single-seed config", file=sys.stderr)
-            return 2
-        seed = config.seeds[0] + args.seed_offset
-        if args.resume:
-            run = load_run_checkpoint(config, seed, args.resume)
-        else:
-            run = make_run(config, seed)
-        if args.checkpoint_round is not None and not args.resume:
-            target = args.checkpoint_round
-            if config.task == "supervised":
-                while run.round < min(target, config.supervised.rounds):
-                    run.play_round()
-            else:
-                while run.step < min(target, config.rl.total_steps):
-                    run.play_step()
-            save_run_checkpoint(run, args.checkpoint)
-            print(f"checkpoint written to {args.checkpoint}")
-            return 0
-        rows = run.run()
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_csv(rows, out / "metrics.csv")
-        write_aggregated_csv(rows, out / "metrics_agg.csv")
-        print(f"wrote {len(rows)} metric rows to {out / 'metrics.csv'}")
-        return 0
-    summary = run_experiment(config, out_dir=args.out, seed_offset=args.seed_offset)
+    summary = run_experiment(config, args.out, args.seed_offset,
+                             checkpoint_at=args.checkpoint_at, resume=args.resume)
     for device, stats in summary["devices"].items():
         print(f"{device}: final {stats['metric']} median {stats['median']:.4f} "
               f"min {stats['min']:.4f} max {stats['max']:.4f}")
     print(f"metrics written to {Path(args.out) / 'metrics.csv'}")
+    if args.checkpoint_at is not None:
+        print(f"checkpoints written to {Path(args.out) / 'checkpoints'}")
     return 0
 
 
@@ -73,10 +48,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed-offset", type=int, default=0,
                        help="added to every seed in the config")
     p_run.add_argument("--out", default="out", help="output directory")
-    p_run.add_argument("--checkpoint", help="write a checkpoint to this path")
-    p_run.add_argument("--checkpoint-round", type=int,
-                       help="round/step at which to write the checkpoint")
-    p_run.add_argument("--resume", help="resume from a checkpoint file")
+    p_run.add_argument("--checkpoint-at", type=int, metavar="N",
+                       help="save each seed to OUT/checkpoints/seed-<s>.ckpt when its "
+                            "round (supervised) or step (RL) reaches N, then run on")
+    p_run.add_argument("--resume", metavar="DIR",
+                       help="start each seed from DIR/checkpoints/seed-<s>.ckpt")
     p_run.set_defaults(func=_cmd_run)
 
     p_desc = sub.add_parser("describe",

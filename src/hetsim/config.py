@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,13 @@ SCHEMES = ("share-first", "cascaded")
 
 class ConfigError(ValueError):
     pass
+
+
+def _object(value, where: str) -> dict:
+    """A JSON object; any other value is a ConfigError naming ``where``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {value!r}")
+    return value
 
 
 def _require(d: dict, key: str, where: str):
@@ -53,11 +60,9 @@ def _whole(value, what: str, minimum: int) -> int:
     return int(value)
 
 
-def _require_count(d: dict, key: str, where: str, default: int | None = None,
-                   minimum: int = 1) -> int:
-    """A whole number of at least ``minimum``; required unless it has a default."""
-    value = _require(d, key, where) if default is None else d.get(key, default)
-    return _whole(value, f"{where}.{key}", minimum)
+def _require_count(d: dict, key: str, where: str) -> int:
+    """A required whole number of at least 1."""
+    return _whole(_require(d, key, where), f"{where}.{key}", 1)
 
 
 def _real(value, what: str) -> float:
@@ -75,10 +80,17 @@ def _cell(value, what: str) -> tuple[int, int]:
     return _whole(value[0], what, 0), _whole(value[1], what, 0)
 
 
+def _fraction(value, what: str) -> float:
+    """A real in (0, 1]."""
+    value = _real(value, what)
+    if not 0.0 < value <= 1.0:
+        raise ConfigError(f"{what} must be in (0, 1], got {value}")
+    return value
+
+
 def _parse_data(data_doc) -> dict:
     """The ``data`` section, with counts as ints and reals as floats."""
-    if not isinstance(data_doc, dict):
-        raise ConfigError("data must be an object")
+    data_doc = _object(data_doc, "data")
     source = _require(data_doc, "source", "data")
     if source == "synthetic":
         _check_keys(data_doc, {"source", "num_classes", "per_class", "dims",
@@ -105,8 +117,7 @@ def _parse_data(data_doc) -> dict:
 def _parse_environment(env_doc) -> dict:
     """The ``environment`` section, typed, and checked by the gridworld's own
     range rules; cells become tuples, ready to pass to :class:`GridWorld`."""
-    if not isinstance(env_doc, dict):
-        raise ConfigError("environment must be an object")
+    env_doc = _object(env_doc, "environment")
     _check_keys(env_doc, {"type", "width", "height", "start", "goal", "pits",
                           "step_penalty", "goal_reward", "pit_reward",
                           "max_episode_steps", "slip"}, "environment")
@@ -142,9 +153,7 @@ def _reject_other_task(d: dict, keys: set[str], where: str, task: str) -> None:
 def _parse_optimizer(opt_doc, where: str) -> dict:
     """An optimizer object with finite reals, checked by the optimizer's own
     range rules (:mod:`hetsim.nn.optim`)."""
-    if not isinstance(opt_doc, dict):
-        raise ConfigError(f"{where} must be an object, got {opt_doc!r}")
-    _check_keys(opt_doc, {"algorithm", *OPTIMIZER_REALS}, where)
+    _check_keys(_object(opt_doc, where), {"algorithm", *OPTIMIZER_REALS}, where)
     optimizer = {key: _real(value, f"{where}.{key}") if key in OPTIMIZER_REALS else value
                  for key, value in opt_doc.items()}
     try:
@@ -221,19 +230,31 @@ class ExperimentConfig:
     def dtype(self):
         return np.float64 if self.real_width == 64 else np.float32
 
-    def device(self, device_id: str) -> DeviceConfig:
-        for d in self.devices:
-            if d.id == device_id:
-                return d
-        raise KeyError(device_id)
+
+def _parse_counts_and_reals(section: dict, cls, minimums: dict[str, int], where: str):
+    """A dataclass from a section whose keys are its fields: the keys in
+    ``minimums`` are whole numbers of at least that value, the rest finite
+    reals; the fields a section leaves out keep the dataclass defaults."""
+    _check_keys(section, {f.name for f in fields(cls)}, where)
+    for f in fields(cls):
+        if f.default is MISSING:
+            _require(section, f.name, where)
+    return cls(**{key: _whole(value, f"{where}.{key}", minimums[key]) if key in minimums
+                  else _real(value, f"{where}.{key}") for key, value in section.items()})
+
+
+def _device_id(value, where: str) -> str:
+    """Device ids are metrics.csv fields: non-empty strings without ',', CR or LF."""
+    if not isinstance(value, str) or not value or any(c in value for c in ",\r\n"):
+        raise ConfigError(f"{where}.id must be a non-empty string without ',', CR or "
+                          f"LF, got {value!r}")
+    return value
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    _check_keys(doc, {"task", "mode", "scheme", "seeds", "topology", "devices",
-                      "coordinator", "supervised", "rl", "data", "environment",
-                      "real_width"}, "config")
+    _check_keys(_object(doc, "config"), {
+        "task", "mode", "scheme", "seeds", "topology", "devices", "coordinator",
+        "supervised", "rl", "data", "environment", "real_width"}, "config")
     task = _require(doc, "task", "config")
     if task not in TASKS:
         raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
@@ -255,7 +276,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"seeds must be distinct, got {seeds}")
 
-    topo_doc = _require(doc, "topology", "config")
+    topo_doc = _object(_require(doc, "topology", "config"), "topology")
     _check_keys(topo_doc, {"input_shape", "stem", "branches", "cascade"}, "topology")
     shape_doc = _require(topo_doc, "input_shape", "topology")
     if not isinstance(shape_doc, list) or not shape_doc:
@@ -269,7 +290,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
                 for bid, spec in branches_doc.items()}
 
     if scheme == "cascaded":
-        casc = _require(topo_doc, "cascade", "topology")
+        casc = _object(_require(topo_doc, "cascade", "topology"), "topology.cascade")
         _check_keys(casc, {"complex_branch", "lightweight_branch", "branch_dropout_p"},
                     "topology.cascade")
         cb = _require(casc, "complex_branch", "topology.cascade")
@@ -296,41 +317,31 @@ def parse_config(doc: dict) -> ExperimentConfig:
     devices = []
     for i, dd in enumerate(devices_doc):
         where = f"devices[{i}]"
-        if not isinstance(dd, dict):
-            raise ConfigError(f"{where} must be an object, got {dd!r}")
-        _check_keys(dd, {"id", "branch", "data_fraction", "rate", "replay_capacity",
-                         "optimizer"}, where)
+        _check_keys(_object(dd, where), {"id", "branch", "data_fraction", "rate",
+                                         "replay_capacity", "optimizer"}, where)
         _reject_other_task(dd, TASK_DEVICE_KEYS[other_task], where, task)
-        device_id = str(_require(dd, "id", where))
+        device_id = _device_id(_require(dd, "id", where), where)
         branch = _require(dd, "branch", where)
         if branch not in branches:
             raise ConfigError(f"{where}: unknown branch {branch!r}")
         if branch not in topology.branches:
             raise ConfigError(f"{where} ({device_id!r}): branch {branch!r} is not one of "
                               f"the cascade's branches {sorted(topology.branches)}")
-        optimizer = _parse_optimizer(dd.get("optimizer", {"algorithm": "sgd",
-                                                          "learning_rate": 0.01}),
-                                     f"{where}.optimizer")
-        rate = _real(dd.get("rate", 1.0), f"{where}.rate")
-        if not 0.0 < rate <= 1.0:
-            raise ConfigError(f"{where}: rate must be in (0, 1], got {rate}")
-        fraction = dd.get("data_fraction")
-        if fraction is not None:
-            fraction = _real(fraction, f"{where}.data_fraction")
-            if not 0.0 < fraction <= 1.0:
-                raise ConfigError(f"{where}.data_fraction must be in (0, 1], got {fraction}")
-        devices.append(DeviceConfig(
-            id=device_id, branch=branch, data_fraction=fraction, rate=rate,
-            replay_capacity=(_require_count(dd, "replay_capacity", where)
-                             if task == "rl" else None),
-            optimizer=optimizer))
+        given = {}  # the optional keys present; DeviceConfig holds the defaults
+        if "optimizer" in dd:
+            given["optimizer"] = _parse_optimizer(dd["optimizer"], f"{where}.optimizer")
+        for key in ("rate", "data_fraction"):
+            if key in dd:
+                given[key] = _fraction(dd[key], f"{where}.{key}")
+        if task == "rl":
+            given["replay_capacity"] = _require_count(dd, "replay_capacity", where)
+        devices.append(DeviceConfig(id=device_id, branch=branch, **given))
     if len({d.id for d in devices}) != len(devices):
         raise ConfigError("device ids must be unique")
 
-    coord_doc = doc.get("coordinator", {})
+    coord_doc = _object(doc.get("coordinator", {}), "coordinator")
     _check_keys(coord_doc, {"mode", "weighting"}, "coordinator")
-    coordinator = CoordinatorConfig(coord_doc.get("mode", "sync"),
-                                    coord_doc.get("weighting", "data-proportional"))
+    coordinator = CoordinatorConfig(**coord_doc)
     if coordinator.mode not in COORDINATOR_MODES:
         raise ConfigError(f"coordinator.mode must be one of {COORDINATOR_MODES}, "
                           f"got {coordinator.mode!r}")
@@ -340,12 +351,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     supervised = rl = data = environment = None
     if task == "supervised":
-        sup_doc = _require(doc, "supervised", "config")
-        _check_keys(sup_doc, {"rounds", "round_samples", "minibatch_size"}, "supervised")
-        supervised = SupervisedConfig(
-            rounds=_require_count(sup_doc, "rounds", "supervised"),
-            round_samples=_require_count(sup_doc, "round_samples", "supervised", 2000),
-            minibatch_size=_require_count(sup_doc, "minibatch_size", "supervised", 32))
+        supervised = _parse_counts_and_reals(
+            _object(_require(doc, "supervised", "config"), "supervised"), SupervisedConfig,
+            {"rounds": 1, "round_samples": 1, "minibatch_size": 1}, "supervised")
         data = _parse_data(_require(doc, "data", "config"))
         fractions = [d.data_fraction for d in devices]
         if any(f is None for f in fractions):
@@ -353,23 +361,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if abs(sum(fractions) - 1.0) > 1e-9:
             raise ConfigError(f"data fractions sum to {sum(fractions)}, expected 1")
     else:
-        rl_doc = _require(doc, "rl", "config")
-        _check_keys(rl_doc, {"total_steps", "sync_period", "gamma", "epsilon_start",
-                             "epsilon_end", "epsilon_decay_steps", "epsilon_test",
-                             "batch_size", "warmup_steps", "test_episodes"}, "rl")
-        warmup = rl_doc.get("warmup_steps")
-        rl = RlConfig(
-            total_steps=_require_count(rl_doc, "total_steps", "rl"),
-            sync_period=_require_count(rl_doc, "sync_period", "rl"),
-            gamma=_real(rl_doc.get("gamma", 0.99), "rl.gamma"),
-            epsilon_start=_real(rl_doc.get("epsilon_start", 1.0), "rl.epsilon_start"),
-            epsilon_end=_real(rl_doc.get("epsilon_end", 0.1), "rl.epsilon_end"),
-            epsilon_decay_steps=_require_count(rl_doc, "epsilon_decay_steps", "rl",
-                                               1_000_000, minimum=0),
-            epsilon_test=_real(rl_doc.get("epsilon_test", 0.02), "rl.epsilon_test"),
-            batch_size=_require_count(rl_doc, "batch_size", "rl", 32),
-            warmup_steps=None if warmup is None else _whole(warmup, "rl.warmup_steps", 0),
-            test_episodes=_require_count(rl_doc, "test_episodes", "rl", 1))
+        rl = _parse_counts_and_reals(
+            _object(_require(doc, "rl", "config"), "rl"), RlConfig,
+            {"total_steps": 1, "sync_period": 1, "batch_size": 1, "test_episodes": 1,
+             "epsilon_decay_steps": 0, "warmup_steps": 0}, "rl")
         if not 0.0 < rl.gamma < 1.0:
             raise ConfigError(f"rl.gamma must be in (0, 1), got {rl.gamma}")
         for key in ("epsilon_start", "epsilon_end", "epsilon_test"):

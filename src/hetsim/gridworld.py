@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-ACTIONS = ("up", "down", "left", "right")
 _MOVES = {0: (0, -1), 1: (0, 1), 2: (-1, 0), 3: (1, 0)}
 
 
@@ -54,10 +53,6 @@ class GridWorld:
         onehot = np.zeros(self.state_dim)
         onehot[cell[1] * self.width + cell[0]] = 1.0
         return onehot
-
-    @property
-    def current_cell(self):
-        return self._cell
 
     def reset(self) -> np.ndarray:
         self._cell = self.start

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -83,11 +84,13 @@ def _wire_coordinator(config: ExperimentConfig, devices: list[dict]):
 
 
 class _Run:
-    """One seed's devices, coordinator wiring, sync logging and checkpoints.
+    """One seed's devices, coordinator wiring, sync logging, run loop and checkpoints.
 
     Subclasses name their clock attribute (``CLOCK``) and the device key of
-    their learner (``LEARNER``), and build each device's learner in
-    :meth:`_make_learner`.
+    their learner (``LEARNER``), set the clock's last value (``end``), build
+    each device's learner in :meth:`_make_learner`, and define one tick of
+    the clock (``_tick``) and the rows written after the last one
+    (:meth:`finalize`).
     """
 
     CLOCK: str
@@ -118,6 +121,27 @@ class _Run:
         """The device's learner and the data size its merge weight uses."""
         raise NotImplementedError
 
+    def run(self, checkpoint_at: int | None = None, path=None) -> list[MetricsRow]:
+        """Tick the clock to ``end``, then :meth:`finalize`; return the rows.
+
+        With ``checkpoint_at``, the run is saved to ``path`` when its clock
+        reaches that value (at once if it is there already), and goes on.
+        """
+        if checkpoint_at is not None:
+            clock = getattr(self, self.CLOCK)
+            if not clock <= checkpoint_at <= self.end:
+                raise ValueError(f"cannot checkpoint at {self.CLOCK} {checkpoint_at}: the "
+                                 f"run is at {clock} and ends at {self.end}")
+            self._advance(checkpoint_at)
+            save_run_checkpoint(self, path)
+        self._advance(self.end)
+        self.finalize()
+        return self.rows
+
+    def _advance(self, until: int) -> None:
+        while getattr(self, self.CLOCK) < until:
+            self._tick()
+
     def _row(self, t: int, device: str, phase: str, metric: str, value: float):
         self.rows.append(MetricsRow(self.seed, t, device, phase, metric, value))
 
@@ -137,6 +161,7 @@ class _Run:
 
     def state_dict(self) -> dict:
         state = {"seed": self.seed, self.CLOCK: getattr(self, self.CLOCK),
+                 "rows": [astuple(row) for row in self.rows],
                  "devices": [{self.LEARNER: dev[self.LEARNER].state_dict(),
                               "endpoint": dev["endpoint"].state_dict()}
                              for dev in self.devices]}
@@ -157,7 +182,7 @@ class _Run:
         if self.coordinator is not None:
             self.coordinator.theta = state["coordinator"]["theta"].copy()
             self.coordinator.round_index = int(state["coordinator"]["round_index"])
-        self.rows = []
+        self.rows = [MetricsRow(*row) for row in state["rows"]]
 
 
 def _summarize(rows: list[MetricsRow], final_metric: str) -> dict:
@@ -205,6 +230,7 @@ class SupervisedRun(_Run):
     def __init__(self, config: ExperimentConfig, seed: int):
         if config.supervised is None:
             raise ValueError("config has no supervised section")
+        self.end = config.supervised.rounds
         pool, self.test_set = _load_supervised_data(config, seed)
         fractions = [d.data_fraction for d in config.devices]
         self.partition = partition_dataset(pool, fractions, child_seed(seed, "partition"))
@@ -234,6 +260,8 @@ class SupervisedRun(_Run):
             val_acc = dev["trainer"].validate_and_snapshot()
             self._row(self.round, dev["cfg"].id, "validation", "accuracy", val_acc)
 
+    _tick = play_round
+
     def finalize(self) -> None:
         """One test accuracy row per device, from its best-validation snapshot.
 
@@ -258,12 +286,6 @@ class SupervisedRun(_Run):
                                        flat=snap)
                 scored.append((net, bits, acc))
             self._row(self.round, dev["cfg"].id, "test", "accuracy", acc)
-
-    def run(self) -> list[MetricsRow]:
-        while self.round < self.config.supervised.rounds:
-            self.play_round()
-        self.finalize()
-        return self.rows
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +312,7 @@ class RlRun(_Run):
         if config.rl is None:
             raise ValueError("config has no rl section")
         rl = config.rl
+        self.end = rl.total_steps
         self.schedule = EpsilonSchedule(rl.epsilon_start, rl.epsilon_end,
                                         rl.epsilon_decay_steps, rl.epsilon_test)
         super().__init__(config, seed)
@@ -318,6 +341,11 @@ class RlRun(_Run):
         if self.step % self.config.rl.sync_period == 0:
             self._sync_event()
 
+    _tick = play_step
+
+    def finalize(self) -> None:
+        """Nothing: every RL row is written at a sync event."""
+
     def _sync_event(self) -> None:
         # test epoch first, then synchronization, then the target copy
         for dev in self.devices:
@@ -326,11 +354,6 @@ class RlRun(_Run):
         self._sync_and_log(self.step)
         for dev in self.devices:
             dev["learner"].copy_target()
-
-    def run(self) -> list[MetricsRow]:
-        while self.step < self.config.rl.total_steps:
-            self.play_step()
-        return self.rows
 
 
 # ---------------------------------------------------------------------------
@@ -362,16 +385,43 @@ def make_run(config: ExperimentConfig, seed: int):
     return SupervisedRun(config, seed) if config.task == "supervised" else RlRun(config, seed)
 
 
-def _run_seeds(config: ExperimentConfig, seeds: list[int]) -> dict[int, list[MetricsRow]]:
-    return {seed: make_run(config, seed).run() for seed in seeds}
+def save_run_checkpoint(run: _Run, path) -> None:
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    ckpt.save_checkpoint(path, run.state_dict(), ckpt.topology_hash(run.config.raw))
 
 
-def _run_all_seeds(config: ExperimentConfig, seeds: list[int]) -> dict[int, list[MetricsRow]]:
+def load_run_checkpoint(config: ExperimentConfig, seed: int, path) -> _Run:
+    state = ckpt.load_checkpoint(path, ckpt.topology_hash(config.raw))
+    run = make_run(config, seed)
+    run.load_state_dict(state)
+    return run
+
+
+def _checkpoint_path(run_dir, seed: int) -> Path:
+    return Path(run_dir) / "checkpoints" / f"seed-{seed}.ckpt"
+
+
+def _run_seed(config: ExperimentConfig, seed: int, checkpoint_at: int | None,
+              out_dir, resume) -> list[MetricsRow]:
+    run = (make_run(config, seed) if resume is None else
+           load_run_checkpoint(config, seed, _checkpoint_path(resume, seed)))
+    path = None if checkpoint_at is None else _checkpoint_path(out_dir, seed)
+    return run.run(checkpoint_at, path)
+
+
+def _run_seeds(config: ExperimentConfig, seeds: list[int],
+               *checkpointing) -> dict[int, list[MetricsRow]]:
+    # one seed's run is freed before the next one is built
+    return {seed: _run_seed(config, seed, *checkpointing) for seed in seeds}
+
+
+def _run_all_seeds(config: ExperimentConfig, seeds: list[int],
+                   *checkpointing) -> dict[int, list[MetricsRow]]:
     """Every seed's rows, the seeds split over ``min(seeds, usable CPUs)`` processes.
 
     This process runs ``seeds[0::k]``; forked worker ``j`` runs ``seeds[j::k]``.
     A worker's exception is re-raised here; a worker that dies raises
-    ``BrokenProcessPool``.
+    ``BrokenProcessPool``. ``checkpointing`` is passed on to :func:`_run_seed`.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -379,7 +429,7 @@ def _run_all_seeds(config: ExperimentConfig, seeds: list[int]) -> dict[int, list
         cpus = 1
     k = min(len(seeds), cpus)
     if k == 1:
-        return _run_seeds(config, seeds)
+        return _run_seeds(config, seeds, *checkpointing)
     # imported here: make_run and sequential runs never pay for the pool modules
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -387,17 +437,29 @@ def _run_all_seeds(config: ExperimentConfig, seeds: list[int]) -> dict[int, list
     # fork: workers start without importing numpy and hetsim again, which
     # spawn would do on every call
     with ProcessPoolExecutor(k - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(_run_seeds, config, seeds[j::k]) for j in range(1, k)]
-        by_seed = _run_seeds(config, seeds[0::k])
+        futures = [pool.submit(_run_seeds, config, seeds[j::k], *checkpointing)
+                   for j in range(1, k)]
+        by_seed = _run_seeds(config, seeds[0::k], *checkpointing)
         for future in futures:
             by_seed.update(future.result())
     return by_seed
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None, seed_offset: int = 0) -> dict:
-    """Run every seed, write metrics and the aggregated companion, return a summary."""
+def run_experiment(config: ExperimentConfig, out_dir=None, seed_offset: int = 0,
+                   checkpoint_at: int | None = None, resume=None) -> dict:
+    """Run every seed, write metrics and the aggregated companion, return a summary.
+
+    With ``checkpoint_at``, each seed's run is saved to
+    ``out_dir/checkpoints/seed-<s>.ckpt`` when its round (supervised) or
+    step (RL) reaches that value, and then runs on. With ``resume``, each
+    seed starts from ``resume/checkpoints/seed-<s>.ckpt``; the checkpoint
+    holds the rows written before it, so the output files are those of a
+    run that was never stopped.
+    """
+    if checkpoint_at is not None and out_dir is None:
+        raise ValueError("checkpoints are written under out_dir; none was given")
     seeds = [s + seed_offset for s in config.seeds]
-    by_seed = _run_all_seeds(config, seeds)
+    by_seed = _run_all_seeds(config, seeds, checkpoint_at, out_dir, resume)
     rows = [row for seed in seeds for row in by_seed[seed]]
     final_metric = "accuracy" if config.task == "supervised" else "reward"
     summary = {
@@ -415,22 +477,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed_offset: int = 0)
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return summary
-
-
-def save_run_checkpoint(run, path) -> None:
-    payload = {"kind": run.__class__.__name__, "state": run.state_dict()}
-    ckpt.save_checkpoint(path, payload, ckpt.topology_hash(run.config.raw))
-
-
-def load_run_checkpoint(config: ExperimentConfig, seed: int, path):
-    payload = ckpt.load_checkpoint(path, ckpt.topology_hash(config.raw))
-    run = make_run(config, seed)
-    if payload["kind"] != run.__class__.__name__:
-        raise ckpt.CheckpointError(
-            f"checkpoint holds a {payload['kind']}, config builds a "
-            f"{run.__class__.__name__}")
-    run.load_state_dict(payload["state"])
-    return run
 
 
 def describe(config: ExperimentConfig) -> str:

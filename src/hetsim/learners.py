@@ -45,7 +45,7 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._size
 
-    def _write(self, i: int, state, action, reward, next_state, terminal) -> None:
+    def add(self, state, action, reward, next_state, terminal) -> None:
         state, next_state = np.asarray(state), np.asarray(next_state)
         if self._fields is None:
             rows = (self.capacity, *state.shape)
@@ -56,14 +56,12 @@ class ReplayBuffer:
         if state.shape != states.shape[1:] or next_state.shape != states.shape[1:]:
             raise ValueError(f"transition states of shape {state.shape} and "
                              f"{next_state.shape}; the buffer holds {states.shape[1:]}")
+        i = self._next
         states[i] = state
         actions[i] = int(action)
         rewards[i] = float(reward)
         next_states[i] = next_state
         terminals[i] = bool(terminal)
-
-    def add(self, state, action, reward, next_state, terminal) -> None:
-        self._write(self._next, state, action, reward, next_state, terminal)
         self._next = (self._next + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -76,21 +74,15 @@ class ReplayBuffer:
         return tuple(field[idx] for field in self._fields)
 
     def state_dict(self) -> dict:
-        """``slots`` holds one (state, action, reward, next_state, terminal)
-        tuple per filled slot and None for the rest."""
-        slots: list = [None] * self.capacity
-        for i in range(self._size):
-            s, a, r, ns, t = (field[i] for field in self._fields)
-            slots[i] = (s.copy(), int(a), float(r), ns.copy(), bool(t))
-        return {"slots": slots, "next": self._next, "size": self._size}
+        """``fields``: copies of the five field arrays, or None before the first insert."""
+        fields = None if self._fields is None else [f.copy() for f in self._fields]
+        return {"fields": fields, "next": self._next, "size": self._size}
 
     def load_state_dict(self, state: dict) -> None:
-        if len(state["slots"]) != self.capacity:
+        fields = state["fields"]
+        if fields is not None and len(fields[0]) != self.capacity:
             raise ValueError("replay capacity mismatch")
-        self._fields = None
-        for i, slot in enumerate(state["slots"]):
-            if slot is not None:
-                self._write(i, *slot)
+        self._fields = None if fields is None else tuple(f.copy() for f in fields)
         self._next = int(state["next"])
         self._size = int(state["size"])
 
@@ -131,14 +123,6 @@ def explore_action(epsilon: float, n_actions: int, rng: np.random.Generator) -> 
 def greedy_action(q_values: np.ndarray) -> int:
     """Argmax over the Q-values; the lowest index wins ties."""
     return int(np.argmax(q_values))
-
-
-def epsilon_greedy_action(q_values: np.ndarray, epsilon: float,
-                          rng: np.random.Generator) -> int:
-    """Uniform action with probability epsilon, else argmax (lowest index wins ties)."""
-    q_values = np.asarray(q_values).reshape(-1)
-    action = explore_action(epsilon, q_values.size, rng)
-    return greedy_action(q_values) if action is None else action
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +175,6 @@ class DdqlLearner:
         self.warmup_steps = max(warmup_steps, batch_size)
         self.steps = 0  # device-local interaction count
         self._state = None
-        self.episode_returns: list[float] = []
-        self._episode_return = 0.0
 
     # -- acting --------------------------------------------------------------
 
@@ -203,11 +185,10 @@ class DdqlLearner:
         """Epsilon-greedy action for ``state``.
 
         The explore draw comes first, and the network runs only when the
-        step exploits, so an exploring step reads no Q-values. The draws
-        and actions are those of :func:`epsilon_greedy_action` on the
-        state's Q-row. A non-finite network therefore raises
-        :class:`NonFiniteError` at the first greedy act, not at an
-        exploring one (``train_batch`` reads Q on every warm step).
+        step exploits, so an exploring step reads no Q-values. A non-finite
+        network therefore raises :class:`NonFiniteError` at the first greedy
+        act, not at an exploring one (``train_batch`` reads Q on every warm
+        step).
         """
         action = explore_action(epsilon, self.n_actions, self.act_rng)
         if action is None:
@@ -234,7 +215,7 @@ class DdqlLearner:
         self.optimizer.step(self.store.flat, grads.flat)
         return float(losses.sum() / n)  # np.mean's own sum and division
 
-    def interact(self) -> dict:
+    def interact(self) -> None:
         """One environment interaction plus one training minibatch when warm."""
         if self._state is None:
             self._state = self.env.reset()
@@ -242,17 +223,10 @@ class DdqlLearner:
         action = self.act(self._state, eps)
         next_state, reward, done = self.env.step(action)
         self.replay.add(self._state, action, reward, next_state, done)
-        self._episode_return += reward
         self._state = None if done else next_state
-        if done:
-            self.episode_returns.append(self._episode_return)
-            self._episode_return = 0.0
         self.steps += 1
-        metrics = {"epsilon": eps}
         if len(self.replay) >= self.warmup_steps:
-            metrics["loss"] = self.train_batch(*self.replay.sample(self.replay_rng,
-                                                                   self.batch_size))
-        return metrics
+            self.train_batch(*self.replay.sample(self.replay_rng, self.batch_size))
 
     # -- evaluation & synchronization -----------------------------------------
 
@@ -303,8 +277,6 @@ class DdqlLearner:
             "replay": self.replay.state_dict(),
             "steps": self.steps,
             "state": None if self._state is None else np.asarray(self._state),
-            "episode_return": self._episode_return,
-            "episode_returns": list(self.episode_returns),
             "act_rng": self.act_rng.bit_generator.state,
             "replay_rng": self.replay_rng.bit_generator.state,
             "eval_rng": self.eval_rng.bit_generator.state,
@@ -319,8 +291,6 @@ class DdqlLearner:
         self.replay.load_state_dict(state["replay"])
         self.steps = int(state["steps"])
         self._state = None if state["state"] is None else np.asarray(state["state"])
-        self._episode_return = float(state["episode_return"])
-        self.episode_returns = list(state["episode_returns"])
         self.act_rng.bit_generator.state = state["act_rng"]
         self.replay_rng.bit_generator.state = state["replay_rng"]
         self.eval_rng.bit_generator.state = state["eval_rng"]

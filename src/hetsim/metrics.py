@@ -1,4 +1,4 @@
-"""Metrics rows, CSV persistence, aggregation and smoothing."""
+"""Metrics rows, CSV persistence and aggregation across seeds."""
 from __future__ import annotations
 
 import csv
@@ -72,15 +72,3 @@ def write_aggregated_csv(rows: list[MetricsRow], path) -> None:
         for g in aggregate_rows(rows):
             fh.write(f"{g['round']},{g['device']},{g['phase']},{g['metric']},"
                      f"{_fmt(g['median'])},{_fmt(g['min'])},{_fmt(g['max'])}\n")
-
-
-def sliding_window(values, window: int) -> np.ndarray:
-    """Trailing mean over at most ``window`` entries; constants stay constant."""
-    if window < 1:
-        raise ValueError("window must be positive")
-    values = np.asarray(values, dtype=np.float64)
-    out = np.empty_like(values)
-    for i in range(values.size):
-        lo = max(0, i - window + 1)
-        out[i] = values[lo:i + 1].mean()
-    return out

@@ -1,4 +1,4 @@
-"""Minimal neural-network engine: layers, losses, optimizers, grad checks."""
+"""Minimal neural-network engine: layers, losses, optimizers."""
 
 from .layers import (
     BranchDropout,
@@ -18,7 +18,7 @@ from .layers import (
     output_shape,
     param_shapes,
 )
-from .losses import clamp_warning_count, cross_entropy, huber, reset_clamp_warnings
+from .losses import cross_entropy, huber
 from .network import (
     ChainCache,
     NonFiniteError,
@@ -30,16 +30,14 @@ from .network import (
     make_keyed,
 )
 from .optim import Adam, Optimizer, RmsProp, Sgd, make_optimizer
-from .params import LayerKey, ParamKey, ParamStore, from_flat
-from .gradcheck import GradCheckReport, finite_diff_check
+from .params import LayerKey, ParamKey, ParamStore
 
 __all__ = [
     "Adam", "BranchDropout", "ChainCache", "Conv2D", "Dense", "Dropout",
-    "Flatten", "GradCheckReport", "Layer", "LayerKey", "MaxPool2D", "NonFiniteError",
+    "Flatten", "Layer", "LayerKey", "MaxPool2D", "NonFiniteError",
     "Optimizer", "ParamKey", "ParamStore", "ReLU", "RmsProp", "Sgd", "ShapeError",
-    "Softmax", "backward_chain", "build_layout", "chain_shapes", "clamp_warning_count",
+    "Softmax", "backward_chain", "build_layout", "chain_shapes",
     "count_operations", "count_parameters", "cross_entropy", "ensure_finite",
-    "finite_diff_check", "forward_chain", "from_flat", "huber", "init_chain_params",
+    "forward_chain", "huber", "init_chain_params",
     "layer_from_dict", "make_keyed", "make_optimizer", "output_shape", "param_shapes",
-    "reset_clamp_warnings",
 ]

@@ -10,22 +10,6 @@ import numpy as np
 
 from .network import ensure_finite
 
-_clamp_warnings = 0
-
-
-def clamp_warning_count() -> int:
-    """How many times a predicted probability had to be clamped so far.
-
-    The count is this process's only: clamps in seeds that
-    ``run_experiment`` ran in a forked worker process are not included.
-    """
-    return _clamp_warnings
-
-
-def reset_clamp_warnings() -> None:
-    global _clamp_warnings
-    _clamp_warnings = 0
-
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean negative log-likelihood and its gradient w.r.t. the logits.
@@ -33,10 +17,9 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndar
     ``probs`` must be softmax outputs, shape (N, C); ``labels`` integer class
     indices, shape (N,). The returned gradient is (probs - onehot) / N, valid
     at the input of the final softmax. Zero predicted probabilities are
-    clamped to 1e-12 and counted, not raised. An empty batch raises
+    clamped to 1e-12, not raised. An empty batch raises
     ``ValueError``.
     """
-    global _clamp_warnings
     probs = np.atleast_2d(np.asarray(probs))
     labels = np.atleast_1d(np.asarray(labels, dtype=np.intp))
     n, c = probs.shape
@@ -53,7 +36,6 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndar
     rows = np.arange(n)
     picked = probs[rows, labels]
     if picked.min() < 1e-12:  # rows sum to 1, so no NaN reaches here
-        _clamp_warnings += int((picked < 1e-12).sum())
         picked = np.maximum(picked, 1e-12)
     loss = float(-(np.log(picked).sum() / n))  # the bits of -log(picked).mean()
     dlogits = probs.copy()

@@ -152,9 +152,3 @@ class ParamStore:
 
     def __repr__(self) -> str:
         return f"ParamStore({len(self._layout)} tensors, {self._size} scalars, {self._dtype})"
-
-
-def from_flat(layout: list[tuple[ParamKey, tuple[int, ...]]], vec: np.ndarray,
-              dtype=np.float64) -> ParamStore:
-    """Rebuild a store from its canonical flat vector (inverse of flatten)."""
-    return ParamStore(layout, dtype, flat=vec)

@@ -216,10 +216,6 @@ class DeviceNetwork:
             init_chain_params(keyed, shape, store, rng)
         return store
 
-    @property
-    def layout(self):
-        return list(self._layout)
-
     def count_params(self) -> int:
         return self.partition.total_len
 

@@ -1,4 +1,5 @@
-"""Central-difference gradient verification.
+"""Central-difference gradient verification: the test oracle for every
+layer's backward pass.
 
 The numeric side only ever calls the forward pass, so it stays independent
 of the backward implementations it is checking. Stochastic layers are
@@ -11,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import cross_entropy
-from .network import KeyedLayer, backward_chain, forward_chain
-from .layers import Softmax
-from .params import ParamKey, ParamStore
+from hetsim.nn.layers import Softmax
+from hetsim.nn.losses import cross_entropy
+from hetsim.nn.network import KeyedLayer, backward_chain, forward_chain
+from hetsim.nn.params import ParamKey, ParamStore
 
 
 def _labels_for(out: np.ndarray, label) -> np.ndarray:

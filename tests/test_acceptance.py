@@ -25,7 +25,6 @@ from hetsim.nn import (
     Sgd,
     Softmax,
     cross_entropy,
-    finite_diff_check,
     forward_chain,
     init_chain_params,
     make_keyed,
@@ -42,6 +41,8 @@ from hetsim.protocol import (
 )
 from hetsim.topology import DeviceNetwork, build_cascaded, build_share_first
 from hetsim.harness import full_share_network
+
+from gradcheck import finite_diff_check
 
 
 def _report(num, ok, started, detail):

@@ -17,7 +17,6 @@ from hetsim.nn import (
     Softmax,
     backward_chain,
     build_layout,
-    finite_diff_check,
     forward_chain,
     init_chain_params,
     make_keyed,
@@ -26,6 +25,8 @@ from hetsim.nn.network import ChainPlan
 from hetsim.nn.params import ParamStore
 from hetsim import topology as topo
 from hetsim.nn.losses import cross_entropy
+
+from gradcheck import finite_diff_check
 
 H = 1e-3
 TOL = 1e-4

@@ -61,8 +61,8 @@ def test_goal_adjacent_step_terminates_with_reward():
 def test_wall_clamp_keeps_cell_and_pays_penalty():
     env = GridWorld()
     env.reset()
-    _, reward, done = env.step(0)  # up from the top edge
-    assert env.current_cell == (0, 0)
+    state, reward, done = env.step(0)  # up from the top edge
+    np.testing.assert_array_equal(state, env.encode((0, 0)))
     assert reward == pytest.approx(-0.01)
     assert not done
 
@@ -101,7 +101,7 @@ def test_deterministic_trajectories_with_zero_slip():
         out = []
         for a in actions:
             s, r, d = env.step(a)
-            out.append((env.current_cell, r, d))
+            out.append((int(s.argmax()), r, d))
             if d:
                 break
         return out
@@ -114,8 +114,8 @@ def test_slip_changes_trajectories_but_stays_seeded():
         env.reset()
         cells = []
         for _ in range(20):
-            _, _, done = env.step(3)
-            cells.append(env.current_cell)
+            state, _, done = env.step(3)
+            cells.append(int(state.argmax()))
             if done:
                 break
         return cells

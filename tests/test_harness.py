@@ -2,6 +2,7 @@
 CSV formats, seeds in worker processes, and the CLI surface."""
 import json
 import os
+import re
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -9,7 +10,13 @@ import pytest
 
 from hetsim import metrics
 from hetsim.cli import main as cli_main
-from hetsim.config import ConfigError, load_config, parse_config
+from hetsim.config import (
+    ConfigError,
+    CoordinatorConfig,
+    RlConfig,
+    load_config,
+    parse_config,
+)
 from hetsim.harness import (
     RlRun,
     SupervisedRun,
@@ -27,7 +34,6 @@ from hetsim.metrics import (
     MetricsRow,
     aggregate_rows,
     read_csv,
-    sliding_window,
     write_aggregated_csv,
     write_csv,
 )
@@ -209,6 +215,48 @@ def test_other_tasks_sections_and_device_keys_rejected(make_doc, path, value):
     doc = _set(make_doc(), path, value)
     with pytest.raises(ConfigError, match=f"'{path[-1]}'.* do not apply to a {doc['task']}"):
         parse_config(doc)
+
+
+@pytest.mark.parametrize("make_doc,path,value", [
+    (tiny_supervised_doc, ("coordinator",), 5),
+    (tiny_supervised_doc, ("coordinator",), ["mode"]),
+    (tiny_supervised_doc, ("coordinator",), None),
+    (tiny_supervised_doc, ("topology",), 5),
+    (tiny_supervised_doc, ("topology", "cascade"), 5),
+    (tiny_supervised_doc, ("supervised",), 5),
+    (tiny_supervised_doc, ("data",), [1]),
+    (tiny_supervised_doc, ("devices", 0), "powerful"),
+    (tiny_supervised_doc, ("devices", 0, "optimizer"), "sgd"),
+    (tiny_rl_doc, ("rl",), 5),
+    (tiny_rl_doc, ("environment",), "gridworld"),
+])
+def test_non_object_sections_rejected(make_doc, path, value):
+    where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
+    with pytest.raises(ConfigError, match=re.escape(f"{where} must be an object")):
+        parse_config(_set(make_doc(), path, value))
+
+
+def test_a_non_object_config_rejected():
+    with pytest.raises(ConfigError, match="config must be an object"):
+        parse_config([tiny_supervised_doc()])
+
+
+@pytest.mark.parametrize("make_doc", [tiny_supervised_doc, tiny_rl_doc])
+@pytest.mark.parametrize("device_id", ["weak,x", "weak\nx", "weak\rx", "", [1], 1, None])
+def test_device_ids_that_metrics_csv_cannot_hold_rejected(make_doc, device_id):
+    doc = _set(make_doc(), ("devices", 1, "id"), device_id)
+    with pytest.raises(ConfigError, match=r"devices\[1\]\.id must be a non-empty string"):
+        parse_config(doc)
+
+
+def test_omitted_optional_keys_take_the_dataclass_defaults():
+    doc = tiny_rl_doc()
+    del doc["coordinator"], doc["devices"][0]["optimizer"], doc["rl"]["epsilon_decay_steps"]
+    config = parse_config(doc)
+    assert config.coordinator == CoordinatorConfig()
+    assert config.devices[0].optimizer == {"algorithm": "sgd", "learning_rate": 0.01}
+    assert config.devices[0].rate == 1.0
+    assert config.rl.epsilon_decay_steps == RlConfig(1, 1).epsilon_decay_steps
 
 
 def test_cascaded_device_must_use_a_cascade_branch():
@@ -502,10 +550,10 @@ def test_worker_exception_reraised_with_its_type_and_message(
     caller = os.getpid()
     real_run = run_cls.run
 
-    def run(self):
+    def run(self, *args):
         if os.getpid() != caller:
             raise error(f"seed {self.seed} failed in a worker")
-        return real_run(self)
+        return real_run(self, *args)
 
     monkeypatch.setattr(run_cls, "run", run)
     _usable_cpus(monkeypatch, 2)
@@ -517,10 +565,10 @@ def test_worker_that_dies_is_an_error_not_missing_rows(tmp_path, monkeypatch):
     caller = os.getpid()
     real_run = SupervisedRun.run
 
-    def run(self):
+    def run(self, *args):
         if os.getpid() != caller:
             os._exit(3)
-        return real_run(self)
+        return real_run(self, *args)
 
     monkeypatch.setattr(SupervisedRun, "run", run)
     _usable_cpus(monkeypatch, 2)
@@ -531,10 +579,6 @@ def test_worker_that_dies_is_an_error_not_missing_rows(tmp_path, monkeypatch):
 
 # -- checkpointing ----------------------------------------------------------------
 
-def _rows_after(rows, cutoff):
-    return [r for r in rows if r.round > cutoff]
-
-
 def test_supervised_checkpoint_resume_bit_identical(tmp_path):
     doc = tiny_supervised_doc()
     doc["supervised"]["rounds"] = 6
@@ -543,15 +587,11 @@ def test_supervised_checkpoint_resume_bit_identical(tmp_path):
     straight = make_run(config, 7)
     straight_rows = straight.run()
 
-    partial = make_run(config, 7)
-    while partial.round < 3:
-        partial.play_round()
     path = tmp_path / "run.ckpt"
-    save_run_checkpoint(partial, path)
-
+    assert make_run(config, 7).run(checkpoint_at=3, path=path) == straight_rows
     resumed = load_run_checkpoint(config, 7, path)
-    resumed_rows = resumed.run()
-    assert resumed_rows == _rows_after(straight_rows, 3)
+    assert resumed.round == 3
+    assert resumed.run() == straight_rows
     for a, b in zip(resumed.devices, straight.devices):
         np.testing.assert_array_equal(a["store"].flat, b["store"].flat)
 
@@ -562,14 +602,11 @@ def test_rl_checkpoint_resume_bit_identical(tmp_path):
     straight_rows = straight.run()
 
     # between sync events, so the target net differs from the online net
-    partial = make_run(config, 3)
-    while partial.step < 50:
-        partial.play_step()
     path = tmp_path / "run.ckpt"
-    save_run_checkpoint(partial, path)
+    assert make_run(config, 3).run(checkpoint_at=50, path=path) == straight_rows
     resumed = load_run_checkpoint(config, 3, path)
-    resumed_rows = resumed.run()
-    assert resumed_rows == _rows_after(straight_rows, 50)
+    assert resumed.step == 50
+    assert resumed.run() == straight_rows
     # the rows of this short run barely depend on training, so compare the
     # parameters the resumed optimizer state and target net produced
     for a, b in zip(resumed.devices, straight.devices):
@@ -578,13 +615,22 @@ def test_rl_checkpoint_resume_bit_identical(tmp_path):
                                       b["learner"].target_store.flat)
 
 
-def test_checkpoint_at_round_zero_equals_fresh_run(tmp_path):
+@pytest.mark.parametrize("make_doc,seed", [(tiny_supervised_doc, 7), (tiny_rl_doc, 3)])
+def test_checkpoint_at_the_start_and_the_end_equals_a_fresh_run(tmp_path, make_doc, seed):
+    config = parse_config(make_doc())
+    straight = make_run(config, seed).run()
+    for at in (0, make_run(config, seed).end):
+        path = tmp_path / f"{at}.ckpt"
+        make_run(config, seed).run(checkpoint_at=at, path=path)
+        assert load_run_checkpoint(config, seed, path).run() == straight
+
+
+def test_checkpoint_before_the_resumed_clock_rejected(tmp_path):
     config = parse_config(tiny_supervised_doc())
-    fresh = make_run(config, 7)
-    path = tmp_path / "zero.ckpt"
-    save_run_checkpoint(fresh, path)
-    resumed = load_run_checkpoint(config, 7, path)
-    assert resumed.run() == make_run(config, 7).run()
+    make_run(config, 7).run(checkpoint_at=2, path=tmp_path / "run.ckpt")
+    resumed = load_run_checkpoint(config, 7, tmp_path / "run.ckpt")
+    with pytest.raises(ValueError, match="the run is at 2"):
+        resumed.run(checkpoint_at=1, path=tmp_path / "early.ckpt")
 
 
 def test_checkpoint_topology_mismatch_rejected(tmp_path):
@@ -607,6 +653,17 @@ def test_corrupt_checkpoint_rejected(tmp_path):
     blob[-1] ^= 0xFF
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="corrupt"):
+        load_run_checkpoint(config, 7, path)
+
+
+def test_version_1_checkpoint_rejected_by_version(tmp_path):
+    config = parse_config(tiny_supervised_doc())
+    path = tmp_path / "v1.ckpt"
+    save_run_checkpoint(make_run(config, 7), path)
+    blob = bytearray(path.read_bytes())
+    blob[4:8] = (1).to_bytes(4, "little")  # the u32 version after the magic
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="checkpoint version 1, expected 2"):
         load_run_checkpoint(config, 7, path)
 
 
@@ -678,16 +735,6 @@ def test_aggregated_csv_matches_naive_recomputation(tmp_path):
         assert float(lo) == min(values) and float(hi) == max(values)
 
 
-def test_sliding_window_constant_fixed_point():
-    series = np.full(100, 3.25)
-    np.testing.assert_array_equal(sliding_window(series, 25), series)
-
-
-def test_sliding_window_trailing_mean():
-    out = sliding_window([0.0, 1.0, 2.0, 3.0], 2)
-    np.testing.assert_allclose(out, [0.0, 0.5, 1.5, 2.5])
-
-
 # -- describe and CLI -------------------------------------------------------------
 
 def test_describe_reports_parameters_and_split():
@@ -716,23 +763,37 @@ def test_cli_describe_and_run_and_aggregate(tmp_path, capsys):
         "round,device,phase,metric,median,min,max"
 
 
-def test_cli_checkpoint_roundtrip(tmp_path, capsys):
-    doc = tiny_supervised_doc()
-    doc["supervised"]["rounds"] = 4
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("make_doc,seeds,at", [(tiny_supervised_doc, (7, 8), 2),
+                                               (tiny_rl_doc, (3, 4), 50)])
+def test_cli_checkpoint_and_resume_give_the_straight_run_files(
+        tmp_path, monkeypatch, capsys, make_doc, seeds, at, cpus):
     conf_path = tmp_path / "conf.json"
-    conf_path.write_text(json.dumps(doc))
-    ckpt = tmp_path / "run.ckpt"
-    assert cli_main(["run", str(conf_path), "--checkpoint", str(ckpt),
-                     "--checkpoint-round", "2", "--out", str(tmp_path / "o1")]) == 0
+    conf_path.write_text(json.dumps(make_doc(seeds=seeds)))
+    _usable_cpus(monkeypatch, cpus)
+    first, resumed, straight = (str(tmp_path / name) for name in ("first", "resumed",
+                                                                  "straight"))
+    assert cli_main(["run", str(conf_path), "--out", straight]) == 0
+    assert cli_main(["run", str(conf_path), "--checkpoint-at", str(at),
+                     "--out", first]) == 0
+    assert sorted(os.listdir(tmp_path / "first" / "checkpoints")) == [
+        f"seed-{s}.ckpt" for s in seeds]
+    assert cli_main(["run", str(conf_path), "--resume", first, "--out", resumed]) == 0
     capsys.readouterr()
-    assert ckpt.exists()
-    assert cli_main(["run", str(conf_path), "--resume", str(ckpt),
-                     "--out", str(tmp_path / "o2")]) == 0
-    capsys.readouterr()
-    resumed = read_csv(tmp_path / "o2" / "metrics.csv")
-    config = parse_config(doc)
-    straight = make_run(config, 7).run()
-    assert resumed == [r for r in straight if r.round > 2]
+    for name in OUTPUT_FILES:
+        want = (tmp_path / "straight" / name).read_bytes()
+        assert (tmp_path / "first" / name).read_bytes() == want, name
+        assert (tmp_path / "resumed" / name).read_bytes() == want, name
+
+
+@pytest.mark.parametrize("at", ["-1", "4"])
+def test_cli_checkpoint_outside_the_run_rejected(tmp_path, capsys, at):
+    conf_path = tmp_path / "conf.json"
+    conf_path.write_text(json.dumps(tiny_supervised_doc()))  # 3 rounds
+    with pytest.raises(ValueError, match=f"cannot checkpoint at round {at}"):
+        cli_main(["run", str(conf_path), "--checkpoint-at", at,
+                  "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
 
 
 def test_shipped_example_configs_parse():

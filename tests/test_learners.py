@@ -13,7 +13,8 @@ from hetsim.learners import (
     ReplayBuffer,
     SupervisedTrainer,
     ddql_targets,
-    epsilon_greedy_action,
+    explore_action,
+    greedy_action,
 )
 from hetsim.nn import Adam, RmsProp, Sgd
 from hetsim.nn import network as network_module
@@ -29,7 +30,7 @@ def test_replay_never_exceeds_capacity_and_drops_oldest():
     for i in range(8):
         buf.add(np.array([i]), 0, float(i), np.array([i + 1]), False)
     assert len(buf) == 5
-    kept = sorted(slot[2] for slot in buf.state_dict()["slots"])
+    kept = sorted(buf.state_dict()["fields"][2].tolist())
     assert kept == [3.0, 4.0, 5.0, 6.0, 7.0]  # the oldest 3 are gone
 
 
@@ -41,7 +42,7 @@ def test_replay_ring_property(capacity, n_adds):
         buf.add(np.zeros(1), 0, float(i), np.zeros(1), False)
     assert len(buf) == min(capacity, n_adds)
     if n_adds > capacity:
-        rewards = {slot[2] for slot in buf.state_dict()["slots"]}
+        rewards = set(buf.state_dict()["fields"][2].tolist())
         assert rewards == set(float(i) for i in range(n_adds - capacity, n_adds))
 
 
@@ -102,13 +103,15 @@ def test_replay_state_dict_round_trip(n_adds):
         buf.add(np.array([i, -i], dtype=np.float64), i, float(i), np.array([i + 1, 0.0]),
                 i % 2 == 0)
     state = buf.state_dict()
-    assert len(state["slots"]) == 5
-    assert sum(slot is not None for slot in state["slots"]) == min(n_adds, 5)
+    assert state["size"] == min(n_adds, 5)
+    assert (state["fields"] is None) == (n_adds == 0)
     again = ReplayBuffer(capacity=5)
     again.load_state_dict(state)
     assert len(again) == len(buf)
-    for a, b in zip(again.state_dict()["slots"], state["slots"]):
-        assert (a is None and b is None) or all(np.array_equal(x, y) for x, y in zip(a, b))
+    if n_adds:
+        assert all(len(f) == 5 for f in state["fields"])
+        for a, b in zip(again.state_dict()["fields"], state["fields"]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
     if n_adds >= 2:  # both sample the same rows from the same stream
         for x, y in zip(buf.sample(np.random.default_rng(4), 2),
                         again.sample(np.random.default_rng(4), 2)):
@@ -138,10 +141,17 @@ def test_epsilon_piecewise_linear_and_non_increasing():
     assert np.allclose(diffs, diffs[0])
 
 
+def _epsilon_greedy(q_values, epsilon, rng):
+    """The epsilon-greedy rule on one Q-row: a uniform action with
+    probability epsilon, else the argmax."""
+    action = explore_action(epsilon, q_values.size, rng)
+    return greedy_action(q_values) if action is None else action
+
+
 def test_greedy_action_argmax_and_tie_break():
     rng = np.random.default_rng(0)
-    assert epsilon_greedy_action(np.array([1.0, 3.0, 2.0]), 0.0, rng) == 1
-    assert epsilon_greedy_action(np.array([2.0, 2.0]), 0.0, rng) == 0  # lowest index
+    assert _epsilon_greedy(np.array([1.0, 3.0, 2.0]), 0.0, rng) == 1
+    assert _epsilon_greedy(np.array([2.0, 2.0]), 0.0, rng) == 0  # lowest index
 
 
 def test_epsilon_one_is_uniform_within_3_sigma():
@@ -149,7 +159,7 @@ def test_epsilon_one_is_uniform_within_3_sigma():
     counts = np.zeros(4)
     n = 10_000
     for _ in range(n):
-        counts[epsilon_greedy_action(np.zeros(4), 1.0, rng)] += 1
+        counts[_epsilon_greedy(np.zeros(4), 1.0, rng)] += 1
     p = 1 / 4
     sigma = np.sqrt(n * p * (1 - p))
     assert np.all(np.abs(counts - n * p) < 3 * sigma)
@@ -299,7 +309,7 @@ def _reference_test_epoch(learner, episodes, max_steps=None):
         steps = 0
         while not done:
             q = learner.q_of(learner.store, state[None])[0]
-            action = epsilon_greedy_action(q, learner.schedule.test, learner.eval_rng)
+            action = _epsilon_greedy(q, learner.schedule.test, learner.eval_rng)
             state, reward, done = learner.eval_env.step(action)
             ep += reward
             steps += 1
@@ -342,9 +352,9 @@ def test_test_epoch_passes_each_state_once_and_returns_what_a_pass_per_step_does
 
 
 def _reference_act(learner, state, epsilon):
-    """Acting as a forward pass, then epsilon_greedy_action on the Q-row."""
+    """Acting as a forward pass, then the epsilon-greedy rule on the Q-row."""
     q = learner.q_of(learner.store, state[None])[0]
-    return epsilon_greedy_action(q, epsilon, learner.act_rng)
+    return _epsilon_greedy(q, epsilon, learner.act_rng)
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0, None])  # None: decaying
@@ -385,7 +395,7 @@ def test_act_runs_the_network_only_on_exploit_steps_and_acts_as_before(
     assert got == want
     assert learner.act_rng.bit_generator.state == reference.act_rng.bit_generator.state
     assert learner.store.flat.tobytes() == reference.store.flat.tobytes()
-    assert learner.episode_returns == reference.episode_returns
+    assert learner.env.state_dict() == reference.env.state_dict()
     assert act_passes == exploits
     if epsilon == 0.0:
         assert exploits == 2000

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetsim.nn import Dense, Flatten, ReLU, Sgd, build_layout, from_flat, make_keyed
+from hetsim.nn import Dense, Flatten, ReLU, Sgd, build_layout, make_keyed
 from hetsim.nn.params import ParamStore
 from hetsim.protocol import DeviceEndpoint, ParamBroadcast
 from hetsim.topology import ParameterPartition
@@ -21,7 +21,7 @@ def _layout(dims):
 def test_flatten_unflatten_is_identity():
     store = ParamStore(_layout([(3, 4), (4, 2)]))
     store.flat[:] = np.arange(store.size, dtype=np.float64)
-    rebuilt = from_flat(store.layout, store.flatten())
+    rebuilt = ParamStore(store.layout, flat=store.flatten())
     assert rebuilt == store
     for key in store.keys():
         np.testing.assert_array_equal(rebuilt.view(key), store.view(key))
@@ -33,7 +33,7 @@ def test_flatten_unflatten_is_identity():
 def test_flatten_roundtrip_property(dims, seed):
     store = ParamStore(_layout(dims))
     store.flat[:] = np.random.default_rng(seed).normal(size=store.size)
-    again = from_flat(store.layout, store.flatten())
+    again = ParamStore(store.layout, flat=store.flatten())
     assert np.array_equal(again.flat, store.flat)
     store2 = ParamStore(store.layout)
     store2.set_flat(store.flatten())
@@ -65,7 +65,7 @@ def test_wrong_length_vector_rejected():
     with pytest.raises(ValueError):
         store.set_flat(np.zeros(store.size + 1))
     with pytest.raises(ValueError):
-        from_flat(store.layout, np.zeros(store.size - 1))
+        ParamStore(store.layout, flat=np.zeros(store.size - 1))
 
 
 def test_duplicate_keys_rejected():
@@ -100,7 +100,8 @@ def test_views_stay_bound_to_flat_after_every_in_place_writer():
 def test_copies_have_views_into_their_own_flat():
     store = ParamStore(_layout([(2, 3), (3, 1)]))
     store.flat[:] = 1.0
-    for other in (store.copy(), store.zeros_like(), from_flat(store.layout, store.flat)):
+    for other in (store.copy(), store.zeros_like(),
+                  ParamStore(store.layout, flat=store.flat)):
         assert _aliases_flat(other)
         assert not any(np.shares_memory(other.view(k), store.flat) for k in other.keys())
         other.view(store.keys()[0])[...] = 5.0

@@ -191,8 +191,8 @@ def test_lightweight_standalone_equals_cascade_under_forced_drop_all_inputs():
 
 
 def test_canonical_layout_is_stable_across_runs():
-    a = DeviceNetwork(cifar_cascaded(), "complex").layout
-    b = DeviceNetwork(cifar_cascaded(), "complex").layout
+    a, b = (DeviceNetwork(cifar_cascaded(), "complex").init_store(
+        np.random.default_rng(0)).layout for _ in range(2))
     assert a == b
     names = [key for key, _ in a]
     # shared block: stem first, then the lightweight branch, then local complex
