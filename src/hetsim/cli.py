@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 
-from .config import load_config
+from .checkpoint import CheckpointError
+from .config import ConfigError, load_config
 from .harness import describe, run_experiment
 from .metrics import read_csv, write_aggregated_csv
 
@@ -68,8 +70,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run the command; a bad config, run setting or checkpoint prints
+    ``hetsim: error: <message>`` to stderr and returns 2, as a bad flag does."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except (ConfigError, CheckpointError) as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

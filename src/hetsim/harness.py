@@ -126,12 +126,13 @@ class _Run:
 
         With ``checkpoint_at``, the run is saved to ``path`` when its clock
         reaches that value (at once if it is there already), and goes on.
+        A ``checkpoint_at`` outside [clock, end] is a ``ConfigError``.
         """
         if checkpoint_at is not None:
             clock = getattr(self, self.CLOCK)
             if not clock <= checkpoint_at <= self.end:
-                raise ValueError(f"cannot checkpoint at {self.CLOCK} {checkpoint_at}: the "
-                                 f"run is at {clock} and ends at {self.end}")
+                raise ConfigError(f"cannot checkpoint at {self.CLOCK} {checkpoint_at}: the "
+                                  f"run is at {clock} and ends at {self.end}")
             self._advance(checkpoint_at)
             save_run_checkpoint(self, path)
         self._advance(self.end)
@@ -387,11 +388,11 @@ def make_run(config: ExperimentConfig, seed: int):
 
 def save_run_checkpoint(run: _Run, path) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    ckpt.save_checkpoint(path, run.state_dict(), ckpt.topology_hash(run.config.raw))
+    ckpt.save_checkpoint(path, run.state_dict(), ckpt.config_hash(run.config.raw))
 
 
 def load_run_checkpoint(config: ExperimentConfig, seed: int, path) -> _Run:
-    state = ckpt.load_checkpoint(path, ckpt.topology_hash(config.raw))
+    state = ckpt.load_checkpoint(path, ckpt.config_hash(config.raw))
     run = make_run(config, seed)
     run.load_state_dict(state)
     return run

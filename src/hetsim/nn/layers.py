@@ -100,6 +100,34 @@ class Dense(Layer):
 
 @dataclass(frozen=True)
 class Conv2D(Layer):
+    """VALID convolution, (N, H, W, Cin) -> (N, Ho, Wo, out_channels).
+
+    Forward takes one product of the im2col columns (N*Ho*Wo x
+    Cin*kh*kw, the cache) with the weight matrix. Backward takes the
+    weight gradient as the swapped product, transposed:
+    ``(dy2.T @ cols).T``. It takes the input gradient one kernel tap at a
+    time: for each (i, j), in row-major order, ``dy2 @ w[i, j].T`` goes
+    into one reused (N*Ho*Wo x Cin) buffer, which is added into the tap's
+    strided slice of a zeroed dx. So the (N*Ho*Wo x Cin*kh*kw) input
+    gradient of the im2col way (29 MB of float64 for the CIFAR stem's
+    second conv at batch 16) is never built.
+
+    The bits are those of the im2col products: an element of a tap
+    product sums the same Cout terms, in the same order, as the matching
+    column of the one product ``dy2 @ wmat.T``; the taps are added in the
+    same order; and a weight-gradient element sums the same products over
+    the same samples. That relies on BLAS giving a product element the
+    same bits whatever the width of the other operand, which OpenBLAS's
+    matrix-matrix kernels do. Its matrix-vector kernels and the
+    small-matrix kernels of some cores (SkylakeX: a transposed product of
+    at most 1200 outputs) sum in another order. So an input gradient with
+    one input channel (a tap product would be matrix-vector) or taps of
+    under 4096 reals keeps the one product, and so does a weight gradient
+    with one input channel (whose columns can be a strided view of the
+    input, which BLAS reads with another kernel). The golden metrics
+    digests are the guard on another BLAS.
+    """
+
     kh: int
     kw: int
     out_channels: int
@@ -140,29 +168,40 @@ class Conv2D(Layer):
         cols = windows.reshape(n, ho, wo, cin * kh * kw)
         w = store.view((key, "w"))
         wmat = w.transpose(2, 0, 1, 3).reshape(cin * kh * kw, self.out_channels)
-        y = cols @ wmat + store.view((key, "b"))
-        return y, (cols, x.shape, wmat)
+        y = cols @ wmat
+        y += store.view((key, "b"))
+        return y, (cols, x.shape)
 
     def backward_params(self, store, key, cache, dy, grads):
-        cols, x_shape, _ = cache
+        cols, x_shape = cache
         cin, cout = x_shape[3], dy.shape[3]
         dy2 = dy.reshape(-1, cout)
-        dwmat = cols.reshape(-1, cin * self.kh * self.kw).T @ dy2
+        cols2 = cols.reshape(-1, cin * self.kh * self.kw)
+        dwmat = (dy2.T @ cols2).T if cin > 1 else cols2.T @ dy2  # see the class docstring
         grads.view((key, "w"))[...] += dwmat.reshape(cin, self.kh, self.kw,
                                                      cout).transpose(1, 2, 0, 3)
         grads.view((key, "b"))[...] += dy2.sum(axis=0)
 
     def backward(self, store, key, cache, dy, grads):
         self.backward_params(store, key, cache, dy, grads)
-        _, x_shape, wmat = cache
+        _, x_shape = cache
         n, ho, wo, cout = dy.shape
         cin = x_shape[3]
         kh, kw, s = self.kh, self.kw, self.stride
-        dcols = (dy.reshape(-1, cout) @ wmat.T).reshape(n, ho, wo, cin, kh, kw)
+        w = store.view((key, "w"))
+        dy2 = dy.reshape(-1, cout)
+        per_tap = cin > 1 and len(dy2) * cin >= 4096  # see the class docstring
+        if per_tap:
+            tap = np.empty((len(dy2), cin), dtype=np.result_type(dy, w))
+        else:
+            wmat = w.transpose(2, 0, 1, 3).reshape(cin * kh * kw, cout)
+            dcols = (dy2 @ wmat.T).reshape(n, ho, wo, cin, kh, kw)
         dx = np.zeros(x_shape, dtype=dy.dtype)
         for i in range(kh):
             for j in range(kw):
-                dx[:, i:i + ho * s:s, j:j + wo * s:s, :] += dcols[:, :, :, :, i, j]
+                dx[:, i:i + ho * s:s, j:j + wo * s:s, :] += (
+                    np.matmul(dy2, w[i, j].T, out=tap).reshape(n, ho, wo, cin) if per_tap
+                    else dcols[:, :, :, :, i, j])
         return dx
 
 

@@ -645,6 +645,34 @@ def test_checkpoint_topology_mismatch_rejected(tmp_path):
         load_run_checkpoint(other, 7, path)
 
 
+@pytest.mark.parametrize("path,value", [(("coordinator", "weighting"), "uniform-sum"),
+                                        (("data", "class_separation"), 0.5),
+                                        (("supervised", "round_samples"), 16)])
+def test_checkpoint_of_another_config_rejected(tmp_path, path, value):
+    path_ckpt = tmp_path / "run.ckpt"
+    make_run(parse_config(tiny_supervised_doc()), 7).run(checkpoint_at=2, path=path_ckpt)
+    other_doc = tiny_supervised_doc()
+    _set(other_doc, path, value)
+    with pytest.raises(CheckpointError, match="different topology or config"):
+        load_run_checkpoint(parse_config(other_doc), 7, path_ckpt)
+
+
+@pytest.mark.parametrize("make_doc,at,length,longer", [
+    (tiny_supervised_doc, 2, ("supervised", "rounds"), 5),
+    (tiny_rl_doc, 50, ("rl", "total_steps"), 200)])
+def test_resume_with_a_longer_run_gives_the_longer_straight_run_files(
+        tmp_path, make_doc, at, length, longer):
+    doc = make_doc(seeds=(7, 8))
+    run_experiment(parse_config(doc), tmp_path / "first", checkpoint_at=at)
+    _set(doc, length, longer)
+    config = parse_config(doc)
+    run_experiment(config, tmp_path / "straight")
+    run_experiment(config, tmp_path / "resumed", resume=tmp_path / "first")
+    for name in OUTPUT_FILES:
+        assert ((tmp_path / "resumed" / name).read_bytes()
+                == (tmp_path / "straight" / name).read_bytes()), name
+
+
 def test_corrupt_checkpoint_rejected(tmp_path):
     config = parse_config(tiny_supervised_doc())
     path = tmp_path / "c.ckpt"
@@ -790,10 +818,37 @@ def test_cli_checkpoint_and_resume_give_the_straight_run_files(
 def test_cli_checkpoint_outside_the_run_rejected(tmp_path, capsys, at):
     conf_path = tmp_path / "conf.json"
     conf_path.write_text(json.dumps(tiny_supervised_doc()))  # 3 rounds
-    with pytest.raises(ValueError, match=f"cannot checkpoint at round {at}"):
-        cli_main(["run", str(conf_path), "--checkpoint-at", at,
-                  "--out", str(tmp_path / "out")])
+    assert cli_main(["run", str(conf_path), "--checkpoint-at", at,
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"hetsim: error: cannot checkpoint at round {at}: ")
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_bad_config_and_foreign_checkpoint_are_errors_not_tracebacks(tmp_path, capsys):
+    bad_doc = tiny_supervised_doc()
+    bad_doc["supervised"]["rounds"] = 0
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(bad_doc))
+    assert cli_main(["describe", str(bad_path)]) == 2
+    assert capsys.readouterr().err.startswith("hetsim: error: supervised.rounds")
+    assert cli_main(["run", str(bad_path), "--out", str(tmp_path / "bad")]) == 2
+    assert capsys.readouterr().err.startswith("hetsim: error: supervised.rounds")
+
+    conf_path = tmp_path / "conf.json"
+    conf_path.write_text(json.dumps(tiny_supervised_doc()))
+    assert cli_main(["run", str(conf_path), "--checkpoint-at", "2",
+                     "--out", str(tmp_path / "first")]) == 0
+    other_doc = tiny_supervised_doc()
+    other_doc["coordinator"]["weighting"] = "uniform-sum"
+    conf_path.write_text(json.dumps(other_doc))
+    capsys.readouterr()
+    assert cli_main(["run", str(conf_path), "--resume", str(tmp_path / "first"),
+                     "--out", str(tmp_path / "resumed")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hetsim: error: checkpoint was written for a different topology")
+    assert not (tmp_path / "resumed" / "metrics.csv").exists()
 
 
 def test_shipped_example_configs_parse():
