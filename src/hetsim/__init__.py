@@ -17,7 +17,6 @@ from .protocol import (
     Coordinator,
     DeviceEndpoint,
     GradientUpdate,
-    LocalHub,
     ParamBroadcast,
     compute_merge_weights,
     merge_deltas,
@@ -37,7 +36,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BranchedTopology", "Coordinator", "Dataset", "DdqlLearner", "DeviceEndpoint",
     "DeviceNetwork", "EpsilonSchedule", "ExperimentConfig", "GradientUpdate",
-    "GridWorld", "LocalHub", "ParamBroadcast", "ParameterPartition", "ReplayBuffer",
+    "GridWorld", "ParamBroadcast", "ParameterPartition", "ReplayBuffer",
     "RlRun", "SupervisedRun", "SupervisedTrainer", "build_cascaded",
     "build_share_first", "compute_merge_weights", "count_parameters",
     "describe", "generate_synthetic_dataset",

@@ -70,13 +70,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run the command; a bad config, run setting or checkpoint prints
-    ``hetsim: error: <message>`` to stderr and returns 2, as a bad flag does."""
+    """Run the command; a bad config, run setting or checkpoint, or a file
+    that cannot be read or written, prints ``hetsim: error: <message>`` to
+    stderr and returns 2, as a bad flag does."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CheckpointError) as exc:
+    except (ConfigError, CheckpointError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 

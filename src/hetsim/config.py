@@ -381,4 +381,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     with Path(path).open("r", encoding="utf-8") as fh:
-        return parse_config(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # malformed JSON or text that is not UTF-8
+            raise ConfigError(f"{path} is not a JSON document: {exc}") from exc
+    return parse_config(doc)

@@ -1,11 +1,12 @@
 """Experiment orchestration: run modes, seeding, metrics, checkpoints.
 
 Each seed runs on one deterministic worker: its devices take turns in
-config order, and the coordinator is invoked inline through the protocol
-hub. Seeds are independent (every stream comes from ``child_rng(seed,
-...)``), so :func:`run_experiment` may run them in separate processes; it
-writes their rows in config seed order, and a run's metrics output is a
-pure function of (config, seed list).
+config order, and each sync round calls the coordinator inline, with the
+devices in the same order (:func:`~hetsim.protocol.sync_round`). Seeds
+are independent (every stream comes from ``child_rng(seed, ...)``), so
+:func:`run_experiment` may run them in separate processes; it writes
+their rows in config seed order, and a run's metrics output is a pure
+function of (config, seed list).
 
 Run modes:
 
@@ -32,7 +33,7 @@ from .gridworld import GridWorld
 from .learners import DdqlLearner, EpsilonSchedule, ReplayBuffer, SupervisedTrainer
 from .metrics import MetricsRow, write_aggregated_csv, write_csv
 from .nn.optim import make_optimizer
-from .protocol import Coordinator, DeviceEndpoint, LocalHub, sync_round
+from .protocol import Coordinator, DeviceEndpoint, sync_round
 from .rng import child_rng, child_seed
 from .topology import BranchedTopology, DeviceNetwork, build_share_first, count_parameters
 from . import checkpoint as ckpt
@@ -65,26 +66,8 @@ def _init_device_store(net: DeviceNetwork, config: ExperimentConfig, seed: int,
     return net.init_store(shared_rng, local_rng, dtype=config.dtype)
 
 
-def _wire_coordinator(config: ExperimentConfig, devices: list[dict]):
-    """Register devices, adopt the common initial shared block, broadcast it."""
-    coordinator = Coordinator(config.coordinator.mode, config.coordinator.weighting)
-    hub = LocalHub(coordinator, dtype=config.dtype)
-    for dev in devices:
-        endpoint = dev["endpoint"]
-        coordinator.register(endpoint.device_id, endpoint.shared_len, endpoint.data_size)
-        hub.connect(endpoint.device_id)
-    theta0 = devices[0]["endpoint"].shared_slice().astype(np.float64)
-    hub.broadcast_initial(theta0)
-    for dev in devices:
-        first = hub.take_reply(dev["endpoint"].device_id)
-        if not np.array_equal(first.params.astype(config.dtype),
-                              dev["endpoint"].shared_slice()):
-            raise RuntimeError("initial shared parameters disagree across devices")
-    return coordinator, hub
-
-
 class _Run:
-    """One seed's devices, coordinator wiring, sync logging, run loop and checkpoints.
+    """One seed's devices, coordinator, sync logging, run loop and checkpoints.
 
     Subclasses name their clock attribute (``CLOCK``) and the device key of
     their learner (``LEARNER``), set the clock's last value (``end``), build
@@ -111,10 +94,15 @@ class _Run:
                 "cfg": dev_cfg, "net": net, "store": store,
                 "endpoint": DeviceEndpoint(i, net.partition, store, data_size),
                 self.LEARNER: learner})
-        if config.mode == "isolated":
-            self.coordinator, self.hub = None, None
-        else:
-            self.coordinator, self.hub = _wire_coordinator(config, self.devices)
+        self.endpoints = [dev["endpoint"] for dev in self.devices]
+        self.coordinator = None
+        if config.mode != "isolated":
+            theta0 = self.endpoints[0].shared_slice()
+            if not all(np.array_equal(ep.shared_slice(), theta0) for ep in self.endpoints):
+                raise RuntimeError("initial shared parameters disagree across devices")
+            self.coordinator = Coordinator(
+                config.coordinator.mode, config.coordinator.weighting,
+                [ep.data_size for ep in self.endpoints], theta0)
 
     def _make_learner(self, index: int, dev_cfg: DeviceConfig, net: DeviceNetwork,
                       store, optimizer):
@@ -147,16 +135,11 @@ class _Run:
         self.rows.append(MetricsRow(self.seed, t, device, phase, metric, value))
 
     def _sync_and_log(self, t: int) -> None:
-        """One sync round, then a bytes_sent row per update (zero if isolated)."""
-        if self.hub is None:
-            for dev in self.devices:
-                self._row(t, dev["cfg"].id, "train", "bytes_sent", 0.0)
-            return
-        sync_round([d["endpoint"] for d in self.devices], self.hub)
-        for device_index, nbytes in self.hub.update_log:
-            self._row(t, self.devices[device_index]["cfg"].id,
-                      "train", "bytes_sent", float(nbytes))
-        self.hub.update_log.clear()
+        """One sync round, then a bytes_sent row per device (zero if isolated)."""
+        sent = ([0] * len(self.devices) if self.coordinator is None
+                else sync_round(self.endpoints, self.coordinator))
+        for dev, nbytes in zip(self.devices, sent):
+            self._row(t, dev["cfg"].id, "train", "bytes_sent", float(nbytes))
 
     # -- checkpointing --------------------------------------------------------
 
@@ -167,10 +150,7 @@ class _Run:
                               "endpoint": dev["endpoint"].state_dict()}
                              for dev in self.devices]}
         if self.coordinator is not None:
-            state["coordinator"] = {
-                "theta": self.coordinator.theta.copy(),
-                "round_index": self.coordinator.round_index,
-            }
+            state["coordinator"] = {"theta": self.coordinator.theta.copy()}
         return state
 
     def load_state_dict(self, state: dict) -> None:
@@ -181,8 +161,12 @@ class _Run:
             dev[self.LEARNER].load_state_dict(dev_state[self.LEARNER])
             dev["endpoint"].load_state_dict(dev_state["endpoint"])
         if self.coordinator is not None:
-            self.coordinator.theta = state["coordinator"]["theta"].copy()
-            self.coordinator.round_index = int(state["coordinator"]["round_index"])
+            theta = np.asarray(state["coordinator"]["theta"])
+            if theta.shape != self.coordinator.theta.shape:
+                raise ckpt.CheckpointError(
+                    f"checkpoint theta has shape {theta.shape}, the coordinator "
+                    f"holds {self.coordinator.theta.shape}")
+            self.coordinator.theta[...] = theta
         self.rows = [MetricsRow(*row) for row in state["rows"]]
 
 

@@ -230,7 +230,7 @@ class DdqlLearner:
 
     # -- evaluation & synchronization -----------------------------------------
 
-    def test_epoch(self, episodes: int = 1, max_steps: int | None = None) -> float:
+    def test_epoch(self, episodes: int = 1) -> float:
         """Mean return of greedy-ish episodes (epsilon = schedule.test).
 
         Each step draws the explore decision first, as :meth:`act` does,
@@ -248,7 +248,6 @@ class DdqlLearner:
             state = self.eval_env.reset()
             done = False
             ep = 0.0
-            steps = 0
             while not done:
                 action = explore_action(self.schedule.test, self.n_actions, self.eval_rng)
                 if action is None:
@@ -259,9 +258,6 @@ class DdqlLearner:
                             self.q_of(self.store, state[None])[0])
                 state, reward, done = self.eval_env.step(action)
                 ep += reward
-                steps += 1
-                if max_steps is not None and steps >= max_steps:
-                    break
             total += ep
         return total / episodes
 

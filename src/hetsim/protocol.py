@@ -1,30 +1,30 @@
 """Synchronization protocol between devices and the coordinator.
 
 Each device trains locally, sends the delta of its shared slice since the
-last sync, and adopts the merged shared parameters it gets back: local-step
+last sync, and adopts the coordinator's shared parameters: local-step
 model averaging restricted to the shared block. The coordinator adds the
-weighted deltas with no extra step size, either synchronously (barrier over
-all registered devices, then one broadcast) or asynchronously (apply each
-update on arrival, reply to the sender only).
+weighted deltas with no extra step size, either synchronously (one merge
+of every device's delta per round, as in federated averaging) or
+asynchronously (each delta applied on its own, and its sender adopts the
+result at once).
 
-Everything here is single-threaded and deterministic: a :class:`LocalHub`
-hands updates to the coordinator inline and queues replies per device. The
-frame codec below fixes the wire format; the hub meters the payload bytes a
-frame would carry without encoding it.
+Everything here runs inline in one process, with the devices in id order,
+so a round is deterministic. The frame codec below fixes the wire format;
+:func:`sync_round` meters the payload bytes a frame would carry without
+encoding it.
 
-A round allocates no parameter-sized temporaries beyond the one broadcast
-copy, so in-process messages lend their buffers instead of owning them:
+A round allocates no parameter-sized temporaries, so deltas are lent
+rather than owned:
 
 * the delta a :class:`DeviceEndpoint` sends is its own reference buffer,
-  valid until that endpoint adopts its next broadcast;
-* the :class:`Coordinator` reads a delta only until the merge of the
-  round it belongs to (on arrival in async mode), into two float64 buffers
-  of its own that it allocates once.
+  valid until that endpoint adopts the shared parameters;
+* the :class:`Coordinator` reads deltas only inside :meth:`~Coordinator.merge`
+  or :meth:`~Coordinator.apply`, into two float64 buffers of its own that
+  it allocates once.
 """
 from __future__ import annotations
 
 import struct
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +43,6 @@ _HEADER = struct.Struct("<IIQ")  # tag, device_id (or round), vector length
 
 class ProtocolError(RuntimeError):
     pass
-
-
-class SyncStallError(ProtocolError):
-    """A synchronous round cannot complete because updates are missing."""
 
 
 @dataclass
@@ -161,122 +157,57 @@ def merge_deltas(weights, deltas, out: np.ndarray | None = None,
 # Coordinator
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Registration:
-    device_id: int
-    shared_len: int
-    data_size: int
-
-
 class Coordinator:
-    """Holds the authoritative shared parameters and merges device updates.
+    """Holds the authoritative shared parameters and merges device deltas.
 
-    ``mode`` "sync" implements a barrier: one update per registered device,
-    then a single broadcast. ``mode`` "async" applies each update as it
-    arrives and replies to the sender only.
+    Devices are numbered 0..n-1 in the order of ``data_sizes``, from which
+    the merge weights come. ``mode`` tells :func:`sync_round` which step a
+    round runs: "sync" calls :meth:`merge` once with every device's delta,
+    "async" calls :meth:`apply` once per device.
 
-    A sync round keeps the updates' arrays as they arrive (no copy) and
-    merges them in registration order into a sum buffer, one term at a
-    time through a scratch buffer; async mode forms its one term in the
-    scratch buffer too. Both are float64, theta's length, and allocated
-    once by :meth:`initialize`.
+    ``theta`` starts as a float64 copy of ``theta0``. It and the two
+    float64 buffers a merge works in (the sum and one term) are allocated
+    here, once.
     """
 
-    def __init__(self, mode: str = "sync", weighting: str = "data-proportional"):
+    def __init__(self, mode: str, weighting: str, data_sizes, theta0: np.ndarray):
         if mode not in COORDINATOR_MODES:
             raise ValueError(f"coordinator mode must be sync or async, got {mode!r}")
-        if weighting not in WEIGHTINGS:
-            raise ValueError(f"unknown weighting {weighting!r}")
         self.mode = mode
-        self.weighting = weighting
-        self.theta: np.ndarray | None = None
-        self.round_index = 0
-        self._registrations: list[_Registration] = []
-        self._weights: dict[int, float] | None = None
-        self._pending: dict[int, np.ndarray] = {}
-        self._merged: np.ndarray | None = None
-        self._scratch: np.ndarray | None = None
-
-    # -- registration handshake (precedes round 0) --------------------------
-
-    def register(self, device_id: int, shared_len: int, data_size: int) -> None:
-        if self._weights is not None:
-            raise ProtocolError("registration is closed")
-        if any(r.device_id == device_id for r in self._registrations):
-            raise ProtocolError(f"device {device_id} already registered")
-        if self._registrations and self._registrations[0].shared_len != shared_len:
-            raise ProtocolError(
-                f"device {device_id} announces shared_len {shared_len}, "
-                f"coordinator expects {self._registrations[0].shared_len}")
-        self._registrations.append(_Registration(device_id, shared_len, data_size))
-
-    def initialize(self, theta0: np.ndarray) -> ParamBroadcast:
-        """Close registration, adopt the initial shared vector, broadcast it."""
-        if not self._registrations:
-            raise ProtocolError("no devices registered")
-        theta0 = np.asarray(theta0, dtype=np.float64)
-        if theta0.shape != (self._registrations[0].shared_len,):
-            raise ProtocolError("initial shared vector has the wrong length")
-        weights = compute_merge_weights(
-            [r.data_size for r in self._registrations], self.weighting)
-        if self.weighting != "uniform-sum":
-            assert abs(weights.sum() - 1.0) < 1e-12
-        self._weights = {r.device_id: float(w)
-                         for r, w in zip(self._registrations, weights)}
-        self.theta = theta0.copy()
+        self.weights = compute_merge_weights(data_sizes, weighting)
+        if weighting != "uniform-sum":
+            assert abs(self.weights.sum() - 1.0) < 1e-12
+        self.theta = np.array(theta0, dtype=np.float64)
         self._merged = np.empty_like(self.theta)
         self._scratch = np.empty_like(self.theta)
-        return ParamBroadcast(self.theta.copy(), self.round_index)
 
     def weight_of(self, device_id: int) -> float:
-        if self._weights is None:
-            raise ProtocolError("coordinator not initialized")
-        return self._weights[device_id]
+        if not 0 <= device_id < self.weights.size:
+            raise ProtocolError(f"unknown device id {device_id}")
+        return float(self.weights[device_id])
 
-    def missing_device_ids(self) -> list[int]:
-        """Devices whose update for the current synchronous round is missing."""
-        return [r.device_id for r in self._registrations
-                if r.device_id not in self._pending]
-
-    # -- update handling -----------------------------------------------------
-
-    def _check(self, update: GradientUpdate) -> None:
-        if self.theta is None or self._weights is None:
-            raise ProtocolError("coordinator not initialized")
-        if update.device_id not in self._weights:
-            raise ProtocolError(f"unknown device id {update.device_id}")
-        if np.asarray(update.delta).shape != self.theta.shape:
+    def _check_length(self, delta) -> None:
+        if np.shape(delta) != self.theta.shape:
             raise ProtocolError(
-                f"update length {np.asarray(update.delta).shape} != shared "
-                f"length {self.theta.shape}")
+                f"delta length {np.shape(delta)} != shared length {self.theta.shape}")
 
-    def handle_update(self, update: GradientUpdate) -> list[tuple[int | None, ParamBroadcast]]:
-        """Process one update; returns (destination, broadcast) pairs.
-
-        Destination None means every registered device. In sync mode the
-        list is empty until the round's last update arrives.
-        """
-        self._check(update)
-        if self.mode == "async":
-            np.multiply(self._weights[update.device_id], update.delta,
-                        out=self._scratch, dtype=np.float64)
-            self.theta += self._scratch
-            self.round_index += 1
-            return [(update.device_id, ParamBroadcast(self.theta.copy(), self.round_index))]
-        if update.device_id in self._pending:
+    def merge(self, deltas) -> None:
+        """The sync step: add the weighted deltas of every device, given in
+        device-id order, to ``theta``."""
+        if len(deltas) != self.weights.size:
             raise ProtocolError(
-                f"device {update.device_id} sent two updates in one round")
-        self._pending[update.device_id] = np.asarray(update.delta)
-        if self.missing_device_ids():
-            return []
-        merged = merge_deltas(
-            [self._weights[r.device_id] for r in self._registrations],
-            [self._pending[r.device_id] for r in self._registrations],
-            out=self._merged, scratch=self._scratch)
-        self.theta += merged
-        self._pending.clear()
-        self.round_index += 1
-        return [(None, ParamBroadcast(self.theta.copy(), self.round_index))]
+                f"{len(deltas)} deltas for {self.weights.size} devices")
+        for delta in deltas:
+            self._check_length(delta)
+        self.theta += merge_deltas(self.weights, deltas,
+                                   out=self._merged, scratch=self._scratch)
+
+    def apply(self, device_id: int, delta) -> None:
+        """The async step: add one device's weighted delta to ``theta``."""
+        weight = self.weight_of(device_id)
+        self._check_length(delta)
+        np.multiply(weight, delta, out=self._scratch, dtype=np.float64)
+        self.theta += self._scratch
 
 
 # ---------------------------------------------------------------------------
@@ -287,18 +218,18 @@ class DeviceEndpoint:
     """One device's side of a sync: send the shared delta, adopt the merge.
 
     The device's canonical flat vector holds the shared block first. The
-    update is the shared-slice delta since the last adopted broadcast;
-    adopting a broadcast overwrites the shared slice and leaves the local
-    slice alone.
+    update is the shared-slice delta since the shared parameters were last
+    adopted; adopting overwrites the shared slice and leaves the local slice
+    alone.
 
     The endpoint owns one buffer of the shared length, in the store's
     dtype. Between syncs it holds the reference point (the shared slice as
     last adopted). :meth:`make_update` overwrites it with the delta and
-    sends the buffer itself, so the delta stays valid only until the next
+    returns the buffer itself, so the delta stays valid only until the next
     :meth:`apply_broadcast`, which writes the new shared values into the
-    store and into the buffer. A second :meth:`make_update` before that
-    broadcast is a :class:`ProtocolError`: the reference is gone, and a
-    repeated delta would count twice in async mode.
+    store and into the buffer. A second :meth:`make_update` before that is
+    a :class:`ProtocolError`: the reference is gone, and a repeated delta
+    would count twice in async mode.
     """
 
     def __init__(self, device_id: int, partition: ParameterPartition, store: ParamStore,
@@ -319,26 +250,25 @@ class DeviceEndpoint:
     def shared_slice(self) -> np.ndarray:
         return self.store.flat[:self.partition.shared_len]
 
-    def make_update(self) -> GradientUpdate:
-        """Shared-slice delta since the last adopted broadcast, in the
-        endpoint's buffer (valid until the next :meth:`apply_broadcast`)."""
+    def make_update(self) -> np.ndarray:
+        """Shared-slice delta since the last adoption, in the endpoint's
+        buffer (valid until the next :meth:`apply_broadcast`)."""
         if self._delta_sent:
             raise ProtocolError(
                 f"device {self.device_id} already sent its delta; "
-                "it must adopt a broadcast before the next update")
+                "it must adopt the shared parameters before the next update")
         np.subtract(self.shared_slice(), self._shared_ref, out=self._shared_ref)
         self._delta_sent = True
-        return GradientUpdate(self.device_id, self._shared_ref)
+        return self._shared_ref
 
-    def apply_broadcast(self, broadcast: ParamBroadcast) -> None:
+    def apply_broadcast(self, params: np.ndarray) -> None:
         """Adopt fresh shared parameters as the new reference point."""
-        vec = np.asarray(broadcast.params)
         s = self.partition.shared_len
-        if vec.shape != (s,):
+        if np.shape(params) != (s,):
             raise ProtocolError(
-                f"broadcast length {vec.shape} != shared length {s}")
+                f"broadcast length {np.shape(params)} != shared length {s}")
         shared = self.shared_slice()
-        shared[...] = vec
+        shared[...] = params
         self._shared_ref[...] = shared
         self._delta_sent = False
 
@@ -359,60 +289,30 @@ class DeviceEndpoint:
         self._delta_sent = False
 
 
-# ---------------------------------------------------------------------------
-# Deterministic in-process wiring
-# ---------------------------------------------------------------------------
+def sync_round(endpoints, coordinator: Coordinator) -> list[int]:
+    """One round over every device; returns the payload bytes each sent.
 
-class LocalHub:
-    """Routes device updates straight into the coordinator, inline.
-
-    Replies wait in a FIFO inbox per device until the device takes them.
-    ``update_log`` meters each update as (device id, payload bytes), header
-    excluded, so the harness can report exact bytes sent.
+    ``endpoints`` are the coordinator's devices in id order. In sync mode
+    every endpoint sends its delta, the coordinator merges them, and every
+    endpoint adopts ``coordinator.theta``. In async mode each delta is
+    applied on its own and its sender adopts ``theta`` at once, so a later
+    device in the round adopts the earlier devices' deltas too. A device
+    sends one frame of its shared slice in its store's dtype; the bytes
+    returned are that frame's payload, header excluded.
     """
-
-    def __init__(self, coordinator: Coordinator, dtype=np.float64):
-        self.coordinator = coordinator
-        self.dtype = np.dtype(dtype)
-        self.inboxes: dict[int, deque[ParamBroadcast]] = {}
-        self.update_log: list[tuple[int, int]] = []
-
-    def connect(self, device_id: int) -> None:
-        self.inboxes[device_id] = deque()
-
-    def _deliver(self, dest: int | None, broadcast: ParamBroadcast) -> None:
-        for device_id in (self.inboxes if dest is None else (dest,)):
-            self.inboxes[device_id].append(broadcast)
-
-    def broadcast_initial(self, theta0: np.ndarray) -> None:
-        self._deliver(None, self.coordinator.initialize(theta0))
-
-    def send_update(self, update: GradientUpdate) -> None:
-        if update.device_id not in self.inboxes:
-            raise ProtocolError(f"device {update.device_id} is not connected")
-        self.update_log.append(
-            (update.device_id, payload_nbytes(np.asarray(update.delta).size, self.dtype)))
-        for dest, broadcast in self.coordinator.handle_update(update):
-            self._deliver(dest, broadcast)
-
-    def take_reply(self, device_id: int) -> ParamBroadcast:
-        inbox = self.inboxes[device_id]
-        if not inbox:
-            missing = self.coordinator.missing_device_ids()
-            raise SyncStallError(
-                f"device {device_id} is waiting for a broadcast; round stalled, "
-                f"missing updates from devices {missing}")
-        return inbox.popleft()
-
-
-def sync_round(endpoints, hub: LocalHub) -> None:
-    """Run one round over all endpoints, deterministically.
-
-    All devices send first (in the order given), then all adopt their
-    reply. Under a synchronous coordinator this is one barrier round and
-    matches the blocking semantics of real device loops without threads.
-    """
-    for endpoint in endpoints:
-        hub.send_update(endpoint.make_update())
-    for endpoint in endpoints:
-        endpoint.apply_broadcast(hub.take_reply(endpoint.device_id))
+    ids = [ep.device_id for ep in endpoints]
+    if ids != list(range(coordinator.weights.size)):
+        raise ProtocolError(f"endpoints {ids} are not the coordinator's "
+                            f"{coordinator.weights.size} devices in id order")
+    if coordinator.mode == "sync":
+        deltas = [ep.make_update() for ep in endpoints]
+        coordinator.merge(deltas)
+        for ep in endpoints:
+            ep.apply_broadcast(coordinator.theta)
+    else:
+        deltas = []
+        for ep in endpoints:
+            deltas.append(ep.make_update())
+            coordinator.apply(ep.device_id, deltas[-1])
+            ep.apply_broadcast(coordinator.theta)
+    return [delta.nbytes for delta in deltas]

@@ -31,14 +31,7 @@ from hetsim.nn import (
 )
 from hetsim.nn.params import ParamStore
 from hetsim.nn.network import build_layout
-from hetsim.protocol import (
-    Coordinator,
-    DeviceEndpoint,
-    GradientUpdate,
-    LocalHub,
-    merge_deltas,
-    sync_round,
-)
+from hetsim.protocol import Coordinator, DeviceEndpoint, merge_deltas, sync_round
 from hetsim.topology import DeviceNetwork, build_cascaded, build_share_first
 from hetsim.harness import full_share_network
 
@@ -192,23 +185,17 @@ def test_criterion_4_homogeneous_reduction_matches_reference_averaging():
     nets = [DeviceNetwork(topo, "b") for _ in range(2)]
     stores = [net.init_store(np.random.default_rng(1234)) for net in nets]
     optimizers = [Sgd(learning_rate=0.05) for _ in range(2)]
-    coordinator = Coordinator("sync", "data-proportional")
-    hub = LocalHub(coordinator)
     endpoints = []
     for i in range(2):
         assert nets[i].partition.shared_len == nets[i].count_params()
-        coordinator.register(i, nets[i].partition.shared_len, sizes[i])
-        hub.connect(i)
         endpoints.append(DeviceEndpoint(i, nets[i].partition, stores[i],
                                         data_size=sizes[i]))
-    hub.broadcast_initial(stores[0].flatten())
-    for i in range(2):
-        hub.take_reply(i)
+    coordinator = Coordinator("sync", "data-proportional", sizes, stores[0].flatten())
     protocol_trace = []
     for rnd in range(rounds):
         for i in range(2):
             _local_steps(nets[i], stores[i], optimizers[i], schedule[rnd][i])
-        sync_round(endpoints, hub)
+        sync_round(endpoints, coordinator)
         protocol_trace.append(coordinator.theta.copy())
 
     # reference: plain parameter averaging, reimplemented from scratch
@@ -352,17 +339,14 @@ def test_criterion_7_async_bookkeeping_bit_exact():
     t0 = time.time()
     rng = np.random.default_rng(777)  # the deterministic scheduler
     dim, n_dev = 11, 5
-    coordinator = Coordinator("async", "data-proportional")
     sizes = [5, 10, 20, 25, 40]
-    for i in range(n_dev):
-        coordinator.register(i, dim, sizes[i])
     theta0 = rng.normal(size=dim)
-    coordinator.initialize(theta0)
+    coordinator = Coordinator("async", "data-proportional", sizes, theta0)
     expected = coordinator.theta.copy()
     for _ in range(1000):
         device = int(rng.integers(n_dev))
         delta = rng.normal(size=dim)
-        coordinator.handle_update(GradientUpdate(device, delta))
+        coordinator.apply(device, delta)
         expected += coordinator.weight_of(device) * delta
     ok = np.array_equal(coordinator.theta, expected)
     _report(7, ok, t0,
@@ -400,21 +384,15 @@ def test_criterion_9_communication_accounting():
                                     "lightweight": light_branch}, (32, 32, 3))
 
     def one_sync(nets):
-        coordinator = Coordinator("sync", "uniform-average")
-        hub = LocalHub(coordinator, dtype=np.float64)
         endpoints = []
         for i, net in enumerate(nets):
             store = net.init_store(np.random.default_rng(0), np.random.default_rng(i))
-            coordinator.register(i, net.partition.shared_len, 1)
-            hub.connect(i)
             endpoints.append(DeviceEndpoint(i, net.partition, store, data_size=1))
-        hub.broadcast_initial(endpoints[0].shared_slice().astype(np.float64))
-        for i in range(len(nets)):
-            hub.take_reply(i)
+        coordinator = Coordinator("sync", "uniform-average", [1] * len(nets),
+                                  endpoints[0].shared_slice())
         for ep in endpoints:
             ep.store.flat += 1e-3  # a simulated local training step
-        sync_round(endpoints, hub)
-        return [nbytes for _, nbytes in hub.update_log]
+        return sync_round(endpoints, coordinator)
 
     het_bytes = one_sync([DeviceNetwork(topo, "complex"),
                           DeviceNetwork(topo, "lightweight")])

@@ -37,7 +37,7 @@ from hetsim.metrics import (
     write_aggregated_csv,
     write_csv,
 )
-from hetsim.protocol import SyncStallError
+from hetsim.protocol import ProtocolError
 
 
 def tiny_supervised_doc(mode="heterogeneous", seeds=(7,)):
@@ -541,7 +541,7 @@ def test_single_seed_starts_no_process(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("run_cls,make_doc,seeds,error", [
-    (SupervisedRun, tiny_supervised_doc, (7, 8, 9), SyncStallError),
+    (SupervisedRun, tiny_supervised_doc, (7, 8, 9), ProtocolError),
     (RlRun, tiny_rl_doc, (3, 4, 5), ConfigError),
 ])
 def test_worker_exception_reraised_with_its_type_and_message(
@@ -772,6 +772,19 @@ def test_describe_reports_parameters_and_split():
     assert "shared" in text and "bytes/sync" in text
 
 
+@pytest.mark.parametrize("mode", ["heterogeneous", "homogeneous", "isolated"])
+def test_describe_bytes_per_sync_are_each_devices_bytes_sent(mode):
+    config = parse_config(tiny_supervised_doc(mode))
+    described = dict(re.findall(r"^device (\S+) .*\| bytes/sync ([\d,]+)$",
+                                describe(config), re.MULTILINE))
+    assert sorted(described) == sorted(d.id for d in config.devices)
+    rows = make_run(config, 7).run()
+    for device, nbytes in described.items():
+        sent = [r.value for r in rows if r.metric == "bytes_sent" and r.device == device]
+        assert len(sent) == config.supervised.rounds
+        assert set(sent) == {float(nbytes.replace(",", ""))}, device
+
+
 def test_cli_describe_and_run_and_aggregate(tmp_path, capsys):
     conf_path = tmp_path / "conf.json"
     conf_path.write_text(json.dumps(tiny_supervised_doc()))
@@ -849,6 +862,20 @@ def test_cli_bad_config_and_foreign_checkpoint_are_errors_not_tracebacks(tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("hetsim: error: checkpoint was written for a different topology")
     assert not (tmp_path / "resumed" / "metrics.csv").exists()
+
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"task": "supervised",')
+    missing = tmp_path / "missing"
+    for argv, message in [
+            (["run", str(tmp_path / "absent.json")], "[Errno 2] No such file"),
+            (["describe", str(malformed)], f"{malformed} is not a JSON document: "),
+            (["run", str(conf_path), "--resume", str(missing),
+              "--out", str(tmp_path / "resumed")], "[Errno 2] No such file"),
+            (["aggregate", str(missing / "metrics.csv")], "[Errno 2] No such file")]:
+        assert cli_main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"hetsim: error: {message}"), err
+        assert "Traceback" not in err
 
 
 def test_shipped_example_configs_parse():

@@ -299,22 +299,18 @@ def _grid_learner(seed, test_epsilon=0.2):
         eval_rng=np.random.default_rng([seed, 4]), batch_size=8, warmup_steps=16)
 
 
-def _reference_test_epoch(learner, episodes, max_steps=None):
+def _reference_test_epoch(learner, episodes):
     """The test epoch as one batch-1 pass per step, with no Q-row reuse."""
     total = 0.0
     for _ in range(episodes):
         state = learner.eval_env.reset()
         done = False
         ep = 0.0
-        steps = 0
         while not done:
             q = learner.q_of(learner.store, state[None])[0]
             action = _epsilon_greedy(q, learner.schedule.test, learner.eval_rng)
             state, reward, done = learner.eval_env.step(action)
             ep += reward
-            steps += 1
-            if max_steps is not None and steps >= max_steps:
-                break
         total += ep
     return total / episodes
 
@@ -334,14 +330,14 @@ def test_test_epoch_passes_each_state_once_and_returns_what_a_pass_per_step_does
 
     monkeypatch.setattr(DdqlLearner, "q_of", counting)
     start = learner.eval_env.encode((0, 0)).tobytes()
-    for max_steps in (None, 6, None):  # optimizer steps between the test epochs
+    for _ in range(3):  # optimizer steps between the test epochs
         for _ in range(40):
             learner.interact()
             reference.interact()
         passes[learner].clear()
         passes[reference].clear()
-        got = learner.test_epoch(episodes=3, max_steps=max_steps)
-        assert got == _reference_test_epoch(reference, episodes=3, max_steps=max_steps)
+        got = learner.test_epoch(episodes=3)
+        assert got == _reference_test_epoch(reference, episodes=3)
         assert learner.eval_rng.bit_generator.state == reference.eval_rng.bit_generator.state
         assert len(set(passes[learner])) == len(passes[learner]) < len(passes[reference])
         if test_epsilon == 1.0:
@@ -467,6 +463,7 @@ def test_eval_passes_build_no_cache_and_take_no_snapshot(monkeypatch):
     learner = _q_learner()
     for _ in range(80):
         learner.interact()  # warm: train_batch runs q_of beside its training forward
+    grid_learner = _grid_learner(0)  # its episodes end, ToyMdp's never do
 
     def refuse(*args, **kwargs):
         raise AssertionError("an eval pass built a cache or copied parameters")
@@ -484,7 +481,7 @@ def test_eval_passes_build_no_cache_and_take_no_snapshot(monkeypatch):
         np.testing.assert_array_equal(trainer.store.flat, before)
     learner.act(np.array([1.0, 0.0]), 0.0)
     learner.q_of(learner.target_store, np.eye(2))
-    learner.test_epoch(episodes=2, max_steps=5)
+    grid_learner.test_epoch(episodes=2)
 
 
 @pytest.mark.parametrize("make", [_blob_trainer, _cascade_trainer])

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from hetsim.nn import Dense, Flatten, ReLU, Sgd, build_layout, make_keyed
 from hetsim.nn.params import ParamStore
-from hetsim.protocol import DeviceEndpoint, ParamBroadcast
+from hetsim.protocol import DeviceEndpoint
 from hetsim.topology import ParameterPartition
 
 
@@ -93,7 +93,7 @@ def test_views_stay_bound_to_flat_after_every_in_place_writer():
     Sgd(learning_rate=1.0).step(store.flat, np.ones(store.size))
     assert _aliases_flat(store) and store.view(key)[0, 1] == 0.0
     endpoint = DeviceEndpoint(0, ParameterPartition("b", 16, store.size - 16), store, 1)
-    endpoint.apply_broadcast(ParamBroadcast(np.full(16, 7.0)))
+    endpoint.apply_broadcast(np.full(16, 7.0))
     assert _aliases_flat(store) and store.view(key)[0, 1] == 7.0
 
 

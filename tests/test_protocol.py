@@ -11,10 +11,8 @@ from hetsim.protocol import (
     Coordinator,
     DeviceEndpoint,
     GradientUpdate,
-    LocalHub,
     ParamBroadcast,
     ProtocolError,
-    SyncStallError,
     compute_merge_weights,
     decode_message,
     encode_message,
@@ -86,32 +84,31 @@ def test_local_step_mode_sends_shared_delta_since_last_sync():
     ep, store = _endpoint(shared=2, local=2)
     start = store.flatten()
     store.flat += np.array([0.5, -0.25, 9.0, 9.0])
-    update = ep.make_update()
-    np.testing.assert_allclose(update.delta, [0.5, -0.25])
-    ep.apply_broadcast(ParamBroadcast(np.array([7.0, 8.0]), 1))
+    np.testing.assert_allclose(ep.make_update(), [0.5, -0.25])
+    ep.apply_broadcast(np.array([7.0, 8.0]))
     np.testing.assert_array_equal(store.flat[:2], [7.0, 8.0])
     # local parameters untouched by sync
     np.testing.assert_array_equal(store.flat[2:], start[2:] + 9.0)
-    np.testing.assert_array_equal(ep.make_update().delta, [0.0, 0.0])
+    np.testing.assert_array_equal(ep.make_update(), [0.0, 0.0])
 
 
 def test_broadcast_length_mismatch_is_an_error():
     ep, _ = _endpoint()
     with pytest.raises(ProtocolError):
-        ep.apply_broadcast(ParamBroadcast(np.zeros(5), 1))
+        ep.apply_broadcast(np.zeros(5))
 
 
 def test_second_update_before_a_broadcast_is_an_error():
     ep, store = _endpoint(shared=2, local=1)
     store.flat[:2] += 1.0
-    np.testing.assert_array_equal(ep.make_update().delta, [1.0, 1.0])
+    np.testing.assert_array_equal(ep.make_update(), [1.0, 1.0])
     with pytest.raises(ProtocolError, match="already sent"):
         ep.make_update()
     with pytest.raises(ProtocolError, match="in flight"):
         ep.state_dict()
-    ep.apply_broadcast(ParamBroadcast(np.array([5.0, 6.0]), 1))
+    ep.apply_broadcast(np.array([5.0, 6.0]))
     store.flat[:2] += 0.5
-    np.testing.assert_array_equal(ep.make_update().delta, [0.5, 0.5])
+    np.testing.assert_array_equal(ep.make_update(), [0.5, 0.5])
 
 
 def test_checkpoint_reference_is_validated_and_copied_in():
@@ -124,7 +121,7 @@ def test_checkpoint_reference_is_validated_and_copied_in():
     ep.load_state_dict({"shared_ref": saved})
     saved[:] = 99.0  # the endpoint keeps its own copy
     np.testing.assert_array_equal(ep.state_dict()["shared_ref"], [0.5, 1.0, -1.0])
-    np.testing.assert_array_equal(ep.make_update().delta, [-0.5, 0.0, 3.0])
+    np.testing.assert_array_equal(ep.make_update(), [-0.5, 0.0, 3.0])
 
 
 @settings(max_examples=100, deadline=None)
@@ -140,11 +137,11 @@ def test_only_the_shared_slice_merges_property(shared_len, local_len, seed):
     ref = store.flat[:shared_len].copy()
     store.flat += rng.normal(size=store.size)
     local = store.flat[shared_len:].copy()
-    update = ep.make_update()
-    assert update.delta.shape == (shared_len,)
-    assert np.array_equal(update.delta, store.flat[:shared_len] - ref)
+    delta = ep.make_update()
+    assert delta.shape == (shared_len,)
+    assert np.array_equal(delta, store.flat[:shared_len] - ref)
     params = rng.normal(size=shared_len)
-    ep.apply_broadcast(ParamBroadcast(params, 1))
+    ep.apply_broadcast(params)
     assert np.array_equal(store.flat[:shared_len], params)
     assert np.array_equal(store.flat[shared_len:].view(np.uint64), local.view(np.uint64))
 
@@ -152,206 +149,178 @@ def test_only_the_shared_slice_merges_property(shared_len, local_len, seed):
 # -- synchronous coordinator ----------------------------------------------------
 
 def _sync_coordinator(sizes, weighting="uniform-sum", theta=None):
-    coord = Coordinator("sync", weighting)
-    for i, s in enumerate(sizes):
-        coord.register(i, 2, s)
-    coord.initialize(np.zeros(2) if theta is None else theta)
-    return coord
+    return Coordinator("sync", weighting, sizes, np.zeros(2) if theta is None else theta)
+
 
 def test_sync_round_literal_sum():
     coord = _sync_coordinator([1, 1])
-    assert coord.handle_update(GradientUpdate(0, np.array([1.0, 1.0]))) == []
-    out = coord.handle_update(GradientUpdate(1, np.array([2.0, 0.0])))
-    assert len(out) == 1 and out[0][0] is None
+    coord.merge([np.array([1.0, 1.0]), np.array([2.0, 0.0])])
     np.testing.assert_array_equal(coord.theta, [3.0, 1.0])
-    assert coord.round_index == 1
 
 
 def test_sync_round_data_proportional():
     coord = _sync_coordinator([40_000, 10_000], "data-proportional")
     d1, d2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    coord.handle_update(GradientUpdate(0, d1))
-    coord.handle_update(GradientUpdate(1, d2))
+    coord.merge([d1, d2])
     np.testing.assert_allclose(coord.theta, 0.8 * d1 + 0.2 * d2)
 
 
 def test_single_device_reduces_to_local_update():
     for weighting in ("uniform-sum", "data-proportional", "uniform-average"):
         coord = _sync_coordinator([17], weighting)
-        coord.handle_update(GradientUpdate(0, np.array([0.5, -0.5])))
+        coord.merge([np.array([0.5, -0.5])])
         np.testing.assert_allclose(coord.theta, [0.5, -0.5])
 
 
-def test_sync_is_a_barrier_no_broadcast_until_all_arrive():
-    coord = _sync_coordinator([1, 1, 1])
-    assert coord.handle_update(GradientUpdate(0, np.zeros(2))) == []
-    assert coord.handle_update(GradientUpdate(2, np.zeros(2))) == []
-    assert coord.missing_device_ids() == [1]
-    assert coord.handle_update(GradientUpdate(1, np.zeros(2))) != []
+def test_coordinator_copies_theta0_and_checks_its_settings():
+    theta0 = np.array([1.0, 2.0], dtype=np.float32)
+    coord = _sync_coordinator([1], theta=theta0)
+    theta0[:] = 9.0  # the coordinator keeps its own float64 copy
+    assert coord.theta.dtype == np.float64
+    np.testing.assert_array_equal(coord.theta, [1.0, 2.0])
+    with pytest.raises(ValueError, match="mode"):
+        Coordinator("eventual", "uniform-sum", [1], np.zeros(2))
+    with pytest.raises(ValueError, match="weighting"):
+        Coordinator("sync", "median", [1], np.zeros(2))
 
 
-def test_duplicate_update_in_a_round_rejected():
+def test_merge_needs_one_delta_per_device():
     coord = _sync_coordinator([1, 1])
-    coord.handle_update(GradientUpdate(0, np.zeros(2)))
-    with pytest.raises(ProtocolError):
-        coord.handle_update(GradientUpdate(0, np.zeros(2)))
+    for deltas in ([np.zeros(2)], [np.zeros(2)] * 3):
+        with pytest.raises(ProtocolError, match="deltas for 2 devices"):
+            coord.merge(deltas)
+    np.testing.assert_array_equal(coord.theta, [0.0, 0.0])
 
 
 def test_unknown_device_rejected():
-    coord = _sync_coordinator([1])
-    with pytest.raises(ProtocolError):
-        coord.handle_update(GradientUpdate(9, np.zeros(2)))
+    coord = Coordinator("async", "uniform-sum", [1], np.zeros(2))
+    for device_id in (9, 1, -1):
+        with pytest.raises(ProtocolError, match="unknown device"):
+            coord.apply(device_id, np.zeros(2))
+        with pytest.raises(ProtocolError, match="unknown device"):
+            coord.weight_of(device_id)
 
 
 def test_update_length_mismatch_rejected():
-    coord = _sync_coordinator([1])
-    with pytest.raises(ProtocolError):
-        coord.handle_update(GradientUpdate(0, np.zeros(3)))
+    coord = _sync_coordinator([1, 1])
+    # a length-1 delta would broadcast silently into the length-2 buffers
+    for bad in (np.zeros(3), np.zeros(1)):
+        with pytest.raises(ProtocolError, match="delta length"):
+            coord.merge([np.zeros(2), bad])
+        with pytest.raises(ProtocolError, match="delta length"):
+            coord.apply(0, bad)
+    np.testing.assert_array_equal(coord.theta, [0.0, 0.0])
 
 
 # -- asynchronous coordinator -----------------------------------------------------
 
-def test_async_serialization_replies():
-    coord = Coordinator("async", "uniform-sum")
-    coord.register(0, 1, 1)
-    coord.register(1, 1, 1)
-    coord.initialize(np.array([0.0]))
-    out_a = coord.handle_update(GradientUpdate(0, np.array([1.0])))
-    out_b = coord.handle_update(GradientUpdate(1, np.array([2.0])))
+def test_async_updates_apply_in_arrival_order():
+    coord = Coordinator("async", "uniform-sum", [1, 1], np.array([0.0]))
+    coord.apply(0, np.array([1.0]))
+    np.testing.assert_array_equal(coord.theta, [1.0])
+    coord.apply(1, np.array([2.0]))
     np.testing.assert_array_equal(coord.theta, [3.0])
-    assert out_a[0][0] == 0 and out_b[0][0] == 1
-    np.testing.assert_array_equal(out_a[0][1].params, [1.0])
-    np.testing.assert_array_equal(out_b[0][1].params, [3.0])
 
 
 def test_async_opposite_order_same_final_state():
     def run(order):
-        coord = Coordinator("async", "uniform-sum")
-        coord.register(0, 1, 1)
-        coord.register(1, 1, 1)
-        coord.initialize(np.array([0.0]))
-        replies = {}
+        coord = Coordinator("async", "uniform-sum", [1, 1], np.array([0.0]))
+        seen = {}
         for dev, delta in order:
-            out = coord.handle_update(GradientUpdate(dev, np.array([delta])))
-            replies[dev] = out[0][1].params[0]
-        return coord.theta[0], replies
+            coord.apply(dev, np.array([delta]))
+            seen[dev] = coord.theta[0]
+        return coord.theta[0], seen
 
-    theta_ab, replies_ab = run([(0, 1.0), (1, 2.0)])
-    theta_ba, replies_ba = run([(1, 2.0), (0, 1.0)])
+    theta_ab, seen_ab = run([(0, 1.0), (1, 2.0)])
+    theta_ba, seen_ba = run([(1, 2.0), (0, 1.0)])
     assert theta_ab == theta_ba == 3.0
-    assert replies_ab != replies_ba
+    assert seen_ab != seen_ba
 
 
 def test_async_zero_delta_is_fixed_point():
-    coord = Coordinator("async", "uniform-sum")
-    coord.register(0, 2, 1)
-    coord.initialize(np.array([4.0, 5.0]))
-    out = coord.handle_update(GradientUpdate(0, np.zeros(2)))
-    np.testing.assert_array_equal(out[0][1].params, [4.0, 5.0])
+    coord = Coordinator("async", "uniform-sum", [1], np.array([4.0, 5.0]))
+    coord.apply(0, np.zeros(2))
     np.testing.assert_array_equal(coord.theta, [4.0, 5.0])
 
 
 def test_async_bookkeeping_random_interleaving_bit_exact():
     rng = np.random.default_rng(123)
     n_dev, dim = 4, 7
-    coord = Coordinator("async", "data-proportional")
     sizes = [10, 20, 30, 40]
-    for i in range(n_dev):
-        coord.register(i, dim, sizes[i])
     theta0 = rng.normal(size=dim)
-    coord.initialize(theta0)
+    coord = Coordinator("async", "data-proportional", sizes, theta0)
     expected = coord.theta.copy()
     for _ in range(1000):
         dev = int(rng.integers(n_dev))
         delta = rng.normal(size=dim)
-        coord.handle_update(GradientUpdate(dev, delta))
+        coord.apply(dev, delta)
         expected += coord.weight_of(dev) * delta
     assert np.array_equal(coord.theta, expected)
 
 
-# -- hub wiring and sync_round ----------------------------------------------------
+# -- sync_round ------------------------------------------------------------------------
+
+def _endpoints(n, shared=2, local=1, mode="sync", weighting="uniform-sum"):
+    eps, stores = [], []
+    for i in range(n):
+        ep, store = _endpoint(device_id=i, shared=shared, local=local)
+        eps.append(ep)
+        stores.append(store)
+    coord = Coordinator(mode, weighting, [1] * n, stores[0].flat[:shared])
+    return eps, stores, coord
+
 
 def test_device_sync_roundtrip_async():
-    ep, store = _endpoint(device_id=0, shared=2, local=1)
-    coord = Coordinator("async", "uniform-sum")
-    coord.register(0, 2, 1)
-    hub = LocalHub(coord)
-    hub.connect(0)
-    hub.broadcast_initial(store.flat[:2].copy())
-    hub.take_reply(0)  # drop the initial broadcast
+    (ep,), (store,), coord = _endpoints(1, mode="async")
     store.flat[:2] += 1.0
-    sync_round([ep], hub)
+    sync_round([ep], coord)
     np.testing.assert_allclose(store.flat[:2], coord.theta)
 
 
-def test_sync_round_helper_runs_barrier():
-    eps, stores = [], []
-    coord = Coordinator("sync", "uniform-average")
-    hub = LocalHub(coord)
-    for i in range(2):
-        ep, store = _endpoint(device_id=i, shared=2, local=1)
-        coord.register(i, 2, 1)
-        hub.connect(i)
-        eps.append(ep)
-        stores.append(store)
-    hub.broadcast_initial(stores[0].flat[:2].copy())
-    for i in range(2):
-        hub.take_reply(i)
+def test_async_round_each_device_adopts_right_after_its_own_update():
+    eps, stores, coord = _endpoints(2, shared=1, local=0, mode="async")
+    theta0 = coord.theta.copy()
+    stores[0].flat[:] += 1.0
+    stores[1].flat[:] += 2.0
+    sync_round(eps, coord)
+    np.testing.assert_array_equal(stores[0].flat, theta0 + 1.0)  # before device 1's delta
+    np.testing.assert_array_equal(stores[1].flat, theta0 + 3.0)
+    np.testing.assert_array_equal(coord.theta, theta0 + 3.0)
+
+
+def test_sync_round_merges_and_every_device_adopts():
+    eps, stores, coord = _endpoints(2, weighting="uniform-average")
     stores[0].flat[:2] += np.array([2.0, 0.0])
     stores[1].flat[:2] += np.array([0.0, 4.0])
-    sync_round(eps, hub)
+    sync_round(eps, coord)
     np.testing.assert_allclose(stores[0].flat[:2], stores[1].flat[:2])
     np.testing.assert_allclose(coord.theta, np.array([0.0, 1.0]) + [1.0, 2.0])
 
 
-def test_stalled_sync_round_surfaces_diagnostic():
-    coord = Coordinator("sync", "uniform-sum")
-    hub = LocalHub(coord)
-    ep0, store0 = _endpoint(device_id=0, shared=2, local=0)
-    ep1, _ = _endpoint(device_id=1, shared=2, local=0)
-    coord.register(0, 2, 1)
-    coord.register(1, 2, 1)
-    hub.connect(0)
-    hub.connect(1)
-    hub.broadcast_initial(store0.flat[:2].copy())
-    hub.take_reply(0)
-    hub.take_reply(1)
-    with pytest.raises(SyncStallError, match="missing"):
-        sync_round([ep0], hub)  # device 1 never sends
-
-
-def test_hub_replies_are_taken_in_arrival_order():
-    ep, store = _endpoint(device_id=0, shared=2, local=0)
-    coord = Coordinator("async", "uniform-sum")
-    coord.register(0, 2, 1)
-    hub = LocalHub(coord)
-    hub.connect(0)
-    hub.broadcast_initial(store.flat[:2].copy())
-    hub.send_update(GradientUpdate(0, np.array([1.0, 0.0])))
-    hub.send_update(GradientUpdate(0, np.array([0.0, 1.0])))
-    assert [hub.take_reply(0).round_index for _ in range(3)] == [0, 1, 2]
-    with pytest.raises(SyncStallError):
-        hub.take_reply(0)
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_sync_round_takes_every_device_in_id_order(mode):
+    eps, stores, coord = _endpoints(3, mode=mode)
+    for bad in ([eps[0], eps[2], eps[1]], eps[:2], eps + [eps[0]]):
+        with pytest.raises(ProtocolError, match="in id order"):
+            sync_round(bad, coord)
+    for ep in eps:  # nothing was sent: each endpoint still holds its reference
+        ep.state_dict()
+    np.testing.assert_array_equal(coord.theta, stores[0].flat[:2])
 
 
 def test_only_shared_values_cross_the_boundary():
-    """Communication-volume assertion: every frame carries exactly shared_len."""
-    eps, stores = [], []
-    coord = Coordinator("sync", "uniform-average")
-    hub = LocalHub(coord)
+    """Communication-volume assertion: every device sends exactly shared_len reals."""
     shared, local = 3, 5
-    for i in range(2):
-        ep, store = _endpoint(device_id=i, shared=shared, local=local)
-        coord.register(i, shared, 1)
-        hub.connect(i)
-        eps.append(ep); stores.append(store)
-    hub.broadcast_initial(stores[0].flat[:shared].copy())
-    for i in range(2):
-        hub.take_reply(i)
-    for store in stores:
-        store.flat += 1.0
-    sync_round(eps, hub)
-    assert hub.update_log == [(0, shared * 8), (1, shared * 8)]
+    part = ParameterPartition("b", shared, local)
+    for dtype in (np.float64, np.float32):
+        stores = [ParamStore([((("net", 0), "w"), (shared + local,))], dtype)
+                  for _ in range(2)]
+        eps = [DeviceEndpoint(i, part, store, data_size=1)
+               for i, store in enumerate(stores)]
+        coord = Coordinator("sync", "uniform-average", [1, 1], stores[0].flat[:shared])
+        for store in stores:
+            store.flat += 1.0
+        assert sync_round(eps, coord) == [shared * np.dtype(dtype).itemsize] * 2
 
 
 # -- wire format -------------------------------------------------------------------
@@ -422,7 +391,8 @@ class _ReferenceProtocol:
         self.stores[i].flat[:self.s] = params
         self.refs[i] = self.stores[i].flat[:self.s].copy()
 
-    def sync_round(self, order):
+    def sync_round(self):
+        order = range(len(self.stores))
         replies, pending = {}, {}
         for i in order:
             delta = self.make_update(i)
@@ -433,22 +403,23 @@ class _ReferenceProtocol:
             else:
                 pending[i] = np.asarray(delta, dtype=np.float64)
         if self.mode == "sync":
-            ids = sorted(pending)  # registration order
-            self.theta += self.merge_deltas([self.weights[i] for i in ids],
-                                            [pending[i] for i in ids])
+            self.theta += self.merge_deltas(self.weights, [pending[i] for i in order])
             replies = {i: self.theta.copy() for i in order}
         for i in order:
             self.apply_broadcast(i, replies[i])
 
 
-class _RecordingHub(LocalHub):
-    def __init__(self, coordinator, dtype=np.float64):
-        super().__init__(coordinator, dtype)
-        self.sent = []
+class _RecordingEndpoint(DeviceEndpoint):
+    """Keeps a copy of each delta it sends, in a list shared by all devices."""
 
-    def send_update(self, update):
-        self.sent.append((update.device_id, update.delta.copy()))
-        super().send_update(update)
+    def __init__(self, sent, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sent = sent
+
+    def make_update(self):
+        delta = super().make_update()
+        self.sent.append((self.device_id, delta.copy()))
+        return delta
 
 
 def _bits(a):
@@ -489,18 +460,12 @@ def test_in_place_rounds_match_the_allocating_reference(dtype, mode, weighting, 
         store.flat[:4] = [0.0, -0.0, -0.0, 0.0]
         stores.append(store)
         ref_stores.append(store.copy())
-    coord = Coordinator(mode, weighting)
-    hub = _RecordingHub(coord, dtype)
-    eps = []
-    for i, (store, size) in enumerate(zip(stores, sizes)):
-        eps.append(DeviceEndpoint(i, part, store, data_size=size))
-        coord.register(i, shared, size)
-        hub.connect(i)
+    sent = []
+    eps = [_RecordingEndpoint(sent, i, part, store, data_size=size)
+           for i, (store, size) in enumerate(zip(stores, sizes))]
     theta0 = stores[0].flat[:shared].astype(np.float64)
     theta0[0] = -0.0  # a sum of -0.0 terms must not keep it negative
-    hub.broadcast_initial(theta0)
-    for i in range(len(sizes)):
-        hub.take_reply(i)
+    coord = Coordinator(mode, weighting, sizes, theta0)
     reference = _ReferenceProtocol(
         ref_stores, shared, compute_merge_weights(sizes, weighting), mode, theta0)
     assert np.array_equal(_bits(coord.theta), _bits(reference.theta))
@@ -508,14 +473,14 @@ def test_in_place_rounds_match_the_allocating_reference(dtype, mode, weighting, 
     negative_zeros = 0
     for _ in range(12):
         _perturb(rng, [(a.flat, b.flat) for a, b in zip(stores, ref_stores)])
-        order = [int(i) for i in rng.permutation(len(sizes))]  # out-of-order arrivals
-        sync_round([eps[i] for i in order], hub)
-        reference.sync_round(order)
-        assert [i for i, _ in hub.sent] == [i for i, _ in reference.sent]
-        for (_, got), (_, want) in zip(hub.sent, reference.sent):
+        nbytes = sync_round(eps, coord)
+        reference.sync_round()
+        assert [i for i, _ in sent] == [i for i, _ in reference.sent]
+        for (_, got), (_, want), n in zip(sent, reference.sent, nbytes):
             assert got.dtype == want.dtype and np.array_equal(_bits(got), _bits(want))
+            assert n == got.nbytes == shared * np.dtype(dtype).itemsize
             negative_zeros += int(np.sum((got == 0.0) & np.signbit(got)))
-        hub.sent.clear()
+        sent.clear()
         reference.sent.clear()
         assert np.array_equal(_bits(coord.theta), _bits(reference.theta))
         for i, (store, ref_store) in enumerate(zip(stores, ref_stores)):
@@ -542,25 +507,20 @@ def test_merge_deltas_buffers_match_the_allocating_reference(dtype):
     assert merge_deltas(weights, deltas, out=out) is out
 
 
-def test_second_sync_round_allocates_only_the_broadcast_copy():
-    """Per-device parameter-sized temporaries would show as a multiple of
-    the shared slice's bytes in the traced peak."""
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_second_sync_round_allocates_no_parameter_sized_array(mode):
+    """A parameter-sized temporary (a copy of a delta, of a merged vector or
+    of ``theta``) would show in the traced peak as the shared slice's bytes."""
     n_dev, shared = 8, 1 << 16
     part = ParameterPartition("b", shared, 3)
-    coord = Coordinator("sync", "data-proportional")
-    hub = LocalHub(coord)
-    eps = []
     rng = np.random.default_rng(0)
     theta0 = rng.normal(size=shared)
+    eps = []
     for i in range(n_dev):
         store = _store(shared + 3)
         store.flat[:shared] = theta0
         eps.append(DeviceEndpoint(i, part, store, data_size=i + 1))
-        coord.register(i, shared, i + 1)
-        hub.connect(i)
-    hub.broadcast_initial(theta0)
-    for i in range(n_dev):
-        hub.take_reply(i)
+    coord = Coordinator(mode, "data-proportional", [i + 1 for i in range(n_dev)], theta0)
     noise = rng.normal(size=shared)
     tracemalloc.start()
     try:
@@ -569,9 +529,9 @@ def test_second_sync_round_allocates_only_the_broadcast_copy():
                 ep.store.flat[:shared] += (k + 1) * noise
             tracemalloc.reset_peak()
             before, _ = tracemalloc.get_traced_memory()
-            sync_round(eps, hub)
+            sync_round(eps, coord)
             _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     peak -= before
-    assert peak <= 1.5 * shared * 8, f"peak {peak / (shared * 8):.2f}x the shared slice"
+    assert peak < 0.25 * shared * 8, f"peak {peak / (shared * 8):.2f}x the shared slice"
