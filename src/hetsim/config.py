@@ -370,6 +370,16 @@ def parse_config(doc: dict) -> ExperimentConfig:
         for key in ("epsilon_start", "epsilon_end", "epsilon_test"):
             if not 0.0 <= getattr(rl, key) <= 1.0:
                 raise ConfigError(f"rl.{key} must be in [0, 1], got {getattr(rl, key)}")
+        # DdqlLearner trains once its replay holds this many transitions;
+        # the default warmup, capacity // 20, always fits
+        warmup = max(rl.batch_size, rl.warmup_steps or 0)
+        for i, dev in enumerate(devices):
+            if dev.replay_capacity < warmup:
+                raise ConfigError(
+                    f"devices[{i}] ({dev.id!r}): replay_capacity {dev.replay_capacity} is "
+                    f"below the {warmup} transitions it must hold before training "
+                    f"(rl.batch_size {rl.batch_size}, rl.warmup_steps "
+                    f"{rl.warmup_steps}), so the device would never train")
         environment = _parse_environment(_require(doc, "environment", "config"))
 
     return ExperimentConfig(

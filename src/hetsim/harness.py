@@ -85,8 +85,14 @@ class _Run:
         setattr(self, self.CLOCK, 0)
         self.rows: list[MetricsRow] = []
         self.devices: list[dict] = []
+        # devices that train the same network share one DeviceNetwork (it
+        # holds no parameters), and so one gradient store
+        nets: dict[str, DeviceNetwork] = {}
         for i, dev_cfg in enumerate(config.devices):
-            net = build_device_network(config, dev_cfg)
+            key = "" if config.mode == "homogeneous" else dev_cfg.branch
+            if key not in nets:
+                nets[key] = build_device_network(config, dev_cfg)
+            net = nets[key]
             store = _init_device_store(net, config, seed, dev_cfg.id)
             learner, data_size = self._make_learner(
                 i, dev_cfg, net, store, make_optimizer(dev_cfg.optimizer))
@@ -250,12 +256,12 @@ class SupervisedRun(_Run):
     def finalize(self) -> None:
         """One test accuracy row per device, from its best-validation snapshot.
 
-        A snapshot is scored once per distinct model: a device whose network
-        equals an earlier device's (the same topology by value and the same
-        branch) and whose snapshot has the same bits (so ``0.0`` and ``-0.0``
-        differ) reuses that accuracy, which the same pass would reproduce bit
-        for bit. In homogeneous mode, where every sync broadcasts one set of
-        parameters, most devices end on a snapshot another already holds.
+        A snapshot is scored once per distinct model: a device that shares an
+        earlier device's network (devices on one branch do) and whose snapshot
+        has the same bits (so ``0.0`` and ``-0.0`` differ) reuses that
+        accuracy, which the same pass would reproduce bit for bit. In
+        homogeneous mode, where every sync broadcasts one set of parameters,
+        most devices end on a snapshot another already holds.
         """
         scored: list[tuple[DeviceNetwork, np.ndarray, float]] = []
         for dev in self.devices:
@@ -263,8 +269,7 @@ class SupervisedRun(_Run):
             snap = trainer.snapshot
             bits = snap.view(np.dtype(f"u{snap.itemsize}"))
             for other, other_bits, acc in scored:
-                if (other.branch_id == net.branch_id and other.topology == net.topology
-                        and np.array_equal(other_bits, bits)):
+                if other is net and np.array_equal(other_bits, bits):
                     break
             else:
                 acc = trainer.evaluate(self.test_set.features, self.test_set.labels,

@@ -344,7 +344,7 @@ class SupervisedTrainer:
             grads = self.network.backward(cache, dlogits, self.store, from_logits=True)
             self.optimizer.step(self.store.flat, grads.flat)
             losses.append(loss * len(batch))
-            correct += int((probs.argmax(axis=1) == y).sum())
+            correct += int(np.count_nonzero(probs.argmax(axis=1) == y))
         return float(np.sum(losses) / len(idx)), correct / len(idx)
 
     def evaluate(self, x: np.ndarray, y: np.ndarray, flat: np.ndarray | None = None,

@@ -87,11 +87,14 @@ class Dense(Layer):
         return in_shape[0] * self.units + self.units
 
     def forward(self, store, key, x, train, rng):
-        return x @ store.view((key, "w")) + store.view((key, "b")), x
+        y = x @ store.view((key, "w"))
+        y += store.view((key, "b"))  # the bits of ``x @ w + b``, one array fewer
+        return y, x
 
     def backward_params(self, store, key, x, dy, grads):
-        grads.view((key, "w"))[...] += x.T @ dy
-        grads.view((key, "b"))[...] += dy.sum(axis=0)
+        gw, gb = grads.view((key, "w")), grads.view((key, "b"))
+        gw += x.T @ dy  # in place, without the write-back of ``gw[...] +=``
+        gb += dy.sum(axis=0)
 
     def backward(self, store, key, x, dy, grads):
         self.backward_params(store, key, x, dy, grads)
@@ -333,9 +336,9 @@ class Softmax(Layer):
     drops_non_finite = True  # exp(-inf) is 0
 
     def forward(self, store, key, x, train, rng):
-        z = x - x.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        p = e / e.sum(axis=-1, keepdims=True)
+        p = x - x.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)  # in place: the bits of the expression form
+        p /= p.sum(axis=-1, keepdims=True)
         return p, p
 
     def backward(self, store, key, p, dy, grads):

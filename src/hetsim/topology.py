@@ -146,7 +146,9 @@ class DeviceNetwork:
     and :meth:`predict` is the eval pass that keeps none. The chain that
     reads the network input (the plain chain, or the cascade stem) is
     planned with ``reads_input``, so :meth:`backward` computes no gradient
-    for the input.
+    for the input. The network holds no parameters, so devices that train
+    the same network can share one; its only buffer is the gradient store
+    :meth:`backward` reuses.
     """
 
     def __init__(self, topology: BranchedTopology, branch_id: str):
@@ -196,6 +198,7 @@ class DeviceNetwork:
             self._light_plan, self._own_plan = plan(light_head), plan(own)
         else:
             self._plan = plan(stem + own, reads_input=True)
+        self._grads: ParamStore | None = None  # backward's store, see there
 
     # -- construction ------------------------------------------------------
 
@@ -274,9 +277,18 @@ class DeviceNetwork:
 
         With ``from_logits`` the upstream gradient is taken w.r.t. the
         pre-softmax logits (the fused cross-entropy form) and the final
-        softmax is skipped. Each call accumulates into a new store.
+        softmax is skipped.
+
+        The gradients go into one store the network keeps: zero-filled in
+        place at the start of each call, and allocated again only when a
+        store of another dtype or size arrives. So the result is valid until
+        the next :meth:`backward` on this network, which overwrites it.
         """
-        grads = store.zeros_like()
+        grads = self._grads
+        if grads is None or grads.dtype != store.dtype or grads.size != store.size:
+            grads = self._grads = store.zeros_like()
+        else:
+            grads.flat.fill(0.0)
         if not self.is_cascade_complex:
             backward_chain(cache, dy, store, grads, from_logits=from_logits)
             return grads

@@ -2,11 +2,17 @@
 
 The digests were computed once and committed; a refactor that changes one
 byte of a run's metrics fails here. Cases cover the three run modes of
-both tasks, the asynchronous coordinator, 32-bit reals, and a small conv
+both tasks, the asynchronous coordinator, 32-bit reals, three devices of
+which two train one branch (and so share one network), and a small conv
 cascade on CIFAR-format files (conv2d at stride 1 and 2, max pooling and
-dropout).
+dropout). The digests must also hold under one and two BLAS threads.
 """
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +32,14 @@ def _long_rl(doc):
     # 120 steps leave every test reward at the timeout value in all modes;
     # by 240 steps the sync paths give different rewards
     doc["rl"]["total_steps"] = 240
+    return doc
+
+
+def _third_device_on_a_shared_branch(doc):
+    # "weak" and "weak2" train one branch, so the run gives them one network
+    doc["devices"].append({"id": "weak2", "branch": "lightweight", "replay_capacity": 80,
+                           "rate": 0.5,
+                           "optimizer": {"algorithm": "adam", "learning_rate": 0.001}})
     return doc
 
 
@@ -103,6 +117,9 @@ CASES = {
     "rl-heterogeneous": (
         lambda _: _long_rl(tiny_rl_doc("heterogeneous")),
         "b8784613ad0b6db6926cfb55160d1d684d0e6a4d8475504e1bb3ea842e29da91"),
+    "rl-heterogeneous-three-devices": (
+        lambda _: _third_device_on_a_shared_branch(_long_rl(tiny_rl_doc())),
+        "113660264967fd915ba6e152b444c3faec1ce84ea5c625c0f10aeea4ebf20860"),
     "rl-heterogeneous-async": (
         lambda _: _async(_long_rl(tiny_rl_doc())),
         "677fae0aa4e87ba15c1779798302b934b06db0006d166b1e13cf45507e0da2e7"),
@@ -123,3 +140,35 @@ def test_metrics_csv_matches_golden_digest(name, tmp_path):
     make_doc, digest = CASES[name]
     run_experiment(parse_config(make_doc(tmp_path)), out_dir=tmp_path)
     assert hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest() == digest
+
+
+_DIGESTS_SCRIPT = """
+import hashlib, json, pathlib, tempfile
+from hetsim.config import parse_config
+from hetsim.harness import run_experiment
+from test_golden import CASES
+digests = {}
+for name, (make_doc, _) in CASES.items():
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp)
+        run_experiment(parse_config(make_doc(out)), out_dir=out)
+        digests[name] = hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_golden_digests_hold_under_one_and_two_blas_threads(threads):
+    """Every case in a fresh process whose OpenBLAS runs ``threads`` threads.
+
+    The bits of a BLAS product may depend on the thread count, and the
+    test suite otherwise runs with the default. OpenBLAS caps the count at
+    the usable CPUs, so on one CPU both runs use one thread.
+    """
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", _DIGESTS_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {name: digest for name, (_, digest) in CASES.items()}

@@ -196,10 +196,21 @@ def _with_fraction(index, fraction):
     (_with_fraction(0, 1.0), ("devices", 1, "data_fraction"), 0.0),
     # a device entry is an object
     (tiny_supervised_doc, ("devices",), [3]),
+    # a replay that cannot hold its warmup (batch_size 32) never trains
+    (tiny_rl_doc, ("devices", 1, "replay_capacity"), 20),
+    (tiny_rl_doc, ("rl", "warmup_steps"), 61),
 ])
 def test_bad_run_lengths_and_rates_rejected(make_doc, path, value):
     with pytest.raises(ConfigError, match=path[-1]):
         parse_config(_set(make_doc(), path, value))
+
+
+def test_replay_below_its_warmup_names_the_device():
+    doc = _set(tiny_rl_doc(), ("rl", "batch_size"), 61)
+    with pytest.raises(ConfigError, match=r"devices\[1\] \('weak'\): replay_capacity 60 "
+                                          r"is below the 61 transitions"):
+        parse_config(doc)
+    parse_config(_set(doc, ("rl", "batch_size"), 60))  # a replay that just holds it
 
 
 @pytest.mark.parametrize("make_doc,path,value", [
@@ -441,6 +452,16 @@ def _test_accuracies(run) -> list[float]:
 
 def _distinct_bits(arrays) -> int:
     return len({a.tobytes() for a in arrays})
+
+
+def test_devices_that_train_one_network_share_it():
+    doc = tiny_rl_doc()
+    doc["devices"].append(dict(doc["devices"][1], id="weak2"))
+    nets = [dev["net"] for dev in make_run(parse_config(doc), 3).devices]
+    assert nets[1] is nets[2] and nets[0] is not nets[1]
+    doc["mode"] = "homogeneous"
+    nets = [dev["net"] for dev in make_run(parse_config(doc), 3).devices]
+    assert nets[0] is nets[1] is nets[2]
 
 
 def test_homogeneous_finalize_scores_each_distinct_snapshot_once(monkeypatch):

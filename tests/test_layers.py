@@ -1,6 +1,8 @@
 """Forward-pass behaviour and shape rules of the layer kinds."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetsim import nn
 from hetsim.nn import (
@@ -50,6 +52,30 @@ def test_softmax_sums_to_one():
     keyed, store = _store_for([Softmax()], (11,))
     out, _ = forward_chain(keyed, store, rng.normal(size=(40, 11)) * 10)
     np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 9), st.integers(1, 9),
+       st.sampled_from([np.float32, np.float64]), st.sampled_from([1.0, 30.0, 1e3]))
+def test_dense_and_softmax_forward_are_their_expression_forms_bit_for_bit(
+        seed, n, d_in, d_out, dtype, scale):
+    rng = np.random.default_rng(seed)
+    key = ("net", 0)
+    store = ParamStore(build_layout([(key, Dense(d_out))], (d_in,)), dtype)
+    store.flat[:] = rng.normal(size=store.size)
+    w, b = store.view((key, "w")), store.view((key, "b"))
+    x = (rng.normal(size=(n, d_in)) * scale).astype(dtype)
+    y, _ = Dense(d_out).forward(store, key, x, True, None)
+    want = x @ w + b
+    assert y.dtype == want.dtype and y.tobytes() == want.tobytes()
+    x[:, 1:][rng.random((n, d_in - 1)) < 0.2] = -np.inf  # softmax maps these to 0
+    before = x.tobytes()
+    p, cached = Softmax().forward(None, None, x, True, None)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    want = e / e.sum(axis=-1, keepdims=True)
+    assert p is cached
+    assert p.dtype == want.dtype and p.tobytes() == want.tobytes()
+    assert x.tobytes() == before  # the input is not written
 
 
 def test_flatten_then_dense_shapes():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cross_entropy_before import cross_entropy as before
 from hetsim.nn.losses import cross_entropy, huber
 
 
@@ -90,6 +91,66 @@ def test_cross_entropy_matches_the_mean_form_bit_for_bit(seed, n, c, dtype, spre
     assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
     assert grad.dtype == want_grad.dtype
     assert grad.tobytes() == want_grad.tobytes()
+
+
+_GAPS = (1.0e-5, 1.1e-5 - 1e-9, 1.1e-5, 1.1e-5 + 1e-9, 1.2e-5)  # tolerance 1.1e-5
+
+
+@st.composite
+def _cross_entropy_inputs(draw):
+    """Softmax rows, some edited: moved just inside or outside the row-sum
+    tolerance, given a NaN or +-inf, or made one-hot (zero probabilities);
+    probs of rank 0 to 3, and labels in range, out of it, negative, of
+    another length, or a scalar."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, c = draw(st.sampled_from([1, 2, 3, 4, 0])), draw(st.sampled_from([2, 3, 5, 1, 0]))
+    logits = rng.normal(scale=draw(st.sampled_from([1.0, 40.0])), size=(n, c))
+    probs = np.exp(logits - (logits.max(axis=1, keepdims=True) if c else 0.0))
+    probs /= np.where(c, probs.sum(axis=1, keepdims=True), 1.0)
+    for row in probs if c else ():
+        j = rng.integers(c)
+        kind = draw(st.sampled_from(["softmax", "softmax", "softmax", "gap",
+                                     "one-hot", "nan", "inf", "-inf"]))
+        if kind == "gap":
+            row[j] += draw(st.sampled_from([1.0, -1.0])) * draw(st.sampled_from(_GAPS))
+        elif kind == "one-hot":
+            row[:] = 0.0
+            row[j] = 1.0
+        elif kind != "softmax":
+            row[j] = float(kind)
+    probs = probs.astype(draw(st.sampled_from([np.float32, np.float64])))
+    rank = draw(st.sampled_from([2, 2, 2, 2, 1, 0, 3]))
+    if rank == 1:
+        probs = probs[0] if n else probs.reshape(-1)
+    elif rank == 0:
+        probs = probs.flat[0] if probs.size else np.float64(1.0)
+    elif rank == 3:
+        probs = probs[None]
+    batch = n if rank >= 2 else 1
+    labels = rng.integers(0, max(c, 1), size=batch)
+    edit = draw(st.sampled_from(["none", "none", "scalar", "high", "negative", "length"]))
+    if edit == "scalar" and batch == 1:
+        labels = int(labels[0])
+    elif edit in ("high", "negative") and batch:
+        labels[rng.integers(batch)] = c if edit == "high" else -1
+    elif edit == "length":
+        labels = np.append(labels, 0)
+    return probs, labels
+
+
+def _outcome(fn, probs, labels):
+    try:
+        loss, dlogits = fn(probs, labels)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+    return np.float64(loss).tobytes(), dlogits.dtype, dlogits.shape, dlogits.tobytes()
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_cross_entropy_inputs())
+def test_cross_entropy_behaves_as_the_function_it_replaced(inputs):
+    probs, labels = inputs
+    assert _outcome(cross_entropy, probs, labels) == _outcome(before, probs, labels)
 
 
 def test_unnormalized_probabilities_rejected():
