@@ -15,7 +15,6 @@ from .harness import RlRun, SupervisedRun, describe, make_run, run_experiment
 from .learners import DdqlLearner, EpsilonSchedule, ReplayBuffer, SupervisedTrainer
 from .protocol import (
     Coordinator,
-    DeviceEndpoint,
     GradientUpdate,
     ParamBroadcast,
     compute_merge_weights,
@@ -34,8 +33,8 @@ from .topology import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchedTopology", "Coordinator", "Dataset", "DdqlLearner", "DeviceEndpoint",
-    "DeviceNetwork", "EpsilonSchedule", "ExperimentConfig", "GradientUpdate",
+    "BranchedTopology", "Coordinator", "Dataset", "DdqlLearner", "DeviceNetwork",
+    "EpsilonSchedule", "ExperimentConfig", "GradientUpdate",
     "GridWorld", "ParamBroadcast", "ParameterPartition", "ReplayBuffer",
     "RlRun", "SupervisedRun", "SupervisedTrainer", "build_cascaded",
     "build_share_first", "compute_merge_weights", "count_parameters",

@@ -8,7 +8,7 @@ from pathlib import Path
 from .checkpoint import CheckpointError
 from .config import ConfigError, load_config
 from .harness import describe, run_experiment
-from .metrics import read_csv, write_aggregated_csv
+from .metrics import MetricsFileError, read_csv, write_aggregated_csv
 
 
 def _cmd_run(args) -> int:
@@ -70,14 +70,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run the command; a bad config, run setting or checkpoint, or a file
-    that cannot be read or written, prints ``hetsim: error: <message>`` to
-    stderr and returns 2, as a bad flag does."""
+    """Run the command; a bad config, run setting, checkpoint or metrics
+    file, or a file that cannot be read or written, prints
+    ``hetsim: error: <message>`` to stderr and returns 2, as a bad flag does."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CheckpointError, OSError) as exc:
+    except (ConfigError, CheckpointError, MetricsFileError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 

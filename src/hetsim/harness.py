@@ -33,7 +33,7 @@ from .gridworld import GridWorld
 from .learners import DdqlLearner, EpsilonSchedule, ReplayBuffer, SupervisedTrainer
 from .metrics import MetricsRow, write_aggregated_csv, write_csv
 from .nn.optim import make_optimizer
-from .protocol import Coordinator, DeviceEndpoint, sync_round
+from .protocol import Coordinator, sync_round
 from .rng import child_rng, child_seed
 from .topology import BranchedTopology, DeviceNetwork, build_share_first, count_parameters
 from . import checkpoint as ckpt
@@ -85,6 +85,7 @@ class _Run:
         setattr(self, self.CLOCK, 0)
         self.rows: list[MetricsRow] = []
         self.devices: list[dict] = []
+        data_sizes = []
         # devices that train the same network share one DeviceNetwork (it
         # holds no parameters), and so one gradient store
         nets: dict[str, DeviceNetwork] = {}
@@ -96,19 +97,15 @@ class _Run:
             store = _init_device_store(net, config, seed, dev_cfg.id)
             learner, data_size = self._make_learner(
                 i, dev_cfg, net, store, make_optimizer(dev_cfg.optimizer))
-            self.devices.append({
-                "cfg": dev_cfg, "net": net, "store": store,
-                "endpoint": DeviceEndpoint(i, net.partition, store, data_size),
-                self.LEARNER: learner})
-        self.endpoints = [dev["endpoint"] for dev in self.devices]
+            self.devices.append({"cfg": dev_cfg, "net": net, "store": store,
+                                 self.LEARNER: learner})
+            data_sizes.append(data_size)
         self.coordinator = None
         if config.mode != "isolated":
-            theta0 = self.endpoints[0].shared_slice()
-            if not all(np.array_equal(ep.shared_slice(), theta0) for ep in self.endpoints):
-                raise RuntimeError("initial shared parameters disagree across devices")
             self.coordinator = Coordinator(
-                config.coordinator.mode, config.coordinator.weighting,
-                [ep.data_size for ep in self.endpoints], theta0)
+                config.coordinator.mode, config.coordinator.weighting, data_sizes,
+                [dev["store"].flat[:dev["net"].partition.shared_len]
+                 for dev in self.devices])
 
     def _make_learner(self, index: int, dev_cfg: DeviceConfig, net: DeviceNetwork,
                       store, optimizer):
@@ -143,7 +140,7 @@ class _Run:
     def _sync_and_log(self, t: int) -> None:
         """One sync round, then a bytes_sent row per device (zero if isolated)."""
         sent = ([0] * len(self.devices) if self.coordinator is None
-                else sync_round(self.endpoints, self.coordinator))
+                else sync_round(self.coordinator))
         for dev, nbytes in zip(self.devices, sent):
             self._row(t, dev["cfg"].id, "train", "bytes_sent", float(nbytes))
 
@@ -152,11 +149,12 @@ class _Run:
     def state_dict(self) -> dict:
         state = {"seed": self.seed, self.CLOCK: getattr(self, self.CLOCK),
                  "rows": [astuple(row) for row in self.rows],
-                 "devices": [{self.LEARNER: dev[self.LEARNER].state_dict(),
-                              "endpoint": dev["endpoint"].state_dict()}
+                 "devices": [{self.LEARNER: dev[self.LEARNER].state_dict()}
                              for dev in self.devices]}
         if self.coordinator is not None:
             state["coordinator"] = {"theta": self.coordinator.theta.copy()}
+            for dev_state, ref in zip(state["devices"], self.coordinator.refs):
+                dev_state["endpoint"] = {"shared_ref": ref.copy()}
         return state
 
     def load_state_dict(self, state: dict) -> None:
@@ -165,15 +163,22 @@ class _Run:
         setattr(self, self.CLOCK, int(state[self.CLOCK]))
         for dev, dev_state in zip(self.devices, state["devices"]):
             dev[self.LEARNER].load_state_dict(dev_state[self.LEARNER])
-            dev["endpoint"].load_state_dict(dev_state["endpoint"])
         if self.coordinator is not None:
-            theta = np.asarray(state["coordinator"]["theta"])
-            if theta.shape != self.coordinator.theta.shape:
-                raise ckpt.CheckpointError(
-                    f"checkpoint theta has shape {theta.shape}, the coordinator "
-                    f"holds {self.coordinator.theta.shape}")
-            self.coordinator.theta[...] = theta
+            for k, (ref, dev_state) in enumerate(zip(self.coordinator.refs,
+                                                     state["devices"])):
+                _copy_checked(ref, dev_state["endpoint"]["shared_ref"],
+                              f"device {k}'s shared_ref")
+            _copy_checked(self.coordinator.theta, state["coordinator"]["theta"], "theta")
         self.rows = [MetricsRow(*row) for row in state["rows"]]
+
+
+def _copy_checked(dst: np.ndarray, saved, name: str) -> None:
+    """Copy a checkpoint array into ``dst``; another shape is a ``CheckpointError``."""
+    saved = np.asarray(saved)
+    if saved.shape != dst.shape:
+        raise ckpt.CheckpointError(
+            f"checkpoint {name} has shape {saved.shape}, the run holds {dst.shape}")
+    dst[...] = saved
 
 
 def _summarize(rows: list[MetricsRow], final_metric: str) -> dict:
@@ -209,7 +214,19 @@ def _load_supervised_data(config: ExperimentConfig, seed: int) -> tuple[Dataset,
             d["num_classes"], d.get("test_per_class", max(1, d["per_class"] // 5)),
             d["dims"], d["class_separation"], child_seed(seed, "data-test"))
         return train, test
-    return load_cifar10_binary(d["train_path"]), load_cifar10_binary(d["test_path"])
+    return _load_cifar(d, "train_path"), _load_cifar(d, "test_path")
+
+
+def _load_cifar(data: dict, key: str) -> Dataset:
+    """The CIFAR-10 file at ``data[key]``; one that holds no records, or is
+    not CIFAR-10 binary, is a ``ConfigError`` naming ``data.<key>``."""
+    try:
+        dataset = load_cifar10_binary(data[key])
+    except ValueError as exc:
+        raise ConfigError(f"data.{key}: {exc}") from None
+    if len(dataset) == 0:
+        raise ConfigError(f"data.{key}: {data[key]} holds no CIFAR-10 records")
+    return dataset
 
 
 class SupervisedRun(_Run):
@@ -224,7 +241,13 @@ class SupervisedRun(_Run):
         self.end = config.supervised.rounds
         pool, self.test_set = _load_supervised_data(config, seed)
         fractions = [d.data_fraction for d in config.devices]
-        self.partition = partition_dataset(pool, fractions, child_seed(seed, "partition"))
+        try:
+            self.partition = partition_dataset(pool, fractions, child_seed(seed, "partition"))
+        except ValueError as exc:
+            raise ConfigError(f"data: {exc}") from None
+        if not all(len(train) for train in self.partition.train_indices):
+            raise ConfigError(f"data: {len(pool)} examples leave a device with no "
+                              f"training example under the fractions {tuple(fractions)}")
         # per device: train features, train labels, validation features and labels
         self._shards = [(pool.features[train], pool.labels[train],
                          pool.features[val], pool.labels[val])

@@ -1,10 +1,10 @@
 """Per-device training loops: double deep Q-learning and round-based
 supervised training.
 
-Both learners own their device's parameters and optimizer exclusively and
-interact with the rest of the system only through the sync endpoint the
-harness wires in. All randomness comes from generators injected at
-construction.
+Both learners own their device's parameters and optimizer; the rest of
+the system touches only the shared slice of those parameters, which the
+coordinator reads and overwrites at a sync. All randomness comes from
+generators injected at construction.
 """
 from __future__ import annotations
 

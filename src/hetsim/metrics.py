@@ -35,17 +35,31 @@ def write_csv(rows: list[MetricsRow], path) -> None:
             fh.write(f"{r.seed},{r.round},{r.device},{r.phase},{r.metric},{_fmt(r.value)}\n")
 
 
+class MetricsFileError(ValueError):
+    """A file that is not a raw metrics CSV."""
+
+
 def read_csv(path) -> list[MetricsRow]:
+    """The rows of a raw metrics CSV. A file that is not one raises
+    :class:`MetricsFileError`, naming the file and the line at fault."""
     path = Path(path)
     rows = []
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if ",".join(header) != CSV_HEADER:
-            raise ValueError(f"unexpected header {header!r}")
-        for rec in reader:
-            rows.append(MetricsRow(int(rec[0]), int(rec[1]), rec[2], rec[3], rec[4],
-                                   float(rec[5])))
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"empty file, expected the header {CSV_HEADER!r}")
+            if ",".join(header) != CSV_HEADER:
+                raise ValueError(f"header {','.join(header)!r}, expected {CSV_HEADER!r}")
+            for rec in reader:
+                if len(rec) != 6:
+                    raise ValueError(f"{len(rec)} fields, expected 6")
+                rows.append(MetricsRow(int(rec[0]), int(rec[1]), rec[2], rec[3], rec[4],
+                                       float(rec[5])))
+        except (ValueError, csv.Error) as exc:
+            where = f"{path}:{reader.line_num}" if reader.line_num else str(path)
+            raise MetricsFileError(f"{where}: {exc}") from None
     return rows
 
 

@@ -12,15 +12,6 @@ Everything here runs inline in one process, with the devices in id order,
 so a round is deterministic. The frame codec below fixes the wire format;
 :func:`sync_round` meters the payload bytes a frame would carry without
 encoding it.
-
-A round allocates no parameter-sized temporaries, so deltas are lent
-rather than owned:
-
-* the delta a :class:`DeviceEndpoint` sends is its own reference buffer,
-  valid until that endpoint adopts the shared parameters;
-* the :class:`Coordinator` reads deltas only inside :meth:`~Coordinator.merge`
-  or :meth:`~Coordinator.apply`, into two float64 buffers of its own that
-  it allocates once.
 """
 from __future__ import annotations
 
@@ -28,9 +19,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-
-from .nn.params import ParamStore
-from .topology import ParameterPartition
 
 COORDINATOR_MODES = ("sync", "async")
 WEIGHTINGS = ("data-proportional", "uniform-average", "uniform-sum")
@@ -158,26 +146,38 @@ def merge_deltas(weights, deltas, out: np.ndarray | None = None,
 # ---------------------------------------------------------------------------
 
 class Coordinator:
-    """Holds the authoritative shared parameters and merges device deltas.
+    """Holds the authoritative shared parameters and each device's reference
+    point, and merges device deltas.
 
-    Devices are numbered 0..n-1 in the order of ``data_sizes``, from which
-    the merge weights come. ``mode`` tells :func:`sync_round` which step a
-    round runs: "sync" calls :meth:`merge` once with every device's delta,
-    "async" calls :meth:`apply` once per device.
+    ``shared`` holds each device's shared slice, a view of the block its
+    parameter vector starts with (``store.flat[:shared_len]``), in the order
+    of ``data_sizes``, from which the merge weights come. The slices must be
+    equal. ``mode`` tells :func:`sync_round` which step a round runs: "sync"
+    calls :meth:`merge` once with every device's delta, "async" calls
+    :meth:`apply` once per device.
 
-    ``theta`` starts as a float64 copy of ``theta0``. It and the two
-    float64 buffers a merge works in (the sum and one term) are allocated
-    here, once.
+    ``theta`` starts as a float64 copy of the slices, and ``refs[k]`` as a
+    copy of slice ``k`` in that device's dtype: the point its next delta is
+    measured from. A round computes each delta in its reference buffer, so
+    ``theta``, the references and the two float64 buffers a merge works in
+    (the sum and one term) are allocated here, once.
     """
 
-    def __init__(self, mode: str, weighting: str, data_sizes, theta0: np.ndarray):
+    def __init__(self, mode: str, weighting: str, data_sizes, shared):
         if mode not in COORDINATOR_MODES:
             raise ValueError(f"coordinator mode must be sync or async, got {mode!r}")
         self.mode = mode
         self.weights = compute_merge_weights(data_sizes, weighting)
         if weighting != "uniform-sum":
             assert abs(self.weights.sum() - 1.0) < 1e-12
-        self.theta = np.array(theta0, dtype=np.float64)
+        self.shared = list(shared)
+        if len(self.shared) != self.weights.size:
+            raise ValueError(
+                f"{len(self.shared)} shared slices for {self.weights.size} devices")
+        if not all(np.array_equal(s, self.shared[0]) for s in self.shared[1:]):
+            raise ValueError("initial shared parameters disagree across devices")
+        self.theta = np.array(self.shared[0], dtype=np.float64)
+        self.refs = [s.copy() for s in self.shared]
         self._merged = np.empty_like(self.theta)
         self._scratch = np.empty_like(self.theta)
 
@@ -210,109 +210,33 @@ class Coordinator:
         self.theta += self._scratch
 
 
-# ---------------------------------------------------------------------------
-# Device-side endpoint
-# ---------------------------------------------------------------------------
-
-class DeviceEndpoint:
-    """One device's side of a sync: send the shared delta, adopt the merge.
-
-    The device's canonical flat vector holds the shared block first. The
-    update is the shared-slice delta since the shared parameters were last
-    adopted; adopting overwrites the shared slice and leaves the local slice
-    alone.
-
-    The endpoint owns one buffer of the shared length, in the store's
-    dtype. Between syncs it holds the reference point (the shared slice as
-    last adopted). :meth:`make_update` overwrites it with the delta and
-    returns the buffer itself, so the delta stays valid only until the next
-    :meth:`apply_broadcast`, which writes the new shared values into the
-    store and into the buffer. A second :meth:`make_update` before that is
-    a :class:`ProtocolError`: the reference is gone, and a repeated delta
-    would count twice in async mode.
-    """
-
-    def __init__(self, device_id: int, partition: ParameterPartition, store: ParamStore,
-                 data_size: int):
-        if store.size != partition.total_len:
-            raise ValueError("store size does not match partition")
-        self.device_id = device_id
-        self.partition = partition
-        self.store = store
-        self.data_size = int(data_size)
-        self._shared_ref = store.flat[:partition.shared_len].copy()
-        self._delta_sent = False  # the buffer holds a delta, not the reference
-
-    @property
-    def shared_len(self) -> int:
-        return self.partition.shared_len
-
-    def shared_slice(self) -> np.ndarray:
-        return self.store.flat[:self.partition.shared_len]
-
-    def make_update(self) -> np.ndarray:
-        """Shared-slice delta since the last adoption, in the endpoint's
-        buffer (valid until the next :meth:`apply_broadcast`)."""
-        if self._delta_sent:
-            raise ProtocolError(
-                f"device {self.device_id} already sent its delta; "
-                "it must adopt the shared parameters before the next update")
-        np.subtract(self.shared_slice(), self._shared_ref, out=self._shared_ref)
-        self._delta_sent = True
-        return self._shared_ref
-
-    def apply_broadcast(self, params: np.ndarray) -> None:
-        """Adopt fresh shared parameters as the new reference point."""
-        s = self.partition.shared_len
-        if np.shape(params) != (s,):
-            raise ProtocolError(
-                f"broadcast length {np.shape(params)} != shared length {s}")
-        shared = self.shared_slice()
-        shared[...] = params
-        self._shared_ref[...] = shared
-        self._delta_sent = False
-
-    # checkpoint support
-    def state_dict(self) -> dict:
-        if self._delta_sent:
-            raise ProtocolError(
-                f"device {self.device_id} has a delta in flight; no reference to save")
-        return {"shared_ref": self._shared_ref.copy()}
-
-    def load_state_dict(self, state: dict) -> None:
-        ref = np.asarray(state["shared_ref"])
-        s = self.partition.shared_len
-        if ref.shape != (s,):
-            raise ProtocolError(
-                f"checkpoint shared_ref has shape {ref.shape}, endpoint shares {s} reals")
-        self._shared_ref[...] = ref
-        self._delta_sent = False
-
-
-def sync_round(endpoints, coordinator: Coordinator) -> list[int]:
+def sync_round(coordinator: Coordinator) -> list[int]:
     """One round over every device; returns the payload bytes each sent.
 
-    ``endpoints`` are the coordinator's devices in id order. In sync mode
-    every endpoint sends its delta, the coordinator merges them, and every
-    endpoint adopts ``coordinator.theta``. In async mode each delta is
-    applied on its own and its sender adopts ``theta`` at once, so a later
-    device in the round adopts the earlier devices' deltas too. A device
-    sends one frame of its shared slice in its store's dtype; the bytes
-    returned are that frame's payload, header excluded.
+    Device ``k``'s delta is its shared slice minus ``coordinator.refs[k]``,
+    computed in that reference buffer. In sync mode every device's delta is
+    formed, the coordinator merges them, and every device adopts ``theta``.
+    In async mode each delta is applied on its own and its sender adopts
+    ``theta`` at once, so a later device in the round adopts the earlier
+    devices' deltas too. Adopting writes ``theta`` into the shared slice
+    (the rest of the device's parameters stay as they are), and the slice
+    becomes the new reference. A device sends one frame of its shared slice
+    in its own dtype; the bytes returned are that frame's payload, header
+    excluded.
     """
-    ids = [ep.device_id for ep in endpoints]
-    if ids != list(range(coordinator.weights.size)):
-        raise ProtocolError(f"endpoints {ids} are not the coordinator's "
-                            f"{coordinator.weights.size} devices in id order")
+    theta = coordinator.theta
+    pairs = list(zip(coordinator.shared, coordinator.refs))
     if coordinator.mode == "sync":
-        deltas = [ep.make_update() for ep in endpoints]
-        coordinator.merge(deltas)
-        for ep in endpoints:
-            ep.apply_broadcast(coordinator.theta)
+        for shared, ref in pairs:
+            np.subtract(shared, ref, out=ref)
+        coordinator.merge(coordinator.refs)
+        for shared, ref in pairs:
+            shared[...] = theta
+            ref[...] = shared
     else:
-        deltas = []
-        for ep in endpoints:
-            deltas.append(ep.make_update())
-            coordinator.apply(ep.device_id, deltas[-1])
-            ep.apply_broadcast(coordinator.theta)
-    return [delta.nbytes for delta in deltas]
+        for k, (shared, ref) in enumerate(pairs):
+            np.subtract(shared, ref, out=ref)
+            coordinator.apply(k, ref)
+            shared[...] = theta
+            ref[...] = shared
+    return [ref.nbytes for ref in coordinator.refs]

@@ -31,7 +31,7 @@ from hetsim.nn import (
 )
 from hetsim.nn.params import ParamStore
 from hetsim.nn.network import build_layout
-from hetsim.protocol import Coordinator, DeviceEndpoint, merge_deltas, sync_round
+from hetsim.protocol import Coordinator, merge_deltas, sync_round
 from hetsim.topology import DeviceNetwork, build_cascaded, build_share_first
 from hetsim.harness import full_share_network
 
@@ -185,17 +185,15 @@ def test_criterion_4_homogeneous_reduction_matches_reference_averaging():
     nets = [DeviceNetwork(topo, "b") for _ in range(2)]
     stores = [net.init_store(np.random.default_rng(1234)) for net in nets]
     optimizers = [Sgd(learning_rate=0.05) for _ in range(2)]
-    endpoints = []
     for i in range(2):
         assert nets[i].partition.shared_len == nets[i].count_params()
-        endpoints.append(DeviceEndpoint(i, nets[i].partition, stores[i],
-                                        data_size=sizes[i]))
-    coordinator = Coordinator("sync", "data-proportional", sizes, stores[0].flatten())
+    coordinator = Coordinator("sync", "data-proportional", sizes,
+                              [store.flat for store in stores])
     protocol_trace = []
     for rnd in range(rounds):
         for i in range(2):
             _local_steps(nets[i], stores[i], optimizers[i], schedule[rnd][i])
-        sync_round(endpoints, coordinator)
+        sync_round(coordinator)
         protocol_trace.append(coordinator.theta.copy())
 
     # reference: plain parameter averaging, reimplemented from scratch
@@ -341,7 +339,7 @@ def test_criterion_7_async_bookkeeping_bit_exact():
     dim, n_dev = 11, 5
     sizes = [5, 10, 20, 25, 40]
     theta0 = rng.normal(size=dim)
-    coordinator = Coordinator("async", "data-proportional", sizes, theta0)
+    coordinator = Coordinator("async", "data-proportional", sizes, [theta0] * n_dev)
     expected = coordinator.theta.copy()
     for _ in range(1000):
         device = int(rng.integers(n_dev))
@@ -384,15 +382,14 @@ def test_criterion_9_communication_accounting():
                                     "lightweight": light_branch}, (32, 32, 3))
 
     def one_sync(nets):
-        endpoints = []
-        for i, net in enumerate(nets):
-            store = net.init_store(np.random.default_rng(0), np.random.default_rng(i))
-            endpoints.append(DeviceEndpoint(i, net.partition, store, data_size=1))
+        stores = [net.init_store(np.random.default_rng(0), np.random.default_rng(i))
+                  for i, net in enumerate(nets)]
         coordinator = Coordinator("sync", "uniform-average", [1] * len(nets),
-                                  endpoints[0].shared_slice())
-        for ep in endpoints:
-            ep.store.flat += 1e-3  # a simulated local training step
-        return sync_round(endpoints, coordinator)
+                                  [store.flat[:net.partition.shared_len]
+                                   for net, store in zip(nets, stores)])
+        for store in stores:
+            store.flat += 1e-3  # a simulated local training step
+        return sync_round(coordinator)
 
     het_bytes = one_sync([DeviceNetwork(topo, "complex"),
                           DeviceNetwork(topo, "lightweight")])

@@ -29,6 +29,7 @@ from hetsim.harness import (
     weakest_branch,
 )
 from hetsim.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from hetsim.data import Dataset, write_cifar10_binary
 from hetsim.learners import SupervisedTrainer
 from hetsim.metrics import (
     MetricsRow,
@@ -308,6 +309,50 @@ def test_topology_must_fit_the_data(make_doc, path, value):
         make_run(parse_config(_set(make_doc(), path, value)), 7)
 
 
+def _tiny_cifar_doc(tmp_path, records=(8, 4)):
+    """The tiny supervised doc on CIFAR-format files of ``records`` train and
+    test records, written into ``tmp_path``."""
+    doc = tiny_supervised_doc()
+    doc["topology"]["input_shape"] = [32, 32, 3]
+    doc["topology"]["stem"].insert(0, {"kind": "flatten"})
+    doc["topology"]["branches"]["complex"][-1]["units"] = 10
+    doc["topology"]["branches"]["lightweight"][-2]["units"] = 10
+    rng = np.random.default_rng(0)
+    doc["data"] = {"source": "cifar10"}
+    for key, n in zip(("train_path", "test_path"), records):
+        path = tmp_path / f"{key}.bin"
+        write_cifar10_binary(Dataset(rng.random((n, 32, 32, 3)), rng.integers(0, 10, n),
+                                     10, "cifar10"), path)
+        doc["data"][key] = str(path)
+    return doc
+
+
+@pytest.mark.parametrize("key", ["train_path", "test_path"])
+@pytest.mark.parametrize("damage,message", [
+    (lambda blob: b"", "holds no CIFAR-10 records"),
+    (lambda blob: blob[:-5], "truncated"),
+    (lambda blob: b"\x0c" + blob[1:], "label byte 12 out of range"),
+])
+def test_bad_cifar_file_rejected_when_the_run_is_built(tmp_path, key, damage, message):
+    # before any device trains: an empty test file used to fail only after
+    # the last round, in the test pass
+    doc = _tiny_cifar_doc(tmp_path)
+    path = tmp_path / f"{key}.bin"
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(ConfigError, match=f"^data.{key}: .*{message}"):
+        make_run(parse_config(doc), 7)
+
+
+@pytest.mark.parametrize("records,message", [
+    (1, r"fractions \(0.8, 0.2\) give an empty shard for 1 examples"),
+    (4, r"4 examples leave a device with no training example"),
+])
+def test_too_few_examples_for_the_fractions_rejected(tmp_path, records, message):
+    doc = _tiny_cifar_doc(tmp_path, records=(records, 4))
+    with pytest.raises(ConfigError, match=f"^data: {message}"):
+        make_run(parse_config(doc), 7)
+
+
 @pytest.mark.parametrize("mode", ["isolated", "heterogeneous"])
 @pytest.mark.parametrize("key,value", [("mode", "eventual"), ("weighting", "median")])
 def test_bad_coordinator_settings_rejected(mode, key, value):
@@ -374,7 +419,7 @@ def test_target_networks_adopt_the_broadcast_at_sync_events():
         run.play_step()
     theta = run.coordinator.theta
     for dev in run.devices:
-        shared_len = dev["endpoint"].shared_len
+        shared_len = dev["net"].partition.shared_len
         target_shared = dev["learner"].target_store.flat[:shared_len]
         np.testing.assert_array_equal(target_shared, theta)
         online_shared = dev["store"].flat[:shared_len]
@@ -389,6 +434,20 @@ def test_isolated_target_copy_equals_local_online_params():
     for dev in run.devices:
         np.testing.assert_array_equal(dev["learner"].target_store.flat,
                                       dev["store"].flat)
+
+
+def test_isolated_rl_devices_do_not_interact():
+    """An isolated RL device's rows do not depend on the other devices: each
+    device draws only from streams keyed by its own id, and nothing syncs.
+
+    Supervised isolated runs do not have this property, because the data
+    partition draws over every device's fraction."""
+    doc = tiny_rl_doc("isolated")
+    with_weak = make_run(parse_config(doc), 3).run()
+    doc["devices"] = doc["devices"][:1]
+    alone = make_run(parse_config(doc), 3).run()
+    assert alone and {r.device for r in alone} == {"powerful"}
+    assert [r for r in with_weak if r.device == "powerful"] == alone
 
 
 def test_rate_gating_quarters_the_weak_interactions():
@@ -419,7 +478,7 @@ def test_homogeneous_rl_devices_agree_after_sync():
     while run.step < config.rl.sync_period:
         run.play_step()
     a, b = run.devices
-    assert a["endpoint"].shared_len == a["net"].count_params()
+    assert a["net"].partition.shared_len == a["net"].count_params()
     np.testing.assert_array_equal(a["store"].flat, b["store"].flat)
 
 
@@ -694,6 +753,42 @@ def test_resume_with_a_longer_run_gives_the_longer_straight_run_files(
                 == (tmp_path / "straight" / name).read_bytes()), name
 
 
+def test_checkpoint_reference_is_validated_and_copied_in():
+    config = parse_config(tiny_supervised_doc())
+    run = make_run(config, 7)
+    run.play_round()
+    state = run.state_dict()
+    fresh = make_run(config, 7)
+    refs = [dev["endpoint"]["shared_ref"] for dev in state["devices"]]
+    for k, ref in enumerate(refs):
+        for bad in (np.zeros(ref.size + 1), np.zeros(ref.size - 1)):
+            state["devices"][k]["endpoint"]["shared_ref"] = bad
+            with pytest.raises(CheckpointError,
+                               match=rf"device {k}'s shared_ref has shape \({bad.size},\)"):
+                fresh.load_state_dict(state)
+        state["devices"][k]["endpoint"]["shared_ref"] = ref
+    theta = state["coordinator"]["theta"]
+    state["coordinator"]["theta"] = theta[:-1]
+    with pytest.raises(CheckpointError, match=rf"theta has shape \({theta.size - 1},\)"):
+        fresh.load_state_dict(state)
+    state["coordinator"]["theta"] = theta
+    fresh.load_state_dict(state)
+    for ref in refs:
+        ref[:] = 99.0  # the run keeps its own copies
+    for got, want in zip(fresh.coordinator.refs, run.coordinator.refs):
+        np.testing.assert_array_equal(got, want)
+    run.play_round()
+    fresh.play_round()
+    assert fresh.rows == run.rows
+
+
+def test_isolated_checkpoint_holds_no_sync_state():
+    run = make_run(parse_config(tiny_rl_doc("isolated")), 3)
+    state = run.state_dict()
+    assert run.coordinator is None and "coordinator" not in state
+    assert all(set(dev) == {"learner"} for dev in state["devices"])
+
+
 def test_corrupt_checkpoint_rejected(tmp_path):
     config = parse_config(tiny_supervised_doc())
     path = tmp_path / "c.ckpt"
@@ -897,6 +992,39 @@ def test_cli_bad_config_and_foreign_checkpoint_are_errors_not_tracebacks(tmp_pat
         err = capsys.readouterr().err
         assert err.startswith(f"hetsim: error: {message}"), err
         assert "Traceback" not in err
+
+
+def test_cli_bad_cifar_file_is_an_error_not_a_traceback(tmp_path, capsys):
+    doc = _tiny_cifar_doc(tmp_path)
+    (tmp_path / "test_path.bin").write_bytes(b"")
+    conf_path = tmp_path / "conf.json"
+    conf_path.write_text(json.dumps(doc))
+    assert cli_main(["run", str(conf_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"hetsim: error: data.test_path: {tmp_path / 'test_path.bin'} "
+                          "holds no CIFAR-10 records"), err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "empty file, expected the header"),
+    ("seed,round,device,metric,value\n", ":1: header 'seed,round,device,metric,value'"),
+    ("seed,round,device,phase,metric,value\n1,1,a,train,loss,0.5\n1,2,a\n",
+     ":3: 3 fields, expected 6"),
+    ("seed,round,device,phase,metric,value\n1,x,a,train,loss,0.5\n",
+     ":2: invalid literal for int()"),
+])
+def test_cli_malformed_metrics_csv_is_an_error_not_a_traceback(tmp_path, capsys, text,
+                                                               message):
+    path = tmp_path / "metrics.csv"
+    path.write_text(text)
+    assert cli_main(["aggregate", str(path), "--out", str(tmp_path / "agg.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"hetsim: error: {path}"), err
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "agg.csv").exists()
 
 
 def test_shipped_example_configs_parse():

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from hetsim.nn import Dense, Flatten, ReLU, Sgd, build_layout, make_keyed
 from hetsim.nn.params import ParamStore
-from hetsim.protocol import DeviceEndpoint
-from hetsim.topology import ParameterPartition
+from hetsim.protocol import Coordinator, sync_round
 
 
 def _layout(dims):
@@ -92,8 +91,9 @@ def test_views_stay_bound_to_flat_after_every_in_place_writer():
     assert _aliases_flat(store) and store.view(key)[0, 1] == 1.0
     Sgd(learning_rate=1.0).step(store.flat, np.ones(store.size))
     assert _aliases_flat(store) and store.view(key)[0, 1] == 0.0
-    endpoint = DeviceEndpoint(0, ParameterPartition("b", 16, store.size - 16), store, 1)
-    endpoint.apply_broadcast(np.full(16, 7.0))
+    coordinator = Coordinator("sync", "uniform-sum", [1], [store.flat[:16]])
+    coordinator.theta[...] = 7.0
+    sync_round(coordinator)  # no training: the device adopts theta as it is
     assert _aliases_flat(store) and store.view(key)[0, 1] == 7.0
 
 

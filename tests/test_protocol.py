@@ -1,4 +1,4 @@
-"""Sync protocol: merge weights, coordinators, device endpoints, wire format."""
+"""Sync protocol: merge weights, the coordinator, sync rounds, wire format."""
 import tracemalloc
 
 import numpy as np
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hetsim.nn.params import ParamStore
 from hetsim.protocol import (
     Coordinator,
-    DeviceEndpoint,
     GradientUpdate,
     ParamBroadcast,
     ProtocolError,
@@ -20,7 +19,6 @@ from hetsim.protocol import (
     payload_nbytes,
     sync_round,
 )
-from hetsim.topology import ParameterPartition
 
 
 def _store(n):
@@ -28,11 +26,27 @@ def _store(n):
     return store
 
 
-def _endpoint(device_id=0, shared=2, local=3, data_size=1):
-    part = ParameterPartition("b", shared, local)
+def _arange_store(shared=2, local=3):
     store = _store(shared + local)
     store.flat[:] = np.arange(shared + local, dtype=np.float64)
-    return DeviceEndpoint(device_id, part, store, data_size=data_size), store
+    return store
+
+
+class _RecordingCoordinator(Coordinator):
+    """Keeps a copy of each delta it is sent, as (device id, delta), in
+    arrival order."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.sent = []
+
+    def merge(self, deltas):
+        self.sent.extend((i, np.array(d)) for i, d in enumerate(deltas))
+        super().merge(deltas)
+
+    def apply(self, device_id, delta):
+        self.sent.append((device_id, np.array(delta)))
+        super().apply(device_id, delta)
 
 
 # -- merge weights -------------------------------------------------------------
@@ -78,78 +92,73 @@ def test_merge_deltas_length_mismatch():
         merge_deltas([1.0, 1.0], [np.zeros(3), np.zeros(4)])
 
 
-# -- device endpoint (Algorithm-1 style bookkeeping) ----------------------------
+# -- a device's side of a round (Algorithm-1 style bookkeeping) -----------------
 
 def test_local_step_mode_sends_shared_delta_since_last_sync():
-    ep, store = _endpoint(shared=2, local=2)
+    store = _arange_store(shared=2, local=2)
+    coord = _RecordingCoordinator("sync", "uniform-sum", [1], [store.flat[:2]])
     start = store.flatten()
     store.flat += np.array([0.5, -0.25, 9.0, 9.0])
-    np.testing.assert_allclose(ep.make_update(), [0.5, -0.25])
-    ep.apply_broadcast(np.array([7.0, 8.0]))
-    np.testing.assert_array_equal(store.flat[:2], [7.0, 8.0])
+    sync_round(coord)
+    np.testing.assert_allclose(coord.sent[-1][1], [0.5, -0.25])
+    np.testing.assert_array_equal(store.flat[:2], [0.5, 0.75])
+    np.testing.assert_array_equal(store.flat[:2], coord.theta)
     # local parameters untouched by sync
     np.testing.assert_array_equal(store.flat[2:], start[2:] + 9.0)
-    np.testing.assert_array_equal(ep.make_update(), [0.0, 0.0])
+    sync_round(coord)
+    np.testing.assert_array_equal(coord.sent[-1][1], [0.0, 0.0])
 
 
-def test_broadcast_length_mismatch_is_an_error():
-    ep, _ = _endpoint()
-    with pytest.raises(ProtocolError):
-        ep.apply_broadcast(np.zeros(5))
+def test_slices_of_another_length_are_rejected():
+    with pytest.raises(ValueError, match="disagree"):
+        Coordinator("sync", "uniform-sum", [1, 1], [np.zeros(2), np.zeros(5)])
 
 
-def test_second_update_before_a_broadcast_is_an_error():
-    ep, store = _endpoint(shared=2, local=1)
-    store.flat[:2] += 1.0
-    np.testing.assert_array_equal(ep.make_update(), [1.0, 1.0])
-    with pytest.raises(ProtocolError, match="already sent"):
-        ep.make_update()
-    with pytest.raises(ProtocolError, match="in flight"):
-        ep.state_dict()
-    ep.apply_broadcast(np.array([5.0, 6.0]))
-    store.flat[:2] += 0.5
-    np.testing.assert_array_equal(ep.make_update(), [0.5, 0.5])
+def test_initial_shared_slices_must_agree():
+    a, b = np.array([1.0, 2.0]), np.array([1.0, 2.5])
+    for mode in ("sync", "async"):
+        with pytest.raises(ValueError, match="disagree"):
+            Coordinator(mode, "uniform-average", [1, 1], [a, b])
+    # equal values agree whatever the dtype; 0.0 and -0.0 are equal values
+    Coordinator("sync", "uniform-average", [1, 1],
+                [np.array([0.0, 2.0]), np.array([-0.0, 2.0], dtype=np.float32)])
 
 
-def test_checkpoint_reference_is_validated_and_copied_in():
-    ep, store = _endpoint(shared=3, local=2)
-    with pytest.raises(ProtocolError, match=r"\(4,\).*3"):
-        ep.load_state_dict({"shared_ref": np.zeros(4)})
-    with pytest.raises(ProtocolError, match=r"\(2,\).*3"):
-        ep.load_state_dict({"shared_ref": np.zeros(2)})
-    saved = np.array([0.5, 1.0, -1.0])
-    ep.load_state_dict({"shared_ref": saved})
-    saved[:] = 99.0  # the endpoint keeps its own copy
-    np.testing.assert_array_equal(ep.state_dict()["shared_ref"], [0.5, 1.0, -1.0])
-    np.testing.assert_array_equal(ep.make_update(), [-0.5, 0.0, 3.0])
+def test_one_shared_slice_per_data_size():
+    for slices in ([np.zeros(2)], [np.zeros(2)] * 3):
+        with pytest.raises(ValueError, match="shared slices for 2 devices"):
+            Coordinator("sync", "uniform-sum", [1, 1], slices)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 2**31 - 1))
 def test_only_the_shared_slice_merges_property(shared_len, local_len, seed):
     """The shared block comes first: the delta is its length, and adopting
-    a broadcast leaves every bit of the local slice as it was."""
+    ``theta`` leaves every bit of the local slice as it was."""
     rng = np.random.default_rng(seed)
-    part = ParameterPartition("b", shared_len, local_len)
     store = _store(shared_len + local_len)
     store.flat[:] = rng.normal(size=store.size)
-    ep = DeviceEndpoint(0, part, store, data_size=1)
+    other = store.copy()
+    coord = _RecordingCoordinator("sync", "uniform-average", [1, 3],
+                                  [store.flat[:shared_len], other.flat[:shared_len]])
     ref = store.flat[:shared_len].copy()
     store.flat += rng.normal(size=store.size)
+    other.flat[:shared_len] += rng.normal(size=shared_len)
     local = store.flat[shared_len:].copy()
-    delta = ep.make_update()
+    want = store.flat[:shared_len] - ref
+    sync_round(coord)
+    delta = coord.sent[0][1]
     assert delta.shape == (shared_len,)
-    assert np.array_equal(delta, store.flat[:shared_len] - ref)
-    params = rng.normal(size=shared_len)
-    ep.apply_broadcast(params)
-    assert np.array_equal(store.flat[:shared_len], params)
+    assert np.array_equal(delta, want)
+    assert np.array_equal(store.flat[:shared_len], coord.theta)
     assert np.array_equal(store.flat[shared_len:].view(np.uint64), local.view(np.uint64))
 
 
 # -- synchronous coordinator ----------------------------------------------------
 
 def _sync_coordinator(sizes, weighting="uniform-sum", theta=None):
-    return Coordinator("sync", weighting, sizes, np.zeros(2) if theta is None else theta)
+    theta = np.zeros(2) if theta is None else theta
+    return Coordinator("sync", weighting, sizes, [theta] * len(sizes))
 
 
 def test_sync_round_literal_sum():
@@ -178,10 +187,13 @@ def test_coordinator_copies_theta0_and_checks_its_settings():
     theta0[:] = 9.0  # the coordinator keeps its own float64 copy
     assert coord.theta.dtype == np.float64
     np.testing.assert_array_equal(coord.theta, [1.0, 2.0])
+    # and a reference copy in the device's dtype
+    assert coord.refs[0].dtype == np.float32
+    np.testing.assert_array_equal(coord.refs[0], [1.0, 2.0])
     with pytest.raises(ValueError, match="mode"):
-        Coordinator("eventual", "uniform-sum", [1], np.zeros(2))
+        Coordinator("eventual", "uniform-sum", [1], [np.zeros(2)])
     with pytest.raises(ValueError, match="weighting"):
-        Coordinator("sync", "median", [1], np.zeros(2))
+        Coordinator("sync", "median", [1], [np.zeros(2)])
 
 
 def test_merge_needs_one_delta_per_device():
@@ -193,7 +205,7 @@ def test_merge_needs_one_delta_per_device():
 
 
 def test_unknown_device_rejected():
-    coord = Coordinator("async", "uniform-sum", [1], np.zeros(2))
+    coord = Coordinator("async", "uniform-sum", [1], [np.zeros(2)])
     for device_id in (9, 1, -1):
         with pytest.raises(ProtocolError, match="unknown device"):
             coord.apply(device_id, np.zeros(2))
@@ -215,7 +227,7 @@ def test_update_length_mismatch_rejected():
 # -- asynchronous coordinator -----------------------------------------------------
 
 def test_async_updates_apply_in_arrival_order():
-    coord = Coordinator("async", "uniform-sum", [1, 1], np.array([0.0]))
+    coord = Coordinator("async", "uniform-sum", [1, 1], [np.array([0.0])] * 2)
     coord.apply(0, np.array([1.0]))
     np.testing.assert_array_equal(coord.theta, [1.0])
     coord.apply(1, np.array([2.0]))
@@ -224,7 +236,7 @@ def test_async_updates_apply_in_arrival_order():
 
 def test_async_opposite_order_same_final_state():
     def run(order):
-        coord = Coordinator("async", "uniform-sum", [1, 1], np.array([0.0]))
+        coord = Coordinator("async", "uniform-sum", [1, 1], [np.array([0.0])] * 2)
         seen = {}
         for dev, delta in order:
             coord.apply(dev, np.array([delta]))
@@ -238,7 +250,7 @@ def test_async_opposite_order_same_final_state():
 
 
 def test_async_zero_delta_is_fixed_point():
-    coord = Coordinator("async", "uniform-sum", [1], np.array([4.0, 5.0]))
+    coord = Coordinator("async", "uniform-sum", [1], [np.array([4.0, 5.0])])
     coord.apply(0, np.zeros(2))
     np.testing.assert_array_equal(coord.theta, [4.0, 5.0])
 
@@ -248,7 +260,7 @@ def test_async_bookkeeping_random_interleaving_bit_exact():
     n_dev, dim = 4, 7
     sizes = [10, 20, 30, 40]
     theta0 = rng.normal(size=dim)
-    coord = Coordinator("async", "data-proportional", sizes, theta0)
+    coord = Coordinator("async", "data-proportional", sizes, [theta0] * n_dev)
     expected = coord.theta.copy()
     for _ in range(1000):
         dev = int(rng.integers(n_dev))
@@ -260,67 +272,50 @@ def test_async_bookkeeping_random_interleaving_bit_exact():
 
 # -- sync_round ------------------------------------------------------------------------
 
-def _endpoints(n, shared=2, local=1, mode="sync", weighting="uniform-sum"):
-    eps, stores = [], []
-    for i in range(n):
-        ep, store = _endpoint(device_id=i, shared=shared, local=local)
-        eps.append(ep)
-        stores.append(store)
-    coord = Coordinator(mode, weighting, [1] * n, stores[0].flat[:shared])
-    return eps, stores, coord
+def _devices(n, shared=2, local=1, mode="sync", weighting="uniform-sum"):
+    stores = [_arange_store(shared=shared, local=local) for _ in range(n)]
+    coord = Coordinator(mode, weighting, [1] * n, [store.flat[:shared] for store in stores])
+    return stores, coord
 
 
 def test_device_sync_roundtrip_async():
-    (ep,), (store,), coord = _endpoints(1, mode="async")
+    (store,), coord = _devices(1, mode="async")
     store.flat[:2] += 1.0
-    sync_round([ep], coord)
+    sync_round(coord)
     np.testing.assert_allclose(store.flat[:2], coord.theta)
 
 
 def test_async_round_each_device_adopts_right_after_its_own_update():
-    eps, stores, coord = _endpoints(2, shared=1, local=0, mode="async")
+    stores, coord = _devices(2, shared=1, local=0, mode="async")
     theta0 = coord.theta.copy()
     stores[0].flat[:] += 1.0
     stores[1].flat[:] += 2.0
-    sync_round(eps, coord)
+    sync_round(coord)
     np.testing.assert_array_equal(stores[0].flat, theta0 + 1.0)  # before device 1's delta
     np.testing.assert_array_equal(stores[1].flat, theta0 + 3.0)
     np.testing.assert_array_equal(coord.theta, theta0 + 3.0)
 
 
 def test_sync_round_merges_and_every_device_adopts():
-    eps, stores, coord = _endpoints(2, weighting="uniform-average")
+    stores, coord = _devices(2, weighting="uniform-average")
     stores[0].flat[:2] += np.array([2.0, 0.0])
     stores[1].flat[:2] += np.array([0.0, 4.0])
-    sync_round(eps, coord)
+    sync_round(coord)
     np.testing.assert_allclose(stores[0].flat[:2], stores[1].flat[:2])
     np.testing.assert_allclose(coord.theta, np.array([0.0, 1.0]) + [1.0, 2.0])
-
-
-@pytest.mark.parametrize("mode", ["sync", "async"])
-def test_sync_round_takes_every_device_in_id_order(mode):
-    eps, stores, coord = _endpoints(3, mode=mode)
-    for bad in ([eps[0], eps[2], eps[1]], eps[:2], eps + [eps[0]]):
-        with pytest.raises(ProtocolError, match="in id order"):
-            sync_round(bad, coord)
-    for ep in eps:  # nothing was sent: each endpoint still holds its reference
-        ep.state_dict()
-    np.testing.assert_array_equal(coord.theta, stores[0].flat[:2])
 
 
 def test_only_shared_values_cross_the_boundary():
     """Communication-volume assertion: every device sends exactly shared_len reals."""
     shared, local = 3, 5
-    part = ParameterPartition("b", shared, local)
     for dtype in (np.float64, np.float32):
         stores = [ParamStore([((("net", 0), "w"), (shared + local,))], dtype)
                   for _ in range(2)]
-        eps = [DeviceEndpoint(i, part, store, data_size=1)
-               for i, store in enumerate(stores)]
-        coord = Coordinator("sync", "uniform-average", [1, 1], stores[0].flat[:shared])
+        coord = Coordinator("sync", "uniform-average", [1, 1],
+                            [store.flat[:shared] for store in stores])
         for store in stores:
             store.flat += 1.0
-        assert sync_round(eps, coord) == [shared * np.dtype(dtype).itemsize] * 2
+        assert sync_round(coord) == [shared * np.dtype(dtype).itemsize] * 2
 
 
 # -- wire format -------------------------------------------------------------------
@@ -409,19 +404,6 @@ class _ReferenceProtocol:
             self.apply_broadcast(i, replies[i])
 
 
-class _RecordingEndpoint(DeviceEndpoint):
-    """Keeps a copy of each delta it sends, in a list shared by all devices."""
-
-    def __init__(self, sent, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.sent = sent
-
-    def make_update(self):
-        delta = super().make_update()
-        self.sent.append((self.device_id, delta.copy()))
-        return delta
-
-
 def _bits(a):
     a = np.asarray(a)
     return a.view(np.dtype(f"u{a.itemsize}"))
@@ -452,20 +434,21 @@ def _perturb(rng, flats):
 def test_in_place_rounds_match_the_allocating_reference(dtype, mode, weighting, sizes):
     rng = np.random.default_rng(len(sizes) * 10 + (mode == "async"))
     shared, local = 37, 5
-    part = ParameterPartition("b", shared, local)
     stores, ref_stores = [], []
+    shared0 = rng.normal(size=shared)  # the devices start on one shared slice
+    shared0[:4] = [0.0, -0.0, -0.0, 0.0]
     for _ in sizes:
         store = ParamStore([((("net", 0), "w"), (shared + local,))], dtype)
         store.flat[:] = rng.normal(size=store.size)
-        store.flat[:4] = [0.0, -0.0, -0.0, 0.0]
+        store.flat[:shared] = shared0
         stores.append(store)
         ref_stores.append(store.copy())
-    sent = []
-    eps = [_RecordingEndpoint(sent, i, part, store, data_size=size)
-           for i, (store, size) in enumerate(zip(stores, sizes))]
+    coord = _RecordingCoordinator(mode, weighting, sizes,
+                                  [store.flat[:shared] for store in stores])
+    sent = coord.sent
     theta0 = stores[0].flat[:shared].astype(np.float64)
-    theta0[0] = -0.0  # a sum of -0.0 terms must not keep it negative
-    coord = Coordinator(mode, weighting, sizes, theta0)
+    # theta starts at -0.0 in entries 1 and 2, which a merged +0.0 turns positive
+    assert np.all(np.signbit(coord.theta[1:3])) and not np.signbit(coord.theta[0])
     reference = _ReferenceProtocol(
         ref_stores, shared, compute_merge_weights(sizes, weighting), mode, theta0)
     assert np.array_equal(_bits(coord.theta), _bits(reference.theta))
@@ -473,7 +456,7 @@ def test_in_place_rounds_match_the_allocating_reference(dtype, mode, weighting, 
     negative_zeros = 0
     for _ in range(12):
         _perturb(rng, [(a.flat, b.flat) for a, b in zip(stores, ref_stores)])
-        nbytes = sync_round(eps, coord)
+        nbytes = sync_round(coord)
         reference.sync_round()
         assert [i for i, _ in sent] == [i for i, _ in reference.sent]
         for (_, got), (_, want), n in zip(sent, reference.sent, nbytes):
@@ -485,8 +468,7 @@ def test_in_place_rounds_match_the_allocating_reference(dtype, mode, weighting, 
         assert np.array_equal(_bits(coord.theta), _bits(reference.theta))
         for i, (store, ref_store) in enumerate(zip(stores, ref_stores)):
             assert np.array_equal(_bits(store.flat), _bits(ref_store.flat))
-            assert np.array_equal(_bits(eps[i].state_dict()["shared_ref"]),
-                                  _bits(reference.refs[i]))
+            assert np.array_equal(_bits(coord.refs[i]), _bits(reference.refs[i]))
     assert negative_zeros and np.any(coord.theta[:4] == 0.0)
 
 
@@ -512,24 +494,24 @@ def test_second_sync_round_allocates_no_parameter_sized_array(mode):
     """A parameter-sized temporary (a copy of a delta, of a merged vector or
     of ``theta``) would show in the traced peak as the shared slice's bytes."""
     n_dev, shared = 8, 1 << 16
-    part = ParameterPartition("b", shared, 3)
     rng = np.random.default_rng(0)
     theta0 = rng.normal(size=shared)
-    eps = []
-    for i in range(n_dev):
+    stores = []
+    for _ in range(n_dev):
         store = _store(shared + 3)
         store.flat[:shared] = theta0
-        eps.append(DeviceEndpoint(i, part, store, data_size=i + 1))
-    coord = Coordinator(mode, "data-proportional", [i + 1 for i in range(n_dev)], theta0)
+        stores.append(store)
+    coord = Coordinator(mode, "data-proportional", [i + 1 for i in range(n_dev)],
+                        [store.flat[:shared] for store in stores])
     noise = rng.normal(size=shared)
     tracemalloc.start()
     try:
         for _ in range(2):  # the peak of the second round counts
-            for k, ep in enumerate(eps):
-                ep.store.flat[:shared] += (k + 1) * noise
+            for k, store in enumerate(stores):
+                store.flat[:shared] += (k + 1) * noise
             tracemalloc.reset_peak()
             before, _ = tracemalloc.get_traced_memory()
-            sync_round(eps, coord)
+            sync_round(coord)
             _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
