@@ -9,6 +9,7 @@ from .checkpoint import CheckpointError
 from .config import ConfigError, load_config
 from .harness import describe, run_experiment
 from .metrics import MetricsFileError, read_csv, write_aggregated_csv
+from .nn.network import NonFiniteError
 
 
 def _cmd_run(args) -> int:
@@ -71,13 +72,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run the command; a bad config, run setting, checkpoint or metrics
-    file, or a file that cannot be read or written, prints
+    file, a file that cannot be read or written, or a run that diverges
+    (its error names the seed, the device and the round or step), prints
     ``hetsim: error: <message>`` to stderr and returns 2, as a bad flag does."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CheckpointError, MetricsFileError, OSError) as exc:
+    except (ConfigError, CheckpointError, MetricsFileError, NonFiniteError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,10 +32,12 @@ from .fileio import atomic_open
 from .gridworld import GridWorld
 from .learners import DdqlLearner, EpsilonSchedule, ReplayBuffer, SupervisedTrainer
 from .metrics import MetricsRow, write_aggregated_csv, write_csv
+from .nn.network import NonFiniteError
 from .nn.optim import make_optimizer
 from .protocol import Coordinator, sync_round
 from .rng import child_rng, child_seed
-from .topology import BranchedTopology, DeviceNetwork, build_share_first, count_parameters
+from .topology import (BranchedTopology, DeviceNetwork, DeviceStack, build_share_first,
+                       count_parameters)
 from . import checkpoint as ckpt
 
 
@@ -59,11 +61,11 @@ def build_device_network(config: ExperimentConfig, device: DeviceConfig) -> Devi
 
 
 def _init_device_store(net: DeviceNetwork, config: ExperimentConfig, seed: int,
-                       device_id: str):
+                       device_id: str, store=None):
     # every device replays the same "shared" stream so shared blocks agree
     shared_rng = child_rng(seed, "init", "shared")
     local_rng = child_rng(seed, "init", device_id)
-    return net.init_store(shared_rng, local_rng, dtype=config.dtype)
+    return net.init_store(shared_rng, local_rng, dtype=config.dtype, store=store)
 
 
 class _Run:
@@ -87,14 +89,16 @@ class _Run:
         self.devices: list[dict] = []
         data_sizes = []
         # devices that train the same network share one DeviceNetwork (it
-        # holds no parameters), and so one gradient store
+        # holds no parameters or buffers)
         nets: dict[str, DeviceNetwork] = {}
-        for i, dev_cfg in enumerate(config.devices):
+        networks = []
+        for dev_cfg in config.devices:
             key = "" if config.mode == "homogeneous" else dev_cfg.branch
             if key not in nets:
                 nets[key] = build_device_network(config, dev_cfg)
-            net = nets[key]
-            store = _init_device_store(net, config, seed, dev_cfg.id)
+            networks.append(nets[key])
+        stores = self._make_stores(networks)
+        for i, (dev_cfg, net, store) in enumerate(zip(config.devices, networks, stores)):
             learner, data_size = self._make_learner(
                 i, dev_cfg, net, store, make_optimizer(dev_cfg.optimizer))
             self.devices.append({"cfg": dev_cfg, "net": net, "store": store,
@@ -106,6 +110,11 @@ class _Run:
                 config.coordinator.mode, config.coordinator.weighting, data_sizes,
                 [dev["store"].flat[:dev["net"].partition.shared_len]
                  for dev in self.devices])
+
+    def _make_stores(self, networks: list[DeviceNetwork]) -> list:
+        """Each device's initialized parameter store, in device order."""
+        return [_init_device_store(net, self.config, self.seed, dev_cfg.id)
+                for net, dev_cfg in zip(networks, self.config.devices)]
 
     def _make_learner(self, index: int, dev_cfg: DeviceConfig, net: DeviceNetwork,
                       store, optimizer):
@@ -124,10 +133,18 @@ class _Run:
             if not clock <= checkpoint_at <= self.end:
                 raise ConfigError(f"cannot checkpoint at {self.CLOCK} {checkpoint_at}: the "
                                   f"run is at {clock} and ends at {self.end}")
-            self._advance(checkpoint_at)
-            save_run_checkpoint(self, path)
-        self._advance(self.end)
-        self.finalize()
+        try:
+            if checkpoint_at is not None:
+                self._advance(checkpoint_at)
+                save_run_checkpoint(self, path)
+            self._advance(self.end)
+            self.finalize()
+        except NonFiniteError as exc:  # name where the run diverged
+            where = [f"seed {self.seed}"]
+            if exc.device is not None:
+                where.append(f"device {self.devices[exc.device]['cfg'].id}")
+            where.append(f"{self.CLOCK} {getattr(self, self.CLOCK)}")
+            raise NonFiniteError(f"{', '.join(where)}: {exc}") from exc
         return self.rows
 
     def _advance(self, until: int) -> None:
@@ -170,6 +187,13 @@ class _Run:
                               f"device {k}'s shared_ref")
             _copy_checked(self.coordinator.theta, state["coordinator"]["theta"], "theta")
         self.rows = [MetricsRow(*row) for row in state["rows"]]
+
+
+def _on_device(exc: NonFiniteError, index: int) -> NonFiniteError:
+    """``exc``, naming device ``index``: it came from that device's own call
+    (on a stack of one, whose index is 0)."""
+    exc.device = index
+    return exc
 
 
 def _copy_checked(dst: np.ndarray, saved, name: str) -> None:
@@ -255,23 +279,33 @@ class SupervisedRun(_Run):
                                               self.partition.val_indices)]
         super().__init__(config, seed)
 
+    def _make_stores(self, networks):
+        # the devices step in lockstep: their parameters are the rows of one stack
+        self.stack = DeviceStack(networks, self.config.dtype)
+        return [_init_device_store(net, self.config, self.seed, dev_cfg.id, store)
+                for net, dev_cfg, store in zip(networks, self.config.devices,
+                                               self.stack.stores)]
+
     def _make_learner(self, index, dev_cfg, net, store, optimizer):
         trainer = SupervisedTrainer(
             net, store, optimizer, *self._shards[index],
             rng=child_rng(self.seed, "train", dev_cfg.id),
             round_samples=self.config.supervised.round_samples,
-            minibatch_size=self.config.supervised.minibatch_size)
+            minibatch_size=self.config.supervised.minibatch_size, stack=self.stack)
         return trainer, self.partition.shard_size(index)
 
     def play_round(self) -> None:
         self.round += 1
-        for dev in self.devices:
-            loss, acc = dev["trainer"].train_round()
+        first, *peers = [dev["trainer"] for dev in self.devices]
+        for dev, (loss, acc) in zip(self.devices, first.train_round(tuple(peers))):
             self._row(self.round, dev["cfg"].id, "train", "loss", loss)
             self._row(self.round, dev["cfg"].id, "train", "accuracy", acc)
         self._sync_and_log(self.round)
-        for dev in self.devices:
-            val_acc = dev["trainer"].validate_and_snapshot()
+        for k, dev in enumerate(self.devices):
+            try:
+                val_acc = dev["trainer"].validate_and_snapshot()
+            except NonFiniteError as exc:
+                raise _on_device(exc, k)
             self._row(self.round, dev["cfg"].id, "validation", "accuracy", val_acc)
 
     _tick = play_round
@@ -287,7 +321,7 @@ class SupervisedRun(_Run):
         most devices end on a snapshot another already holds.
         """
         scored: list[tuple[DeviceNetwork, np.ndarray, float]] = []
-        for dev in self.devices:
+        for k, dev in enumerate(self.devices):
             trainer, net = dev["trainer"], dev["net"]
             snap = trainer.snapshot
             bits = snap.view(np.dtype(f"u{snap.itemsize}"))
@@ -295,8 +329,11 @@ class SupervisedRun(_Run):
                 if other is net and np.array_equal(other_bits, bits):
                     break
             else:
-                acc = trainer.evaluate(self.test_set.features, self.test_set.labels,
-                                       flat=snap)
+                try:
+                    acc = trainer.evaluate(self.test_set.features, self.test_set.labels,
+                                           flat=snap)
+                except NonFiniteError as exc:
+                    raise _on_device(exc, k)
                 scored.append((net, bits, acc))
             self._row(self.round, dev["cfg"].id, "test", "accuracy", acc)
 
@@ -348,9 +385,12 @@ class RlRun(_Run):
     def play_step(self) -> None:
         """One tick of the global clock: interactions, then any sync event."""
         self.step += 1
-        for dev in self.devices:
+        for k, dev in enumerate(self.devices):
             if _acts_now(self.step, dev["cfg"].rate):
-                dev["learner"].interact()
+                try:
+                    dev["learner"].interact()
+                except NonFiniteError as exc:
+                    raise _on_device(exc, k)
         if self.step % self.config.rl.sync_period == 0:
             self._sync_event()
 
@@ -361,8 +401,11 @@ class RlRun(_Run):
 
     def _sync_event(self) -> None:
         # test epoch first, then synchronization, then the target copy
-        for dev in self.devices:
-            reward = dev["learner"].test_epoch(self.config.rl.test_episodes)
+        for k, dev in enumerate(self.devices):
+            try:
+                reward = dev["learner"].test_epoch(self.config.rl.test_episodes)
+            except NonFiniteError as exc:
+                raise _on_device(exc, k)
             self._row(self.step, dev["cfg"].id, "test", "reward", reward)
         self._sync_and_log(self.step)
         for dev in self.devices:

@@ -17,7 +17,7 @@ from .nn.losses import cross_entropy, huber
 from .nn.network import NonFiniteError
 from .nn.optim import Optimizer
 from .nn.params import ParamStore
-from .topology import DeviceNetwork
+from .topology import DeviceNetwork, DeviceStack
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +158,7 @@ class DdqlLearner:
             raise ValueError("gamma must be in (0, 1)")
         self.network = network
         self.store = store
+        self.stack = DeviceStack.alone(network, store)  # trains as a stack of one
         self.target_store = store.copy()
         self.optimizer = optimizer
         self.env = env
@@ -203,15 +204,15 @@ class DdqlLearner:
         q_next_target = self.q_of(self.target_store, next_states)
         y = ddql_targets(rewards, next_states, terminals, self.gamma,
                          q_next_online, q_next_target)
-        q, cache = self.network.forward(self.store, states, mode="train",
-                                        rng=self.act_rng)
+        q, cache = self.network.forward(self.stack, states[None], mode="train",
+                                        rng=[self.act_rng])
         n = len(actions)
         rows = np.arange(n)
-        picked = q[rows, actions]
+        picked = q[0, rows, actions]
         losses, dpicked = huber(y, picked, delta=1.0)
         dq = np.zeros_like(q)
-        dq[rows, actions] = dpicked / n
-        grads = self.network.backward(cache, dq, self.store)
+        dq[0, rows, actions] = dpicked / n
+        grads, = self.network.backward(cache, dq, self.stack)
         self.optimizer.step(self.store.flat, grads.flat)
         return float(losses.sum() / n)  # np.mean's own sum and division
 
@@ -305,19 +306,24 @@ class SupervisedTrainer:
     (without replacement when the split is large enough, with replacement
     otherwise) and trains in minibatches. Validation accuracy gates a
     best-parameters snapshot; evaluation always uses the snapshot.
+
+    ``stack`` is the :class:`~hetsim.topology.DeviceStack` whose rows hold
+    this device's parameters (``store``) and its peers'; without one, the
+    device is a stack of one over ``store``.
     """
 
     def __init__(self, network: DeviceNetwork, store: ParamStore, optimizer: Optimizer,
                  train_x: np.ndarray, train_y: np.ndarray,
                  val_x: np.ndarray, val_y: np.ndarray,
                  rng: np.random.Generator, round_samples: int = 2000,
-                 minibatch_size: int = 32):
+                 minibatch_size: int = 32, stack: DeviceStack | None = None):
         if len(train_x) == 0:
             raise ValueError("empty training shard")
         if len(val_x) == 0:
             raise ValueError("empty validation shard")
         self.network = network
         self.store = store
+        self.stack = DeviceStack.alone(network, store) if stack is None else stack
         self.optimizer = optimizer
         self.train_x, self.train_y = train_x, train_y
         self.val_x, self.val_y = val_x, val_y
@@ -332,20 +338,68 @@ class SupervisedTrainer:
         replace = n < self.round_samples
         return self.rng.choice(n, size=self.round_samples, replace=replace)
 
-    def train_round(self) -> tuple[float, float]:
-        """Train one round; returns (mean loss, accuracy)."""
-        idx = self._draw_round_indices()
-        losses, correct = [], 0
-        for lo in range(0, len(idx), self.minibatch_size):
-            batch = idx[lo:lo + self.minibatch_size]
-            x, y = self.train_x[batch], self.train_y[batch]
-            probs, cache = self.network.forward(self.store, x, mode="train", rng=self.rng)
-            loss, dlogits = cross_entropy(probs, y)
-            grads = self.network.backward(cache, dlogits, self.store, from_logits=True)
-            self.optimizer.step(self.store.flat, grads.flat)
-            losses.append(loss * len(batch))
-            correct += int(np.count_nonzero(probs.argmax(axis=1) == y))
-        return float(np.sum(losses) / len(idx)), correct / len(idx)
+    def train_round(self, peers: tuple["SupervisedTrainer", ...] = ()
+                    ) -> list[tuple[float, float]]:
+        """Train one round of this device and its ``peers`` in lockstep;
+        returns each one's (mean loss, accuracy), this device first.
+
+        The trainers are the rows of this device's stack, in order, and
+        take minibatch k of the round together, a group of the stack at a
+        time: each draws its round's examples, and its dropout masks, from
+        its own generator in the order it would alone, so each device gets
+        the bits of its own round alone. With no peers this is one
+        device's round.
+        """
+        trainers = (self, *peers)
+        stack = self.stack
+        if len(trainers) != len(stack.stores) or any(
+                t.store is not store
+                or (t.round_samples, t.minibatch_size) != (self.round_samples,
+                                                          self.minibatch_size)
+                for t, store in zip(trainers, stack.stores)):
+            raise ValueError("the trainers must be the rows of one stack, in order, "
+                             "with one round and minibatch size")
+        rounds = [t._draw_round_indices() for t in trainers]
+        ys = np.stack([t.train_y[idx] for t, idx in zip(trainers, rounds)])
+        # minibatch k's examples, device d's in row d, gathered into one buffer
+        xs = np.empty((len(trainers), self.minibatch_size) + self.train_x.shape[1:],
+                      dtype=np.result_type(*(t.train_x for t in trainers)))
+        rngs = [t.rng for t in trainers]
+        starts = range(0, self.round_samples, self.minibatch_size)
+        # each minibatch's summed loss, device d's in row d
+        losses = np.empty((len(trainers), len(starts)))
+        predicted = np.empty(ys.shape, dtype=np.intp)
+        groups = stack.groups
+        for k, lo in enumerate(starts):
+            batch = slice(lo, lo + self.minibatch_size)
+            y = ys[:, batch]
+            x = xs[:, :y.shape[1]]
+            for t, idx, row in zip(trainers, rounds, x):
+                t.train_x.take(idx[batch], axis=0, out=row)
+            first = 0
+            for group in groups:  # one after another, see DeviceStack
+                rows = slice(first, first + len(group.stores))
+                try:
+                    probs, cache = self.network.forward(group, x[rows], mode="train",
+                                                        rng=rngs[rows])
+                    loss, dlogits = cross_entropy(probs, y[rows])
+                except NonFiniteError as exc:  # a device of the group, or its one device
+                    exc.device = first + (exc.device or 0)
+                    raise
+                grads = self.network.backward(cache, dlogits, group, from_logits=True)
+                del cache  # free the activations before the next group's forward pass
+                for d, (t, g) in enumerate(zip(trainers[rows], grads), first):
+                    try:
+                        t.optimizer.step(t.store.flat, g.flat)
+                    except NonFiniteError as exc:
+                        exc.device = d
+                        raise
+                np.multiply(loss, y.shape[1], out=losses[rows, k])
+                probs.argmax(axis=-1, out=predicted[rows, batch])
+                first = rows.stop
+        correct = (predicted == ys).sum(axis=-1)
+        return [(float(np.sum(row) / self.round_samples), int(c) / self.round_samples)
+                for row, c in zip(losses, correct)]
 
     def evaluate(self, x: np.ndarray, y: np.ndarray, flat: np.ndarray | None = None,
                  chunk: int = 512) -> float:

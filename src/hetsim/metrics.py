@@ -64,20 +64,28 @@ def read_csv(path) -> list[MetricsRow]:
 
 
 def aggregate_rows(rows: list[MetricsRow]) -> list[dict]:
-    """Median/min/max across seeds per (round, device, phase, metric)."""
+    """Median/min/max across seeds per (round, device, phase, metric).
+
+    Groups with the same number of values form the rows of one table, and
+    each statistic is one NumPy call along its axis 1, which gives each row
+    the bits of the call on that group alone.
+    """
     groups: dict[tuple, list[float]] = {}
     for r in rows:
         groups.setdefault((r.round, r.device, r.phase, r.metric), []).append(r.value)
-    out = []
-    for key in sorted(groups):
-        values = groups[key]
-        out.append({
-            "round": key[0], "device": key[1], "phase": key[2], "metric": key[3],
-            "median": float(np.median(values)),
-            "min": float(np.min(values)),
-            "max": float(np.max(values)),
-        })
-    return out
+    keys = sorted(groups)
+    by_size: dict[int, list[tuple]] = {}
+    for key in keys:
+        by_size.setdefault(len(groups[key]), []).append(key)
+    stats: dict[tuple, tuple[float, float, float]] = {}
+    for same_size in by_size.values():
+        table = np.array([groups[key] for key in same_size], dtype=np.float64)
+        stats.update(zip(same_size, zip(np.median(table, axis=1).tolist(),
+                                        np.min(table, axis=1).tolist(),
+                                        np.max(table, axis=1).tolist())))
+    return [{"round": key[0], "device": key[1], "phase": key[2], "metric": key[3],
+             "median": stats[key][0], "min": stats[key][1], "max": stats[key][2]}
+            for key in keys]
 
 
 def write_aggregated_csv(rows: list[MetricsRow], path) -> None:

@@ -15,6 +15,14 @@ into ``grads`` and returns ``dx``. ``backward_params`` with the same
 arguments accumulates the same parameter gradients, bit for bit, and
 computes no ``dx``: a chain calls it on the layer that reads the network's
 input, whose ``dx`` nothing reads (a no-op for kinds without parameters).
+
+On a stacked store (``store.lead == 1``) every array carries a leading
+device axis, (D, N, ...), and ``rng`` is one generator per device. Each
+device's slice gets the bits it would get alone: products are stacked
+``np.matmul`` calls over the last two axes, whose slices are the 2-D
+products; reductions run along the same axes as alone; dropout draws each
+device's mask from its own generator, in its own shape; and Conv2D runs
+its kernels one device at a time.
 """
 from __future__ import annotations
 
@@ -88,17 +96,18 @@ class Dense(Layer):
 
     def forward(self, store, key, x, train, rng):
         y = x @ store.view((key, "w"))
-        y += store.view((key, "b"))  # the bits of ``x @ w + b``, one array fewer
+        b = store.view((key, "b"))
+        y += b[:, None] if store.lead else b  # the bits of ``x @ w + b``, one array fewer
         return y, x
 
     def backward_params(self, store, key, x, dy, grads):
         gw, gb = grads.view((key, "w")), grads.view((key, "b"))
-        gw += x.T @ dy  # in place, without the write-back of ``gw[...] +=``
-        gb += dy.sum(axis=0)
+        gw += x.mT @ dy  # in place, without the write-back of ``gw[...] +=``
+        gb += dy.sum(axis=-2)
 
     def backward(self, store, key, x, dy, grads):
         self.backward_params(store, key, x, dy, grads)
-        return dy @ store.view((key, "w")).T
+        return dy @ store.view((key, "w")).mT
 
 
 @dataclass(frozen=True)
@@ -162,6 +171,14 @@ class Conv2D(Layer):
         return math.prod(self.output_shape(in_shape)) * (self.kh * self.kw * in_shape[2] + 1)
 
     def forward(self, store, key, x, train, rng):
+        w, b = store.view((key, "w")), store.view((key, "b"))
+        if not store.lead:
+            return self._forward(x, w, b)
+        # one device at a time, each into its slice of the stacked output
+        y = np.empty(x.shape[:2] + self.output_shape(x.shape[2:]), np.result_type(x, w))
+        return y, [self._forward(*args)[1] for args in zip(x, w, b, y)]
+
+    def _forward(self, x, w, b, out=None):
         n, h, win, cin = x.shape
         kh, kw, s = self.kh, self.kw, self.stride
         ho = (h - kh) // s + 1
@@ -169,29 +186,43 @@ class Conv2D(Layer):
         # windows: (N, H-kh+1, W-kw+1, C, kh, kw) -> stride subsample
         windows = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::s, ::s]
         cols = windows.reshape(n, ho, wo, cin * kh * kw)
-        w = store.view((key, "w"))
         wmat = w.transpose(2, 0, 1, 3).reshape(cin * kh * kw, self.out_channels)
-        y = cols @ wmat
-        y += store.view((key, "b"))
+        y = np.matmul(cols, wmat, out=out)
+        y += b
         return y, (cols, x.shape)
 
     def backward_params(self, store, key, cache, dy, grads):
+        gw, gb = grads.view((key, "w")), grads.view((key, "b"))
+        if not grads.lead:
+            self._param_grads(cache, dy, gw, gb)
+        else:
+            for args in zip(cache, dy, gw, gb):
+                self._param_grads(*args)
+
+    def _param_grads(self, cache, dy, gw, gb):
         cols, x_shape = cache
         cin, cout = x_shape[3], dy.shape[3]
         dy2 = dy.reshape(-1, cout)
         cols2 = cols.reshape(-1, cin * self.kh * self.kw)
         dwmat = (dy2.T @ cols2).T if cin > 1 else cols2.T @ dy2  # see the class docstring
-        grads.view((key, "w"))[...] += dwmat.reshape(cin, self.kh, self.kw,
-                                                     cout).transpose(1, 2, 0, 3)
-        grads.view((key, "b"))[...] += dy2.sum(axis=0)
+        gw[...] += dwmat.reshape(cin, self.kh, self.kw, cout).transpose(1, 2, 0, 3)
+        gb[...] += dy2.sum(axis=0)
 
     def backward(self, store, key, cache, dy, grads):
         self.backward_params(store, key, cache, dy, grads)
-        _, x_shape = cache
-        n, ho, wo, cout = dy.shape
-        cin = x_shape[3]
-        kh, kw, s = self.kh, self.kw, self.stride
         w = store.view((key, "w"))
+        if not store.lead:
+            return self._input_grad(cache, dy, w, np.zeros(cache[1], dtype=dy.dtype))
+        dx = np.zeros(dy.shape[:1] + cache[0][1], dtype=dy.dtype)
+        for args in zip(cache, dy, w, dx):
+            self._input_grad(*args)
+        return dx
+
+    def _input_grad(self, cache, dy, w, dx):
+        """Add the input gradient into ``dx``, zeros of the input's shape."""
+        n, ho, wo, cout = dy.shape
+        cin = dx.shape[3]
+        kh, kw, s = self.kh, self.kw, self.stride
         dy2 = dy.reshape(-1, cout)
         per_tap = cin > 1 and len(dy2) * cin >= 4096  # see the class docstring
         if per_tap:
@@ -199,7 +230,6 @@ class Conv2D(Layer):
         else:
             wmat = w.transpose(2, 0, 1, 3).reshape(cin * kh * kw, cout)
             dcols = (dy2 @ wmat.T).reshape(n, ho, wo, cin, kh, kw)
-        dx = np.zeros(x_shape, dtype=dy.dtype)
         for i in range(kh):
             for j in range(kw):
                 dx[:, i:i + ho * s:s, j:j + wo * s:s, :] += (
@@ -237,28 +267,30 @@ class MaxPool2D(Layer):
             raise ShapeError(f"MaxPool2D window {self.ph}x{self.pw} too large for {in_shape}")
         return (ho, wo, c)
 
+    # elementwise but for the argmax, so the leading axes may be (N,) or (D, N)
     def forward(self, store, key, x, train, rng):
-        n, h, w, c = x.shape
+        *lead, h, w, c = x.shape
         ph, pw = self.ph, self.pw
         ho = (h - ph) // ph + 1
         wo = (w - pw) // pw + 1
-        windows = sliding_window_view(x, (ph, pw), axis=(1, 2))[:, ::ph, ::pw]
-        flat = windows.reshape(n, ho, wo, c, ph * pw)
+        # windows: (..., H-ph+1, W-pw+1, C, ph, pw) -> subsample by the window
+        windows = sliding_window_view(x, (ph, pw), axis=(-3, -2))[..., ::ph, ::pw, :, :, :]
+        flat = windows.reshape(*lead, ho, wo, c, ph * pw)
         am = flat.argmax(axis=-1)
         y = np.take_along_axis(flat, am[..., None], axis=-1)[..., 0]
         return y, (am, x.shape)
 
     def backward(self, store, key, cache, dy, grads):
         am, x_shape = cache
-        n, ho, wo, c = dy.shape
+        *lead, ho, wo, c = dy.shape
         ph, pw = self.ph, self.pw
-        dwin = np.zeros((n, ho, wo, c, ph * pw), dtype=dy.dtype)
+        dwin = np.zeros((*lead, ho, wo, c, ph * pw), dtype=dy.dtype)
         np.put_along_axis(dwin, am[..., None], dy[..., None], axis=-1)
-        dwin = dwin.reshape(n, ho, wo, c, ph, pw)
+        dwin = dwin.reshape(*lead, ho, wo, c, ph, pw)
         dx = np.zeros(x_shape, dtype=dy.dtype)
         for i in range(ph):
             for j in range(pw):
-                dx[:, i:i + ho * ph:ph, j:j + wo * pw:pw, :] += dwin[:, :, :, :, i, j]
+                dx[..., i:i + ho * ph:ph, j:j + wo * pw:pw, :] += dwin[..., i, j]
         return dx
 
 
@@ -276,12 +308,17 @@ class _Masked(Layer):
             return x, None
         if rng is None:
             raise ValueError("train-mode dropout needs an rng")
-        draw_shape = self.draw_shape(x.shape)
+        draw_shape = self.draw_shape(x.shape[store.lead:])
         if self.p >= 1.0:
-            scale = np.zeros(draw_shape, dtype=store.dtype)
+            scale = np.zeros(x.shape[:store.lead] + draw_shape, dtype=store.dtype)
         else:
-            keep = rng.random(draw_shape) >= self.p
-            scale = (keep / (1.0 - self.p)).astype(store.dtype, copy=False)
+            if store.lead:  # each device's draw from its own generator, in its own shape
+                draws = np.empty(x.shape[:1] + draw_shape)
+                for g, row in zip(rng, draws):
+                    g.random(out=row)
+            else:
+                draws = rng.random(draw_shape)
+            scale = ((draws >= self.p) / (1.0 - self.p)).astype(store.dtype, copy=False)
         return x * scale, scale
 
     def backward(self, store, key, scale, dy, grads):
@@ -325,7 +362,7 @@ class Flatten(Layer):
         return (math.prod(in_shape),)
 
     def forward(self, store, key, x, train, rng):
-        return x.reshape(x.shape[0], -1), x.shape
+        return x.reshape(x.shape[:store.lead + 1] + (-1,)), x.shape
 
     def backward(self, store, key, x_shape, dy, grads):
         return dy.reshape(x_shape)

@@ -11,7 +11,7 @@ import numpy as np
 from .network import ensure_finite
 
 
-def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+def cross_entropy(probs: np.ndarray, labels: np.ndarray):
     """Mean negative log-likelihood and its gradient w.r.t. the logits.
 
     ``probs`` must be softmax outputs, shape (N, C); ``labels`` integer class
@@ -19,17 +19,22 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndar
     at the input of the final softmax. Zero predicted probabilities are
     clamped to 1e-12, not raised. An empty batch raises
     ``ValueError``.
+
+    Stacked devices pass ``probs`` of shape (D, N, C) and ``labels`` of
+    shape (D, N); the loss is then a (D,) array, each entry and each
+    gradient row with the bits of that device's call alone.
     """
     probs = np.asarray(probs)
-    if probs.ndim != 2:
+    if probs.ndim < 2:
         probs = np.atleast_2d(probs)
     labels = np.asarray(labels, dtype=np.intp)
-    if labels.ndim != 1:
+    if labels.ndim < 1:
         labels = np.atleast_1d(labels)
-    n, c = probs.shape
+    stacked = probs.ndim == 3 and labels.ndim == 2
+    n, c = probs.shape[1:] if stacked else probs.shape
     if n == 0:
         raise ValueError("cross-entropy of an empty batch")
-    if labels.shape != (n,):
+    if labels.shape != probs.shape[:-1]:
         raise ValueError(f"labels shape {labels.shape} does not match batch {n}")
     if labels.view(np.uintp).max() >= c:  # a negative label wraps to above c
         raise ValueError("label out of range")
@@ -38,15 +43,16 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndar
     if not np.abs(probs.sum(axis=-1) - 1.0).max() <= 1e-6 + 1e-5:
         raise ValueError("probabilities must sum to 1 per row")
     rows = np.arange(n)
-    picked = probs[rows, labels]
+    picked_at = (np.arange(len(probs))[:, None], rows, labels) if stacked else (rows, labels)
+    picked = probs[picked_at]
     if picked.min() < 1e-12:  # rows sum to 1, so no NaN reaches here
         picked = np.maximum(picked, 1e-12)
-    loss = float(-(np.log(picked).sum() / n))  # the bits of -log(picked).mean()
+    loss = -(np.log(picked).sum(axis=-1) / n)  # the bits of -log(picked).mean(), per device
     dlogits = probs.copy()
-    dlogits[rows, labels] -= 1.0
+    dlogits[picked_at] -= 1.0
     dlogits /= n
-    ensure_finite("cross-entropy gradient", dlogits)
-    return loss, dlogits
+    ensure_finite("cross-entropy gradient", dlogits, stacked)
+    return (loss if stacked else float(loss)), dlogits
 
 
 def huber(y_true, y_pred, delta: float = 1.0):

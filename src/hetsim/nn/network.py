@@ -31,6 +31,13 @@ Stochastic layers (Dropout, BranchDropout) draw their masks from the
 generator passed to :func:`forward_chain` and are active only in train
 mode; eval mode is a pure function of (params, input).
 
+A chain runs the same way on a stacked store (``store.lead == 1``, see
+:mod:`hetsim.nn.params`): its input and every output carry a leading
+device axis, (D, B, ...), and ``rng`` is one generator per device. A
+non-finite value then names the first device whose check-point output
+holds one (``NonFiniteError.device``) and that device's first non-finite
+layer.
+
 A cache is only valid for the parameter values its forward pass read.
 The forward pass keeps the bytes of the chain's own span of the flat
 parameter vector, and the backward pass compares the span's bytes with
@@ -51,14 +58,33 @@ from .params import LayerKey, ParamKey, ParamStore
 
 
 class NonFiniteError(FloatingPointError):
-    """A NaN or Inf appeared where the math requires finite values."""
+    """A NaN or Inf appeared where the math requires finite values.
+
+    ``device`` is the index of the device it appeared on, among those a
+    stacked pass ran or a caller's loop went through, or None if unknown.
+    """
+
+    device: int | None = None
 
 
-def ensure_finite(name: str, arr: np.ndarray) -> None:
+def non_finite_row(arr: np.ndarray) -> int | None:
+    """The first index along axis 0 whose slice holds a NaN or +-inf, or
+    None if every value is finite."""
+    if np.isfinite(arr).all():
+        return None
+    return int(np.flatnonzero(~np.isfinite(arr).reshape(len(arr), -1).all(axis=1))[0])
+
+
+def ensure_finite(name: str, arr: np.ndarray, stacked: bool = False) -> None:
     """Raise :class:`NonFiniteError` naming ``name`` if ``arr`` holds a NaN
-    or +-inf. Chains call it only at their check points (module docstring)."""
+    or +-inf; with ``stacked``, axis 0 is the device axis and the error
+    names the first device that holds one. Chains call it only at their
+    check points (module docstring)."""
     if not np.isfinite(arr).all():
-        raise NonFiniteError(f"non-finite values in {name}")
+        exc = NonFiniteError(f"non-finite values in {name}")
+        if stacked:
+            exc.device = non_finite_row(arr)
+        raise exc
 
 
 KeyedLayer = tuple[LayerKey, Layer]
@@ -108,7 +134,8 @@ class ChainCache:
     read, and ``snapshot`` that slice's bytes (``tobytes()``) at forward
     time, so the backward pass compares bits, not values.
     ``reads_input`` comes from the plan: the backward pass then skips the
-    input gradient and returns None.
+    input gradient and returns None. ``tapped`` is the input of the plan's
+    ``tap`` layer (None without a tap).
     """
 
     keyed_layers: tuple[KeyedLayer, ...]
@@ -116,6 +143,8 @@ class ChainCache:
     span: tuple[int, int]
     snapshot: bytes
     reads_input: bool = False
+    tap: int | None = None
+    tapped: np.ndarray | None = None
 
 
 class ChainPlan:
@@ -125,14 +154,19 @@ class ChainPlan:
     chain's layers read. A plan holds no store: one plan serves every store
     of the layout it was built for, and looks tensors up by key per call.
     ``reads_input`` marks a chain whose input is the network's input, so
-    its caches' backward passes compute no input gradient.
+    its caches' backward passes compute no input gradient. ``tap`` is the
+    index of a layer (up to the chain's length, its output) whose input
+    also feeds a branch that leaves the chain: the forward pass keeps that
+    activation (``ChainCache.tapped``), and :func:`backward_chain` adds the
+    branch's gradient there.
     """
 
     def __init__(self, keyed_layers: list[KeyedLayer], span: tuple[int, int],
-                 reads_input: bool = False):
+                 reads_input: bool = False, tap: int | None = None):
         self.keyed_layers = tuple(keyed_layers)
         self.span = span
         self.reads_input = reads_input
+        self.tap = tap
         # (key, layer, check its output): before a dropping layer, and at the end
         n = len(self.keyed_layers)
         self._steps = tuple(
@@ -140,40 +174,55 @@ class ChainPlan:
             for i, (key, layer) in enumerate(self.keyed_layers))
 
     def _run(self, store: ParamStore, x: np.ndarray, train: bool,
-             rng: np.random.Generator | None, caches: list | None) -> np.ndarray:
+             rng, caches: list | None, tapped: list | None = None) -> np.ndarray:
         out = np.asarray(x, dtype=store.dtype)
         unchecked: list[np.ndarray] = []  # outputs since the last check point
+        tap = self.tap if tapped is not None else None
         for i, (key, layer, check) in enumerate(self._steps):
+            if i == tap:
+                tapped.append(out)
             out, c = layer.forward(store, key, out, train, rng)
             if caches is not None:
                 caches.append(c)
             unchecked.append(out)
             if check:
                 if not np.isfinite(out).all():  # name the first, as a per-layer check would
+                    device = non_finite_row(out) if store.lead else None
                     for (_, kept), y in zip(self.keyed_layers[i + 1 - len(unchecked):],
                                             unchecked):
-                        ensure_finite(f"{kept.__class__.__name__} output", y)
+                        if not np.isfinite(y if device is None else y[device]).all():
+                            exc = NonFiniteError(
+                                f"non-finite values in {kept.__class__.__name__} output")
+                            exc.device = device
+                            raise exc
                 unchecked = []
+        if tap == len(self._steps):
+            tapped.append(out)
         return out
 
     def forward(self, store: ParamStore, x: np.ndarray, mode: str = "eval",
-                rng: np.random.Generator | None = None) -> tuple[np.ndarray, "ChainCache"]:
+                rng=None) -> tuple[np.ndarray, "ChainCache"]:
         """Output and the backward cache, with the bytes of the chain's span.
 
         ``mode`` is "train" or "eval". Train mode requires ``rng`` if the
-        chain contains stochastic layers.
+        chain contains stochastic layers: a generator, or one per device
+        for a stacked store.
         """
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
         caches: list = []
-        out = self._run(store, x, mode == "train", rng, caches)
+        tapped = [] if self.tap is not None else None
+        out = self._run(store, x, mode == "train", rng, caches, tapped)
         lo, hi = self.span
         return out, ChainCache(self.keyed_layers, caches, self.span,
-                               store.flat[lo:hi].tobytes(), self.reads_input)
+                               store.flat[..., lo:hi].tobytes(), self.reads_input,
+                               self.tap, tapped[0] if tapped else None)
 
-    def predict(self, store: ParamStore, x: np.ndarray) -> np.ndarray:
-        """Eval-mode output only: no cache and no parameter copy."""
-        return self._run(store, x, False, None, None)
+    def predict(self, store: ParamStore, x: np.ndarray,
+                tapped: list | None = None) -> np.ndarray:
+        """Eval-mode output only: no cache and no parameter copy. A plan with
+        a tap appends the tapped activation to ``tapped`` if one is given."""
+        return self._run(store, x, False, None, None, tapped)
 
 
 def forward_chain(keyed_layers: list[KeyedLayer], store: ParamStore, x: np.ndarray,
@@ -189,7 +238,8 @@ def forward_chain(keyed_layers: list[KeyedLayer], store: ParamStore, x: np.ndarr
 
 
 def backward_chain(cache: ChainCache, dy: np.ndarray, store: ParamStore,
-                   grads: ParamStore, from_logits: bool = False) -> np.ndarray | None:
+                   grads: ParamStore, from_logits: bool = False,
+                   at_tap=None) -> np.ndarray | None:
     """Backpropagate through a chain; accumulates into ``grads``, returns dx
     (None for a cache with ``reads_input``, see the module docstring).
 
@@ -200,9 +250,14 @@ def backward_chain(cache: ChainCache, dy: np.ndarray, store: ParamStore,
     ``from_logits`` the chain must end in Softmax and ``dy`` is taken
     w.r.t. that softmax's input (the fused cross-entropy form), so the
     final softmax is skipped.
+
+    For a cache with a tap, ``at_tap`` is called with the gradient at the
+    tapped activation and returns it with the leaving branch's gradient
+    added; the backward pass goes on with what it returns. The gradient at
+    the network's input is never formed, so there it is not called.
     """
     lo, hi = cache.span
-    if store.flat[lo:hi].tobytes() != cache.snapshot:  # bits, not values
+    if store.flat[..., lo:hi].tobytes() != cache.snapshot:  # bits, not values
         raise ValueError("parameters changed since the forward pass; the cache "
                          "is stale, rerun forward")
     steps = list(zip(cache.keyed_layers, cache.per_layer))
@@ -211,8 +266,15 @@ def backward_chain(cache: ChainCache, dy: np.ndarray, store: ParamStore,
             raise ValueError("from_logits requires a Softmax-terminated network")
         steps.pop()
     dx = np.asarray(dy)
-    for (key, layer), c in reversed(steps[1:] if cache.reads_input else steps):
+    first = 1 if cache.reads_input else 0
+    tap = cache.tap if at_tap is not None else None
+    for i in range(len(steps) - 1, first - 1, -1):
+        if i + 1 == tap:  # dx is the gradient at the input of layer i + 1
+            dx = at_tap(dx)
+        (key, layer), c = steps[i]
         dx = layer.backward(store, key, c, dx, grads)
+    if tap == first:
+        dx = at_tap(dx)
     if not cache.reads_input:
         return dx
     if steps:

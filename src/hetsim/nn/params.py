@@ -6,6 +6,10 @@ array. Each tensor is a reshaped view into that array, addressed by a
 (e.g. ``("stem", 0)``). The key order is the canonical flattening order:
 it is fixed at construction and identical across runs for the same
 topology, which is what the synchronization wire format relies on.
+
+A store may also stand for several devices at once: over a 2-D ``flat``
+of shape (D, P), row d being device d's vector, each view gets a leading
+device axis, (D, *shape) (see :func:`store_over` and ``lead``).
 """
 from __future__ import annotations
 
@@ -52,11 +56,28 @@ class ParamStore:
     is bound once, at construction, and would stop aliasing a new array.
     Every writer (``set_flat``, optimizer steps, sync broadcasts, parameter
     initialization) assigns into the existing array. Each layer's tensors
-    occupy one ``[lo, hi)`` span of ``flat`` (:meth:`span_of`).
+    occupy one ``[lo, hi)`` span of ``flat``'s last axis (:meth:`span_of`).
+
+    ``lead`` is the number of axes in front of every view's own: 0 for one
+    device's store, 1 for a stacked store over rows of a (D, P) matrix.
+    Only :meth:`view`, :meth:`span_of` and ``flat`` serve a stacked store.
     """
 
     def __init__(self, layout: list[tuple[ParamKey, tuple[int, ...]]], dtype=np.float64,
                  flat: np.ndarray | None = None):
+        self._set_layout(layout, dtype)
+        if flat is None:
+            flat = np.zeros(self._size, dtype=self._dtype)
+        else:
+            flat = np.asarray(flat, dtype=self._dtype)
+            if flat.shape != (self._size,):
+                raise ValueError(
+                    f"flat vector has length {flat.shape}, store needs ({self._size},)"
+                )
+            flat = flat.copy()
+        self._bind(flat)
+
+    def _set_layout(self, layout, dtype) -> None:
         self._layout = list(layout)
         self._dtype = np.dtype(dtype)
         self._offsets: dict[ParamKey, tuple[int, int, tuple[int, ...]]] = {}
@@ -69,20 +90,12 @@ class ParamStore:
             offset += n
         self._size = offset
         self._layer_spans = layer_spans(self._layout)
-        if flat is None:
-            flat = np.zeros(self._size, dtype=self._dtype)
-        else:
-            flat = np.asarray(flat, dtype=self._dtype)
-            if flat.shape != (self._size,):
-                raise ValueError(
-                    f"flat vector has length {flat.shape}, store needs ({self._size},)"
-                )
-            flat = flat.copy()
-        self._bind(flat)
 
     def _bind(self, flat: np.ndarray) -> None:
         self.flat = flat
-        self._views = {key: flat[o:o + n].reshape(shape)
+        self.lead = flat.ndim - 1
+        rows = flat.shape[:-1]
+        self._views = {key: flat[..., o:o + n].reshape(rows + shape)
                        for key, (o, n, shape) in self._offsets.items()}
 
     def _twin(self, flat: np.ndarray) -> "ParamStore":
@@ -152,3 +165,18 @@ class ParamStore:
 
     def __repr__(self) -> str:
         return f"ParamStore({len(self._layout)} tensors, {self._size} scalars, {self._dtype})"
+
+
+def store_over(layout, flat: np.ndarray) -> ParamStore:
+    """A store of ``layout`` over the first entries of ``flat``'s last axis
+    (not a copy), in ``flat``'s dtype.
+
+    Over a row, the store is one device's, and the entries past its size
+    are never read or written through it, so a shorter row's tail is never
+    touched. Over a (D, P) matrix, ``lead`` is 1 and each view is
+    (D, *shape), device d's tensors in row d.
+    """
+    store = ParamStore.__new__(ParamStore)
+    store._set_layout(layout, flat.dtype)
+    store._bind(flat[..., :store.size])
+    return store

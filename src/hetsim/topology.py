@@ -13,6 +13,11 @@ The canonical flat parameter order on every device is: shared tensors
 first (stem in layer order, then, in cascade mode, the lightweight
 branch), then the device's local tensors. Within a layer, weights come
 before biases. This order is what crosses the wire, so it must be stable.
+
+Because the shared tensors come first, they sit at the same offsets in
+every device's vector. A :class:`DeviceStack` keeps the devices' vectors
+as rows of one matrix, so the shared layers of all its devices run once,
+on a leading device axis (see :meth:`DeviceNetwork.forward`).
 """
 from __future__ import annotations
 
@@ -32,13 +37,15 @@ from .nn.layers import (
 )
 from .nn.network import (
     ChainPlan,
+    NonFiniteError,
     backward_chain,
     build_layout,
     ensure_finite,
     init_chain_params,
     make_keyed,
+    non_finite_row,
 )
-from .nn.params import ParamStore, cover, layer_spans
+from .nn.params import ParamStore, cover, layer_spans, store_over
 
 
 @dataclass(frozen=True)
@@ -141,14 +148,17 @@ class DeviceNetwork:
 
     Handles both plain chains (share-first branches, cascade lightweight
     device) and the cascaded complex device whose forward pass merges two
-    branch outputs. Each chain's :class:`~hetsim.nn.network.ChainPlan` is
-    built once, here; :meth:`forward` keeps a cache for :meth:`backward`,
-    and :meth:`predict` is the eval pass that keeps none. The chain that
-    reads the network input (the plain chain, or the cascade stem) is
-    planned with ``reads_input``, so :meth:`backward` computes no gradient
-    for the input. The network holds no parameters, so devices that train
-    the same network can share one; its only buffer is the gradient store
-    :meth:`backward` reuses.
+    branch outputs. The network splits itself for a :class:`DeviceStack`:
+    its shared chain (the stem, and a cascade's lightweight head) runs on
+    the whole stack, and its tail (its own layers up to its logits, and the
+    cascade merge) on its device alone; one device alone is a stack of one.
+    Each chain's :class:`~hetsim.nn.network.ChainPlan` is built once, here;
+    :meth:`forward` keeps a cache for :meth:`backward`, and :meth:`predict`
+    is the eval pass of one device that keeps none. The shared chain reads
+    the network input, so it is planned with ``reads_input`` and
+    :meth:`backward` computes no gradient for the input. The network holds
+    no parameters or buffers, so devices that train the same network can
+    share one.
     """
 
     def __init__(self, topology: BranchedTopology, branch_id: str):
@@ -176,7 +186,6 @@ class DeviceNetwork:
             self._shared.append((light, stem_out))
             light_head = light[:-1]  # lightweight logits, below its final softmax
             self._branch_drop = BranchDropout(cascade.branch_dropout_p)
-            self._softmax = Softmax()
 
         shared_layout = [entry for keyed, shape in self._shared
                          for entry in build_layout(keyed, shape)]
@@ -187,31 +196,50 @@ class DeviceNetwork:
             branch_id, sum(math.prod(s) for _, s in shared_layout),
             sum(math.prod(s) for _, s in local_layout))
 
+        self._n_shared = len(shared_layout)
         spans = layer_spans(self._layout)
 
-        def plan(keyed, reads_input=False):
-            return ChainPlan(keyed, cover(spans, (key for key, _ in keyed)), reads_input)
+        def plan(keyed, reads_input=False, tap=None):
+            return ChainPlan(keyed, cover(spans, (key for key, _ in keyed)), reads_input, tap)
 
-        # the chain that reads the network input computes no input gradient
-        if self.is_cascade_complex:
-            self._stem_plan = plan(stem, reads_input=True)
-            self._light_plan, self._own_plan = plan(light_head), plan(own)
+        # A stack runs the shared chain (the stem, and a cascade's
+        # lightweight head, tapped at the stem's output) for all of its
+        # devices, then each device's tail from the stem's output (None if
+        # its logits are the shared chain's output), then the final softmax
+        # once; so no chain holds that softmax. A network without a merge
+        # also has its whole chain to its logits, run on every row of a
+        # stack whose devices all train it, and by the eval pass. The chains
+        # that read the network input compute no input gradient.
+        self._softmax = Softmax()
+        if cascade is not None:
+            self.ends_in_softmax = True  # the merge's, or the lightweight branch's
+            self._stack_plan = plan(stem + light_head, reads_input=True, tap=len(stem))
+            self._tail_plan = plan(own) if self.is_cascade_complex else None
+            self._whole_plan = None if self.is_cascade_complex else self._stack_plan
         else:
-            self._plan = plan(stem + own, reads_input=True)
-        self._grads: ParamStore | None = None  # backward's store, see there
+            chain = stem + own
+            self.ends_in_softmax = bool(chain) and isinstance(chain[-1][1], Softmax)
+            if self.ends_in_softmax:
+                stem, own = (stem, own[:-1]) if own else (stem[:-1], own)
+            self._stack_plan = plan(stem, reads_input=True)
+            self._tail_plan = plan(own) if own else None
+            self._whole_plan = plan(stem + own, reads_input=True) if own else self._stack_plan
 
     # -- construction ------------------------------------------------------
 
     def init_store(self, shared_rng: np.random.Generator,
                    local_rng: np.random.Generator | None = None,
-                   dtype=np.float64) -> ParamStore:
+                   dtype=np.float64, store: ParamStore | None = None) -> ParamStore:
         """Initialize parameters; shared tensors draw from ``shared_rng``.
 
         Devices that agree on the topology and ``shared_rng`` stream get
         bit-identical shared blocks, which is how the coordinator and all
-        devices start from one broadcast state.
+        devices start from one broadcast state. The values go into
+        ``store`` (of this network's layout, such as a :class:`DeviceStack`
+        row) if one is given, else into a new store of ``dtype``.
         """
-        store = ParamStore(self._layout, dtype)
+        if store is None:
+            store = ParamStore(self._layout, dtype)
         for keyed, shape in self._shared:
             init_chain_params(keyed, shape, store, shared_rng)
         rng = local_rng if local_rng is not None else shared_rng
@@ -227,81 +255,268 @@ class DeviceNetwork:
 
     # -- forward / backward -------------------------------------------------
 
-    def forward(self, store: ParamStore, x: np.ndarray, mode: str = "eval",
-                rng: np.random.Generator | None = None,
+    def forward(self, stack, x: np.ndarray, mode: str = "eval", rng=None,
                 force_branch_drop: bool = False):
-        """Returns (output, cache). Output is the device's network output.
+        """Returns (output, cache) of a pass over a :class:`DeviceStack`.
+
+        ``stack`` holds this network; ``x`` is one batch per device,
+        (D, B, ...), ``rng`` one generator per device (or None in eval
+        mode), and the output is (D, B, C), row d with the bits of device
+        d's network alone. The stack's chain (``DeviceStack.plan``) runs
+        once for all devices, then each device's tail, if it has one, on
+        its row, and the final softmax once.
+
+        ``stack`` may instead be one device's store: the stack of one over
+        it (:meth:`DeviceStack.alone`), with that device's ``x``, ``rng``
+        and output.
 
         ``force_branch_drop`` zeroes the complex-branch contribution
         regardless of mode, for verifying that the cascaded network with
         the branch dropped equals the standalone lightweight network.
         """
-        if not self.is_cascade_complex:
-            if force_branch_drop:
-                raise ValueError("force_branch_drop only applies to the cascaded "
-                                 "complex network")
-            return self._plan.forward(store, x, mode, rng)
-
-        stem_out, stem_cache = self._stem_plan.forward(store, x, mode, rng)
-        light_logits, light_cache = self._light_plan.forward(store, stem_out, mode, rng)
-        complex_logits, complex_cache = self._own_plan.forward(store, stem_out, mode, rng)
-        if force_branch_drop:
-            scale = store.dtype.type(0.0)
-            merged = light_logits.copy()
-        else:
-            dropped, scale = self._branch_drop.forward(store, None, complex_logits,
-                                                       mode == "train", rng)
-            merged = dropped + light_logits
-        out = self._combine_output(store, merged)
-        return out, (stem_cache, light_cache, complex_cache, scale, out)
+        if force_branch_drop and not self.is_cascade_complex:
+            raise ValueError("force_branch_drop only applies to the cascaded "
+                             "complex network")
+        if isinstance(stack, DeviceStack):
+            return self._forward_stack(stack, x, mode, rng, force_branch_drop)
+        out, cache = self._forward_stack(DeviceStack.alone(self, stack), np.asarray(x)[None],
+                                         mode, None if rng is None else [rng],
+                                         force_branch_drop)
+        return out[0], cache
 
     def predict(self, store: ParamStore, x: np.ndarray) -> np.ndarray:
-        """The eval-mode output of :meth:`forward`, bit for bit, without
-        building a cache or copying parameters."""
-        if not self.is_cascade_complex:
-            return self._plan.predict(store, x)
-        stem_out = self._stem_plan.predict(store, x)
-        light_logits = self._light_plan.predict(store, stem_out)
-        # eval-mode branch dropout passes the complex logits through
-        return self._combine_output(store, self._own_plan.predict(store, stem_out)
-                                    + light_logits)
-
-    def _combine_output(self, store: ParamStore, merged: np.ndarray) -> np.ndarray:
-        out, _ = self._softmax.forward(store, None, merged, False, None)
-        ensure_finite("cascade output", out)
+        """The eval-mode output of :meth:`forward` on one device's store, bit
+        for bit, without building a cache or copying parameters."""
+        if self._whole_plan is not None:
+            out = self._whole_plan.predict(store, x)
+        else:  # eval-mode branch dropout passes the complex logits through
+            stem_out: list = []
+            light_logits = self._stack_plan.predict(store, x, stem_out)
+            out = self._tail_plan.predict(store, stem_out[0]) + light_logits
+        if self.ends_in_softmax:
+            out, _ = self._softmax.forward(store, None, out, False, None)
+            ensure_finite("cascade output" if self.is_cascade_complex else "Softmax output",
+                          out)
         return out
 
-    def backward(self, cache, dy: np.ndarray, store: ParamStore,
-                 from_logits: bool = False) -> ParamStore:
-        """Gradient ParamStore for an upstream gradient ``dy``.
+    def _forward_stack(self, stack: "DeviceStack", x, mode, rngs, force_branch_drop):
+        if stack._groups:
+            raise ValueError("this stack steps a group at a time, see DeviceStack.groups")
+        if not stack.shared.lead:  # one device's chain, on its row alone
+            out, stacked_cache = stack.plan.forward(stack.shared, x[0], mode, rngs and rngs[0])
+            out = out[None]
+        else:
+            out, stacked_cache = stack.plan.forward(stack.shared, x, mode, rngs)
+        tails = None  # the stacked chain's output is every device's logits
+        if stack.plan is not stack.networks[0]._whole_plan and not force_branch_drop:
+            out, tails = self._forward_tails(stack, out, stacked_cache, mode, rngs)
+        if self.ends_in_softmax:
+            out, _ = self._softmax.forward(stack.shared, None, out, False, None)
+            d = non_finite_row(out)
+            if d is not None:
+                exc = NonFiniteError("non-finite values in " + (
+                    "cascade output" if stack.networks[d].is_cascade_complex
+                    else "Softmax output"))
+                exc.device = d
+                raise exc
+        return out, (stacked_cache, tails, out)
+
+    @staticmethod
+    def _forward_tails(stack: "DeviceStack", base, shared_cache, mode, rngs):
+        """Each device's logits, stacked, and its tail's cache and branch
+        dropout scale (None without a tail; no list if none has one): the
+        shared chain's output, or its tail's; a cascade's complex devices
+        add their (dropped) branch output to the lightweight logits."""
+        cascade = shared_cache.tap is not None
+        stem_out = shared_cache.tapped if cascade else base
+        logits, tails = [], []
+        for d, net in enumerate(stack.networks):
+            if net._tail_plan is None:
+                logits.append(base[d])
+                tails.append(None)
+                continue
+            store, rng = stack.stores[d], None if rngs is None else rngs[d]
+            try:
+                own, own_cache = net._tail_plan.forward(store, stem_out[d], mode, rng)
+                scale = None
+                if cascade:
+                    own, scale = net._branch_drop.forward(store, None, own, mode == "train",
+                                                          rng)
+            except NonFiniteError as exc:
+                exc.device = d
+                raise
+            logits.append(own)
+            tails.append((own_cache, scale))
+        if not any(tails):
+            return base, None
+        if not cascade:
+            return _stacked(logits), tails
+        out = base.copy()  # a new array: the chain's caches may hold ``base``
+        for d, tail in enumerate(tails):
+            if tail is not None:
+                out[d] += logits[d]  # the bits of ``dropped + light logits``
+        return out, tails
+
+    def backward(self, cache, dy: np.ndarray, stack, from_logits: bool = False):
+        """The gradient stores, one per device of ``stack``, for an upstream
+        gradient ``dy`` (D, B, C) and the ``cache`` of a :meth:`forward` on it.
 
         With ``from_logits`` the upstream gradient is taken w.r.t. the
         pre-softmax logits (the fused cross-entropy form) and the final
         softmax is skipped.
 
-        The gradients go into one store the network keeps: zero-filled in
-        place at the start of each call, and allocated again only when a
-        store of another dtype or size arrives. So the result is valid until
-        the next :meth:`backward` on this network, which overwrites it.
+        The gradients go into the stack's ``grad_stores``, zero-filled in
+        place at the start of each call, so the result is valid until the
+        next backward pass over the stack, which overwrites it. For one
+        device's store (see :meth:`forward`) it is that device's gradient
+        store alone, of a new stack of one.
         """
-        grads = self._grads
-        if grads is None or grads.dtype != store.dtype or grads.size != store.size:
-            grads = self._grads = store.zeros_like()
-        else:
-            grads.flat.fill(0.0)
-        if not self.is_cascade_complex:
-            backward_chain(cache, dy, store, grads, from_logits=from_logits)
-            return grads
+        if isinstance(stack, DeviceStack):
+            self._backward_stack(cache, dy, stack, from_logits)
+            return stack.grad_stores
+        stack = DeviceStack.alone(self, stack)
+        self._backward_stack(cache, np.asarray(dy)[None], stack, from_logits)
+        return stack.grad_stores[0]
 
-        stem_cache, light_cache, complex_cache, scale, out = cache
-        dmerged = np.asarray(dy)
-        if not from_logits:
-            dmerged = self._softmax.backward(store, None, out, dmerged, grads)
-        dcomplex = self._branch_drop.backward(store, None, scale, dmerged, grads)
-        d_stem_light = backward_chain(light_cache, dmerged, store, grads)
-        d_stem_complex = backward_chain(complex_cache, dcomplex, store, grads)
-        backward_chain(stem_cache, d_stem_light + d_stem_complex, store, grads)
-        return grads
+    def _backward_stack(self, cache, dy, stack: "DeviceStack", from_logits: bool):
+        shared_cache, tails, out = cache
+        for grads in stack.grad_stores:
+            grads.flat.fill(0.0)
+        dlogits = np.asarray(dy)
+        if self.ends_in_softmax and not from_logits:
+            dlogits = self._softmax.backward(None, None, out, dlogits, None)
+        if tails is None:
+            backward_chain(shared_cache, dlogits if stack.shared.lead else dlogits[0],
+                           stack.shared, stack.shared_grads)
+            return
+        # each tail's gradient at the stem output
+        d_tails = []
+        for d, (net, tail) in enumerate(zip(stack.networks, tails)):
+            if tail is None:
+                d_tails.append(None)
+                continue
+            own_cache, scale = tail
+            store, grads = stack.stores[d], stack.grad_stores[d]
+            d_own = dlogits[d]
+            if net.is_cascade_complex:
+                d_own = net._branch_drop.backward(store, None, scale, d_own, grads)
+            d_tails.append(backward_chain(own_cache, d_own, store, grads))
+        if shared_cache.tap is None:
+            # share-first: a tail's input gradient is all of its stem output's
+            backward_chain(shared_cache, _stacked([dlogits[d] if g is None else g
+                                                   for d, g in enumerate(d_tails)]),
+                           stack.shared, stack.shared_grads)
+        else:
+            def add_tails(d_stem):  # the stem output feeds the head and the tails
+                if np.may_share_memory(d_stem, dlogits):  # an empty head: not the caller's
+                    d_stem = d_stem.copy()
+                for d, g in enumerate(d_tails):
+                    if g is not None:
+                        d_stem[d] += g  # the bits of ``d_stem_light + d_stem_complex``
+                return d_stem
+            backward_chain(shared_cache, dlogits, stack.shared, stack.shared_grads,
+                           at_tap=add_tails)
+
+
+def _stacked_chain(networks) -> tuple[ChainPlan, list]:
+    """The chain that a stack of ``networks`` runs on every row, and the
+    layout of the tensors it reads: all of a network that every device
+    trains and that has no merge, else the shared layers."""
+    first = networks[0]
+    if first._whole_plan is not None and all(net is first for net in networks):
+        return first._whole_plan, first._layout
+    return first._stack_plan, first._layout[:first._n_shared]
+
+
+def _stacked(rows: list[np.ndarray]) -> np.ndarray:
+    """``np.stack(rows)``; one row is a view with a leading axis, not a copy."""
+    return rows[0][None] if len(rows) == 1 else np.stack(rows)
+
+
+class DeviceStack:
+    """The networks and parameters of devices that take each minibatch together.
+
+    Device d's parameters are the first P_d entries of row d of one
+    (D, P_max) matrix, ``params``, made with ``np.zeros``; a shorter row's
+    tail is never written, so its pages are never mapped. ``stores[d]`` is
+    a 1-D store over that row, so optimizers, the coordinator's shared
+    slices and checkpoints see one vector per device, and ``grad_stores[d]``
+    one over a row of ``grads``, its gradients. :meth:`DeviceNetwork.forward`
+    on the stack runs one chain, ``plan``, once for all of its devices: the
+    layers they share, or the whole network if they all train one without
+    a merge (one device alone, or homogeneous devices). ``shared`` and
+    ``shared_grads`` view the tensors that chain reads, stacked (D, *shape).
+
+    A stack whose stacked chain reads more than ``GROUP_BYTES`` per device
+    steps one device at a time instead: ``groups`` is then one
+    stack of one row per device, over the same ``params`` and all over the
+    one row of ``grads``. Stacking saves per-call overhead on small layers
+    (two devices of 363 shared float64 reals), but wide ones cost more
+    stacked than one at a time (eight devices of 72,714 took about a third
+    longer), and stacked devices hold their activations at once (two CIFAR
+    stems of 25,834 shared reals: 27 MB more at peak). Otherwise
+    ``groups`` is ``[self]``.
+
+    The networks must agree on their shared layers and on whether their
+    output is a softmax, or the constructor raises ``ValueError``.
+    """
+
+    GROUP_BYTES = 1 << 17
+
+    def __init__(self, networks, dtype=np.float64, store: ParamStore | None = None):
+        networks = tuple(networks)
+        first = networks[0]
+        for net in networks:
+            if (net._layout[:net._n_shared] != first._layout[:first._n_shared]
+                    or net._stack_plan.keyed_layers != first._stack_plan.keyed_layers
+                    or net.ends_in_softmax != first.ends_in_softmax):
+                raise ValueError("the devices of a stack must share their first layers, "
+                                 "at the same offsets")
+        if store is None:
+            params = np.zeros((len(networks), max(net.count_params() for net in networks)),
+                              dtype)
+            stores = [store_over(net._layout, row) for net, row in zip(networks, params)]
+        else:  # one device over its own vector, a one-row matrix
+            params, stores = store.flat[None], [store]
+        _, layout = _stacked_chain(networks)
+        stacked = (len(networks) == 1 or sum(math.prod(shape) for _, shape in layout)
+                   * params.itemsize <= self.GROUP_BYTES)
+        grads = np.zeros((len(networks) if stacked else 1, params.shape[1]), params.dtype)
+        self._set(networks, params, stores, grads,
+                  [store_over(net._layout, grads[d if stacked else 0])
+                   for d, net in enumerate(networks)])
+        # no list holds the stack itself: that cycle would keep its arrays
+        # alive until the garbage collector ran
+        self._groups = [] if stacked else [
+            DeviceStack._rows(networks[d:d + 1], params[d:d + 1], stores[d:d + 1], grads,
+                              self.grad_stores[d:d + 1]) for d in range(len(networks))]
+
+    def _set(self, networks, params, stores, grads, grad_stores) -> None:
+        self.networks, self.params, self.stores = networks, params, stores
+        self.grads, self.grad_stores = grads, grad_stores
+        self.plan, layout = _stacked_chain(networks)
+        if len(networks) == 1 and self.plan is networks[0]._whole_plan:
+            # one device's whole network runs on its own row, without the device axis
+            self.shared, self.shared_grads = stores[0], grad_stores[0]
+        else:
+            self.shared = store_over(layout, params)
+            self.shared_grads = store_over(layout, grads)
+
+    @classmethod
+    def _rows(cls, *arrays) -> "DeviceStack":
+        rows = cls.__new__(cls)
+        rows._set(*arrays)
+        rows._groups = []
+        return rows
+
+    @property
+    def groups(self) -> list["DeviceStack"]:
+        return self._groups or [self]
+
+    @classmethod
+    def alone(cls, network: DeviceNetwork, store: ParamStore) -> "DeviceStack":
+        """A stack of one device over its own ``store`` (not a copy)."""
+        return cls([network], store=store)
 
 
 def count_parameters(topology: BranchedTopology, branch_id: str) -> int:

@@ -3,9 +3,11 @@
 The digests were computed once and committed; a refactor that changes one
 byte of a run's metrics fails here. Cases cover the three run modes of
 both tasks, the asynchronous coordinator, 32-bit reals, three devices of
-which two train one branch (and so share one network), and a small conv
-cascade on CIFAR-format files (conv2d at stride 1 and 2, max pooling and
-dropout). The digests must also hold under one and two BLAS threads.
+which two train one branch (RL, and supervised share-first), dropout in
+the stem, rounds that end on a partial minibatch (of one example, too),
+and a small conv cascade on CIFAR-format files (conv2d at stride 1 and 2,
+max pooling and dropout). The digests must also hold under one and two
+BLAS threads.
 """
 import hashlib
 import json
@@ -45,6 +47,42 @@ def _third_device_on_a_shared_branch(doc):
 
 def _real_width_32(doc):
     doc["real_width"] = 32
+    return doc
+
+
+def _stem_dropout(doc):
+    doc["topology"]["stem"].append({"kind": "dropout", "p": 0.25})
+    return doc
+
+
+def _partial_minibatch(doc, round_samples=70):
+    # 70 = 4 x 16 + 6, so every round ends on a minibatch of 6
+    doc["supervised"]["round_samples"] = round_samples
+    return doc
+
+
+def tiny_share_first_doc(mode="heterogeneous"):
+    """Three supervised devices on a share-first topology, two of them on
+    the "narrow" branch; the "wide" branch draws dropout masks."""
+    doc = tiny_supervised_doc(mode)
+    doc["scheme"] = "share-first"
+    doc["topology"] = {
+        "input_shape": [8],
+        "stem": [{"kind": "dense", "units": 8}, {"kind": "relu"}],
+        "branches": {
+            "wide": [{"kind": "dense", "units": 12}, {"kind": "relu"},
+                     {"kind": "dropout", "p": 0.2}, {"kind": "dense", "units": 4},
+                     {"kind": "softmax"}],
+            "narrow": [{"kind": "dense", "units": 4}, {"kind": "softmax"}],
+        },
+    }
+    opt = {"algorithm": "rmsprop", "learning_rate": 0.001}
+    doc["devices"] = [
+        {"id": "a", "branch": "wide", "data_fraction": 0.5, "optimizer": dict(opt)},
+        {"id": "b", "branch": "narrow", "data_fraction": 0.3, "optimizer": dict(opt)},
+        {"id": "c", "branch": "narrow", "data_fraction": 0.2,
+         "optimizer": {"algorithm": "adam", "learning_rate": 0.002}},
+    ]
     return doc
 
 
@@ -108,6 +146,22 @@ CASES = {
     "supervised-real-width-32": (
         lambda _: _real_width_32(tiny_supervised_doc()),
         "d87b223acf2b76786513aa9363a6f470ea42b1d5b8cb5c32822b9c512e0dc37e"),
+    "supervised-share-first-three-devices": (
+        lambda _: tiny_share_first_doc(),
+        "151542257202ee3573e9366538f5c23041abd82396c30d4e85f8e9b9852b628d"),
+    "supervised-share-first-three-devices-async": (
+        lambda _: _async(tiny_share_first_doc()),
+        "084e628d2654ee6d3774020d36b88ed8b0ce21192ce7dcdbe577d1480c22dc94"),
+    "supervised-homogeneous-three-devices-async-batch-of-one": (
+        # 65 = 4 x 16 + 1: the last minibatch of every round holds one example
+        lambda _: _partial_minibatch(_async(tiny_share_first_doc("homogeneous")), 65),
+        "8458460ef3bdf0b738f0fc7ae78551101437c1c6b119df8f01c48f694ae32297"),
+    "supervised-stem-dropout": (
+        lambda _: _stem_dropout(tiny_supervised_doc()),
+        "7d57be78ea3078368bcfd0110ae159bc8754f1fe0d9bf2448b56fb9315a0d57c"),
+    "supervised-partial-minibatch": (
+        lambda _: _partial_minibatch(tiny_supervised_doc()),
+        "2ef2eed793fed75becaacf3b598e803b356bfc2835c8a70ab5e8df8cc27a5430"),
     "rl-isolated": (
         lambda _: _long_rl(tiny_rl_doc("isolated")),
         "d7dc43d9aca2f6cfca134ee899f3198e2043306a4ddfe1a318a03fab7eadac0f"),

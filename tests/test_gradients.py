@@ -282,7 +282,7 @@ def test_first_layer_skip_gives_the_gradients_of_a_full_backward(name, dtype):
         probs, cache = network.forward(store, x, mode="train", rng=np.random.default_rng(7))
         _, dlogits = cross_entropy(probs, labels)
         grads.append(network.backward(cache, dlogits, store, from_logits=True).flat)
-        first = cache[0] if t.cascade else cache  # the chain that reads x
+        first = cache[0]  # the shared chain, which reads x
         assert first.reads_input == (network is net)
     assert grads[0].dtype == dtype
     assert grads[0].tobytes() == grads[1].tobytes()
@@ -293,7 +293,7 @@ def test_only_a_plan_that_reads_the_input_skips_dx():
     net = topo.DeviceNetwork(t, "b")
     store = net.init_store(np.random.default_rng(0))
     x = np.random.default_rng(1).normal(size=(2, 8, 8, 3))
-    out, cache = net.forward(store, x)
+    out, cache = net._stack_plan.forward(store, x)  # the stem, which reads x
     assert backward_chain(cache, np.ones_like(out), store, store.zeros_like()) is None
     keyed = list(cache.keyed_layers)
     out, cache = forward_chain(keyed, store, x)

@@ -39,6 +39,7 @@ from hetsim.metrics import (
     write_csv,
 )
 from hetsim.protocol import ProtocolError
+from hetsim.topology import DeviceStack
 
 
 def tiny_supervised_doc(mode="heterogeneous", seeds=(7,)):
@@ -863,6 +864,26 @@ def test_aggregation_order_statistics():
                     "median": 2.0, "min": 1.0, "max": 9.0}]
 
 
+def test_aggregate_rows_matches_each_groups_own_numpy_calls_bit_for_bit():
+    """3000 random tables, with +-0.0, NaN and +-inf among the values and
+    groups of several sizes in one call."""
+    rng = np.random.default_rng(0)
+    specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0])
+    for _ in range(3000):
+        groups, seeds = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+        values = rng.standard_normal((groups, seeds))
+        special = rng.random(values.shape) < 0.3
+        values[special] = rng.choice(specials, size=int(special.sum()))
+        rows = [MetricsRow(s, t, "d", "test", "accuracy", float(values[t, s]))
+                for t in range(groups) for s in range(seeds)]
+        rows.append(MetricsRow(0, groups, "d", "test", "accuracy", float(values[0, 0])))
+        with np.errstate(invalid="ignore"):  # the median of +inf and -inf is NaN
+            got = aggregate_rows(rows)
+            want = [np.array([np.median(v), np.min(v), np.max(v)]).tobytes()
+                    for v in [*values.tolist(), [values[0, 0]]]]
+        assert [np.array([g["median"], g["min"], g["max"]]).tobytes() for g in got] == want
+
+
 def test_aggregated_csv_matches_naive_recomputation(tmp_path):
     config = parse_config(tiny_supervised_doc(seeds=(7, 8, 9)))
     run_experiment(config, out_dir=tmp_path)
@@ -992,6 +1013,43 @@ def test_cli_bad_config_and_foreign_checkpoint_are_errors_not_tracebacks(tmp_pat
         err = capsys.readouterr().err
         assert err.startswith(f"hetsim: error: {message}"), err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("make_doc,clock", [(tiny_supervised_doc, r"seed 7, device {}, round 1"),
+                                             (tiny_rl_doc, r"seed 3, device {}, step \d+")])
+@pytest.mark.parametrize("diverging", [("powerful", "weak"), ("weak",)])
+def test_cli_diverged_run_names_the_seed_device_and_clock(tmp_path, capsys, make_doc,
+                                                          clock, diverging):
+    doc = make_doc()
+    for dev in doc["devices"]:
+        if dev["id"] in diverging:
+            dev["optimizer"]["learning_rate"] = 1e300
+    conf_path = tmp_path / "conf.json"
+    conf_path.write_text(json.dumps(doc))
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the divergence
+        assert cli_main(["run", str(conf_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert re.match(f"hetsim: error: {clock.format(diverging[0])}: non-finite values in "
+                    "Dense output$", err), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("diverging", ["powerful", "weak"])
+def test_cli_diverged_device_is_named_when_devices_step_one_at_a_time(
+        tmp_path, capsys, monkeypatch, diverging):
+    # every device is its own group: the weak one runs its chain without the
+    # device axis, the powerful one on a one-row stack
+    monkeypatch.setattr(DeviceStack, "GROUP_BYTES", 1)
+    doc = tiny_supervised_doc()
+    for dev in doc["devices"]:
+        if dev["id"] == diverging:
+            dev["optimizer"]["learning_rate"] = 1e300
+    conf_path = tmp_path / "conf.json"
+    conf_path.write_text(json.dumps(doc))
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the divergence
+        assert cli_main(["run", str(conf_path), "--out", str(tmp_path / "out")]) == 2
+    assert re.match(f"hetsim: error: seed 7, device {diverging}, round 1: non-finite values "
+                    "in Dense output$", capsys.readouterr().err)
 
 
 def test_cli_bad_cifar_file_is_an_error_not_a_traceback(tmp_path, capsys):

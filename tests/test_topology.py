@@ -19,7 +19,7 @@ from hetsim.nn import (
     backward_chain,
     cross_entropy,
 )
-from hetsim.topology import DeviceNetwork
+from hetsim.topology import DeviceNetwork, DeviceStack
 
 
 def atari_topology():
@@ -219,13 +219,14 @@ def test_predict_is_the_eval_forward_bit_for_bit(make_topo, branch, dtype):
     assert np.array_equal(got.view(f"u{got.itemsize}"), want.view(f"u{want.itemsize}"))
 
 
-# -- the network's gradient store ----------------------------------------------
+# -- the stack's gradient store -------------------------------------------------
 
-def _train_pass(net, store, seed):
-    """A train-mode forward of one minibatch: its cache and fused dlogits."""
+def _train_pass(net, stack, seed):
+    """A train-mode forward of one minibatch on a stack of one: its cache and
+    fused dlogits."""
     rng = np.random.default_rng(seed)
-    probs, cache = net.forward(store, rng.normal(size=(6, 5)), mode="train", rng=rng)
-    _, dlogits = cross_entropy(probs, rng.integers(0, 4, size=6))
+    probs, cache = net.forward(stack, rng.normal(size=(1, 6, 5)), mode="train", rng=[rng])
+    _, dlogits = cross_entropy(probs, rng.integers(0, 4, size=(1, 6)))
     return cache, dlogits
 
 
@@ -233,26 +234,27 @@ def _train_pass(net, store, seed):
 def test_backward_refills_one_gradient_store(branch):
     net = DeviceNetwork(small_cascade(0.5), branch)
     store = net.init_store(np.random.default_rng(0), np.random.default_rng(1))
-    first = net.backward(*_train_pass(net, store, 2), store, from_logits=True)
+    stack = DeviceStack.alone(net, store)
+    first, = net.backward(*_train_pass(net, stack, 2), stack, from_logits=True)
     kept = first.flat.copy()
-    cache, dlogits = _train_pass(net, store, 3)
-    second = net.backward(cache, dlogits, store, from_logits=True)
+    cache, dlogits = _train_pass(net, stack, 3)
+    second, = net.backward(cache, dlogits, stack, from_logits=True)
     assert second is first
     assert not np.array_equal(second.flat, kept)
-    # zeroed first, not accumulated: the bits of a network's first backward
-    fresh = DeviceNetwork(small_cascade(0.5), branch)
-    want = fresh.backward(cache, dlogits, store, from_logits=True)
+    # zeroed first, not accumulated: the bits of a new stack's first backward
+    want, = net.backward(cache, dlogits, DeviceStack.alone(net, store), from_logits=True)
     assert second.flat.tobytes() == want.flat.tobytes()
 
 
 def test_backward_store_holds_the_bits_of_a_backward_chain_into_fresh_zeros():
-    net = DeviceNetwork(small_cascade(0.5), "lightweight")  # one plain chain
+    net = DeviceNetwork(small_cascade(0.5), "lightweight")  # one chain, to its logits
     store = net.init_store(np.random.default_rng(0))
+    stack = DeviceStack.alone(net, store)
     for seed in (2, 3):  # the second pass refills the store of the first
-        cache, dlogits = _train_pass(net, store, seed)
-        got = net.backward(cache, dlogits, store, from_logits=True)
+        cache, dlogits = _train_pass(net, stack, seed)
+        got, = net.backward(cache, dlogits, stack, from_logits=True)
         want = store.zeros_like()
-        backward_chain(cache, dlogits, store, want, from_logits=True)
+        backward_chain(cache[0], dlogits[0], store, want)
         assert got.flat.tobytes() == want.flat.tobytes()
 
 
@@ -262,6 +264,7 @@ def test_a_store_of_another_dtype_gets_a_new_gradient_store():
     for dtype in (np.float32, np.float64):
         store = net.init_store(np.random.default_rng(0), np.random.default_rng(1),
                                dtype=dtype)
-        grads.append(net.backward(*_train_pass(net, store, 2), store, from_logits=True))
+        stack = DeviceStack.alone(net, store)
+        grads.append(net.backward(*_train_pass(net, stack, 2), stack, from_logits=True)[0])
     assert grads[1] is not grads[0]
     assert (grads[0].dtype, grads[1].dtype) == (np.float32, np.float64)
