@@ -400,7 +400,7 @@ def layer_from_dict(spec: dict) -> Layer:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError(f"layer spec must be a dict with a 'kind' key, got {spec!r}")
     kind = spec["kind"]
-    cls = _KIND_TO_CLS.get(kind)
+    cls = _KIND_TO_CLS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown layer kind {kind!r}")
     kwargs = {k: v for k, v in spec.items() if k != "kind"}

@@ -1,0 +1,136 @@
+"""Config rejections generated from the schema tables in :mod:`hetsim.config`.
+
+Every key of every table is tried with values its kind must reject (for a
+string kind these include ``["x"]`` and ``{}``, on which a lookup in a set
+or dict of branch names raises ``TypeError``), left out when it is
+required, and put in the other task's config when one task owns it; every
+section is tried with an unknown key. A key added to a table is covered with
+no edit here.
+"""
+import json
+import math
+import re
+
+import pytest
+
+from hetsim import config as schema
+from hetsim.cli import main as cli_main
+from hetsim.config import ConfigError, Key, parse_config
+from test_harness import _set, tiny_rl_doc, tiny_supervised_doc
+
+
+def _cifar_doc():
+    doc = tiny_supervised_doc()
+    doc["data"] = {"source": "cifar10", "train_path": "train.bin", "test_path": "test.bin"}
+    return doc
+
+
+# each table, the docs that hold its section, and the section's path in them
+SECTIONS = [
+    (schema.CONFIG, (tiny_supervised_doc, tiny_rl_doc), ()),
+    (schema.TOPOLOGY, (tiny_supervised_doc, tiny_rl_doc), ("topology",)),
+    (schema.CASCADE, (tiny_supervised_doc,), ("topology", "cascade")),
+    (schema.DEVICE, (tiny_supervised_doc, tiny_rl_doc), ("devices", 1)),
+    (schema.OPTIMIZER, (tiny_supervised_doc, tiny_rl_doc), ("devices", 1, "optimizer")),
+    (schema.COORDINATOR, (tiny_supervised_doc, tiny_rl_doc), ("coordinator",)),
+    (schema.SUPERVISED, (tiny_supervised_doc,), ("supervised",)),
+    (schema.RL, (tiny_rl_doc,), ("rl",)),
+    (schema.DATA["synthetic"], (tiny_supervised_doc,), ("data",)),
+    (schema.DATA["cifar10"], (_cifar_doc,), ("data",)),
+    (schema.ENVIRONMENT, (tiny_rl_doc,), ("environment",)),
+]
+
+# per kind, values that it must reject
+WRONG = {
+    "count": ["1", 0, 2.5, True, None],
+    "natural": ["1", -1, 2.5, True],
+    "integer": ["1", 2.5, True],
+    "real": ["x", math.nan, math.inf, 10**400, True, None],
+    "interval": ["x", math.nan, 10**400, True, -0.5, 1.5],
+    "choice": ["bogus", {}, ["x"], None],
+    "string": ["", ["x"], {}, 1, None],
+    "cell": ["x", [1], [0, -1], [0, "1"], {}],
+    "list": ["x", {}, None],
+    "layers": ["x", {}, None],
+    "section": [5, ["x"], None],
+}
+
+
+def _where(path):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:] or "config"
+
+
+def _what(path, name):
+    """How messages name the key ``name`` of the section at ``path``."""
+    return f"{_where(path)}.{name}" if path else name
+
+
+def _cases(owned_by_doc):
+    """(make_doc, path, name, key) for each key of each table, with each doc
+    whose task reads the key (``owned_by_doc``) or does not."""
+    for table, makers, path in SECTIONS:
+        for name, key in table.items():
+            for make_doc in makers:
+                reads = key.task in (None, make_doc()["task"])
+                if reads == owned_by_doc:
+                    yield pytest.param(make_doc, path, name, key,
+                                       id=f"{make_doc()['task']}-{_what(path, name)}")
+
+
+def _rejects(doc, name_pattern):
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert re.search(name_pattern, str(info.value)), str(info.value)
+
+
+def test_every_table_is_covered():
+    tables = [t for v in vars(schema).values() if isinstance(v, dict)
+              for t in (v, *v.values())  # DATA holds a table per source
+              if isinstance(t, dict) and t and all(isinstance(k, Key) for k in t.values())]
+    assert {id(t) for t in tables} <= {id(t) for t, _, _ in SECTIONS}
+
+
+@pytest.mark.parametrize("make_doc,path,name,key", _cases(owned_by_doc=True))
+def test_a_value_of_the_wrong_kind_names_the_key(make_doc, path, name, key):
+    what = re.escape(_what(path, name))
+    wrong = list(WRONG[key.kind])
+    if key.kind == "list":  # and lists of one wrong entry
+        wrong += [[entry] for entry in WRONG[key.arg]]
+    for value in wrong:
+        _rejects(_set(make_doc(), path + (name,), value), f"^{what}")
+    if key.required:
+        doc = make_doc()
+        section = doc
+        for k in path:
+            section = section[k]
+        del section[name]
+        _rejects(doc, f"^({what} |{re.escape(_where(path))}: missing required key '{name}')")
+
+
+@pytest.mark.parametrize("make_doc,path,name,key", _cases(owned_by_doc=False))
+def test_a_key_of_the_other_task_is_rejected(make_doc, path, name, key):
+    doc = _set(make_doc(), path + (name,), 1)
+    _rejects(doc, f"^{re.escape(_where(path))}: \\[.*'{name}'.*\\] do not apply to a "
+                  f"{doc['task']} task$")
+
+
+@pytest.mark.parametrize("table,makers,path", SECTIONS, ids=[_where(p) for _, _, p in SECTIONS])
+def test_an_unknown_key_is_rejected_in_every_section(table, makers, path):
+    for make_doc in makers:
+        doc = _set(make_doc(), path + ("surprise",), 1)
+        _rejects(doc, f"^{re.escape(_where(path))}: unknown keys \\['surprise'\\]$")
+
+
+def test_a_layer_kind_that_is_not_a_string_is_a_config_error():
+    doc = _set(tiny_supervised_doc(), ("topology", "stem", 0, "kind"), ["dense"])
+    _rejects(doc, r"^topology\.stem: unknown layer kind \['dense'\]")
+
+
+def test_cli_reports_an_unhashable_branch_name_without_a_traceback(tmp_path, capsys):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(_set(tiny_supervised_doc(), ("devices", 1, "branch"), ["x"])))
+    for argv in (["describe", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert cli_main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("hetsim: error: devices[1].branch must be a non-empty string"), err
+        assert "Traceback" not in err

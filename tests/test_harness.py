@@ -1,6 +1,7 @@
 """Harness behaviour: determinism, run modes, byte accounting, checkpoints,
 CSV formats, seeds in worker processes, and the CLI surface."""
 import json
+import math
 import os
 import re
 from concurrent.futures.process import BrokenProcessPool
@@ -461,6 +462,19 @@ def test_rate_gating_quarters_the_weak_interactions():
     weak = next(d for d in run.devices if d["cfg"].id == "weak")
     assert powerful["learner"].steps == 120
     assert weak["learner"].steps == 30
+
+
+@pytest.mark.parametrize("rate,steps", [
+    (0.5, 101), (0.3, 97), (1 / 3, 100), (0.7, 53), (0.1, 10), (0.999, 1000),
+])
+def test_a_device_of_rate_r_acts_floor_t_r_times_in_t_steps(rate, steps):
+    doc = tiny_rl_doc()
+    doc["devices"][1]["rate"] = rate
+    doc["rl"].update(total_steps=steps, sync_period=steps)
+    run = make_run(parse_config(doc), 3)
+    run.run()
+    weak = next(d for d in run.devices if d["cfg"].id == "weak")
+    assert weak["learner"].steps == math.floor(steps * rate)
 
 
 def test_real_width_32_runs_and_scales_bytes():

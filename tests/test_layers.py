@@ -19,6 +19,7 @@ from hetsim.nn import (
     forward_chain,
     make_keyed,
 )
+from hetsim.nn.layers import layer_from_dict
 from hetsim.nn.params import ParamStore
 
 
@@ -148,6 +149,12 @@ def test_dropout_p_validation():
     BranchDropout(1.0)  # allowed
     with pytest.raises(ValueError):
         BranchDropout(1.5)
+
+
+@pytest.mark.parametrize("kind", ["lstm", ["dense"], {"dense": 1}, None, 3])
+def test_unknown_or_non_string_layer_kind_rejected(kind):
+    with pytest.raises(ValueError, match="unknown layer kind"):
+        layer_from_dict({"kind": kind, "units": 4})
 
 
 def test_eval_forward_is_pure():
