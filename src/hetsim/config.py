@@ -272,6 +272,24 @@ class ExperimentConfig:
         return np.float64 if self.real_width == 64 else np.float32
 
 
+def _check_layer_sizes(topology: BranchedTopology, real_width: int) -> None:
+    """Every layer's parameters must fit one array: a layer whose reals of
+    ``real_width`` bits take more bytes than ``np.intp`` counts (so also one
+    whose count does not fit it) is a ConfigError naming the layer, and no
+    array of it is made."""
+    limit = np.iinfo(np.intp).max // (real_width // 8)
+    chains = [("topology.stem", topology.stem, topology.input_shape)] + [
+        (f"topology.branches.{bid}", layers, topology.stem_output_shape)
+        for bid, layers in topology.branches.items()]
+    for where, layers, shape in chains:
+        for i, layer in enumerate(layers):
+            if sum(math.prod(p) for p in layer.param_shapes(shape).values()) > limit:
+                raise ConfigError(f"{where}[{i}]: a {type(layer).__name__} layer of more "
+                                  f"than {limit} {real_width}-bit parameters, which no "
+                                  f"array can hold")
+            shape = layer.output_shape(shape)
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     task = _object(doc, "config").get("task")  # CONFIG checks it before the keys it owns
     top = _section(doc, CONFIG, "config", task)
@@ -301,6 +319,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
             topology = build_share_first(topo["stem"], branches, input_shape)
     except ValueError as exc:  # a ShapeError, no branch, or the branch dropout range
         raise ConfigError(f"topology: {exc}") from exc
+    _check_layer_sizes(topology, top.get("real_width", 64))
 
     devices = []
     for i, entry in enumerate(top["devices"]):

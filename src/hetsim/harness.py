@@ -30,7 +30,7 @@ from .config import ConfigError, DeviceConfig, ExperimentConfig
 from .data import Dataset, generate_synthetic_dataset, load_cifar10_binary, partition_dataset
 from .fileio import atomic_open
 from .gridworld import GridWorld
-from .learners import DdqlLearner, EpsilonSchedule, ReplayBuffer, SupervisedTrainer
+from .learners import DdqlLearner, EpsilonSchedule, ReplayBuffer, SupervisedTrainer, same_bits
 from .metrics import MetricsRow, write_aggregated_csv, write_csv
 from .nn.network import NonFiniteError
 from .nn.optim import make_optimizer
@@ -60,12 +60,24 @@ def build_device_network(config: ExperimentConfig, device: DeviceConfig) -> Devi
     return DeviceNetwork(config.topology, device.branch)
 
 
-def _init_device_store(net: DeviceNetwork, config: ExperimentConfig, seed: int,
-                       device_id: str, store=None):
-    # every device replays the same "shared" stream so shared blocks agree
-    shared_rng = child_rng(seed, "init", "shared")
-    local_rng = child_rng(seed, "init", device_id)
-    return net.init_store(shared_rng, local_rng, dtype=config.dtype, store=store)
+def _init_device_stores(networks: list[DeviceNetwork], config: ExperimentConfig,
+                        seed: int, stores=None) -> list:
+    """Each device's initialized store, into ``stores`` if given, in device order.
+
+    Every device's shared block holds the same draws from the "shared"
+    stream (the devices' shared blocks have one layout), so they are drawn
+    once, into the first device's store, and copied into the others'. Each
+    local block draws from its device's own stream.
+    """
+    out = []
+    for net, dev_cfg, store in zip(networks, config.devices, stores or [None] * len(networks)):
+        store = net.init_store(None if out else child_rng(seed, "init", "shared"),
+                               child_rng(seed, "init", dev_cfg.id), config.dtype, store)
+        if out:
+            shared_len = net.partition.shared_len
+            store.flat[:shared_len] = out[0].flat[:shared_len]
+        out.append(store)
+    return out
 
 
 class _Run:
@@ -113,8 +125,7 @@ class _Run:
 
     def _make_stores(self, networks: list[DeviceNetwork]) -> list:
         """Each device's initialized parameter store, in device order."""
-        return [_init_device_store(net, self.config, self.seed, dev_cfg.id)
-                for net, dev_cfg in zip(networks, self.config.devices)]
+        return _init_device_stores(networks, self.config, self.seed)
 
     def _make_learner(self, index: int, dev_cfg: DeviceConfig, net: DeviceNetwork,
                       store, optimizer):
@@ -170,8 +181,11 @@ class _Run:
                              for dev in self.devices]}
         if self.coordinator is not None:
             state["coordinator"] = {"theta": self.coordinator.theta.copy()}
+            saved = {}  # one copy of each reference, however many devices share it
             for dev_state, ref in zip(state["devices"], self.coordinator.refs):
-                dev_state["endpoint"] = {"shared_ref": ref.copy()}
+                if id(ref) not in saved:
+                    saved[id(ref)] = ref.copy()
+                dev_state["endpoint"] = {"shared_ref": saved[id(ref)]}
         return state
 
     def load_state_dict(self, state: dict) -> None:
@@ -181,11 +195,20 @@ class _Run:
         for dev, dev_state in zip(self.devices, state["devices"]):
             dev[self.LEARNER].load_state_dict(dev_state[self.LEARNER])
         if self.coordinator is not None:
-            for k, (ref, dev_state) in enumerate(zip(self.coordinator.refs,
-                                                     state["devices"])):
-                _copy_checked(ref, dev_state["endpoint"]["shared_ref"],
-                              f"device {k}'s shared_ref")
-            _copy_checked(self.coordinator.theta, state["coordinator"]["theta"], "theta")
+            refs = self.coordinator.refs
+            for k, (ref, dev_state) in enumerate(zip(refs, state["devices"])):
+                name = f"device {k}'s shared_ref"
+                saved = _checked(ref, dev_state["endpoint"]["shared_ref"], name)
+                if k and ref is refs[0]:  # sync mode: device 0's reference is every device's
+                    if not same_bits(ref, saved.astype(ref.dtype, copy=False)):
+                        raise ckpt.CheckpointError(
+                            f"checkpoint {name} differs from device 0's, but every "
+                            f"device of a sync-mode run measures its delta from one "
+                            f"reference")
+                else:
+                    ref[...] = saved
+            self.coordinator.theta[...] = _checked(
+                self.coordinator.theta, state["coordinator"]["theta"], "theta")
         self.rows = [MetricsRow(*row) for row in state["rows"]]
 
 
@@ -196,13 +219,13 @@ def _on_device(exc: NonFiniteError, index: int) -> NonFiniteError:
     return exc
 
 
-def _copy_checked(dst: np.ndarray, saved, name: str) -> None:
-    """Copy a checkpoint array into ``dst``; another shape is a ``CheckpointError``."""
+def _checked(dst: np.ndarray, saved, name: str) -> np.ndarray:
+    """A checkpoint array that goes into ``dst``; another shape is a ``CheckpointError``."""
     saved = np.asarray(saved)
     if saved.shape != dst.shape:
         raise ckpt.CheckpointError(
             f"checkpoint {name} has shape {saved.shape}, the run holds {dst.shape}")
-    dst[...] = saved
+    return saved
 
 
 def _summarize(rows: list[MetricsRow], final_metric: str) -> dict:
@@ -282,16 +305,15 @@ class SupervisedRun(_Run):
     def _make_stores(self, networks):
         # the devices step in lockstep: their parameters are the rows of one stack
         self.stack = DeviceStack(networks, self.config.dtype)
-        return [_init_device_store(net, self.config, self.seed, dev_cfg.id, store)
-                for net, dev_cfg, store in zip(networks, self.config.devices,
-                                               self.stack.stores)]
+        return _init_device_stores(networks, self.config, self.seed, self.stack.stores)
 
     def _make_learner(self, index, dev_cfg, net, store, optimizer):
         trainer = SupervisedTrainer(
             net, store, optimizer, *self._shards[index],
             rng=child_rng(self.seed, "train", dev_cfg.id),
             round_samples=self.config.supervised.round_samples,
-            minibatch_size=self.config.supervised.minibatch_size, stack=self.stack)
+            minibatch_size=self.config.supervised.minibatch_size, stack=self.stack,
+            taken={dev["net"]: dev["trainer"].snapshot for dev in self.devices})
         return trainer, self.partition.shard_size(index)
 
     def play_round(self) -> None:
@@ -301,9 +323,10 @@ class SupervisedRun(_Run):
             self._row(self.round, dev["cfg"].id, "train", "loss", loss)
             self._row(self.round, dev["cfg"].id, "train", "accuracy", acc)
         self._sync_and_log(self.round)
+        taken = {}  # the snapshots taken this round, see SupervisedTrainer
         for k, dev in enumerate(self.devices):
             try:
-                val_acc = dev["trainer"].validate_and_snapshot()
+                val_acc = dev["trainer"].validate_and_snapshot(taken)
             except NonFiniteError as exc:
                 raise _on_device(exc, k)
             self._row(self.round, dev["cfg"].id, "validation", "accuracy", val_acc)
@@ -315,18 +338,18 @@ class SupervisedRun(_Run):
 
         A snapshot is scored once per distinct model: a device that shares an
         earlier device's network (devices on one branch do) and whose snapshot
-        has the same bits (so ``0.0`` and ``-0.0`` differ) reuses that
-        accuracy, which the same pass would reproduce bit for bit. In
-        homogeneous mode, where every sync broadcasts one set of parameters,
-        most devices end on a snapshot another already holds.
+        is the same array, or has the same bits (so ``0.0`` and ``-0.0``
+        differ), reuses that accuracy, which the same pass would reproduce
+        bit for bit. In homogeneous mode, where every sync broadcasts one set
+        of parameters, most devices end on a snapshot another already holds,
+        most often as the same array.
         """
         scored: list[tuple[DeviceNetwork, np.ndarray, float]] = []
         for k, dev in enumerate(self.devices):
             trainer, net = dev["trainer"], dev["net"]
             snap = trainer.snapshot
-            bits = snap.view(np.dtype(f"u{snap.itemsize}"))
-            for other, other_bits, acc in scored:
-                if other is net and np.array_equal(other_bits, bits):
+            for other, other_snap, acc in scored:
+                if other is net and same_bits(other_snap, snap):
                     break
             else:
                 try:
@@ -334,7 +357,7 @@ class SupervisedRun(_Run):
                                            flat=snap)
                 except NonFiniteError as exc:
                     raise _on_device(exc, k)
-                scored.append((net, bits, acc))
+                scored.append((net, snap, acc))
             self._row(self.round, dev["cfg"].id, "test", "accuracy", acc)
 
 

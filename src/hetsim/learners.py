@@ -20,6 +20,26 @@ from .nn.params import ParamStore
 from .topology import DeviceNetwork, DeviceStack
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two flat vectors of one dtype hold the same bits, so that
+    ``0.0`` and ``-0.0`` differ. One array is equal to itself at once, and
+    the last entries are compared first: two devices' vectors that differ
+    at all mostly differ there, in their local blocks, so most unequal
+    pairs cost no pass."""
+    if a is b:
+        return True
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    bits = np.dtype(f"u{a.itemsize}")
+    a, b = a.view(bits), b.view(bits)
+    return bool(np.array_equal(a[-1:], b[-1:]) and np.array_equal(a, b))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 # ---------------------------------------------------------------------------
 # Experience replay
 # ---------------------------------------------------------------------------
@@ -307,6 +327,13 @@ class SupervisedTrainer:
     otherwise) and trains in minibatches. Validation accuracy gates a
     best-parameters snapshot; evaluation always uses the snapshot.
 
+    A snapshot is a read-only array that is replaced, never written, so
+    devices may share one. ``taken``, at construction and at validation,
+    maps a network to the last snapshot taken on it: if
+    that has the bits of this device's parameters it becomes this
+    device's snapshot too, with no copy; else a copy does, and the map
+    keeps it.
+
     ``stack`` is the :class:`~hetsim.topology.DeviceStack` whose rows hold
     this device's parameters (``store``) and its peers'; without one, the
     device is a stack of one over ``store``.
@@ -316,7 +343,8 @@ class SupervisedTrainer:
                  train_x: np.ndarray, train_y: np.ndarray,
                  val_x: np.ndarray, val_y: np.ndarray,
                  rng: np.random.Generator, round_samples: int = 2000,
-                 minibatch_size: int = 32, stack: DeviceStack | None = None):
+                 minibatch_size: int = 32, stack: DeviceStack | None = None,
+                 taken: dict | None = None):
         if len(train_x) == 0:
             raise ValueError("empty training shard")
         if len(val_x) == 0:
@@ -331,7 +359,7 @@ class SupervisedTrainer:
         self.round_samples = round_samples
         self.minibatch_size = minibatch_size
         self.best_val_accuracy = -np.inf
-        self.snapshot = store.flatten()  # before any validation, the initial params
+        self._take_snapshot(taken)  # the initial params
 
     def _draw_round_indices(self) -> np.ndarray:
         n = len(self.train_x)
@@ -415,13 +443,22 @@ class SupervisedTrainer:
             correct += int((probs.argmax(axis=1) == y[lo:lo + chunk]).sum())
         return correct / len(x)
 
-    def validate_and_snapshot(self) -> float:
-        """Validation accuracy; snapshots parameters on strict improvement."""
+    def validate_and_snapshot(self, taken: dict | None = None) -> float:
+        """Validation accuracy; snapshots parameters on strict improvement,
+        reusing a snapshot in ``taken`` (see the class docstring)."""
         accuracy = self.evaluate(self.val_x, self.val_y)
         if accuracy > self.best_val_accuracy:
             self.best_val_accuracy = accuracy
-            self.snapshot = self.store.flatten()
+            self._take_snapshot(taken)
         return accuracy
+
+    def _take_snapshot(self, taken: dict | None) -> None:
+        taken = {} if taken is None else taken  # not ``or``: the caller's empty map fills
+        flat, peer = self.store.flat, taken.get(self.network)
+        if peer is not None and same_bits(peer, flat):
+            self.snapshot = peer
+        else:
+            self.snapshot = taken[self.network] = _read_only(flat.copy())
 
     def state_dict(self) -> dict:
         return {
@@ -429,7 +466,7 @@ class SupervisedTrainer:
             "optimizer": self.optimizer.state_dict(),
             "rng": self.rng.bit_generator.state,
             "best_val_accuracy": float(self.best_val_accuracy),
-            "snapshot": self.snapshot.copy(),
+            "snapshot": self.snapshot,  # read-only: a snapshot is never written
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -437,4 +474,5 @@ class SupervisedTrainer:
         self.optimizer.load_state_dict(state["optimizer"])
         self.rng.bit_generator.state = state["rng"]
         self.best_val_accuracy = float(state["best_val_accuracy"])
-        self.snapshot = state["snapshot"].copy()
+        # not copied: devices whose saved snapshot is one array keep sharing it
+        self.snapshot = _read_only(np.asarray(state["snapshot"]))

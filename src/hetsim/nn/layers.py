@@ -240,12 +240,18 @@ class Conv2D(Layer):
 
 @dataclass(frozen=True)
 class ReLU(Layer):
+    # ``mask.astype`` then an in-place product: the bits of ``x * mask``
+    # (IEEE products commute), without the ufunc's cast of the bool mask
     def forward(self, store, key, x, train, rng):
         mask = x > 0
-        return x * mask, mask
+        y = mask.astype(x.dtype)
+        y *= x
+        return y, mask
 
     def backward(self, store, key, mask, dy, grads):
-        return dy * mask
+        dx = mask.astype(dy.dtype)
+        dx *= dy
+        return dx
 
 
 @dataclass(frozen=True)

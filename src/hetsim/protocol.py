@@ -158,9 +158,12 @@ class Coordinator:
 
     ``theta`` starts as a float64 copy of the slices, and ``refs[k]`` as a
     copy of slice ``k`` in that device's dtype: the point its next delta is
-    measured from. A round computes each delta in its reference buffer, so
-    ``theta``, the references and the two float64 buffers a merge works in
-    (the sum and one term) are allocated here, once.
+    measured from. In sync mode every device adopts ``theta`` at once, so
+    the devices share one reference, and ``refs`` holds that one array for
+    every device; in async mode each device has its own. A round computes
+    each delta in the device's shared slice, so ``theta``, the references
+    and the two float64 buffers a merge works in (the sum and one term) are
+    allocated here, once.
     """
 
     def __init__(self, mode: str, weighting: str, data_sizes, shared):
@@ -177,7 +180,10 @@ class Coordinator:
         if not all(np.array_equal(s, self.shared[0]) for s in self.shared[1:]):
             raise ValueError("initial shared parameters disagree across devices")
         self.theta = np.array(self.shared[0], dtype=np.float64)
-        self.refs = [s.copy() for s in self.shared]
+        if mode == "sync":
+            self.refs = [self.shared[0].copy()] * len(self.shared)
+        else:
+            self.refs = [s.copy() for s in self.shared]
         self._merged = np.empty_like(self.theta)
         self._scratch = np.empty_like(self.theta)
 
@@ -214,29 +220,29 @@ def sync_round(coordinator: Coordinator) -> list[int]:
     """One round over every device; returns the payload bytes each sent.
 
     Device ``k``'s delta is its shared slice minus ``coordinator.refs[k]``,
-    computed in that reference buffer. In sync mode every device's delta is
-    formed, the coordinator merges them, and every device adopts ``theta``.
-    In async mode each delta is applied on its own and its sender adopts
-    ``theta`` at once, so a later device in the round adopts the earlier
-    devices' deltas too. Adopting writes ``theta`` into the shared slice
-    (the rest of the device's parameters stay as they are), and the slice
-    becomes the new reference. A device sends one frame of its shared slice
-    in its own dtype; the bytes returned are that frame's payload, header
-    excluded.
+    computed in the shared slice itself. In sync mode every device's delta
+    is formed, the coordinator merges them, and every device adopts
+    ``theta``. In async mode each delta is applied on its own and its
+    sender adopts ``theta`` at once, so a later device in the round adopts
+    the earlier devices' deltas too. Adopting writes ``theta`` into the
+    shared slice (the rest of the device's parameters stay as they are),
+    and the slice becomes the new reference. A device sends one frame of
+    its shared slice in its own dtype; the bytes returned are that frame's
+    payload, header excluded.
     """
     theta = coordinator.theta
-    pairs = list(zip(coordinator.shared, coordinator.refs))
     if coordinator.mode == "sync":
-        for shared, ref in pairs:
-            np.subtract(shared, ref, out=ref)
-        coordinator.merge(coordinator.refs)
-        for shared, ref in pairs:
+        ref = coordinator.refs[0]  # every device's
+        for shared in coordinator.shared:
+            np.subtract(shared, ref, out=shared)
+        coordinator.merge(coordinator.shared)
+        for shared in coordinator.shared:
             shared[...] = theta
-            ref[...] = shared
+        ref[...] = theta
     else:
-        for k, (shared, ref) in enumerate(pairs):
-            np.subtract(shared, ref, out=ref)
-            coordinator.apply(k, ref)
+        for k, (shared, ref) in enumerate(zip(coordinator.shared, coordinator.refs)):
+            np.subtract(shared, ref, out=shared)
+            coordinator.apply(k, shared)
             shared[...] = theta
             ref[...] = shared
     return [ref.nbytes for ref in coordinator.refs]

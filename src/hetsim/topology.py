@@ -227,7 +227,7 @@ class DeviceNetwork:
 
     # -- construction ------------------------------------------------------
 
-    def init_store(self, shared_rng: np.random.Generator,
+    def init_store(self, shared_rng: np.random.Generator | None,
                    local_rng: np.random.Generator | None = None,
                    dtype=np.float64, store: ParamStore | None = None) -> ParamStore:
         """Initialize parameters; shared tensors draw from ``shared_rng``.
@@ -236,12 +236,15 @@ class DeviceNetwork:
         bit-identical shared blocks, which is how the coordinator and all
         devices start from one broadcast state. The values go into
         ``store`` (of this network's layout, such as a :class:`DeviceStack`
-        row) if one is given, else into a new store of ``dtype``.
+        row) if one is given, else into a new store of ``dtype``. Without
+        ``shared_rng`` the shared block is left as it is, for a caller that
+        copies in one drawn already.
         """
         if store is None:
             store = ParamStore(self._layout, dtype)
-        for keyed, shape in self._shared:
-            init_chain_params(keyed, shape, store, shared_rng)
+        if shared_rng is not None:
+            for keyed, shape in self._shared:
+                init_chain_params(keyed, shape, store, shared_rng)
         rng = local_rng if local_rng is not None else shared_rng
         for keyed, shape in self._local:
             init_chain_params(keyed, shape, store, rng)

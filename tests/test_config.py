@@ -134,3 +134,34 @@ def test_cli_reports_an_unhashable_branch_name_without_a_traceback(tmp_path, cap
         err = capsys.readouterr().err
         assert err.startswith("hetsim: error: devices[1].branch must be a non-empty string"), err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("path,value,where,width", [
+    (("topology", "stem", 0, "units"), 10**400, "topology.stem[0]", 64),
+    (("topology", "stem", 0, "units"), 2**63, "topology.stem[0]", 64),
+    # 8 inputs: 2**65 weights
+    (("topology", "branches", "complex", 0, "units"), 2**62, "topology.branches.complex[0]",
+     64),
+    # a count that fits np.intp, in more bytes than it counts
+    (("topology", "stem", 0, "units"), 2**58, "topology.stem[0]", 64),
+    (("topology", "stem", 0, "units"), 2**59, "topology.stem[0]", 32),
+])
+def test_a_layer_too_large_for_an_array_is_a_config_error(path, value, where, width):
+    doc = _set(tiny_supervised_doc(), path, value)
+    doc["real_width"] = width
+    limit = (2**63 - 1) // (width // 8)
+    _rejects(doc, f"^{re.escape(where)}: a Dense layer of more than {limit} {width}-bit "
+                  f"parameters")
+    if value < 2**63:  # and the same layer 64 times smaller passes
+        parse_config(_set(doc, path, value // 64))
+
+
+def test_cli_reports_a_layer_too_large_for_an_array(tmp_path, capsys):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(_set(tiny_supervised_doc(), ("topology", "stem", 0, "units"),
+                                    2**63)))
+    for argv in (["describe", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert cli_main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("hetsim: error: topology.stem[0]: a Dense layer of more than"), err
+        assert "Traceback" not in err

@@ -2,12 +2,12 @@
 
 The digests were computed once and committed; a refactor that changes one
 byte of a run's metrics fails here. Cases cover the three run modes of
-both tasks, the asynchronous coordinator, 32-bit reals, three devices of
-which two train one branch (RL, and supervised share-first), dropout in
-the stem, rounds that end on a partial minibatch (of one example, too),
-and a small conv cascade on CIFAR-format files (conv2d at stride 1 and 2,
-max pooling and dropout). The digests must also hold under one and two
-BLAS threads.
+both tasks, the asynchronous coordinator, 32-bit reals (with four
+homogeneous devices, too), three devices of which two train one branch
+(RL, and supervised share-first), dropout in the stem, rounds that end
+on a partial minibatch (of one example, too), and a small conv cascade on
+CIFAR-format files (conv2d at stride 1 and 2, max pooling and dropout).
+The digests must also hold under one and two BLAS threads.
 """
 import hashlib
 import json
@@ -47,6 +47,17 @@ def _third_device_on_a_shared_branch(doc):
 
 def _real_width_32(doc):
     doc["real_width"] = 32
+    return doc
+
+
+def _four_devices(doc):
+    # one network on every device in homogeneous mode; the sizes give unequal
+    # merge weights, and two optimizers alternate
+    opts = [{"algorithm": "rmsprop", "learning_rate": 0.001},
+            {"algorithm": "sgd", "learning_rate": 0.05}]
+    doc["devices"] = [{"id": f"d{i}", "branch": "complex", "data_fraction": fraction,
+                       "optimizer": dict(opts[i % 2])}
+                      for i, fraction in enumerate((0.4, 0.3, 0.2, 0.1))]
     return doc
 
 
@@ -146,6 +157,10 @@ CASES = {
     "supervised-real-width-32": (
         lambda _: _real_width_32(tiny_supervised_doc()),
         "d87b223acf2b76786513aa9363a6f470ea42b1d5b8cb5c32822b9c512e0dc37e"),
+    "supervised-homogeneous-four-devices-real-width-32": (
+        # the sync reference every device shares is the float32 cast of theta
+        lambda _: _real_width_32(_four_devices(tiny_supervised_doc("homogeneous"))),
+        "54912d66206bf8ed3788788524ceaaea0babee6f9b8ecc49cc62b90723c8eaff"),
     "supervised-share-first-three-devices": (
         lambda _: tiny_share_first_doc(),
         "151542257202ee3573e9366538f5c23041abd82396c30d4e85f8e9b9852b628d"),

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -568,6 +569,7 @@ def test_heterogeneous_finalize_scores_every_device(monkeypatch):
 def test_snapshots_that_differ_in_the_sign_of_a_zero_are_both_scored(monkeypatch):
     run = make_run(parse_config(tiny_supervised_doc("homogeneous")), 7)
     first, second = (dev["trainer"] for dev in run.devices)
+    first.snapshot = first.snapshot.copy()  # snapshots are read-only: write copies
     first.snapshot[0] = 0.0
     second.snapshot = first.snapshot.copy()
     second.snapshot[0] = -0.0
@@ -576,6 +578,66 @@ def test_snapshots_that_differ_in_the_sign_of_a_zero_are_both_scored(monkeypatch
     assert len(scored) == 2 and np.signbit(scored[1][0])
     accuracy = _test_accuracies(run)
     assert accuracy[0] == accuracy[1]
+
+
+def _homogeneous_devices(doc, n, branch="lightweight"):
+    doc["devices"] = [{"id": f"d{i}", "branch": branch, "data_fraction": 1 / n,
+                       "optimizer": {"algorithm": "sgd", "learning_rate": 0.05}}
+                      for i in range(n)]
+    return doc
+
+
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_snapshots_are_read_only_and_bit_identical_ones_are_one_array(mode, tmp_path):
+    doc = _homogeneous_devices(tiny_supervised_doc("homogeneous"), 4)
+    doc["coordinator"]["mode"] = mode
+    run = make_run(parse_config(doc), 7)
+    trainers = [dev["trainer"] for dev in run.devices]
+    assert all(t.snapshot is trainers[0].snapshot for t in trainers)  # one broadcast state
+    for _ in range(3):
+        before = [t.snapshot for t in trainers]
+        run.play_round()
+        snapshots = [t.snapshot for t in trainers]
+        # the parameters move every round, so equal bits mean one round's snapshot
+        assert len({id(s) for s in snapshots}) == _distinct_bits(snapshots)
+        taken = [s for s, old in zip(snapshots, before) if s is not old]
+        assert taken and _distinct_bits(taken) == (1 if mode == "sync" else len(taken))
+    for trainer in trainers:
+        assert not trainer.snapshot.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            trainer.snapshot[0] = 0.0
+    save_run_checkpoint(run, tmp_path / "run.ckpt")  # a shared snapshot is saved once
+    fresh = load_run_checkpoint(parse_config(doc), 7, tmp_path / "run.ckpt")
+    resumed = [dev["trainer"].snapshot for dev in fresh.devices]
+    assert [[a is b for b in resumed] for a in resumed] == [
+        [a is b for b in snapshots] for a in snapshots]
+    for got, want in zip(resumed, snapshots):
+        assert not got.flags.writeable
+        np.testing.assert_array_equal(got, want)
+
+
+def test_building_eight_homogeneous_devices_holds_one_reference_and_one_snapshot():
+    """Built, a sync run of eight devices of one network holds their
+    parameters (8 vectors), a row of gradients, theta with the merge's two
+    buffers, one sync reference and one snapshot: 14 vectors and a little
+    data. A reference and a snapshot per device would make it 28."""
+    doc = _homogeneous_devices(tiny_supervised_doc("homogeneous"), 8, branch="head")
+    doc["scheme"] = "share-first"
+    doc["topology"] = {
+        "input_shape": [8], "stem": [{"kind": "dense", "units": 128}, {"kind": "relu"}],
+        "branches": {"head": [{"kind": "dense", "units": 128}, {"kind": "relu"},
+                              {"kind": "dense", "units": 4}, {"kind": "softmax"}]}}
+    config = parse_config(doc)
+    make_run(config, 7)  # warm: imports and caches
+    tracemalloc.start()
+    try:
+        run = make_run(config, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    vector = run.devices[0]["store"].flat.nbytes
+    assert vector > DeviceStack.GROUP_BYTES  # so the devices step one at a time
+    assert peak < 18 * vector, peak / vector
 
 
 # -- seeds in worker processes ------------------------------------------------------
@@ -795,6 +857,29 @@ def test_checkpoint_reference_is_validated_and_copied_in():
     run.play_round()
     fresh.play_round()
     assert fresh.rows == run.rows
+
+
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_sync_checkpoint_references_must_agree(mode):
+    doc = tiny_supervised_doc()
+    doc["coordinator"]["mode"] = mode
+    config = parse_config(doc)
+    run = make_run(config, 7)
+    run.play_round()
+    state = run.state_dict()
+    refs = [dev["endpoint"]["shared_ref"] for dev in state["devices"]]
+    assert (refs[0] is refs[1]) == (mode == "sync")  # a shared reference is saved once
+    other = refs[1].copy()
+    other[-1] = np.nextafter(other[-1], np.inf)
+    state["devices"][1]["endpoint"]["shared_ref"] = other
+    fresh = make_run(config, 7)
+    if mode == "sync":
+        with pytest.raises(CheckpointError,
+                           match=r"device 1's shared_ref differs from device 0's"):
+            fresh.load_state_dict(state)
+    else:  # each device has its own reference
+        fresh.load_state_dict(state)
+        np.testing.assert_array_equal(fresh.coordinator.refs[1], other)
 
 
 def test_isolated_checkpoint_holds_no_sync_state():

@@ -42,6 +42,35 @@ def test_relu_definition():
     np.testing.assert_array_equal(out, [[0.0, 0.0, 2.0]])
 
 
+def _bits(a):
+    return a.view(np.dtype(f"u{a.itemsize}"))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(4, 10), (2, 3, 10)])
+def test_relu_gives_the_bits_of_the_masked_products(dtype, shape):
+    """Forward is ``x * (x > 0)`` and backward ``dy * mask``, bit for bit,
+    also on zeros of either sign, infinities, NaN of either sign and
+    subnormals, in 2-D batches and stacked 3-D ones."""
+    tiny = np.finfo(dtype).smallest_subnormal
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny, 3 * tiny,
+                         -1.5], dtype)
+    rng = np.random.default_rng(len(shape))
+    x, dy = (rng.normal(size=shape).astype(dtype) for _ in range(2))
+    for a in (x, dy):
+        a.reshape(-1)[rng.permutation(a.size)[:specials.size]] = specials
+    x.reshape(-1)[:specials.size] = specials  # every special meets every mask value
+    dy.reshape(-1)[:specials.size] = specials[::-1]
+    relu = ReLU()
+    with np.errstate(invalid="ignore"):  # 0 * inf is NaN
+        y, mask = relu.forward(None, None, x, True, None)
+        dx = relu.backward(None, None, mask, dy, None)
+        want_y, want_dx = x * (x > 0), dy * (x > 0)
+    assert y.dtype == dx.dtype == dtype and y.shape == dx.shape == shape
+    assert np.array_equal(_bits(y), _bits(want_y))
+    assert np.array_equal(_bits(dx), _bits(want_dx))
+
+
 def test_softmax_symmetry():
     keyed, store = _store_for([Softmax()], (2,))
     out, _ = forward_chain(keyed, store, np.array([[0.0, 0.0]]))

@@ -196,6 +196,21 @@ def test_coordinator_copies_theta0_and_checks_its_settings():
         Coordinator("sync", "median", [1], [np.zeros(2)])
 
 
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_sync_mode_shares_one_reference_and_async_keeps_one_per_device(mode):
+    stores = [_arange_store() for _ in range(3)]
+    coord = Coordinator(mode, "uniform-average", [1, 1, 1], [s.flat[:2] for s in stores])
+    refs = list(coord.refs)
+    for step in range(3):
+        assert [ref is refs[0] for ref in coord.refs] == [True, mode == "sync", mode == "sync"]
+        assert all(a is b for a, b in zip(coord.refs, refs))  # written in place
+        assert not any(np.shares_memory(ref, s.flat) for ref in refs for s in stores)
+        for ref, store in zip(coord.refs, stores):
+            np.testing.assert_array_equal(ref, store.flat[:2])
+        stores[step].flat[:2] += 3.0
+        sync_round(coord)
+
+
 def test_merge_needs_one_delta_per_device():
     coord = _sync_coordinator([1, 1])
     for deltas in ([np.zeros(2)], [np.zeros(2)] * 3):
