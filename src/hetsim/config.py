@@ -21,7 +21,8 @@ from .gridworld import GridWorld
 from .nn.layers import layer_from_dict
 from .nn.optim import make_optimizer
 from .protocol import COORDINATOR_MODES, WEIGHTINGS
-from .topology import BranchedTopology, build_cascaded, build_share_first
+from .topology import (BranchedTopology, build_cascaded, build_share_first,
+                       count_parameters)
 
 TASKS = ("supervised", "rl")
 MODES = ("isolated", "homogeneous", "heterogeneous")
@@ -272,10 +273,12 @@ class ExperimentConfig:
         return np.float64 if self.real_width == 64 else np.float32
 
 
-def _check_layer_sizes(topology: BranchedTopology, real_width: int) -> None:
-    """Every layer's parameters must fit one array: a layer whose reals of
-    ``real_width`` bits take more bytes than ``np.intp`` counts (so also one
-    whose count does not fit it) is a ConfigError naming the layer, and no
+def _check_array_sizes(topology: BranchedTopology, devices, mode: str, task: str,
+                       real_width: int) -> None:
+    """Every parameter array of a run must fit: a layer, a device's vector
+    or (supervised) the seed's (devices x largest vector) stack whose reals
+    of ``real_width`` bits take more bytes than ``np.intp`` counts (so also
+    one whose count does not fit it) is a ConfigError naming it, and no
     array of it is made."""
     limit = np.iinfo(np.intp).max // (real_width // 8)
     chains = [("topology.stem", topology.stem, topology.input_shape)] + [
@@ -288,6 +291,19 @@ def _check_layer_sizes(topology: BranchedTopology, real_width: int) -> None:
                                   f"than {limit} {real_width}-bit parameters, which no "
                                   f"array can hold")
             shape = layer.output_shape(shape)
+    if mode == "homogeneous":  # every device trains the weakest branch's network
+        counts = [min(count_parameters(topology, b) for b in topology.branches)] * len(devices)
+    else:
+        counts = [count_parameters(topology, dev.branch) for dev in devices]
+    for i, (dev, count) in enumerate(zip(devices, counts)):
+        if count > limit:
+            raise ConfigError(f"devices[{i}] ({dev.id!r}): a network of {count} "
+                              f"{real_width}-bit parameters, more than the {limit} an "
+                              f"array can hold")
+    if task == "supervised" and len(devices) * max(counts, default=0) > limit:
+        raise ConfigError(f"devices: {len(devices)} devices of up to {max(counts)} "
+                          f"{real_width}-bit parameters, more than the {limit} that one "
+                          f"array of their vectors can hold")
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -319,7 +335,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
             topology = build_share_first(topo["stem"], branches, input_shape)
     except ValueError as exc:  # a ShapeError, no branch, or the branch dropout range
         raise ConfigError(f"topology: {exc}") from exc
-    _check_layer_sizes(topology, top.get("real_width", 64))
 
     devices = []
     for i, entry in enumerate(top["devices"]):
@@ -342,6 +357,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         devices.append(DeviceConfig(**dev))
     if len({d.id for d in devices}) != len(devices):
         raise ConfigError("device ids must be unique")
+    _check_array_sizes(topology, devices, top["mode"], task, top.get("real_width", 64))
 
     coordinator = _section(top.get("coordinator", {}), COORDINATOR, "coordinator", task)
     top.update(seeds=tuple(top["seeds"]), topology=topology, devices=tuple(devices),

@@ -23,6 +23,11 @@ device's slice gets the bits it would get alone: products are stacked
 products; reductions run along the same axes as alone; dropout draws each
 device's mask from its own generator, in its own shape; and Conv2D runs
 its kernels one device at a time.
+
+Conv2D keeps its input, not its im2col matrix: it builds the columns in
+blocks of images (forward) and of input channels (weight gradient), each
+with the bits of the one product, and keeps the one product where a block
+could not have them (see its docstring).
 """
 from __future__ import annotations
 
@@ -33,6 +38,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 Shape = tuple[int, ...]
+
+# SkylakeX's small-matrix BLAS kernels take products of at most this many
+# multiply-adds and sum in another order (see Conv2D)
+_SMALL_GEMM = 10**6
 
 
 class ShapeError(ValueError):
@@ -114,36 +123,53 @@ class Dense(Layer):
 class Conv2D(Layer):
     """VALID convolution, (N, H, W, Cin) -> (N, Ho, Wo, out_channels).
 
-    Forward takes one product of the im2col columns (N*Ho*Wo x
-    Cin*kh*kw, the cache) with the weight matrix. Backward takes the
-    weight gradient as the swapped product, transposed:
-    ``(dy2.T @ cols).T``. It takes the input gradient one kernel tap at a
-    time: for each (i, j), in row-major order, ``dy2 @ w[i, j].T`` goes
-    into one reused (N*Ho*Wo x Cin) buffer, which is added into the tap's
-    strided slice of a zeroed dx. So the (N*Ho*Wo x Cin*kh*kw) input
-    gradient of the im2col way (29 MB of float64 for the CIFAR stem's
-    second conv at batch 16) is never built.
+    The cache is the input x, which the previous layer's output keeps
+    alive anyway. No whole im2col matrix (N*Ho*Wo x Cin*kh*kw: 29 MB of
+    float64 for the CIFAR stem's second conv at batch 16, 925 MB for a
+    512-image eval chunk) is built or kept. Forward copies the columns of
+    as many whole images as fit in ``BLOCK_BYTES`` (at least one) into one
+    reused buffer, multiplies each block into its slice of y and adds the
+    bias once. Backward rebuilds the columns ``GRAD_CHANNELS`` input
+    channels at a time, into one reused buffer, for the weight gradient:
+    the swapped product ``(dy2.T @ cols).T``, block by block. It takes the
+    input gradient one kernel tap at a time: for each (i, j), in row-major
+    order, ``dy2 @ w[i, j].T`` goes into one reused (N*Ho*Wo x Cin)
+    buffer, which is added into the tap's strided slice of a zeroed dx.
 
-    The bits are those of the im2col products: an element of a tap
-    product sums the same Cout terms, in the same order, as the matching
-    column of the one product ``dy2 @ wmat.T``; the taps are added in the
-    same order; and a weight-gradient element sums the same products over
-    the same samples. That relies on BLAS giving a product element the
-    same bits whatever the width of the other operand, which OpenBLAS's
-    matrix-matrix kernels do. Its matrix-vector kernels and the
-    small-matrix kernels of some cores (SkylakeX: a transposed product of
-    at most 1200 outputs) sum in another order. So an input gradient with
-    one input channel (a tap product would be matrix-vector) or taps of
-    under 4096 reals keeps the one product, and so does a weight gradient
-    with one input channel (whose columns can be a strided view of the
-    input, which BLAS reads with another kernel). The golden metrics
-    digests are the guard on another BLAS.
+    The bits are those of the one im2col product each replaces. A block
+    of images is a slice of the same stacked ``np.matmul``, whose slices
+    are separate products. An element of a channel-block or tap product
+    sums the same terms, in the same order, as in the one product, and
+    the taps are added in the same order. That relies on BLAS giving a
+    product element the same bits whatever the width of the other
+    operand, which OpenBLAS's blocked matrix-matrix kernels do. Other
+    kernels sum in another order, so the one product stays where a block
+    could reach them:
+    - columns that are a view of x (``np.reshape`` without a copy, as
+      with one input channel and a one-wide window), which BLAS reads
+      with another kernel than a copied block;
+    - an input gradient with one input channel (a tap product would be
+      matrix-vector) or taps of under 4096 reals (the small-matrix
+      kernels of some cores; SkylakeX: a transposed product of at most
+      1200 outputs);
+    - a weight gradient unless Cin is a multiple of ``GRAD_CHANNELS``
+      above it and each block is at least 32 columns wide and takes more
+      than 10**6 multiply-adds. SkylakeX's small-matrix kernels take
+      products of at most 10**6, and under two BLAS threads narrower
+      blocks or widths that are not a multiple of 8 gave other bits
+      (scanned in both float widths at 1 and 2 threads). With one input
+      channel the product is ``cols.T @ dy2``.
+
+    The golden metrics digests are the guard on another BLAS.
     """
 
     kh: int
     kw: int
     out_channels: int
     stride: int = 1
+
+    BLOCK_BYTES = 1 << 20  # the columns a forward block copies (at least one image)
+    GRAD_CHANNELS = 8  # the input channels of a weight-gradient block
 
     def __post_init__(self):
         if min(self.kh, self.kw, self.out_channels, self.stride) < 1:
@@ -172,49 +198,72 @@ class Conv2D(Layer):
 
     def forward(self, store, key, x, train, rng):
         w, b = store.view((key, "w")), store.view((key, "b"))
+        y = np.empty(x.shape[:-3] + self.output_shape(x.shape[-3:]), np.result_type(x, w))
         if not store.lead:
-            return self._forward(x, w, b)
-        # one device at a time, each into its slice of the stacked output
-        y = np.empty(x.shape[:2] + self.output_shape(x.shape[2:]), np.result_type(x, w))
-        return y, [self._forward(*args)[1] for args in zip(x, w, b, y)]
+            self._forward(x, w, b, y)
+        else:  # one device at a time, each into its slice of the stacked output
+            for args in zip(x, w, b, y):
+                self._forward(*args)
+        return y, x
 
-    def _forward(self, x, w, b, out=None):
-        n, h, win, cin = x.shape
-        kh, kw, s = self.kh, self.kw, self.stride
-        ho = (h - kh) // s + 1
-        wo = (win - kw) // s + 1
-        # windows: (N, H-kh+1, W-kw+1, C, kh, kw) -> stride subsample
-        windows = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::s, ::s]
-        cols = windows.reshape(n, ho, wo, cin * kh * kw)
-        wmat = w.transpose(2, 0, 1, 3).reshape(cin * kh * kw, self.out_channels)
-        y = np.matmul(cols, wmat, out=out)
+    def _windows(self, x):
+        """The (N, Ho, Wo, Cin, kh, kw) view of every window of ``x``."""
+        s = self.stride
+        return sliding_window_view(x, (self.kh, self.kw), axis=(1, 2))[:, ::s, ::s]
+
+    def _forward(self, x, w, b, y):
+        windows = self._windows(x)
+        n, ho, wo, cin = windows.shape[:4]
+        depth = cin * self.kh * self.kw
+        wmat = w.transpose(2, 0, 1, 3).reshape(depth, self.out_channels)
+        try:
+            cols = np.reshape(windows, (n, ho, wo, depth), copy=False)
+        except ValueError:  # blocks of whole images, copied into one reused buffer
+            per = max(1, self.BLOCK_BYTES // (ho * wo * depth * x.itemsize))
+            buf = np.empty((min(per, n), ho, wo, depth), x.dtype)
+            for lo in range(0, n, per):
+                cols = buf[:min(per, n - lo)]
+                cols.reshape(windows[lo:lo + per].shape)[...] = windows[lo:lo + per]
+                np.matmul(cols, wmat, out=y[lo:lo + per])
+        else:  # columns that are a view of x: one product (see the class docstring)
+            np.matmul(cols, wmat, out=y)
         y += b
-        return y, (cols, x.shape)
 
-    def backward_params(self, store, key, cache, dy, grads):
+    def backward_params(self, store, key, x, dy, grads):
         gw, gb = grads.view((key, "w")), grads.view((key, "b"))
         if not grads.lead:
-            self._param_grads(cache, dy, gw, gb)
+            self._param_grads(x, dy, gw, gb)
         else:
-            for args in zip(cache, dy, gw, gb):
+            for args in zip(x, dy, gw, gb):
                 self._param_grads(*args)
 
-    def _param_grads(self, cache, dy, gw, gb):
-        cols, x_shape = cache
-        cin, cout = x_shape[3], dy.shape[3]
+    def _param_grads(self, x, dy, gw, gb):
+        cin, cout = x.shape[3], dy.shape[3]
+        kk, step = self.kh * self.kw, self.GRAD_CHANNELS
         dy2 = dy.reshape(-1, cout)
-        cols2 = cols.reshape(-1, cin * self.kh * self.kw)
-        dwmat = (dy2.T @ cols2).T if cin > 1 else cols2.T @ dy2  # see the class docstring
+        windows = self._windows(x)
+        if (cin % step or cin == step or step * kk < 32
+                or len(dy2) * cout * step * kk <= _SMALL_GEMM):  # see the class docstring
+            cols2 = windows.reshape(len(dy2), cin * kk)
+            dwmat = (dy2.T @ cols2).T if cin > 1 else cols2.T @ dy2
+        else:  # the columns of ``step`` channels at a time, in one reused buffer
+            cols = np.empty((len(dy2), step * kk), x.dtype)
+            dwt = np.empty((cout, cin * kk), np.result_type(x, dy))
+            for lo in range(0, cin, step):
+                cols.reshape(windows.shape[:3] + (step, self.kh, self.kw))[...] = (
+                    windows[:, :, :, lo:lo + step])
+                np.matmul(dy2.T, cols, out=dwt[:, lo * kk:(lo + step) * kk])
+            dwmat = dwt.T
         gw[...] += dwmat.reshape(cin, self.kh, self.kw, cout).transpose(1, 2, 0, 3)
         gb[...] += dy2.sum(axis=0)
 
-    def backward(self, store, key, cache, dy, grads):
-        self.backward_params(store, key, cache, dy, grads)
+    def backward(self, store, key, x, dy, grads):
+        self.backward_params(store, key, x, dy, grads)
         w = store.view((key, "w"))
+        dx = np.zeros(x.shape, dtype=dy.dtype)
         if not store.lead:
-            return self._input_grad(cache, dy, w, np.zeros(cache[1], dtype=dy.dtype))
-        dx = np.zeros(dy.shape[:1] + cache[0][1], dtype=dy.dtype)
-        for args in zip(cache, dy, w, dx):
+            return self._input_grad(x, dy, w, dx)
+        for args in zip(x, dy, w, dx):
             self._input_grad(*args)
         return dx
 

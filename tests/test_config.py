@@ -10,6 +10,7 @@ no edit here.
 import json
 import math
 import re
+import tracemalloc
 
 import pytest
 
@@ -152,8 +153,59 @@ def test_a_layer_too_large_for_an_array_is_a_config_error(path, value, where, wi
     limit = (2**63 - 1) // (width // 8)
     _rejects(doc, f"^{re.escape(where)}: a Dense layer of more than {limit} {width}-bit "
                   f"parameters")
-    if value < 2**63:  # and the same layer 64 times smaller passes
-        parse_config(_set(doc, path, value // 64))
+    if value < 2**63:  # and the same layer 128 times smaller passes (at 64 times
+        # the smaller, the two devices of the 2**62 case overflow one stack)
+        parse_config(_set(doc, path, value // 128))
+
+
+def _parse_peak(doc):
+    """parse_config's result (or the ConfigError it raised) and its tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        try:
+            result = parse_config(doc)
+        except ConfigError as exc:
+            result = exc
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# The stem's units u: every layer fits an array, but the powerful device's
+# network (stem, complex branch and lightweight head: about 24u reals)
+# does not at u = 2**56, nor the two devices' stack of those vectors at
+# 2**55. In homogeneous mode both devices train the weakest network (about
+# 12u). An RL device holds its own vector (about 22u), so no stack is made.
+@pytest.mark.parametrize("make_doc,units,message", [
+    (tiny_supervised_doc, 2**56,
+     r"^devices\[0\] \('powerful'\): a network of \d+ 64-bit parameters, more than the "
+     r"1152921504606846975 an array can hold$"),
+    (tiny_supervised_doc, 2**55,
+     r"^devices: 2 devices of up to \d+ 64-bit parameters, more than the "
+     r"1152921504606846975 that one array of their vectors can hold$"),
+    (lambda: tiny_supervised_doc("homogeneous"), 2**55, None),
+    (tiny_rl_doc, 2**55, None),
+    (tiny_rl_doc, 2**56, r"^devices\[0\] \('powerful'\): a network of"),
+], ids=["device-vector", "stack", "homogeneous-parses", "rl-parses", "rl-device-vector"])
+def test_a_network_or_stack_too_large_for_an_array_is_a_config_error(make_doc, units,
+                                                                      message):
+    result, peak = _parse_peak(_set(make_doc(), ("topology", "stem", 0, "units"), units))
+    if message is None:
+        assert not isinstance(result, ConfigError), result
+    else:
+        assert isinstance(result, ConfigError) and re.search(message, str(result)), result
+    assert peak < 1 << 20, f"parsing allocated {peak} bytes"
+
+
+def test_cli_reports_a_stack_too_large_for_an_array(tmp_path, capsys):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(_set(tiny_supervised_doc(), ("topology", "stem", 0, "units"),
+                                    2**55)))
+    for argv in (["describe", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert cli_main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("hetsim: error: devices: 2 devices of up to"), err
+        assert "Traceback" not in err
 
 
 def test_cli_reports_a_layer_too_large_for_an_array(tmp_path, capsys):

@@ -1,20 +1,33 @@
-"""Conv2D's per-tap backward against the im2col backward it replaced.
+"""Conv2D's blocked forward and backward against the im2col arithmetic.
 
 ``_ReferenceConv2D`` keeps the im2col ``forward``, ``backward_params`` and
-``backward`` verbatim: the input gradient as one (N*Ho*Wo x Cin*kh*kw)
-product, reshaped to 6-D and scattered tap by tap. The layer's own
-backward must give the same bits, in float32 and float64, on both sides
-of the size rule that picks its per-tap products.
+``backward`` verbatim: one product of all the columns forward, the weight
+gradient as one product of the cached columns, and the input gradient as
+one (N*Ho*Wo x Cin*kh*kw) product, reshaped to 6-D and scattered tap by
+tap. The layer keeps only its input, and must give the same bits, in
+float32 and float64, alone and on a stacked (device-axis) store: with its
+forward in blocks of whole images (one image each, under a patched
+budget), with columns that are a view of the input, with its weight
+gradient in blocks of input channels or in one product (the shapes on
+both sides of the block rule), and with its input gradient per tap or in
+one product. Memory guards check what the layer keeps and builds.
 """
+import json
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from hetsim.config import parse_config
 from hetsim.nn import Conv2D, build_layout, make_keyed
-from hetsim.nn.params import ParamStore
+from hetsim.nn.params import ParamStore, store_over
+from hetsim.topology import DeviceNetwork
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class _ReferenceConv2D(Conv2D):
@@ -116,6 +129,17 @@ SHAPES = {
     "one-output-row-per-tap": (1, 2, 2, 4096, 2, 2, 40, 1),
     "small-taps-long-sums": (8, 6, 6, 8, 3, 3, 32, 1),  # BLAS small-matrix kernels
     "just-per-tap": (8, 10, 10, 8, 3, 3, 32, 1),  # 512 rows x 8 channels per tap
+    "view-columns": (2, 1, 3, 1, 1, 2, 1, 1),  # a copied block would differ here
+    # 8-channel weight-gradient blocks of 72 x 32 outputs: 400 rows make
+    # 921,600 multiply-adds per block (one product), 441 rows 1,016,064 (blocks)
+    "channel-blocks-just-below-1e6": (1, 22, 22, 16, 3, 3, 32, 1),
+    "channel-blocks-just-above-1e6": (1, 23, 23, 16, 3, 3, 32, 1),
+    # blocks of 32 x 37 = 1,184 and 32 x 38 = 1,216 outputs, the small-kernel
+    # size of a transposed SkylakeX product
+    "channel-blocks-just-below-1200-outputs": (4, 20, 20, 24, 2, 2, 37, 1),
+    "channel-blocks-just-above-1200-outputs": (4, 20, 20, 24, 2, 2, 38, 1),
+    "channel-blocks-1x1": (4, 20, 20, 32, 1, 1, 64, 1),  # 8-column blocks: one product
+    "channel-blocks-five": (8, 12, 12, 40, 3, 3, 24, 1),
 }
 
 
@@ -141,6 +165,113 @@ def _small_convs(draw):
        seed=st.integers(0, 2**16))
 def test_backward_is_the_im2col_backward_on_small_shapes(shape, dtype, seed):
     _check(*shape, dtype=dtype, seed=seed)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(shape=_small_convs(), dtype=st.sampled_from([np.float64, np.float32]),
+       seed=st.integers(0, 2**16))
+def test_one_image_forward_blocks_are_the_im2col_arithmetic(shape, dtype, seed):
+    with mock.patch.object(Conv2D, "BLOCK_BYTES", 1):  # every block holds one image
+        _check(*shape, dtype=dtype, seed=seed)
+
+
+@pytest.mark.parametrize("budget", [1, Conv2D.BLOCK_BYTES], ids=["one-image", "default"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("shape", [SHAPES[k] for k in (
+    "cifar-stem-2", "cifar-complex-2", "view-columns", "channel-blocks-just-above-1e6")],
+    ids=["cifar-stem-2", "cifar-complex-2", "view-columns", "channel-blocks"])
+def test_stacked_devices_get_the_bits_of_the_im2col_layer_alone(shape, dtype, budget):
+    n, h, w, cin, kh, kw, cout, stride = shape
+    layer = Conv2D(kh, kw, cout, stride)
+    reference = _ReferenceConv2D(kh, kw, cout, stride)
+    layout = build_layout(make_keyed("net", [layer]), (h, w, cin))
+    rng = np.random.default_rng(3)
+    size = ParamStore(layout).size
+    params = rng.normal(size=(2, size)).astype(dtype)
+    start = rng.normal(size=(2, size)).astype(dtype)
+    x = rng.normal(size=(2, n, h, w, cin)).astype(dtype)
+    ho, wo, _ = layer.output_shape((h, w, cin))
+    dy = rng.normal(size=(2, n, ho, wo, cout)).astype(dtype)
+    grads = start.copy()
+    with mock.patch.object(Conv2D, "BLOCK_BYTES", budget):
+        y, dx = _run(layer, store_over(layout, params), store_over(layout, grads), x, dy)
+    for d in range(2):
+        ref_grads = ParamStore(layout, dtype=dtype, flat=start[d])
+        ref_y, ref_dx = _run(reference, store_over(layout, params[d]), ref_grads, x[d], dy[d])
+        _assert_same_bits(y[d], ref_y, f"device {d} y")
+        _assert_same_bits(dx[d], ref_dx, f"device {d} dx")
+        _assert_same_bits(grads[d], ref_grads.flat, f"device {d} grads")
+
+
+def _arrays(cache):
+    if isinstance(cache, np.ndarray):
+        yield cache
+    elif isinstance(cache, (tuple, list)):
+        for item in cache:
+            yield from _arrays(item)
+
+
+@pytest.mark.parametrize("lead", [0, 1], ids=["alone", "stacked"])
+@pytest.mark.parametrize("shape", [SHAPES[k] for k in (
+    "cifar-stem-1", "cifar-stem-2", "atari-8x8-s4", "view-columns")],
+    ids=["cifar-stem-1", "cifar-stem-2", "atari-8x8-s4", "view-columns"])
+def test_the_cache_holds_no_array_larger_than_the_input(shape, lead):
+    n, h, w, cin, kh, kw, cout, stride = shape
+    layer = Conv2D(kh, kw, cout, stride)
+    layout = build_layout(make_keyed("net", [layer]), (h, w, cin))
+    store = ParamStore(layout)
+    if lead:
+        store = store_over(layout, np.zeros((2, store.size)))
+    x = np.ones((2,) * lead + (n, h, w, cin))
+    _, cache = layer.forward(store, ("net", 0), x, True, None)
+    assert max(a.nbytes for a in _arrays(cache)) <= x.nbytes
+
+
+def test_forward_and_backward_build_no_im2col_matrix():
+    # the CIFAR stem's second conv at batch 16: its im2col matrix is
+    # 16*28*28 x 32*3*3 float64 reals, about 29 MB
+    n, h, w, cin, cout = 16, 30, 30, 32, 32
+    layer = Conv2D(3, 3, cout)
+    layout = build_layout(make_keyed("net", [layer]), (h, w, cin))
+    rng = np.random.default_rng(0)
+    store = ParamStore(layout)
+    store.flat[...] = rng.normal(size=store.size)
+    grads = ParamStore(layout)
+    x = rng.normal(size=(n, h, w, cin))
+    dy = rng.normal(size=(n, h - 2, w - 2, cout))
+    cols_bytes = dy.shape[0] * dy.shape[1] * dy.shape[2] * cin * 9 * 8
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        y, cache = layer.forward(store, ("net", 0), x, True, None)
+        del y  # as in a chain, where the next layer (a ReLU) keeps only its mask
+        layer.backward(store, ("net", 0), cache, dy, grads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    peak -= before
+    # the output (3.2 MB) and then one weight-gradient block of 8 channels
+    # (7.2 MB) are the most that is live
+    assert peak < cols_bytes / 3, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_an_eval_pass_of_the_cifar_network_builds_no_im2col_matrix():
+    # the powerful network of configs/supervised_cifar10.json (and of the
+    # benchmark's sup-cifar-conv) on 64 images: the stem's second conv
+    # alone has 116 MB of im2col columns, and the pass peaked at 172 MB
+    # when they were built; it now peaks at about 58 MB
+    config = parse_config(json.loads((CONFIGS / "supervised_cifar10.json").read_text()))
+    net = DeviceNetwork(config.topology, "complex")
+    store = net.init_store(np.random.default_rng(0))
+    x = np.random.default_rng(1).random((64, 32, 32, 3))
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        net.predict(store, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 80 * 2**20, f"peak {(peak - before) / 2**20:.1f} MiB"
 
 
 def test_backward_builds_no_im2col_sized_input_gradient():

@@ -6,8 +6,10 @@ both tasks, the asynchronous coordinator, 32-bit reals (with four
 homogeneous devices, too), three devices of which two train one branch
 (RL, and supervised share-first), dropout in the stem, rounds that end
 on a partial minibatch (of one example, too), and a small conv cascade on
-CIFAR-format files (conv2d at stride 1 and 2, max pooling and dropout).
-The digests must also hold under one and two BLAS threads.
+CIFAR-format files (conv2d at stride 1 and 2, max pooling and dropout),
+also wide enough that its forward takes several blocks of images and its
+weight gradient blocks of input channels. The digests must also hold
+under one and two BLAS threads.
 """
 import hashlib
 import json
@@ -97,15 +99,17 @@ def tiny_share_first_doc(mode="heterogeneous"):
     return doc
 
 
-def tiny_cifar_doc(inputs, mode="heterogeneous", real_width=64):
+def tiny_cifar_doc(inputs, mode="heterogeneous", real_width=64, channels=(4, 4),
+                   records=(40, 10)):
     """A conv cascade on seeded CIFAR-format files written into ``inputs``.
 
-    The stem is conv (stride 1), max pool, conv (stride 2); the weakest
-    branch (the network every homogeneous device trains) starts with
-    dropout. 40 training and 10 test records keep a run well under 1 s.
+    The stem is conv (stride 1), max pool, conv (stride 2), with
+    ``channels`` output channels; the weakest branch (the network every
+    homogeneous device trains) starts with dropout. ``records`` training
+    and test records (40 and 10 keep a run well under 1 s).
     """
     rng = np.random.default_rng(1234)
-    for name, n in (("train.bin", 40), ("test.bin", 10)):
+    for name, n in zip(("train.bin", "test.bin"), records):
         pixels = rng.integers(0, 256, size=(n, 32, 32, 3)) / 255.0
         write_cifar10_binary(Dataset(pixels, rng.integers(0, 10, size=n), 10, "cifar10"),
                              inputs / name)
@@ -115,9 +119,10 @@ def tiny_cifar_doc(inputs, mode="heterogeneous", real_width=64):
         "real_width": real_width,
         "topology": {
             "input_shape": [32, 32, 3],
-            "stem": [{"kind": "conv2d", "kh": 3, "kw": 3, "out_channels": 4},
+            "stem": [{"kind": "conv2d", "kh": 3, "kw": 3, "out_channels": channels[0]},
                      {"kind": "relu"}, {"kind": "maxpool2d", "ph": 2, "pw": 2},
-                     {"kind": "conv2d", "kh": 3, "kw": 3, "out_channels": 4, "stride": 2},
+                     {"kind": "conv2d", "kh": 3, "kw": 3, "out_channels": channels[1],
+                      "stride": 2},
                      {"kind": "relu"}, {"kind": "flatten"}],
             "branches": {
                 "complex": [{"kind": "dense", "units": 16}, {"kind": "relu"},
@@ -139,6 +144,18 @@ def tiny_cifar_doc(inputs, mode="heterogeneous", real_width=64):
         "data": {"source": "cifar10", "train_path": str(inputs / "train.bin"),
                  "test_path": str(inputs / "test.bin")},
     }
+
+
+def _wide_conv(inputs, real_width):
+    # The first conv's columns take 194 KB per float64 image, so its
+    # forward splits a minibatch of 6 and a test pass of 40 into blocks;
+    # on a full minibatch the second conv's weight gradient takes two
+    # 8-channel blocks (294 rows x 64 x 72 multiply-adds each). (With 32
+    # channels at minibatches of 8, the float64 bits of such a run depend
+    # on the BLAS thread count: that weight-gradient product sums 392 rows.)
+    doc = tiny_cifar_doc(inputs, real_width=real_width, channels=(16, 64), records=(80, 40))
+    doc["supervised"]["minibatch_size"] = 6  # 16 = 6 + 6 + 4
+    return doc
 
 
 CASES = {
@@ -201,6 +218,12 @@ CASES = {
     "conv-homogeneous": (
         lambda inputs: tiny_cifar_doc(inputs, "homogeneous"),
         "2bf64c59e83055e4de60d13fc223a88fb93c8a56dc12dda64c89cc382e0ad414"),
+    "conv-heterogeneous-wide-blocked": (
+        lambda inputs: _wide_conv(inputs, 64),
+        "e5a647ddc8a6ae28934b7effe627161e02eb6990f4a1b068f538961d1e5577c4"),
+    "conv-heterogeneous-wide-blocked-real-width-32": (
+        lambda inputs: _wide_conv(inputs, 32),
+        "4a69041e55046d8fbcf96918c4dea624538fd658cb0ec0b982d88cf15ae0fa8e"),
 }
 
 
