@@ -25,10 +25,10 @@ except for a plan built with ``reads_input``: that chain reads the network
 input, whose gradient nothing reads, so the backward pass of its cache
 gives its first layer only its parameter gradients
 (``Layer.backward_params``, the same bits as a full backward) and returns
-None. A cache made by :func:`forward_chain` always returns ``dx``.
+None. Every other cache's backward pass returns ``dx``.
 
 Stochastic layers (Dropout, BranchDropout) draw their masks from the
-generator passed to :func:`forward_chain` and are active only in train
+generator passed to :meth:`ChainPlan.forward` and are active only in train
 mode; eval mode is a pure function of (params, input).
 
 A chain runs the same way on a stacked store (``store.lead == 1``, see
@@ -228,10 +228,12 @@ class ChainPlan:
 def forward_chain(keyed_layers: list[KeyedLayer], store: ParamStore, x: np.ndarray,
                   mode: str = "eval", rng: np.random.Generator | None = None
                   ) -> tuple[np.ndarray, ChainCache]:
-    """Run a sequential chain; returns output and the backward cache.
+    """Run a sequential chain once; returns output and the backward cache.
 
-    The :class:`ChainPlan` is built per call; code that runs one chain many
-    times keeps the plan instead.
+    The :class:`ChainPlan` is built per call. The library's own passes keep
+    one plan per chain (see :class:`~hetsim.topology.DeviceNetwork`); this
+    form serves code that times or tests a chain on its own, such as the
+    kernel microbenchmarks in ``perfbench/micro.py``.
     """
     plan = ChainPlan(keyed_layers, store.span_of(key for key, _ in keyed_layers))
     return plan.forward(store, x, mode, rng)

@@ -258,7 +258,7 @@ class DeviceNetwork:
 
     # -- forward / backward -------------------------------------------------
 
-    def forward(self, stack, x: np.ndarray, mode: str = "eval", rng=None,
+    def forward(self, stack: "DeviceStack", x: np.ndarray, mode: str = "eval", rng=None,
                 force_branch_drop: bool = False):
         """Returns (output, cache) of a pass over a :class:`DeviceStack`.
 
@@ -267,11 +267,8 @@ class DeviceNetwork:
         mode), and the output is (D, B, C), row d with the bits of device
         d's network alone. The stack's chain (``DeviceStack.plan``) runs
         once for all devices, then each device's tail, if it has one, on
-        its row, and the final softmax once.
-
-        ``stack`` may instead be one device's store: the stack of one over
-        it (:meth:`DeviceStack.alone`), with that device's ``x``, ``rng``
-        and output.
+        its row, and the final softmax once. One device alone is the stack
+        of one over its store (:meth:`DeviceStack.alone`), with D = 1.
 
         ``force_branch_drop`` zeroes the complex-branch contribution
         regardless of mode, for verifying that the cascaded network with
@@ -280,12 +277,22 @@ class DeviceNetwork:
         if force_branch_drop and not self.is_cascade_complex:
             raise ValueError("force_branch_drop only applies to the cascaded "
                              "complex network")
-        if isinstance(stack, DeviceStack):
-            return self._forward_stack(stack, x, mode, rng, force_branch_drop)
-        out, cache = self._forward_stack(DeviceStack.alone(self, stack), np.asarray(x)[None],
-                                         mode, None if rng is None else [rng],
-                                         force_branch_drop)
-        return out[0], cache
+        if stack._groups:
+            raise ValueError("this stack steps a group at a time, see DeviceStack.groups")
+        out, stacked_cache = stack.plan.forward(stack.shared, x, mode, rng)
+        tails = None  # the stacked chain's output is every device's logits
+        if stack.plan is not stack.networks[0]._whole_plan and not force_branch_drop:
+            out, tails = self._forward_tails(stack, out, stacked_cache, mode, rng)
+        if self.ends_in_softmax:
+            out, _ = self._softmax.forward(stack.shared, None, out, False, None)
+            d = non_finite_row(out)
+            if d is not None:
+                exc = NonFiniteError("non-finite values in " + (
+                    "cascade output" if stack.networks[d].is_cascade_complex
+                    else "Softmax output"))
+                exc.device = d
+                raise exc
+        return out, (stacked_cache, tails, out)
 
     def predict(self, store: ParamStore, x: np.ndarray) -> np.ndarray:
         """The eval-mode output of :meth:`forward` on one device's store, bit
@@ -301,28 +308,6 @@ class DeviceNetwork:
             ensure_finite("cascade output" if self.is_cascade_complex else "Softmax output",
                           out)
         return out
-
-    def _forward_stack(self, stack: "DeviceStack", x, mode, rngs, force_branch_drop):
-        if stack._groups:
-            raise ValueError("this stack steps a group at a time, see DeviceStack.groups")
-        if not stack.shared.lead:  # one device's chain, on its row alone
-            out, stacked_cache = stack.plan.forward(stack.shared, x[0], mode, rngs and rngs[0])
-            out = out[None]
-        else:
-            out, stacked_cache = stack.plan.forward(stack.shared, x, mode, rngs)
-        tails = None  # the stacked chain's output is every device's logits
-        if stack.plan is not stack.networks[0]._whole_plan and not force_branch_drop:
-            out, tails = self._forward_tails(stack, out, stacked_cache, mode, rngs)
-        if self.ends_in_softmax:
-            out, _ = self._softmax.forward(stack.shared, None, out, False, None)
-            d = non_finite_row(out)
-            if d is not None:
-                exc = NonFiniteError("non-finite values in " + (
-                    "cascade output" if stack.networks[d].is_cascade_complex
-                    else "Softmax output"))
-                exc.device = d
-                raise exc
-        return out, (stacked_cache, tails, out)
 
     @staticmethod
     def _forward_tails(stack: "DeviceStack", base, shared_cache, mode, rngs):
@@ -360,7 +345,8 @@ class DeviceNetwork:
                 out[d] += logits[d]  # the bits of ``dropped + light logits``
         return out, tails
 
-    def backward(self, cache, dy: np.ndarray, stack, from_logits: bool = False):
+    def backward(self, cache, dy: np.ndarray, stack: "DeviceStack",
+                 from_logits: bool = False) -> list[ParamStore]:
         """The gradient stores, one per device of ``stack``, for an upstream
         gradient ``dy`` (D, B, C) and the ``cache`` of a :meth:`forward` on it.
 
@@ -370,18 +356,8 @@ class DeviceNetwork:
 
         The gradients go into the stack's ``grad_stores``, zero-filled in
         place at the start of each call, so the result is valid until the
-        next backward pass over the stack, which overwrites it. For one
-        device's store (see :meth:`forward`) it is that device's gradient
-        store alone, of a new stack of one.
+        next backward pass over the stack, which overwrites it.
         """
-        if isinstance(stack, DeviceStack):
-            self._backward_stack(cache, dy, stack, from_logits)
-            return stack.grad_stores
-        stack = DeviceStack.alone(self, stack)
-        self._backward_stack(cache, np.asarray(dy)[None], stack, from_logits)
-        return stack.grad_stores[0]
-
-    def _backward_stack(self, cache, dy, stack: "DeviceStack", from_logits: bool):
         shared_cache, tails, out = cache
         for grads in stack.grad_stores:
             grads.flat.fill(0.0)
@@ -389,9 +365,8 @@ class DeviceNetwork:
         if self.ends_in_softmax and not from_logits:
             dlogits = self._softmax.backward(None, None, out, dlogits, None)
         if tails is None:
-            backward_chain(shared_cache, dlogits if stack.shared.lead else dlogits[0],
-                           stack.shared, stack.shared_grads)
-            return
+            backward_chain(shared_cache, dlogits, stack.shared, stack.shared_grads)
+            return stack.grad_stores
         # each tail's gradient at the stem output
         d_tails = []
         for d, (net, tail) in enumerate(zip(stack.networks, tails)):
@@ -419,6 +394,7 @@ class DeviceNetwork:
                 return d_stem
             backward_chain(shared_cache, dlogits, stack.shared, stack.shared_grads,
                            at_tap=add_tails)
+        return stack.grad_stores
 
 
 def _stacked_chain(networks) -> tuple[ChainPlan, list]:
@@ -449,6 +425,8 @@ class DeviceStack:
     layers they share, or the whole network if they all train one without
     a merge (one device alone, or homogeneous devices). ``shared`` and
     ``shared_grads`` view the tensors that chain reads, stacked (D, *shape).
+    A stack of one row (:meth:`alone`, or a group below) carries its
+    device axis like any other, with D = 1.
 
     A stack whose stacked chain reads more than ``GROUP_BYTES`` per device
     steps one device at a time instead: ``groups`` is then one
@@ -498,12 +476,8 @@ class DeviceStack:
         self.networks, self.params, self.stores = networks, params, stores
         self.grads, self.grad_stores = grads, grad_stores
         self.plan, layout = _stacked_chain(networks)
-        if len(networks) == 1 and self.plan is networks[0]._whole_plan:
-            # one device's whole network runs on its own row, without the device axis
-            self.shared, self.shared_grads = stores[0], grad_stores[0]
-        else:
-            self.shared = store_over(layout, params)
-            self.shared_grads = store_over(layout, grads)
+        self.shared = store_over(layout, params)
+        self.shared_grads = store_over(layout, grads)
 
     @classmethod
     def _rows(cls, *arrays) -> "DeviceStack":

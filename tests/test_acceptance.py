@@ -36,6 +36,7 @@ from hetsim.topology import DeviceNetwork, build_cascaded, build_share_first
 from hetsim.harness import full_share_network
 
 from gradcheck import finite_diff_check
+from one_device import backward_alone, forward_alone
 
 
 def _report(num, ok, started, detail):
@@ -135,18 +136,18 @@ def test_criterion_3_gradient_suite_every_layer_kind():
         store = net.init_store(np.random.default_rng(7100 + trial))
         x = rng.normal(size=(2, 5))
         y = rng.integers(0, 3, size=2)
-        out, cache = net.forward(store, x, mode="eval")
+        out, cache = forward_alone(net, store, x, mode="eval")
         _, dlogits = cross_entropy(out, y)
-        analytic = net.backward(cache, dlogits, store, from_logits=True)
+        analytic = backward_alone(net, cache, dlogits, store, from_logits=True)
         numeric = np.zeros(store.size)
         h = 1e-3
         for i in range(store.size):
             orig = store.flat[i]
             store.flat[i] = orig + h
-            up, _ = net.forward(store, x, mode="eval")
+            up, _ = forward_alone(net, store, x, mode="eval")
             lu, _ = cross_entropy(up, y)
             store.flat[i] = orig - h
-            down, _ = net.forward(store, x, mode="eval")
+            down, _ = forward_alone(net, store, x, mode="eval")
             ld, _ = cross_entropy(down, y)
             store.flat[i] = orig
             numeric[i] = (lu - ld) / (2 * h)
@@ -164,9 +165,9 @@ def test_criterion_3_gradient_suite_every_layer_kind():
 
 def _local_steps(net, store, optimizer, batches):
     for x, y in batches:
-        out, cache = net.forward(store, x, mode="eval")
+        out, cache = forward_alone(net, store, x, mode="eval")
         _, dlogits = cross_entropy(out, y)
-        grads = net.backward(cache, dlogits, store, from_logits=True)
+        grads = backward_alone(net, cache, dlogits, store, from_logits=True)
         optimizer.step(store.flat, grads.flat)
 
 
@@ -236,16 +237,17 @@ def test_criterion_5_branch_dropout_invariants():
     store_l = light_net.init_store(np.random.default_rng(0))
     x = np.random.default_rng(2).random(size=(100, 32, 32, 3))
 
-    out_forced, _ = complex_net.forward(store_c, x, mode="eval", force_branch_drop=True)
-    out_light, _ = light_net.forward(store_l, x, mode="eval")
+    out_forced, _ = forward_alone(complex_net, store_c, x, mode="eval",
+                                  force_branch_drop=True)
+    out_light, _ = forward_alone(light_net, store_l, x, mode="eval")
     bit_equal = np.array_equal(out_forced, out_light)
 
     xb = x[:16]
     yb = np.random.default_rng(3).integers(0, 10, size=16)
-    out, cache = complex_net.forward(store_c, xb, mode="train",
-                                     rng=np.random.default_rng(4))
+    out, cache = forward_alone(complex_net, store_c, xb, mode="train",
+                               rng=np.random.default_rng(4))
     _, dlogits = cross_entropy(out, yb)
-    grads = complex_net.backward(cache, dlogits, store_c, from_logits=True)
+    grads = backward_alone(complex_net, cache, dlogits, store_c, from_logits=True)
     local = grads.flat[complex_net.partition.shared_len:]
     zero_grads = local.size > 0 and not np.any(local)
     shared_alive = np.any(grads.flat[:complex_net.partition.shared_len])

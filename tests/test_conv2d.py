@@ -1,10 +1,11 @@
 """Conv2D's blocked forward and backward against the im2col arithmetic.
 
 ``_ReferenceConv2D`` keeps the im2col ``forward``, ``backward_params`` and
-``backward`` verbatim: one product of all the columns forward, the weight
-gradient as one product of the cached columns, and the input gradient as
-one (N*Ho*Wo x Cin*kh*kw) product, reshaped to 6-D and scattered tap by
-tap. The layer keeps only its input, and must give the same bits, in
+``backward``: one product of all the columns forward, the weight gradient
+as one product of the cached columns (the layer's documented product,
+``(dy2.T @ cols).T``, or ``cols.T @ dy2`` for one input channel), and the
+input gradient as one (N*Ho*Wo x Cin*kh*kw) product, reshaped to 6-D and
+scattered tap by tap. The layer keeps only its input, and must give the same bits, in
 float32 and float64, alone and on a stacked (device-axis) store: with its
 forward in blocks of whole images (one image each, under a patched
 budget), with columns that are a view of the input, with its weight
@@ -13,6 +14,9 @@ both sides of the block rule), and with its input gradient per tap or in
 one product. Memory guards check what the layer keeps and builds.
 """
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -50,7 +54,8 @@ class _ReferenceConv2D(Conv2D):
         cols, x_shape, _ = cache
         cin, cout = x_shape[3], dy.shape[3]
         dy2 = dy.reshape(-1, cout)
-        dwmat = cols.reshape(-1, cin * self.kh * self.kw).T @ dy2
+        cols2 = cols.reshape(-1, cin * self.kh * self.kw)
+        dwmat = (dy2.T @ cols2).T if cin > 1 else cols2.T @ dy2  # the layer's product
         grads.view((key, "w"))[...] += dwmat.reshape(cin, self.kh, self.kw,
                                                      cout).transpose(1, 2, 0, 3)
         grads.view((key, "b"))[...] += dy2.sum(axis=0)
@@ -140,6 +145,12 @@ SHAPES = {
     "channel-blocks-just-above-1200-outputs": (4, 20, 20, 24, 2, 2, 38, 1),
     "channel-blocks-1x1": (4, 20, 20, 32, 1, 1, 64, 1),  # 8-column blocks: one product
     "channel-blocks-five": (8, 12, 12, 40, 3, 3, 24, 1),
+    # 2x2 kernels over 24 channels with 150 or 151 outputs: under two BLAS
+    # threads the swapped weight-gradient product differs from ``cols.T @ dy2``
+    "wide-outputs-150": (2, 10, 10, 24, 2, 2, 150, 1),
+    "wide-outputs-151": (2, 10, 10, 24, 2, 2, 151, 1),
+    "wide-outputs-150-blocks": (4, 10, 10, 24, 2, 2, 150, 1),
+    "wide-outputs-151-blocks": (4, 10, 10, 24, 2, 2, 151, 1),
 }
 
 
@@ -147,6 +158,35 @@ SHAPES = {
 @pytest.mark.parametrize("shape", list(SHAPES.values()), ids=list(SHAPES))
 def test_backward_is_the_im2col_backward_bit_for_bit(shape, dtype):
     _check(*shape, dtype=dtype, seed=7)
+
+
+_SHAPES_SCRIPT = """
+import json
+import numpy as np
+from test_conv2d import SHAPES, _check
+failed = []
+for name, shape in SHAPES.items():
+    for dtype in (np.float64, np.float32):
+        try:
+            _check(*shape, dtype=dtype, seed=7)
+        except AssertionError as exc:
+            failed.append(f"{name} {np.dtype(dtype).name}: {exc}")
+print(json.dumps(failed))
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_backward_is_the_im2col_backward_under_one_and_two_blas_threads(threads):
+    """Every shape above in a fresh process whose OpenBLAS runs ``threads``
+    threads: the bits of a product may depend on the thread count, and the
+    rest of the suite runs with the default (see ``tests/test_golden.py``)."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", _SHAPES_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
 
 
 @st.composite

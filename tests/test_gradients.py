@@ -27,6 +27,7 @@ from hetsim import topology as topo
 from hetsim.nn.losses import cross_entropy
 
 from gradcheck import finite_diff_check
+from one_device import backward_alone, forward_alone
 
 H = 1e-3
 TOL = 1e-4
@@ -155,19 +156,19 @@ def test_add_combine_gradient():
         x = rng.normal(size=(3, 4))
         label = np.array([trial % 3] * 3)
 
-        out, cache = net.forward(store, x, mode="eval")
+        out, cache = forward_alone(net, store, x, mode="eval")
         _, dlogits = cross_entropy(out, label)
-        analytic = net.backward(cache, dlogits, store, from_logits=True)
+        analytic = backward_alone(net, cache, dlogits, store, from_logits=True)
 
         numeric = store.zeros_like()
         work = store.copy()
         for i in range(store.size):
             orig = work.flat[i]
             work.flat[i] = orig + H
-            up, _ = net.forward(work, x, mode="eval")
+            up, _ = forward_alone(net, work, x, mode="eval")
             lu, _ = cross_entropy(up, label)
             work.flat[i] = orig - H
-            down, _ = net.forward(work, x, mode="eval")
+            down, _ = forward_alone(net, work, x, mode="eval")
             ld, _ = cross_entropy(down, label)
             work.flat[i] = orig
             numeric.flat[i] = (lu - ld) / (2 * H)
@@ -199,11 +200,11 @@ def _cascade_complex(seed=3):
 def test_write_to_any_part_of_a_cascade_makes_its_cache_stale(tensor):
     net, store = _cascade_complex()
     x = np.random.default_rng(0).normal(size=(2, 4))
-    probs, cache = net.forward(store, x, mode="train", rng=np.random.default_rng(1))
+    probs, cache = forward_alone(net, store, x, mode="train", rng=np.random.default_rng(1))
     _, dlogits = cross_entropy(probs, np.array([0, 2]))
     store.view(tensor).reshape(-1)[0] += 1e-12
     with pytest.raises(ValueError, match="stale"):
-        net.backward(cache, dlogits, store, from_logits=True)
+        backward_alone(net, cache, dlogits, store, from_logits=True)
 
 
 def test_zero_to_negative_zero_write_makes_the_cache_stale():
@@ -279,9 +280,10 @@ def test_first_layer_skip_gives_the_gradients_of_a_full_backward(name, dtype):
     labels = np.arange(5) % 3
     grads = []
     for network in (net, full):
-        probs, cache = network.forward(store, x, mode="train", rng=np.random.default_rng(7))
+        probs, cache = forward_alone(network, store, x, mode="train",
+                                     rng=np.random.default_rng(7))
         _, dlogits = cross_entropy(probs, labels)
-        grads.append(network.backward(cache, dlogits, store, from_logits=True).flat)
+        grads.append(backward_alone(network, cache, dlogits, store, from_logits=True).flat)
         first = cache[0]  # the shared chain, which reads x
         assert first.reads_input == (network is net)
     assert grads[0].dtype == dtype

@@ -1,14 +1,18 @@
 """Harness behaviour: determinism, run modes, byte accounting, checkpoints,
 CSV formats, seeds in worker processes, and the CLI surface."""
+import functools
 import json
 import math
 import os
 import re
+import tempfile
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hetsim import metrics
 from hetsim.cli import main as cli_main
@@ -828,6 +832,60 @@ def test_resume_with_a_longer_run_gives_the_longer_straight_run_files(
     for name in OUTPUT_FILES:
         assert ((tmp_path / "resumed" / name).read_bytes()
                 == (tmp_path / "straight" / name).read_bytes()), name
+
+
+# the tiny docs to stop and resume, each with the last value of its clock
+_RESUMED = {
+    "supervised": (tiny_supervised_doc, 3),
+    "rl": (lambda: _set(tiny_rl_doc(), ("rl", "total_steps"), 240), 240),
+}
+
+
+def _resumed_config(task, coordinator):
+    make_doc, end = _RESUMED[task]
+    config = parse_config(_set(make_doc(), ("coordinator", "mode"), coordinator))
+    assert make_run(config, config.seeds[0]).end == end
+    return config
+
+
+def _output_files(config, out_dir, **kwargs):
+    run_experiment(config, out_dir, **kwargs)
+    return {name: (out_dir / name).read_bytes() for name in OUTPUT_FILES}
+
+
+@functools.lru_cache(maxsize=None)
+def _straight_run_files(task, coordinator):
+    with tempfile.TemporaryDirectory() as tmp:
+        return _output_files(_resumed_config(task, coordinator), Path(tmp))
+
+
+@st.composite
+def _stops(draw):
+    """A tiny doc's task, its coordinator mode, and a clock value to stop at."""
+    task = draw(st.sampled_from(sorted(_RESUMED)))
+    coordinator = draw(st.sampled_from(["sync", "async"]))
+    return task, coordinator, draw(st.integers(0, _RESUMED[task][1]))
+
+
+def _at_every_supervised_round(test):
+    for coordinator in ("sync", "async"):
+        for at in range(_RESUMED["supervised"][1] + 1):
+            test = example(stop=("supervised", coordinator, at))(test)
+    return test
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@_at_every_supervised_round
+@given(stop=_stops())
+def test_resuming_at_any_clock_value_gives_the_files_of_a_run_never_stopped(stop):
+    task, coordinator, at = stop
+    config = _resumed_config(task, coordinator)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, resumed = Path(tmp) / "first", Path(tmp) / "resumed"
+        assert _output_files(config, first, checkpoint_at=at) == \
+            _straight_run_files(task, coordinator)
+        assert _output_files(config, resumed, resume=first) == \
+            _straight_run_files(task, coordinator)
 
 
 def test_checkpoint_reference_is_validated_and_copied_in():

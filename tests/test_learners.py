@@ -22,6 +22,8 @@ from hetsim.nn.network import ChainPlan, NonFiniteError
 from hetsim.topology import DeviceNetwork, build_cascaded, build_share_first
 from hetsim.nn import Dense, ReLU, Softmax
 
+from one_device import forward_alone
+
 
 # -- replay buffer ---------------------------------------------------------------
 
@@ -521,7 +523,7 @@ def test_snapshot_tracks_best_validation_round():
 
     def set_val_accuracy(target):
         # craft labels agreeing with the current model on a chosen fraction
-        probs, _ = trainer.network.forward(trainer.store, x, mode="eval")
+        probs, _ = forward_alone(trainer.network, trainer.store, x, mode="eval")
         pred = probs.argmax(axis=1)
         y = pred.copy()
         n_wrong = round((1 - target) * len(x))

@@ -22,6 +22,8 @@ from hetsim.nn import (
 from hetsim.nn.params import store_over
 from hetsim.topology import DeviceNetwork, DeviceStack
 
+from one_device import backward_alone, forward_alone
+
 
 def _dense_cascade():
     return build_cascaded([Dense(8), ReLU(), Dropout(0.3)],
@@ -87,9 +89,9 @@ def test_a_stack_step_gives_each_device_the_bits_of_its_own_step(case, dtype, ba
     loss, dlogits = cross_entropy(probs, y)
     grads = networks[0].backward(cache, dlogits, stack, from_logits=True)
     for d, (net, store) in enumerate(zip(networks, alone)):
-        p, c = net.forward(store, x[d], "train", np.random.default_rng(d))
+        p, c = forward_alone(net, store, x[d], "train", np.random.default_rng(d))
         l, dl = cross_entropy(p, y[d])
-        g = net.backward(c, dl, store, from_logits=True)
+        g = backward_alone(net, c, dl, store, from_logits=True)
         assert _same_bits(probs[d], p) and loss[d] == l and _same_bits(dlogits[d], dl)
         assert _same_bits(grads[d].flat, g.flat), d
     # eval mode, on the whole stack and on groups of one row: the same bits
@@ -122,9 +124,9 @@ def test_a_stack_of_wide_devices_steps_them_one_at_a_time_over_one_gradient_row(
         _, dlogits = cross_entropy(probs, np.zeros((1, 7), dtype=int))
         got, = networks[0].backward(cache, dlogits, group, from_logits=True)
         assert got.flat.base is stack.grads
-        p, c = net.forward(store, x[d], "train", np.random.default_rng(d))
+        p, c = forward_alone(net, store, x[d], "train", np.random.default_rng(d))
         _, dl = cross_entropy(p, np.zeros(7, dtype=int))
-        assert _same_bits(got.flat, net.backward(c, dl, store, from_logits=True).flat)
+        assert _same_bits(got.flat, backward_alone(net, c, dl, store, from_logits=True).flat)
 
 
 def test_padding_of_shorter_rows_is_never_written():

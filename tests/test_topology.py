@@ -19,7 +19,10 @@ from hetsim.nn import (
     backward_chain,
     cross_entropy,
 )
+from hetsim.nn.params import store_over
 from hetsim.topology import DeviceNetwork, DeviceStack
+
+from one_device import backward_alone, forward_alone
 
 
 def atari_topology():
@@ -140,8 +143,8 @@ def test_cascaded_p0_includes_both_branches():
     net = DeviceNetwork(topo, "complex")
     store = net.init_store(np.random.default_rng(0), np.random.default_rng(1))
     x = np.random.default_rng(2).normal(size=(6, 5))
-    out_train, _ = net.forward(store, x, mode="train", rng=np.random.default_rng(3))
-    out_eval, _ = net.forward(store, x, mode="eval")
+    out_train, _ = forward_alone(net, store, x, mode="train", rng=np.random.default_rng(3))
+    out_eval, _ = forward_alone(net, store, x, mode="eval")
     np.testing.assert_allclose(out_train, out_eval)  # p=0: mask is all-keep, scale 1
 
 
@@ -155,8 +158,8 @@ def test_cascaded_p1_equals_standalone_lightweight_bitwise():
     s = light_net.partition.shared_len
     assert np.array_equal(store_c.flat[:s], store_l.flat[:s])
     x = np.random.default_rng(2).normal(size=(100, 5))
-    out_c, _ = complex_net.forward(store_c, x, mode="train", rng=np.random.default_rng(3))
-    out_l, _ = light_net.forward(store_l, x, mode="eval")
+    out_c, _ = forward_alone(complex_net, store_c, x, mode="train", rng=np.random.default_rng(3))
+    out_l, _ = forward_alone(light_net, store_l, x, mode="eval")
     assert np.array_equal(out_c, out_l)
 
 
@@ -166,9 +169,9 @@ def test_cascaded_dropped_branch_gets_zero_gradient():
     store = net.init_store(np.random.default_rng(0), np.random.default_rng(1))
     x = np.random.default_rng(2).normal(size=(8, 5))
     labels = np.random.default_rng(4).integers(0, 4, size=8)
-    out, cache = net.forward(store, x, mode="train", rng=np.random.default_rng(3))
+    out, cache = forward_alone(net, store, x, mode="train", rng=np.random.default_rng(3))
     _, dlogits = cross_entropy(out, labels)
-    grads = net.backward(cache, dlogits, store, from_logits=True)
+    grads = backward_alone(net, cache, dlogits, store, from_logits=True)
     s = net.partition.shared_len
     local_grads = grads.flat[s:]
     assert local_grads.size > 0
@@ -186,8 +189,8 @@ def test_lightweight_standalone_equals_cascade_under_forced_drop_all_inputs():
     rng = np.random.default_rng(12)
     for _ in range(5):
         x = rng.normal(size=(20, 5))
-        out_c, _ = complex_net.forward(store_c, x, mode="train", rng=rng)
-        out_l, _ = light_net.forward(store_l, x, mode="eval")
+        out_c, _ = forward_alone(complex_net, store_c, x, mode="train", rng=rng)
+        out_l, _ = forward_alone(light_net, store_l, x, mode="eval")
         assert np.array_equal(out_c, out_l)
 
 
@@ -213,7 +216,7 @@ def test_predict_is_the_eval_forward_bit_for_bit(make_topo, branch, dtype):
     net = DeviceNetwork(make_topo(), branch)
     store = net.init_store(np.random.default_rng(0), np.random.default_rng(1), dtype=dtype)
     x = np.random.default_rng(2).normal(size=(3, *net.input_shape))
-    want, _ = net.forward(store, x, mode="eval")
+    want, _ = forward_alone(net, store, x, mode="eval")
     got = net.predict(store, x)
     assert got.dtype == want.dtype == dtype
     assert np.array_equal(got.view(f"u{got.itemsize}"), want.view(f"u{want.itemsize}"))
@@ -253,9 +256,9 @@ def test_backward_store_holds_the_bits_of_a_backward_chain_into_fresh_zeros():
     for seed in (2, 3):  # the second pass refills the store of the first
         cache, dlogits = _train_pass(net, stack, seed)
         got, = net.backward(cache, dlogits, stack, from_logits=True)
-        want = store.zeros_like()
-        backward_chain(cache[0], dlogits[0], store, want)
-        assert got.flat.tobytes() == want.flat.tobytes()
+        want = np.zeros_like(stack.grads)  # a stacked store of one row
+        backward_chain(cache[0], dlogits, stack.shared, store_over(stack.shared.layout, want))
+        assert got.flat.tobytes() == want[0].tobytes()
 
 
 def test_a_store_of_another_dtype_gets_a_new_gradient_store():
