@@ -180,6 +180,7 @@ class DdqlLearner:
         self.store = store
         self.stack = DeviceStack.alone(network, store)  # trains as a stack of one
         self.target_store = store.copy()
+        self.row, self.target_row = store.row(), self.target_store.row()
         self.optimizer = optimizer
         self.env = env
         self.eval_env = eval_env
@@ -199,8 +200,9 @@ class DdqlLearner:
 
     # -- acting --------------------------------------------------------------
 
-    def q_of(self, store: ParamStore, states: np.ndarray) -> np.ndarray:
-        return self.network.predict(store, states)
+    def q_of(self, row: ParamStore, states: np.ndarray) -> np.ndarray:
+        """Q-values (B, A) of ``states`` on ``self.row`` or ``self.target_row``."""
+        return self.network.predict(row, states[None])[0]
 
     def act(self, state: np.ndarray, epsilon: float) -> int:
         """Epsilon-greedy action for ``state``.
@@ -213,15 +215,15 @@ class DdqlLearner:
         """
         action = explore_action(epsilon, self.n_actions, self.act_rng)
         if action is None:
-            action = greedy_action(self.q_of(self.store, state[None])[0])
+            action = greedy_action(self.q_of(self.row, state[None])[0])
         return action
 
     # -- training ------------------------------------------------------------
 
     def train_batch(self, states, actions, rewards, next_states, terminals) -> float:
         """One minibatch update; returns the mean Huber loss."""
-        q_next_online = self.q_of(self.store, next_states)
-        q_next_target = self.q_of(self.target_store, next_states)
+        q_next_online = self.q_of(self.row, next_states)
+        q_next_target = self.q_of(self.target_row, next_states)
         y = ddql_targets(rewards, next_states, terminals, self.gamma,
                          q_next_online, q_next_target)
         q, cache = self.network.forward(self.stack, states[None], mode="train",
@@ -276,7 +278,7 @@ class DdqlLearner:
                     action = greedy.get(key)
                     if action is None:
                         action = greedy[key] = greedy_action(
-                            self.q_of(self.store, state[None])[0])
+                            self.q_of(self.row, state[None])[0])
                 state, reward, done = self.eval_env.step(action)
                 ep += reward
             total += ep
@@ -433,14 +435,14 @@ class SupervisedTrainer:
                  chunk: int = 512) -> float:
         """Accuracy of the given parameters (default: current) on (x, y).
 
-        ``flat`` is read through a store of the same layout over it, so the
-        live store is never written, not even by a pass that raises.
+        ``flat`` is read through a one-row store of the same layout over it,
+        so the live store is never written, not even by a pass that raises.
         """
-        store = self.store if flat is None else self.store.over(flat)
+        row = (self.store if flat is None else self.store.over(flat)).row()
         correct = 0
         for lo in range(0, len(x), chunk):
-            probs = self.network.predict(store, x[lo:lo + chunk])
-            correct += int((probs.argmax(axis=1) == y[lo:lo + chunk]).sum())
+            probs = self.network.predict(row, x[None, lo:lo + chunk])
+            correct += int((probs[0].argmax(axis=1) == y[lo:lo + chunk]).sum())
         return correct / len(x)
 
     def validate_and_snapshot(self, taken: dict | None = None) -> float:

@@ -3,8 +3,8 @@
 A layer is an immutable description. Its class gives, for one batch-less
 input shape, the output shape, the parameter tensor shapes and a rough
 operation count, and it holds the hand-written forward and backward
-arithmetic on batches (sample axis first; images are (N, H, W, C)).
-Parameter tensors live in a :class:`~hetsim.nn.params.ParamStore` under
+arithmetic on batches (images are (N, H, W, C) per device). Parameter
+tensors live in a :class:`~hetsim.nn.params.ParamStore` under
 ``(layer_key, name)``; :mod:`hetsim.nn.network` chains layers together.
 Spatial layers use VALID (no padding) semantics throughout, and pooling
 windows step by their own size.
@@ -16,13 +16,14 @@ arguments accumulates the same parameter gradients, bit for bit, and
 computes no ``dx``: a chain calls it on the layer that reads the network's
 input, whose ``dx`` nothing reads (a no-op for kinds without parameters).
 
-On a stacked store (``store.lead == 1``) every array carries a leading
-device axis, (D, N, ...), and ``rng`` is one generator per device. Each
-device's slice gets the bits it would get alone: products are stacked
-``np.matmul`` calls over the last two axes, whose slices are the 2-D
-products; reductions run along the same axes as alone; dropout draws each
-device's mask from its own generator, in its own shape; and Conv2D runs
-its kernels one device at a time.
+A layer always runs on a store over rows, one per device (one device's
+is its one row, :meth:`~hetsim.nn.params.ParamStore.row`): every view and
+array has a leading device axis, (D, N, ...), and train-mode ``rng`` is
+one generator per device. Each device's slice gets the bits of its 2-D
+arithmetic alone: products are stacked ``np.matmul`` calls, whose slices
+are the 2-D products; reductions run along the same axes; dropout draws
+each device's mask from its own generator, in its own shape; and Conv2D
+runs its kernels one device at a time.
 
 Conv2D keeps its input, not its im2col matrix: it builds the columns in
 blocks of images (forward) and of input channels (weight gradient), each
@@ -106,7 +107,7 @@ class Dense(Layer):
     def forward(self, store, key, x, train, rng):
         y = x @ store.view((key, "w"))
         b = store.view((key, "b"))
-        y += b[:, None] if store.lead else b  # the bits of ``x @ w + b``, one array fewer
+        y += b[:, None]  # the bits of ``x @ w + b``, one array fewer
         return y, x
 
     def backward_params(self, store, key, x, dy, grads):
@@ -121,7 +122,7 @@ class Dense(Layer):
 
 @dataclass(frozen=True)
 class Conv2D(Layer):
-    """VALID convolution, (N, H, W, Cin) -> (N, Ho, Wo, out_channels).
+    """VALID convolution, each device's (N, H, W, Cin) -> (N, Ho, Wo, out_channels).
 
     The cache is the input x, which the previous layer's output keeps
     alive anyway. No whole im2col matrix (N*Ho*Wo x Cin*kh*kw: 29 MB of
@@ -199,11 +200,8 @@ class Conv2D(Layer):
     def forward(self, store, key, x, train, rng):
         w, b = store.view((key, "w")), store.view((key, "b"))
         y = np.empty(x.shape[:-3] + self.output_shape(x.shape[-3:]), np.result_type(x, w))
-        if not store.lead:
-            self._forward(x, w, b, y)
-        else:  # one device at a time, each into its slice of the stacked output
-            for args in zip(x, w, b, y):
-                self._forward(*args)
+        for args in zip(x, w, b, y):  # one device at a time, into its slice of y
+            self._forward(*args)
         return y, x
 
     def _windows(self, x):
@@ -230,12 +228,8 @@ class Conv2D(Layer):
         y += b
 
     def backward_params(self, store, key, x, dy, grads):
-        gw, gb = grads.view((key, "w")), grads.view((key, "b"))
-        if not grads.lead:
-            self._param_grads(x, dy, gw, gb)
-        else:
-            for args in zip(x, dy, gw, gb):
-                self._param_grads(*args)
+        for args in zip(x, dy, grads.view((key, "w")), grads.view((key, "b"))):
+            self._param_grads(*args)
 
     def _param_grads(self, x, dy, gw, gb):
         cin, cout = x.shape[3], dy.shape[3]
@@ -261,8 +255,6 @@ class Conv2D(Layer):
         self.backward_params(store, key, x, dy, grads)
         w = store.view((key, "w"))
         dx = np.zeros(x.shape, dtype=dy.dtype)
-        if not store.lead:
-            return self._input_grad(x, dy, w, dx)
         for args in zip(x, dy, w, dx):
             self._input_grad(*args)
         return dx
@@ -284,7 +276,6 @@ class Conv2D(Layer):
                 dx[:, i:i + ho * s:s, j:j + wo * s:s, :] += (
                     np.matmul(dy2, w[i, j].T, out=tap).reshape(n, ho, wo, cin) if per_tap
                     else dcols[:, :, :, :, i, j])
-        return dx
 
 
 @dataclass(frozen=True)
@@ -322,7 +313,7 @@ class MaxPool2D(Layer):
             raise ShapeError(f"MaxPool2D window {self.ph}x{self.pw} too large for {in_shape}")
         return (ho, wo, c)
 
-    # elementwise but for the argmax, so the leading axes may be (N,) or (D, N)
+    # elementwise but for the argmax, over the leading (D, N) axes
     def forward(self, store, key, x, train, rng):
         *lead, h, w, c = x.shape
         ph, pw = self.ph, self.pw
@@ -363,16 +354,13 @@ class _Masked(Layer):
             return x, None
         if rng is None:
             raise ValueError("train-mode dropout needs an rng")
-        draw_shape = self.draw_shape(x.shape[store.lead:])
+        shape = x.shape[:1] + self.draw_shape(x.shape[1:])
         if self.p >= 1.0:
-            scale = np.zeros(x.shape[:store.lead] + draw_shape, dtype=store.dtype)
-        else:
-            if store.lead:  # each device's draw from its own generator, in its own shape
-                draws = np.empty(x.shape[:1] + draw_shape)
-                for g, row in zip(rng, draws):
-                    g.random(out=row)
-            else:
-                draws = rng.random(draw_shape)
+            scale = np.zeros(shape, dtype=store.dtype)
+        else:  # each device's draw from its own generator, in its own shape
+            draws = np.empty(shape)
+            for g, row in zip(rng, draws):
+                g.random(out=row)
             scale = ((draws >= self.p) / (1.0 - self.p)).astype(store.dtype, copy=False)
         return x * scale, scale
 
@@ -417,7 +405,7 @@ class Flatten(Layer):
         return (math.prod(in_shape),)
 
     def forward(self, store, key, x, train, rng):
-        return x.reshape(x.shape[:store.lead + 1] + (-1,)), x.shape
+        return x.reshape(x.shape[:2] + (-1,)), x.shape
 
     def backward(self, store, key, x_shape, dy, grads):
         return dy.reshape(x_shape)

@@ -3,8 +3,7 @@
 There is no autograd graph. Each layer kind in :mod:`hetsim.nn.layers`
 defines its own forward/backward pair; a chain runs the forwards in order
 and is differentiated by replaying the cached per-layer state in reverse.
-Inputs are always batched with the sample axis first. A
-:class:`ChainPlan` holds what a chain needs on every call (its keyed
+A :class:`ChainPlan` holds what a chain needs on every call (its keyed
 layers, its parameter span and where to check for non-finite values) and
 is built once per chain.
 
@@ -31,12 +30,13 @@ Stochastic layers (Dropout, BranchDropout) draw their masks from the
 generator passed to :meth:`ChainPlan.forward` and are active only in train
 mode; eval mode is a pure function of (params, input).
 
-A chain runs the same way on a stacked store (``store.lead == 1``, see
-:mod:`hetsim.nn.params`): its input and every output carry a leading
-device axis, (D, B, ...), and ``rng`` is one generator per device. A
-non-finite value then names the first device whose check-point output
-holds one (``NonFiniteError.device``) and that device's first non-finite
-layer.
+A plan runs on a store over rows, one per device (one device's is its one
+row, :meth:`~hetsim.nn.params.ParamStore.row`): its input and every
+output carry a leading device axis, (D, B, ...), and ``rng`` is one
+generator per device. A non-finite value names the first device whose
+check-point output holds one (``NonFiniteError.device``) and that
+device's first non-finite layer. :func:`forward_chain` and
+:func:`backward_chain` lift one device's 1-D store and batch to one row.
 
 A cache is only valid for the parameter values its forward pass read.
 The forward pass keeps the bytes of the chain's own span of the flat
@@ -146,6 +146,46 @@ class ChainCache:
     tap: int | None = None
     tapped: np.ndarray | None = None
 
+    def backward(self, dy: np.ndarray, store: ParamStore, grads: ParamStore,
+                 from_logits: bool = False, at_tap=None) -> np.ndarray | None:
+        """Backpropagate through the chain; accumulates into ``grads``,
+        returns dx (None with ``reads_input``, see the module docstring).
+
+        ``store`` must be the store the forward pass read, with the same
+        bits in the chain's span, or the cache is stale (``ValueError``).
+        With ``from_logits`` the chain must end in Softmax and ``dy`` is
+        taken w.r.t. that softmax's input (the fused cross-entropy form).
+        With a tap, ``at_tap`` is called with the gradient at the tapped
+        activation and returns it with the leaving branch's gradient
+        added; the pass goes on with what it returns (never called at the
+        network's input, whose gradient is never formed).
+        """
+        lo, hi = self.span
+        if store.flat[:, lo:hi].tobytes() != self.snapshot:  # bits, not values
+            raise ValueError("parameters changed since the forward pass; the cache "
+                             "is stale, rerun forward")
+        steps = list(zip(self.keyed_layers, self.per_layer))
+        if from_logits:
+            if not steps or not isinstance(steps[-1][0][1], Softmax):
+                raise ValueError("from_logits requires a Softmax-terminated network")
+            steps.pop()
+        dx = np.asarray(dy)
+        first = 1 if self.reads_input else 0
+        tap = self.tap if at_tap is not None else None
+        for i in range(len(steps) - 1, first - 1, -1):
+            if i + 1 == tap:  # dx is the gradient at the input of layer i + 1
+                dx = at_tap(dx)
+            (key, layer), c = steps[i]
+            dx = layer.backward(store, key, c, dx, grads)
+        if tap == first:
+            dx = at_tap(dx)
+        if not self.reads_input:
+            return dx
+        if steps:
+            (key, layer), c = steps[0]
+            layer.backward_params(store, key, c, dx, grads)
+        return None
+
 
 class ChainPlan:
     """A chain's keyed layers, its parameter span and its finite-check points.
@@ -157,7 +197,7 @@ class ChainPlan:
     its caches' backward passes compute no input gradient. ``tap`` is the
     index of a layer (up to the chain's length, its output) whose input
     also feeds a branch that leaves the chain: the forward pass keeps that
-    activation (``ChainCache.tapped``), and :func:`backward_chain` adds the
+    activation (``ChainCache.tapped``), and :meth:`ChainCache.backward` adds the
     branch's gradient there.
     """
 
@@ -187,10 +227,10 @@ class ChainPlan:
             unchecked.append(out)
             if check:
                 if not np.isfinite(out).all():  # name the first, as a per-layer check would
-                    device = non_finite_row(out) if store.lead else None
+                    device = non_finite_row(out)
                     for (_, kept), y in zip(self.keyed_layers[i + 1 - len(unchecked):],
                                             unchecked):
-                        if not np.isfinite(y if device is None else y[device]).all():
+                        if not np.isfinite(y[device]).all():
                             exc = NonFiniteError(
                                 f"non-finite values in {kept.__class__.__name__} output")
                             exc.device = device
@@ -205,8 +245,8 @@ class ChainPlan:
         """Output and the backward cache, with the bytes of the chain's span.
 
         ``mode`` is "train" or "eval". Train mode requires ``rng`` if the
-        chain contains stochastic layers: a generator, or one per device
-        for a stacked store.
+        chain contains stochastic layers: one generator per row of
+        ``store``.
         """
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -215,7 +255,7 @@ class ChainPlan:
         out = self._run(store, x, mode == "train", rng, caches, tapped)
         lo, hi = self.span
         return out, ChainCache(self.keyed_layers, caches, self.span,
-                               store.flat[..., lo:hi].tobytes(), self.reads_input,
+                               store.flat[:, lo:hi].tobytes(), self.reads_input,
                                self.tap, tapped[0] if tapped else None)
 
     def predict(self, store: ParamStore, x: np.ndarray,
@@ -228,58 +268,21 @@ class ChainPlan:
 def forward_chain(keyed_layers: list[KeyedLayer], store: ParamStore, x: np.ndarray,
                   mode: str = "eval", rng: np.random.Generator | None = None
                   ) -> tuple[np.ndarray, ChainCache]:
-    """Run a sequential chain once; returns output and the backward cache.
-
-    The :class:`ChainPlan` is built per call. The library's own passes keep
-    one plan per chain (see :class:`~hetsim.topology.DeviceNetwork`); this
-    form serves code that times or tests a chain on its own, such as the
-    kernel microbenchmarks in ``perfbench/micro.py``.
+    """Run a chain once on one device's 1-D ``store`` and batch ``x`` (B, ...),
+    lifted to its one row (``rng`` that row's generator); returns the
+    output (B, ...) and the backward cache. The :class:`ChainPlan` is built
+    per call: this form serves code that times or tests a chain on its own,
+    such as the kernel microbenchmarks in ``perfbench/micro.py``.
     """
     plan = ChainPlan(keyed_layers, store.span_of(key for key, _ in keyed_layers))
-    return plan.forward(store, x, mode, rng)
+    out, cache = plan.forward(store.row(), np.asarray(x)[None], mode,
+                              None if rng is None else [rng])
+    return out[0], cache
 
 
 def backward_chain(cache: ChainCache, dy: np.ndarray, store: ParamStore,
-                   grads: ParamStore, from_logits: bool = False,
-                   at_tap=None) -> np.ndarray | None:
-    """Backpropagate through a chain; accumulates into ``grads``, returns dx
-    (None for a cache with ``reads_input``, see the module docstring).
-
-    ``store`` must be the same store the forward pass read from, with the
-    same values: the bytes of the chain's span of ``store.flat`` are
-    compared with those the forward pass kept, and any difference raises
-    ``ValueError`` (the cache is stale). With
-    ``from_logits`` the chain must end in Softmax and ``dy`` is taken
-    w.r.t. that softmax's input (the fused cross-entropy form), so the
-    final softmax is skipped.
-
-    For a cache with a tap, ``at_tap`` is called with the gradient at the
-    tapped activation and returns it with the leaving branch's gradient
-    added; the backward pass goes on with what it returns. The gradient at
-    the network's input is never formed, so there it is not called.
-    """
-    lo, hi = cache.span
-    if store.flat[..., lo:hi].tobytes() != cache.snapshot:  # bits, not values
-        raise ValueError("parameters changed since the forward pass; the cache "
-                         "is stale, rerun forward")
-    steps = list(zip(cache.keyed_layers, cache.per_layer))
-    if from_logits:
-        if not steps or not isinstance(steps[-1][0][1], Softmax):
-            raise ValueError("from_logits requires a Softmax-terminated network")
-        steps.pop()
-    dx = np.asarray(dy)
-    first = 1 if cache.reads_input else 0
-    tap = cache.tap if at_tap is not None else None
-    for i in range(len(steps) - 1, first - 1, -1):
-        if i + 1 == tap:  # dx is the gradient at the input of layer i + 1
-            dx = at_tap(dx)
-        (key, layer), c = steps[i]
-        dx = layer.backward(store, key, c, dx, grads)
-    if tap == first:
-        dx = at_tap(dx)
-    if not cache.reads_input:
-        return dx
-    if steps:
-        (key, layer), c = steps[0]
-        layer.backward_params(store, key, c, dx, grads)
-    return None
+                   grads: ParamStore, from_logits: bool = False) -> np.ndarray | None:
+    """:meth:`ChainCache.backward` of a :func:`forward_chain` pass, on the
+    one rows of ``store`` and ``grads``; returns dx (B, ...) or None."""
+    dx = cache.backward(np.asarray(dy)[None], store.row(), grads.row(), from_logits)
+    return None if dx is None else dx[0]

@@ -9,7 +9,8 @@ topology, which is what the synchronization wire format relies on.
 
 A store may also stand for several devices at once: over a 2-D ``flat``
 of shape (D, P), row d being device d's vector, each view gets a leading
-device axis, (D, *shape) (see :func:`store_over` and ``lead``).
+device axis, (D, *shape) (see :func:`store_over`). Layers run only on
+such stores; :meth:`ParamStore.row` lifts one device's 1-D store to one.
 """
 from __future__ import annotations
 
@@ -58,9 +59,8 @@ class ParamStore:
     initialization) assigns into the existing array. Each layer's tensors
     occupy one ``[lo, hi)`` span of ``flat``'s last axis (:meth:`span_of`).
 
-    ``lead`` is the number of axes in front of every view's own: 0 for one
-    device's store, 1 for a stacked store over rows of a (D, P) matrix.
-    Only :meth:`view`, :meth:`span_of` and ``flat`` serve a stacked store.
+    Over the rows of a (D, P) matrix every view has a leading device axis;
+    only :meth:`view`, :meth:`span_of` and ``flat`` serve such a store.
     """
 
     def __init__(self, layout: list[tuple[ParamKey, tuple[int, ...]]], dtype=np.float64,
@@ -93,7 +93,6 @@ class ParamStore:
 
     def _bind(self, flat: np.ndarray) -> None:
         self.flat = flat
-        self.lead = flat.ndim - 1
         rows = flat.shape[:-1]
         self._views = {key: flat[..., o:o + n].reshape(rows + shape)
                        for key, (o, n, shape) in self._offsets.items()}
@@ -150,6 +149,11 @@ class ParamStore:
             raise ValueError(f"expected flat length {self._size}, got {vec.shape}")
         return self._twin(vec)
 
+    def row(self) -> "ParamStore":
+        """This device's store as a stack of one row: a store of this layout
+        over ``flat`` as a (1, P) view, each view (1, *shape)."""
+        return self._twin(self.flat.reshape(1, self._size))
+
     def copy(self) -> "ParamStore":
         return self._twin(self.flat.copy())
 
@@ -173,8 +177,8 @@ def store_over(layout, flat: np.ndarray) -> ParamStore:
 
     Over a row, the store is one device's, and the entries past its size
     are never read or written through it, so a shorter row's tail is never
-    touched. Over a (D, P) matrix, ``lead`` is 1 and each view is
-    (D, *shape), device d's tensors in row d.
+    touched. Over a (D, P) matrix each view is (D, *shape), device d's
+    tensors in row d.
     """
     store = ParamStore.__new__(ParamStore)
     store._set_layout(layout, flat.dtype)

@@ -38,7 +38,6 @@ from .nn.layers import (
 from .nn.network import (
     ChainPlan,
     NonFiniteError,
-    backward_chain,
     build_layout,
     ensure_finite,
     init_chain_params,
@@ -151,14 +150,14 @@ class DeviceNetwork:
     branch outputs. The network splits itself for a :class:`DeviceStack`:
     its shared chain (the stem, and a cascade's lightweight head) runs on
     the whole stack, and its tail (its own layers up to its logits, and the
-    cascade merge) on its device alone; one device alone is a stack of one.
-    Each chain's :class:`~hetsim.nn.network.ChainPlan` is built once, here;
-    :meth:`forward` keeps a cache for :meth:`backward`, and :meth:`predict`
-    is the eval pass of one device that keeps none. The shared chain reads
-    the network input, so it is planned with ``reads_input`` and
-    :meth:`backward` computes no gradient for the input. The network holds
-    no parameters or buffers, so devices that train the same network can
-    share one.
+    cascade merge) on its device's one row; one device alone is a stack of
+    one. Each chain's :class:`~hetsim.nn.network.ChainPlan` is built once,
+    here; :meth:`forward` keeps a cache for :meth:`backward`, and
+    :meth:`predict` is the eval pass of one row that keeps none. The
+    shared chain reads the network input, so it is planned with
+    ``reads_input`` and :meth:`backward` computes no gradient for the
+    input. The network holds no parameters or buffers, so devices that
+    train the same network can share one.
     """
 
     def __init__(self, topology: BranchedTopology, branch_id: str):
@@ -258,8 +257,7 @@ class DeviceNetwork:
 
     # -- forward / backward -------------------------------------------------
 
-    def forward(self, stack: "DeviceStack", x: np.ndarray, mode: str = "eval", rng=None,
-                force_branch_drop: bool = False):
+    def forward(self, stack: "DeviceStack", x: np.ndarray, mode: str = "eval", rng=None):
         """Returns (output, cache) of a pass over a :class:`DeviceStack`.
 
         ``stack`` holds this network; ``x`` is one batch per device,
@@ -267,21 +265,15 @@ class DeviceNetwork:
         mode), and the output is (D, B, C), row d with the bits of device
         d's network alone. The stack's chain (``DeviceStack.plan``) runs
         once for all devices, then each device's tail, if it has one, on
-        its row, and the final softmax once. One device alone is the stack
-        of one over its store (:meth:`DeviceStack.alone`), with D = 1.
-
-        ``force_branch_drop`` zeroes the complex-branch contribution
-        regardless of mode, for verifying that the cascaded network with
-        the branch dropped equals the standalone lightweight network.
+        its one row, and the final softmax once. One device alone is the
+        stack of one over its store (:meth:`DeviceStack.alone`), D = 1.
         """
-        if force_branch_drop and not self.is_cascade_complex:
-            raise ValueError("force_branch_drop only applies to the cascaded "
-                             "complex network")
+        _check_stack("forward", stack)
         if stack._groups:
             raise ValueError("this stack steps a group at a time, see DeviceStack.groups")
         out, stacked_cache = stack.plan.forward(stack.shared, x, mode, rng)
         tails = None  # the stacked chain's output is every device's logits
-        if stack.plan is not stack.networks[0]._whole_plan and not force_branch_drop:
+        if stack.plan is not stack.networks[0]._whole_plan:
             out, tails = self._forward_tails(stack, out, stacked_cache, mode, rng)
         if self.ends_in_softmax:
             out, _ = self._softmax.forward(stack.shared, None, out, False, None)
@@ -294,38 +286,45 @@ class DeviceNetwork:
                 raise exc
         return out, (stacked_cache, tails, out)
 
-    def predict(self, store: ParamStore, x: np.ndarray) -> np.ndarray:
-        """The eval-mode output of :meth:`forward` on one device's store, bit
-        for bit, without building a cache or copying parameters."""
+    def predict(self, row: ParamStore, x: np.ndarray) -> np.ndarray:
+        """The eval-mode output of :meth:`forward`, bit for bit, without
+        building a cache or copying parameters: on ``row``, one device's
+        store lifted to one row (:meth:`ParamStore.row`), for ``x``
+        (1, B, ...); the output is (1, B, C)."""
+        if row.flat.ndim != 2 or x.ndim != len(self.input_shape) + 2:
+            raise TypeError("predict takes a store over rows, such as store.row(), and "
+                            "a batch with its device axis, (1, B, ...)")
         if self._whole_plan is not None:
-            out = self._whole_plan.predict(store, x)
+            out = self._whole_plan.predict(row, x)
         else:  # eval-mode branch dropout passes the complex logits through
             stem_out: list = []
-            light_logits = self._stack_plan.predict(store, x, stem_out)
-            out = self._tail_plan.predict(store, stem_out[0]) + light_logits
+            light_logits = self._stack_plan.predict(row, x, stem_out)
+            out = self._tail_plan.predict(row, stem_out[0]) + light_logits
         if self.ends_in_softmax:
-            out, _ = self._softmax.forward(store, None, out, False, None)
+            out, _ = self._softmax.forward(row, None, out, False, None)
             ensure_finite("cascade output" if self.is_cascade_complex else "Softmax output",
-                          out)
+                          out, stacked=True)
         return out
 
     @staticmethod
     def _forward_tails(stack: "DeviceStack", base, shared_cache, mode, rngs):
         """Each device's logits, stacked, and its tail's cache and branch
-        dropout scale (None without a tail; no list if none has one): the
-        shared chain's output, or its tail's; a cascade's complex devices
-        add their (dropped) branch output to the lightweight logits."""
+        dropout scale (None without a tail): the shared chain's output, or
+        its tail's, run on the device's one row; a cascade's complex
+        devices add their (dropped) branch output to the lightweight
+        logits."""
         cascade = shared_cache.tap is not None
         stem_out = shared_cache.tapped if cascade else base
         logits, tails = [], []
         for d, net in enumerate(stack.networks):
+            row = slice(d, d + 1)
             if net._tail_plan is None:
-                logits.append(base[d])
+                logits.append(base[row])
                 tails.append(None)
                 continue
-            store, rng = stack.stores[d], None if rngs is None else rngs[d]
+            store, rng = stack.rows[d], None if rngs is None else rngs[row]
             try:
-                own, own_cache = net._tail_plan.forward(store, stem_out[d], mode, rng)
+                own, own_cache = net._tail_plan.forward(store, stem_out[row], mode, rng)
                 scale = None
                 if cascade:
                     own, scale = net._branch_drop.forward(store, None, own, mode == "train",
@@ -335,14 +334,12 @@ class DeviceNetwork:
                 raise
             logits.append(own)
             tails.append((own_cache, scale))
-        if not any(tails):
-            return base, None
         if not cascade:
-            return _stacked(logits), tails
+            return np.concatenate(logits), tails
         out = base.copy()  # a new array: the chain's caches may hold ``base``
         for d, tail in enumerate(tails):
             if tail is not None:
-                out[d] += logits[d]  # the bits of ``dropped + light logits``
+                out[d:d + 1] += logits[d]  # the bits of ``dropped + light logits``
         return out, tails
 
     def backward(self, cache, dy: np.ndarray, stack: "DeviceStack",
@@ -358,6 +355,7 @@ class DeviceNetwork:
         place at the start of each call, so the result is valid until the
         next backward pass over the stack, which overwrites it.
         """
+        _check_stack("backward", stack)
         shared_cache, tails, out = cache
         for grads in stack.grad_stores:
             grads.flat.fill(0.0)
@@ -365,36 +363,42 @@ class DeviceNetwork:
         if self.ends_in_softmax and not from_logits:
             dlogits = self._softmax.backward(None, None, out, dlogits, None)
         if tails is None:
-            backward_chain(shared_cache, dlogits, stack.shared, stack.shared_grads)
+            shared_cache.backward(dlogits, stack.shared, stack.shared_grads)
             return stack.grad_stores
-        # each tail's gradient at the stem output
+        # each tail's gradient at the stem output, (1, B, ...)
         d_tails = []
         for d, (net, tail) in enumerate(zip(stack.networks, tails)):
             if tail is None:
                 d_tails.append(None)
                 continue
             own_cache, scale = tail
-            store, grads = stack.stores[d], stack.grad_stores[d]
-            d_own = dlogits[d]
+            store, grads = stack.rows[d], stack.grad_rows[d]
+            d_own = dlogits[d:d + 1]
             if net.is_cascade_complex:
                 d_own = net._branch_drop.backward(store, None, scale, d_own, grads)
-            d_tails.append(backward_chain(own_cache, d_own, store, grads))
+            d_tails.append(own_cache.backward(d_own, store, grads))
         if shared_cache.tap is None:
             # share-first: a tail's input gradient is all of its stem output's
-            backward_chain(shared_cache, _stacked([dlogits[d] if g is None else g
-                                                   for d, g in enumerate(d_tails)]),
-                           stack.shared, stack.shared_grads)
+            shared_cache.backward(np.concatenate([dlogits[d:d + 1] if g is None else g
+                                                  for d, g in enumerate(d_tails)]),
+                                  stack.shared, stack.shared_grads)
         else:
             def add_tails(d_stem):  # the stem output feeds the head and the tails
                 if np.may_share_memory(d_stem, dlogits):  # an empty head: not the caller's
                     d_stem = d_stem.copy()
                 for d, g in enumerate(d_tails):
                     if g is not None:
-                        d_stem[d] += g  # the bits of ``d_stem_light + d_stem_complex``
+                        d_stem[d:d + 1] += g  # the bits of ``d_stem_light + d_stem_complex``
                 return d_stem
-            backward_chain(shared_cache, dlogits, stack.shared, stack.shared_grads,
-                           at_tap=add_tails)
+            shared_cache.backward(dlogits, stack.shared, stack.shared_grads,
+                                  at_tap=add_tails)
         return stack.grad_stores
+
+
+def _check_stack(what: str, stack) -> None:
+    if not isinstance(stack, DeviceStack):
+        raise TypeError(f"{what} takes a DeviceStack, not {type(stack).__name__}; for "
+                        f"one device's store, pass DeviceStack.alone(network, store)")
 
 
 def _stacked_chain(networks) -> tuple[ChainPlan, list]:
@@ -405,11 +409,6 @@ def _stacked_chain(networks) -> tuple[ChainPlan, list]:
     if first._whole_plan is not None and all(net is first for net in networks):
         return first._whole_plan, first._layout
     return first._stack_plan, first._layout[:first._n_shared]
-
-
-def _stacked(rows: list[np.ndarray]) -> np.ndarray:
-    """``np.stack(rows)``; one row is a view with a leading axis, not a copy."""
-    return rows[0][None] if len(rows) == 1 else np.stack(rows)
 
 
 class DeviceStack:
@@ -425,8 +424,9 @@ class DeviceStack:
     layers they share, or the whole network if they all train one without
     a merge (one device alone, or homogeneous devices). ``shared`` and
     ``shared_grads`` view the tensors that chain reads, stacked (D, *shape).
-    A stack of one row (:meth:`alone`, or a group below) carries its
-    device axis like any other, with D = 1.
+    ``rows[d]`` and ``grad_rows[d]``, built once, are ``stores[d]`` and
+    ``grad_stores[d]`` lifted to one row, for device d's tail. A stack of
+    one row (:meth:`alone`, or a group below) has D = 1.
 
     A stack whose stacked chain reads more than ``GROUP_BYTES`` per device
     steps one device at a time instead: ``groups`` is then one
@@ -475,6 +475,8 @@ class DeviceStack:
     def _set(self, networks, params, stores, grads, grad_stores) -> None:
         self.networks, self.params, self.stores = networks, params, stores
         self.grads, self.grad_stores = grads, grad_stores
+        self.rows = [store.row() for store in stores]
+        self.grad_rows = [g.row() for g in grad_stores]
         self.plan, layout = _stacked_chain(networks)
         self.shared = store_over(layout, params)
         self.shared_grads = store_over(layout, grads)

@@ -1,20 +1,22 @@
-"""One device's network pass, as the stack of one over its store.
+"""One device's passes, run the way the library runs them: with a device axis.
 
 ``DeviceNetwork.forward`` and ``backward`` take a
-:class:`~hetsim.topology.DeviceStack`, whose batches carry a leading
-device axis. These helpers run one device that way and take the axis off
-again, for tests that check one device's output or gradients.
+:class:`~hetsim.topology.DeviceStack`, ``DeviceNetwork.predict`` and every
+layer a store over rows, and their batches carry a leading device axis.
+These helpers run one device that way, over its 1-D store's one row
+(``ParamStore.row``), and take the axis off again, for tests that check
+one device's output or gradients.
 """
 import numpy as np
 
 from hetsim.topology import DeviceStack
 
 
-def forward_alone(net, store, x, mode="eval", rng=None, force_branch_drop=False):
+def forward_alone(net, store, x, mode="eval", rng=None):
     """``net``'s output on ``store`` for the batch ``x``, and the pass's cache;
     ``rng`` is the device's one generator."""
     out, cache = net.forward(DeviceStack.alone(net, store), np.asarray(x)[None], mode,
-                             None if rng is None else [rng], force_branch_drop)
+                             None if rng is None else [rng])
     return out[0], cache
 
 
@@ -24,3 +26,30 @@ def backward_alone(net, cache, dy, store, from_logits=False):
     grads, = net.backward(cache, np.asarray(dy)[None], DeviceStack.alone(net, store),
                           from_logits)
     return grads
+
+
+def predict_alone(net, store, x):
+    """``net.predict`` on ``store``'s one row for the batch ``x``."""
+    return net.predict(store.row(), np.asarray(x)[None])[0]
+
+
+def _row(store):
+    return None if store is None else store.row()
+
+
+class LayerAlone:
+    """``layer``'s forward and backward on one device's 1-D store and a batch
+    without the device axis: run on the store's one row, ``rng`` that row's
+    generator, with the axis put on and taken off again."""
+
+    def __init__(self, layer):
+        self.layer = layer
+
+    def forward(self, store, key, x, train, rng):
+        y, cache = self.layer.forward(_row(store), key, np.asarray(x)[None], train,
+                                      None if rng is None else [rng])
+        return y[0], cache
+
+    def backward(self, store, key, cache, dy, grads):
+        return self.layer.backward(_row(store), key, cache, np.asarray(dy)[None],
+                                   _row(grads))[0]

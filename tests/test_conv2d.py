@@ -5,13 +5,14 @@
 as one product of the cached columns (the layer's documented product,
 ``(dy2.T @ cols).T``, or ``cols.T @ dy2`` for one input channel), and the
 input gradient as one (N*Ho*Wo x Cin*kh*kw) product, reshaped to 6-D and
-scattered tap by tap. The layer keeps only its input, and must give the same bits, in
-float32 and float64, alone and on a stacked (device-axis) store: with its
-forward in blocks of whole images (one image each, under a patched
-budget), with columns that are a view of the input, with its weight
-gradient in blocks of input channels or in one product (the shapes on
-both sides of the block rule), and with its input gradient per tap or in
-one product. Memory guards check what the layer keeps and builds.
+scattered tap by tap. The layer keeps only its input, and must give the
+same bits, in float32 and float64, alone (on its store's one row) and on
+two stacked rows: with its forward in blocks of whole images (one image
+each, under a patched budget), with columns that are a view of the
+input, with its weight gradient in blocks of input channels or in one
+product (the shapes on both sides of the block rule), and with its input
+gradient per tap or in one product. Memory guards check what the layer
+keeps and builds.
 """
 import json
 import os
@@ -30,6 +31,8 @@ from hetsim.config import parse_config
 from hetsim.nn import Conv2D, build_layout, make_keyed
 from hetsim.nn.params import ParamStore, store_over
 from hetsim.topology import DeviceNetwork
+
+from one_device import LayerAlone, predict_alone
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -108,7 +111,7 @@ def _check(n, h, w, cin, kh, kw, cout, stride, dtype, seed):
     grads.flat[...] = start
     ref_grads.flat[...] = start
 
-    y, dx = _run(layer, store, grads, x, dy)
+    y, dx = _run(LayerAlone(layer), store, grads, x, dy)
     ref_y, ref_dx = _run(reference, store, ref_grads, x, dy)
     _assert_same_bits(y, ref_y, "y")
     _assert_same_bits(dx, ref_dx, "dx")
@@ -251,18 +254,16 @@ def _arrays(cache):
             yield from _arrays(item)
 
 
-@pytest.mark.parametrize("lead", [0, 1], ids=["alone", "stacked"])
+@pytest.mark.parametrize("rows", [1, 2], ids=["alone", "stacked"])
 @pytest.mark.parametrize("shape", [SHAPES[k] for k in (
     "cifar-stem-1", "cifar-stem-2", "atari-8x8-s4", "view-columns")],
     ids=["cifar-stem-1", "cifar-stem-2", "atari-8x8-s4", "view-columns"])
-def test_the_cache_holds_no_array_larger_than_the_input(shape, lead):
+def test_the_cache_holds_no_array_larger_than_the_input(shape, rows):
     n, h, w, cin, kh, kw, cout, stride = shape
     layer = Conv2D(kh, kw, cout, stride)
     layout = build_layout(make_keyed("net", [layer]), (h, w, cin))
-    store = ParamStore(layout)
-    if lead:
-        store = store_over(layout, np.zeros((2, store.size)))
-    x = np.ones((2,) * lead + (n, h, w, cin))
+    store = store_over(layout, np.zeros((rows, ParamStore(layout).size)))
+    x = np.ones((rows, n, h, w, cin))
     _, cache = layer.forward(store, ("net", 0), x, True, None)
     assert max(a.nbytes for a in _arrays(cache)) <= x.nbytes
 
@@ -283,9 +284,9 @@ def test_forward_and_backward_build_no_im2col_matrix():
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        y, cache = layer.forward(store, ("net", 0), x, True, None)
+        y, cache = LayerAlone(layer).forward(store, ("net", 0), x, True, None)
         del y  # as in a chain, where the next layer (a ReLU) keeps only its mask
-        layer.backward(store, ("net", 0), cache, dy, grads)
+        LayerAlone(layer).backward(store, ("net", 0), cache, dy, grads)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -307,7 +308,7 @@ def test_an_eval_pass_of_the_cifar_network_builds_no_im2col_matrix():
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        net.predict(store, x)
+        predict_alone(net, store, x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -325,6 +326,7 @@ def test_backward_builds_no_im2col_sized_input_gradient():
     store.flat[...] = rng.normal(size=store.size)
     grads = ParamStore(layout)
     key = ("net", 0)
+    layer = LayerAlone(layer)
     _, cache = layer.forward(store, key, rng.normal(size=(n, h, w, cin)), True, None)
     dy = rng.normal(size=(n, h - 2, w - 2, cout))
     dcols_bytes = dy.shape[0] * dy.shape[1] * dy.shape[2] * cin * 9 * 8

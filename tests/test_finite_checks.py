@@ -29,6 +29,8 @@ from hetsim.nn import (
 from hetsim.nn.network import ChainPlan
 from hetsim.nn.params import ParamStore
 
+from one_device import LayerAlone
+
 BAD = (np.nan, np.inf, -np.inf)
 DTYPES = (np.float64, np.float32)
 
@@ -75,7 +77,7 @@ def test_kinds_without_the_flag_keep_a_non_finite_input(case, n, bad, data, trai
     x = rng.standard_normal((n, *in_shape)).astype(dtype)
     x.reshape(-1)[data.draw(st.integers(0, x.size - 1))] = bad
     with np.errstate(all="ignore"):
-        y, _ = layer.forward(store, key, x, train, rng)
+        y, _ = LayerAlone(layer).forward(store, key, x, train, rng)
     assert not np.isfinite(y).all()
 
 
@@ -88,7 +90,7 @@ def test_kinds_without_the_flag_keep_a_non_finite_input(case, n, bad, data, trai
 def test_flagged_kinds_can_drop_a_non_finite_input(layer, x):
     assert layer.drops_non_finite
     _, store = _chain([layer], x.shape[1:], np.float64)
-    y, _ = layer.forward(store, ("net", 0), x, False, None)
+    y, _ = LayerAlone(layer).forward(store, ("net", 0), x, False, None)
     assert np.isfinite(y).all()
 
 
@@ -106,7 +108,7 @@ def _per_layer_rule(keyed, store, x, train, rng):
     """
     out = np.asarray(x, dtype=store.dtype)
     for key, layer in keyed:
-        out, _ = layer.forward(store, key, out, train, rng)
+        out, _ = LayerAlone(layer).forward(store, key, out, train, rng)
         if not np.isfinite(out).all():
             return f"non-finite values in {layer.__class__.__name__} output"
     return None
@@ -153,7 +155,7 @@ def test_plan_raises_where_a_check_after_every_layer_raises(index, n, data, dtyp
         assert got == want
         if not train:
             plan = ChainPlan(keyed, store.span_of(key for key, _ in keyed))
-            assert _outcome(lambda: plan.predict(store, x)) == want
+            assert _outcome(lambda: plan.predict(store.row(), x[None])) == want
 
 
 def test_maxpool_first_chain_accepts_a_minus_inf_its_pool_drops():
@@ -178,4 +180,4 @@ def test_error_names_the_first_non_finite_layer_between_check_points():
         forward_chain(keyed, store, np.array([[np.nan, 1.0]]))
     with pytest.raises(NonFiniteError, match="non-finite values in ReLU output"):
         ChainPlan(keyed, store.span_of(key for key, _ in keyed)).predict(
-            store, np.array([[np.nan, 1.0]]))
+            store.row(), np.array([[[np.nan, 1.0]]]))

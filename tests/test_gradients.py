@@ -295,8 +295,9 @@ def test_only_a_plan_that_reads_the_input_skips_dx():
     net = topo.DeviceNetwork(t, "b")
     store = net.init_store(np.random.default_rng(0))
     x = np.random.default_rng(1).normal(size=(2, 8, 8, 3))
-    out, cache = net._stack_plan.forward(store, x)  # the stem, which reads x
-    assert backward_chain(cache, np.ones_like(out), store, store.zeros_like()) is None
+    row = store.row()
+    out, cache = net._stack_plan.forward(row, x[None])  # the stem, which reads x
+    assert cache.backward(np.ones_like(out), row, store.zeros_like().row()) is None
     keyed = list(cache.keyed_layers)
     out, cache = forward_chain(keyed, store, x)
     dx = backward_chain(cache, np.ones_like(out), store, store.zeros_like())

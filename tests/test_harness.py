@@ -1066,17 +1066,27 @@ def test_describe_reports_parameters_and_split():
     assert "shared" in text and "bytes/sync" in text
 
 
+@pytest.mark.parametrize("width", [64, 32])
 @pytest.mark.parametrize("mode", ["heterogeneous", "homogeneous", "isolated"])
-def test_describe_bytes_per_sync_are_each_devices_bytes_sent(mode):
-    config = parse_config(tiny_supervised_doc(mode))
+@pytest.mark.parametrize("make_doc", [tiny_supervised_doc, tiny_rl_doc])
+def test_describe_bytes_per_sync_are_each_devices_bytes_sent(make_doc, mode, width):
+    """Every sync sends each device's shared block, ``shared_len`` reals of
+    ``real_width`` bits, and nothing in isolated mode, as ``describe`` says."""
+    doc = make_doc(mode)
+    doc["real_width"] = width
+    config = parse_config(doc)
     described = dict(re.findall(r"^device (\S+) .*\| bytes/sync ([\d,]+)$",
                                 describe(config), re.MULTILINE))
     assert sorted(described) == sorted(d.id for d in config.devices)
-    rows = make_run(config, 7).run()
-    for device, nbytes in described.items():
-        sent = [r.value for r in rows if r.metric == "bytes_sent" and r.device == device]
-        assert len(sent) == config.supervised.rounds
-        assert set(sent) == {float(nbytes.replace(",", ""))}, device
+    syncs = (config.supervised.rounds if config.task == "supervised"
+             else config.rl.total_steps // config.rl.sync_period)
+    rows = make_run(config, config.seeds[0]).run()
+    for dev_cfg in config.devices:
+        shared = build_device_network(config, dev_cfg).partition.shared_len
+        nbytes = 0 if mode == "isolated" else shared * width // 8
+        assert described[dev_cfg.id] == f"{nbytes:,}"
+        sent = [r.value for r in rows if r.metric == "bytes_sent" and r.device == dev_cfg.id]
+        assert sent == [float(nbytes)] * syncs, dev_cfg.id
 
 
 def test_cli_describe_and_run_and_aggregate(tmp_path, capsys):

@@ -22,6 +22,8 @@ from hetsim.nn import (
 from hetsim.nn.layers import layer_from_dict
 from hetsim.nn.params import ParamStore
 
+from one_device import LayerAlone
+
 
 def _store_for(layers, input_shape):
     keyed = make_keyed("net", layers)
@@ -95,7 +97,7 @@ def test_dense_and_softmax_forward_are_their_expression_forms_bit_for_bit(
     store.flat[:] = rng.normal(size=store.size)
     w, b = store.view((key, "w")), store.view((key, "b"))
     x = (rng.normal(size=(n, d_in)) * scale).astype(dtype)
-    y, _ = Dense(d_out).forward(store, key, x, True, None)
+    y, _ = LayerAlone(Dense(d_out)).forward(store, key, x, True, None)
     want = x @ w + b
     assert y.dtype == want.dtype and y.tobytes() == want.tobytes()
     x[:, 1:][rng.random((n, d_in - 1)) < 0.2] = -np.inf  # softmax maps these to 0

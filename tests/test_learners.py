@@ -267,7 +267,7 @@ def test_ddql_converges_to_bellman_optimal_q():
         if (step + 1) % 100 == 0:
             learner.copy_target()
     states = np.eye(2)
-    q_net = learner.q_of(learner.store, states)
+    q_net = learner.q_of(learner.row, states)
     q_star = toy_mdp_q_star()
     assert np.abs(q_net - q_star).max() < 0.05, (q_net, q_star)
 
@@ -309,7 +309,7 @@ def _reference_test_epoch(learner, episodes):
         done = False
         ep = 0.0
         while not done:
-            q = learner.q_of(learner.store, state[None])[0]
+            q = learner.q_of(learner.row, state[None])[0]
             action = _epsilon_greedy(q, learner.schedule.test, learner.eval_rng)
             state, reward, done = learner.eval_env.step(action)
             ep += reward
@@ -326,9 +326,9 @@ def test_test_epoch_passes_each_state_once_and_returns_what_a_pass_per_step_does
     passes = {learner: [], reference: []}
     q_of = DdqlLearner.q_of
 
-    def counting(self, store, states):
+    def counting(self, row, states):
         passes[self].append(states.tobytes())
-        return q_of(self, store, states)
+        return q_of(self, row, states)
 
     monkeypatch.setattr(DdqlLearner, "q_of", counting)
     start = learner.eval_env.encode((0, 0)).tobytes()
@@ -351,7 +351,7 @@ def test_test_epoch_passes_each_state_once_and_returns_what_a_pass_per_step_does
 
 def _reference_act(learner, state, epsilon):
     """Acting as a forward pass, then the epsilon-greedy rule on the Q-row."""
-    q = learner.q_of(learner.store, state[None])[0]
+    q = learner.q_of(learner.row, state[None])[0]
     return _epsilon_greedy(q, epsilon, learner.act_rng)
 
 
@@ -365,9 +365,9 @@ def test_act_runs_the_network_only_on_exploit_steps_and_acts_as_before(
     predicts = []
     predict = DeviceNetwork.predict
 
-    def counting(self, store, x):
-        predicts.append(x.shape[0])
-        return predict(self, store, x)
+    def counting(self, row, x):
+        predicts.append(x.shape[1])  # x has its device axis
+        return predict(self, row, x)
 
     monkeypatch.setattr(DeviceNetwork, "predict", counting)
     got, want = [], []
@@ -482,7 +482,7 @@ def test_eval_passes_build_no_cache_and_take_no_snapshot(monkeypatch):
         trainer.validate_and_snapshot()
         np.testing.assert_array_equal(trainer.store.flat, before)
     learner.act(np.array([1.0, 0.0]), 0.0)
-    learner.q_of(learner.target_store, np.eye(2))
+    learner.q_of(learner.target_row, np.eye(2))
     grid_learner.test_epoch(episodes=2)
 
 

@@ -22,7 +22,7 @@ from hetsim.nn import (
 from hetsim.nn.params import store_over
 from hetsim.topology import DeviceNetwork, DeviceStack
 
-from one_device import backward_alone, forward_alone
+from one_device import backward_alone, forward_alone, predict_alone
 
 
 def _dense_cascade():
@@ -102,7 +102,7 @@ def test_a_stack_step_gives_each_device_the_bits_of_its_own_step(case, dtype, ba
     out, _ = networks[0].forward(stack, x, "eval")
     for d, (net, store, group) in enumerate(zip(networks, alone, grouped.groups)):
         assert group.stores[0] is grouped.stores[d] and group.params.base is grouped.params
-        assert _same_bits(out[d], net.predict(store, x[d]))
+        assert _same_bits(out[d], predict_alone(net, store, x[d]))
         assert _same_bits(networks[0].forward(group, x[d:d + 1], "eval")[0][0], out[d])
 
 
@@ -221,9 +221,11 @@ def test_stores_over_rows_and_over_the_matrix_share_it():
     matrix = np.zeros((2, 13), np.float32)
     stores = [store_over(layout, row) for layout, row in zip(layouts, matrix)]
     assert [s.size for s in stores] == [13, 9] and stores[1].flat.base is matrix
-    assert stores[1].dtype == np.float32 and stores[1].lead == 0
+    assert stores[1].dtype == np.float32 and stores[1].view((("a", 0), "w")).shape == (2, 3)
+    row = stores[1].row()  # one device's store as a stack of one row
+    assert row.view((("a", 0), "w")).shape == (1, 2, 3) and row.flat.base is matrix
     shared = store_over(layouts[1], matrix)
-    assert shared.lead == 1 and shared.view((("a", 0), "w")).shape == (2, 2, 3)
+    assert shared.view((("a", 0), "w")).shape == (2, 2, 3)
     shared.view((("a", 0), "b"))[1] = 7.0
     assert (stores[1].view((("a", 0), "b")) == 7.0).all()
     shared.view((("a", 0), "w"))[...] += np.ones((2, 2, 3), np.float32)

@@ -7,6 +7,8 @@ renames, moves or inlines one of them would blind the benchmark or stop it
 at import; these tests fail first.
 """
 import importlib
+import json
+import math
 import sys
 from pathlib import Path
 
@@ -16,7 +18,8 @@ from hetsim.config import parse_config
 from hetsim.harness import make_run
 from test_harness import tiny_supervised_doc
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.fixture(scope="module")
@@ -52,3 +55,19 @@ def test_a_traced_round_records_the_sync_and_the_merge(perfbench):
             "learners.validate", "topology.forward", "topology.backward",
             "nn.optim.step"} <= names
     assert all(vars(owner)[attr] is fn for owner, attr, fn in originals)
+
+
+def test_the_kernel_microbenchmarks_give_every_declared_nn_metric(perfbench):
+    """``micro.run_micro`` is the only caller of ``nn.forward_chain``,
+    ``nn.backward_chain`` (one device's chain, lifted to its one row) and
+    ``nn.cross_entropy`` in its (N, C) form: on a small chain it gives every
+    ``nn.*`` metric that ``BENCHMARK.json`` declares, each finite."""
+    doc = tiny_supervised_doc()
+    topology = doc["topology"]
+    chain = (topology["input_shape"], topology["stem"] + topology["branches"]["complex"])
+    values = perfbench["micro"].run_micro(parse_config(doc), chain)
+    declared = [metric["name"] for metric in
+                json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+                if metric["name"].startswith("nn.")]
+    assert declared and [name for name in declared if name not in values] == []
+    assert all(math.isfinite(values[name]) for name in declared)

@@ -16,13 +16,12 @@ from hetsim.nn import (
     ReLU,
     ShapeError,
     Softmax,
-    backward_chain,
     cross_entropy,
 )
 from hetsim.nn.params import store_over
 from hetsim.topology import DeviceNetwork, DeviceStack
 
-from one_device import backward_alone, forward_alone
+from one_device import backward_alone, forward_alone, predict_alone
 
 
 def atari_topology():
@@ -217,9 +216,39 @@ def test_predict_is_the_eval_forward_bit_for_bit(make_topo, branch, dtype):
     store = net.init_store(np.random.default_rng(0), np.random.default_rng(1), dtype=dtype)
     x = np.random.default_rng(2).normal(size=(3, *net.input_shape))
     want, _ = forward_alone(net, store, x, mode="eval")
-    got = net.predict(store, x)
+    got = predict_alone(net, store, x)
     assert got.dtype == want.dtype == dtype
     assert np.array_equal(got.view(f"u{got.itemsize}"), want.view(f"u{want.itemsize}"))
+
+
+# -- the calling convention: a stack, or a store over rows ----------------------
+
+def _one_device(branch="complex"):
+    net = DeviceNetwork(small_cascade(0.5), branch)
+    store = net.init_store(np.random.default_rng(0), np.random.default_rng(1))
+    return net, store, np.random.default_rng(2).normal(size=(3, 5))
+
+
+def test_forward_on_a_plain_store_is_a_type_error_naming_the_stack():
+    net, store, x = _one_device()
+    with pytest.raises(TypeError, match=r"DeviceStack\.alone\(network, store\)"):
+        net.forward(store, x[None])
+
+
+def test_backward_on_a_plain_store_is_a_type_error_naming_the_stack():
+    net, store, x = _one_device()
+    probs, cache = forward_alone(net, store, x)
+    with pytest.raises(TypeError, match=r"DeviceStack\.alone\(network, store\)"):
+        net.backward(cache, probs[None], store)
+
+
+@pytest.mark.parametrize("branch", ["complex", "lightweight"])
+def test_predict_without_the_row_axis_is_a_type_error_naming_the_row(branch):
+    net, store, x = _one_device(branch)
+    for row, batch in ((store, x), (store, x[None]), (store.row(), x)):
+        with pytest.raises(TypeError, match=r"store\.row\(\).*\(1, B, \.\.\.\)"):
+            net.predict(row, batch)
+    assert predict_alone(net, store, x).shape == (3, 4)
 
 
 # -- the stack's gradient store -------------------------------------------------
@@ -257,7 +286,7 @@ def test_backward_store_holds_the_bits_of_a_backward_chain_into_fresh_zeros():
         cache, dlogits = _train_pass(net, stack, seed)
         got, = net.backward(cache, dlogits, stack, from_logits=True)
         want = np.zeros_like(stack.grads)  # a stacked store of one row
-        backward_chain(cache[0], dlogits, stack.shared, store_over(stack.shared.layout, want))
+        cache[0].backward(dlogits, stack.shared, store_over(stack.shared.layout, want))
         assert got.flat.tobytes() == want[0].tobytes()
 
 
