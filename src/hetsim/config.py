@@ -340,9 +340,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
     for i, entry in enumerate(top["devices"]):
         where = f"devices[{i}]"
         dev = _section(entry, DEVICE, where, task)
-        if any(c in dev["id"] for c in ",\r\n"):  # ids are metrics.csv fields
-            raise ConfigError(f"{where}.id must be a non-empty string without ',', CR or "
-                              f"LF, got {dev['id']!r}")
+        if any(c in dev["id"] for c in ',"\r\n'):  # ids are metrics.csv fields
+            raise ConfigError(f"{where}.id must be a non-empty string without ',', '\"', "
+                              f"CR or LF, got {dev['id']!r}")
         if dev["branch"] not in branches:
             raise ConfigError(f"{where}: unknown branch {dev['branch']!r}")
         if dev["branch"] not in topology.branches:

@@ -166,7 +166,9 @@ class DdqlLearner:
 
     The environment must expose reset() -> state, step(a) -> (state, reward,
     terminal) and n_actions. ``eval_env`` is a separate instance used for
-    test epochs so they never disturb the training episode.
+    test epochs so they never disturb the training episode. The learner
+    trains as a stack of one over ``store`` and reads Q-values on
+    ``store.row()`` and ``target_store.row()``.
     """
 
     def __init__(self, network: DeviceNetwork, store: ParamStore, optimizer: Optimizer,
@@ -180,7 +182,6 @@ class DdqlLearner:
         self.store = store
         self.stack = DeviceStack.alone(network, store)  # trains as a stack of one
         self.target_store = store.copy()
-        self.row, self.target_row = store.row(), self.target_store.row()
         self.optimizer = optimizer
         self.env = env
         self.eval_env = eval_env
@@ -201,7 +202,7 @@ class DdqlLearner:
     # -- acting --------------------------------------------------------------
 
     def q_of(self, row: ParamStore, states: np.ndarray) -> np.ndarray:
-        """Q-values (B, A) of ``states`` on ``self.row`` or ``self.target_row``."""
+        """Q-values (B, A) of ``states`` on ``store.row()`` or ``target_store.row()``."""
         return self.network.predict(row, states[None])[0]
 
     def act(self, state: np.ndarray, epsilon: float) -> int:
@@ -215,15 +216,15 @@ class DdqlLearner:
         """
         action = explore_action(epsilon, self.n_actions, self.act_rng)
         if action is None:
-            action = greedy_action(self.q_of(self.row, state[None])[0])
+            action = greedy_action(self.q_of(self.store.row(), state[None])[0])
         return action
 
     # -- training ------------------------------------------------------------
 
     def train_batch(self, states, actions, rewards, next_states, terminals) -> float:
         """One minibatch update; returns the mean Huber loss."""
-        q_next_online = self.q_of(self.row, next_states)
-        q_next_target = self.q_of(self.target_row, next_states)
+        q_next_online = self.q_of(self.store.row(), next_states)
+        q_next_target = self.q_of(self.target_store.row(), next_states)
         y = ddql_targets(rewards, next_states, terminals, self.gamma,
                          q_next_online, q_next_target)
         q, cache = self.network.forward(self.stack, states[None], mode="train",
@@ -278,7 +279,7 @@ class DdqlLearner:
                     action = greedy.get(key)
                     if action is None:
                         action = greedy[key] = greedy_action(
-                            self.q_of(self.row, state[None])[0])
+                            self.q_of(self.store.row(), state[None])[0])
                 state, reward, done = self.eval_env.step(action)
                 ep += reward
             total += ep

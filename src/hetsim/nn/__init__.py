@@ -16,7 +16,6 @@ from .layers import (
     count_parameters,
     layer_from_dict,
     output_shape,
-    param_shapes,
 )
 from .losses import cross_entropy, huber
 from .network import (
@@ -39,5 +38,5 @@ __all__ = [
     "Softmax", "backward_chain", "build_layout", "chain_shapes",
     "count_operations", "count_parameters", "cross_entropy", "ensure_finite",
     "forward_chain", "huber", "init_chain_params",
-    "layer_from_dict", "make_keyed", "make_optimizer", "output_shape", "param_shapes",
+    "layer_from_dict", "make_keyed", "make_optimizer", "output_shape",
 ]

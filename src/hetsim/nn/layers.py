@@ -469,11 +469,6 @@ def output_shape(layer: Layer, in_shape: Shape) -> Shape:
     return layer.output_shape(tuple(in_shape))
 
 
-def param_shapes(layer: Layer, in_shape: Shape) -> dict[str, Shape]:
-    """Parameter tensor shapes for ``layer``, keyed by tensor name."""
-    return layer.param_shapes(tuple(in_shape))
-
-
 def chain_shapes(layers: tuple[Layer, ...] | list[Layer], input_shape: Shape) -> list[Shape]:
     """Per-layer output shapes of a sequential chain (validates it composes)."""
     shapes = []

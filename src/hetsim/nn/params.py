@@ -96,6 +96,7 @@ class ParamStore:
         rows = flat.shape[:-1]
         self._views = {key: flat[..., o:o + n].reshape(rows + shape)
                        for key, (o, n, shape) in self._offsets.items()}
+        self._row: ParamStore | None = None  # built by the first row() call
 
     def _twin(self, flat: np.ndarray) -> "ParamStore":
         """A store of this layout over ``flat`` itself, reusing the validated
@@ -151,8 +152,11 @@ class ParamStore:
 
     def row(self) -> "ParamStore":
         """This device's store as a stack of one row: a store of this layout
-        over ``flat`` as a (1, P) view, each view (1, *shape)."""
-        return self._twin(self.flat.reshape(1, self._size))
+        over ``flat`` as a (1, P) view, each view (1, *shape). Built on the first
+        call and returned by every later one, as ``flat`` is never rebound."""
+        if self._row is None:
+            self._row = self._twin(self.flat.reshape(1, self._size))
+        return self._row
 
     def copy(self) -> "ParamStore":
         return self._twin(self.flat.copy())

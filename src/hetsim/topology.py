@@ -322,7 +322,7 @@ class DeviceNetwork:
                 logits.append(base[row])
                 tails.append(None)
                 continue
-            store, rng = stack.rows[d], None if rngs is None else rngs[row]
+            store, rng = stack.stores[d].row(), None if rngs is None else rngs[row]
             try:
                 own, own_cache = net._tail_plan.forward(store, stem_out[row], mode, rng)
                 scale = None
@@ -372,7 +372,7 @@ class DeviceNetwork:
                 d_tails.append(None)
                 continue
             own_cache, scale = tail
-            store, grads = stack.rows[d], stack.grad_rows[d]
+            store, grads = stack.stores[d].row(), stack.grad_stores[d].row()
             d_own = dlogits[d:d + 1]
             if net.is_cascade_complex:
                 d_own = net._branch_drop.backward(store, None, scale, d_own, grads)
@@ -424,9 +424,9 @@ class DeviceStack:
     layers they share, or the whole network if they all train one without
     a merge (one device alone, or homogeneous devices). ``shared`` and
     ``shared_grads`` view the tensors that chain reads, stacked (D, *shape).
-    ``rows[d]`` and ``grad_rows[d]``, built once, are ``stores[d]`` and
-    ``grad_stores[d]`` lifted to one row, for device d's tail. A stack of
-    one row (:meth:`alone`, or a group below) has D = 1.
+    Device d's tail runs on ``stores[d].row()`` and ``grad_stores[d].row()``.
+    A stack of one row (:meth:`alone`, or a group below, both built by
+    :meth:`_rows`) has D = 1.
 
     A stack whose stacked chain reads more than ``GROUP_BYTES`` per device
     steps one device at a time instead: ``groups`` is then one
@@ -444,7 +444,7 @@ class DeviceStack:
 
     GROUP_BYTES = 1 << 17
 
-    def __init__(self, networks, dtype=np.float64, store: ParamStore | None = None):
+    def __init__(self, networks, dtype=np.float64):
         networks = tuple(networks)
         first = networks[0]
         for net in networks:
@@ -453,12 +453,9 @@ class DeviceStack:
                     or net.ends_in_softmax != first.ends_in_softmax):
                 raise ValueError("the devices of a stack must share their first layers, "
                                  "at the same offsets")
-        if store is None:
-            params = np.zeros((len(networks), max(net.count_params() for net in networks)),
-                              dtype)
-            stores = [store_over(net._layout, row) for net, row in zip(networks, params)]
-        else:  # one device over its own vector, a one-row matrix
-            params, stores = store.flat[None], [store]
+        params = np.zeros((len(networks), max(net.count_params() for net in networks)),
+                          dtype)
+        stores = [store_over(net._layout, row) for net, row in zip(networks, params)]
         _, layout = _stacked_chain(networks)
         stacked = (len(networks) == 1 or sum(math.prod(shape) for _, shape in layout)
                    * params.itemsize <= self.GROUP_BYTES)
@@ -475,14 +472,13 @@ class DeviceStack:
     def _set(self, networks, params, stores, grads, grad_stores) -> None:
         self.networks, self.params, self.stores = networks, params, stores
         self.grads, self.grad_stores = grads, grad_stores
-        self.rows = [store.row() for store in stores]
-        self.grad_rows = [g.row() for g in grad_stores]
         self.plan, layout = _stacked_chain(networks)
         self.shared = store_over(layout, params)
         self.shared_grads = store_over(layout, grads)
 
     @classmethod
     def _rows(cls, *arrays) -> "DeviceStack":
+        """A stack of one row over ``_set``'s arrays, made by the caller."""
         rows = cls.__new__(cls)
         rows._set(*arrays)
         rows._groups = []
@@ -495,7 +491,8 @@ class DeviceStack:
     @classmethod
     def alone(cls, network: DeviceNetwork, store: ParamStore) -> "DeviceStack":
         """A stack of one device over its own ``store`` (not a copy)."""
-        return cls([network], store=store)
+        grads = store.zeros_like()
+        return cls._rows((network,), store.flat[None], [store], grads.flat[None], [grads])
 
 
 def count_parameters(topology: BranchedTopology, branch_id: str) -> int:

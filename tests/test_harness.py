@@ -261,7 +261,8 @@ def test_a_non_object_config_rejected():
 
 
 @pytest.mark.parametrize("make_doc", [tiny_supervised_doc, tiny_rl_doc])
-@pytest.mark.parametrize("device_id", ["weak,x", "weak\nx", "weak\rx", "", [1], 1, None])
+@pytest.mark.parametrize("device_id",
+                         ["weak,x", "weak\nx", "weak\rx", '"x', '"q"', "", [1], 1, None])
 def test_device_ids_that_metrics_csv_cannot_hold_rejected(make_doc, device_id):
     doc = _set(make_doc(), ("devices", 1, "id"), device_id)
     with pytest.raises(ConfigError, match=r"devices\[1\]\.id must be a non-empty string"):
@@ -886,6 +887,17 @@ def test_resuming_at_any_clock_value_gives_the_files_of_a_run_never_stopped(stop
             _straight_run_files(task, coordinator)
         assert _output_files(config, resumed, resume=first) == \
             _straight_run_files(task, coordinator)
+
+
+@pytest.mark.parametrize("make_doc", [tiny_supervised_doc, tiny_rl_doc])
+def test_a_seeds_metrics_lines_do_not_depend_on_the_seeds_run_beside_it(tmp_path, make_doc):
+    lines = []
+    for seeds in ([3, 4], [4], [4, 5]):
+        out = tmp_path / "-".join(map(str, seeds))
+        run_experiment(parse_config(make_doc(seeds=seeds)), out)
+        text = (out / "metrics.csv").read_text(encoding="utf-8")
+        lines.append([line for line in text.splitlines() if line.startswith("4,")])
+    assert lines[0] and lines[0] == lines[1] == lines[2]
 
 
 def test_checkpoint_reference_is_validated_and_copied_in():

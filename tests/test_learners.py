@@ -267,7 +267,7 @@ def test_ddql_converges_to_bellman_optimal_q():
         if (step + 1) % 100 == 0:
             learner.copy_target()
     states = np.eye(2)
-    q_net = learner.q_of(learner.row, states)
+    q_net = learner.q_of(learner.store.row(), states)
     q_star = toy_mdp_q_star()
     assert np.abs(q_net - q_star).max() < 0.05, (q_net, q_star)
 
@@ -309,7 +309,7 @@ def _reference_test_epoch(learner, episodes):
         done = False
         ep = 0.0
         while not done:
-            q = learner.q_of(learner.row, state[None])[0]
+            q = learner.q_of(learner.store.row(), state[None])[0]
             action = _epsilon_greedy(q, learner.schedule.test, learner.eval_rng)
             state, reward, done = learner.eval_env.step(action)
             ep += reward
@@ -351,7 +351,7 @@ def test_test_epoch_passes_each_state_once_and_returns_what_a_pass_per_step_does
 
 def _reference_act(learner, state, epsilon):
     """Acting as a forward pass, then the epsilon-greedy rule on the Q-row."""
-    q = learner.q_of(learner.row, state[None])[0]
+    q = learner.q_of(learner.store.row(), state[None])[0]
     return _epsilon_greedy(q, epsilon, learner.act_rng)
 
 
@@ -482,7 +482,7 @@ def test_eval_passes_build_no_cache_and_take_no_snapshot(monkeypatch):
         trainer.validate_and_snapshot()
         np.testing.assert_array_equal(trainer.store.flat, before)
     learner.act(np.array([1.0, 0.0]), 0.0)
-    learner.q_of(learner.target_row, np.eye(2))
+    learner.q_of(learner.target_store.row(), np.eye(2))
     grid_learner.test_epoch(episodes=2)
 
 

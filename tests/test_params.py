@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetsim.nn import Dense, Flatten, ReLU, Sgd, build_layout, make_keyed
-from hetsim.nn.params import ParamStore
+from hetsim.nn.params import ParamStore, store_over
 from hetsim.protocol import Coordinator, sync_round
 
 
@@ -149,3 +149,19 @@ def test_over_reads_the_given_vector_without_copying(dtype):
     assert widened.flat.dtype == dtype and (widened.flat == 1.0).all()
     with pytest.raises(ValueError, match="expected flat length 13"):
         store.over(np.zeros(store.size + 1, dtype=dtype))
+
+
+def test_a_stores_row_is_built_once_over_flat_and_a_derived_store_builds_its_own():
+    store = ParamStore(_layout([(2, 3), (3, 1)]))
+    row = store.row()
+    assert store.row() is row
+    assert row.flat.shape == (1, store.size) and np.shares_memory(row.flat, store.flat)
+    assert row.view(store.keys()[0]).shape == (1, 2, 3)
+    store.set_flat(np.arange(store.size, dtype=np.float64))  # written in place
+    np.testing.assert_array_equal(row.flat[0], store.flat)
+    for other in (store.copy(), store.zeros_like(), store.over(np.ones(store.size)),
+                  store_over(store.layout, np.ones((2, store.size))[1])):
+        own = other.row()
+        assert own is not row and other.row() is own
+        assert np.shares_memory(own.flat, other.flat)
+        assert not np.shares_memory(own.flat, store.flat)
