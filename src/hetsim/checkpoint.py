@@ -65,4 +65,8 @@ def load_checkpoint(path, conf_hash: bytes) -> dict:
     if stored_conf != conf_hash:
         raise CheckpointError("checkpoint was written for a different topology or config "
                               "(only the seeds and the run length may change on resume)")
-    return pickle.loads(body)
+    try:
+        return pickle.loads(body)
+    except Exception as exc:  # a body that matches its checksum can still be damaged
+        raise CheckpointError(f"checkpoint payload cannot be unpickled: "
+                              f"{type(exc).__name__}: {exc}") from exc

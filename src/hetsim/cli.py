@@ -32,8 +32,9 @@ def _cmd_describe(args) -> int:
 
 
 def _cmd_aggregate(args) -> int:
-    rows = read_csv(args.raw_csv)
-    out = args.out or (str(args.raw_csv).rsplit(".", 1)[0] + "_agg.csv")
+    raw = Path(args.raw_csv)
+    rows = read_csv(raw)
+    out = args.out or raw.parent / f"{raw.stem}_agg.csv"
     write_aggregated_csv(rows, out)
     print(f"aggregated {len(rows)} rows into {out}")
     return 0
@@ -65,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_agg = sub.add_parser("aggregate", help="aggregate a raw metrics CSV across seeds")
     p_agg.add_argument("raw_csv", help="path to a raw metrics.csv")
-    p_agg.add_argument("--out", help="output path (default: <raw>_agg.csv)")
+    p_agg.add_argument("--out", help="output path (default: <stem>_agg.csv beside the input)")
     p_agg.set_defaults(func=_cmd_aggregate)
     return parser
 

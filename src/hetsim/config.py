@@ -324,6 +324,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
         for b in (cb, lb):
             if b not in branches:
                 raise ConfigError(f"topology.cascade references unknown branch {b!r}")
+        extra = [b for b in branches if b not in (cb, lb)]
+        if extra:
+            raise ConfigError(f"topology.branches.{extra[0]}: a cascaded topology declares "
+                              f"only its complex and lightweight branches, {cb!r} and {lb!r}")
     elif "cascade" in topo:
         raise ConfigError("topology.cascade is only valid with scheme 'cascaded'")
     try:
@@ -345,9 +349,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
                               f"CR or LF, got {dev['id']!r}")
         if dev["branch"] not in branches:
             raise ConfigError(f"{where}: unknown branch {dev['branch']!r}")
-        if dev["branch"] not in topology.branches:
-            raise ConfigError(f"{where} ({dev['id']!r}): branch {dev['branch']!r} is not "
-                              f"one of the cascade's branches {sorted(topology.branches)}")
         if "optimizer" in dev:
             dev["optimizer"] = _section(dev["optimizer"], OPTIMIZER, f"{where}.optimizer", task)
             try:

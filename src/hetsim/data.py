@@ -11,12 +11,11 @@ CIFAR10_NUM_CLASSES = 10
 
 @dataclass
 class Dataset:
-    """Feature/label arrays plus provenance. Features are finite, labels in range."""
+    """Feature and label arrays. Features are finite, labels in range."""
 
     features: np.ndarray  # (N, ...) real
     labels: np.ndarray    # (N,) integer class indices
     num_classes: int
-    provenance: str = "synthetic"
 
     def __post_init__(self):
         self.features = np.asarray(self.features)
@@ -62,7 +61,7 @@ def generate_synthetic_dataset(num_classes: int, per_class: int, dims: int,
     labels = np.repeat(np.arange(num_classes), per_class)
     features = means[labels] + rng.standard_normal((labels.size, dims))
     order = rng.permutation(labels.size)
-    return Dataset(features[order], labels[order], num_classes, "synthetic")
+    return Dataset(features[order], labels[order], num_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -80,14 +79,14 @@ def load_cifar10_binary(path) -> Dataset:
     n = raw.size // CIFAR10_RECORD_BYTES
     if n == 0:
         return Dataset(np.zeros((0, 32, 32, 3)), np.zeros(0, dtype=np.int64),
-                       CIFAR10_NUM_CLASSES, "cifar10")
+                       CIFAR10_NUM_CLASSES)
     records = raw.reshape(n, CIFAR10_RECORD_BYTES)
     labels = records[:, 0].astype(np.int64)
     if labels.max() > 9:
         raise ValueError(f"{path}: label byte {labels.max()} out of range 0..9")
     planes = records[:, 1:].reshape(n, 3, 32, 32)
     features = planes.transpose(0, 2, 3, 1).astype(np.float64) / 255.0
-    return Dataset(features, labels, CIFAR10_NUM_CLASSES, "cifar10")
+    return Dataset(features, labels, CIFAR10_NUM_CLASSES)
 
 
 def write_cifar10_binary(dataset: Dataset, path) -> None:
@@ -111,7 +110,6 @@ class DataPartition:
     shard_indices: list[np.ndarray]
     train_indices: list[np.ndarray]
     val_indices: list[np.ndarray]
-    fractions: tuple[float, ...]
 
     def shard_size(self, device: int) -> int:
         return int(self.shard_indices[device].size)
@@ -156,4 +154,4 @@ def partition_dataset(dataset: Dataset, fractions, seed: int) -> DataPartition:
         trains.append(shard[split[:n_train]])
         vals.append(shard[split[n_train:]])
         shards.append(shard)
-    return DataPartition(shards, trains, vals, fractions)
+    return DataPartition(shards, trains, vals)

@@ -190,7 +190,11 @@ class _Run:
 
     def load_state_dict(self, state: dict) -> None:
         if state["seed"] != self.seed:
-            raise ValueError("checkpoint seed does not match run seed")
+            raise ckpt.CheckpointError(f"checkpoint is of seed {state['seed']}, the run "
+                                       f"resuming from it is of seed {self.seed}")
+        if len(state["devices"]) != len(self.devices):
+            raise ckpt.CheckpointError(f"checkpoint holds {len(state['devices'])} devices, "
+                                       f"the run {len(self.devices)}")
         setattr(self, self.CLOCK, int(state[self.CLOCK]))
         for dev, dev_state in zip(self.devices, state["devices"]):
             dev[self.LEARNER].load_state_dict(dev_state[self.LEARNER])
@@ -472,7 +476,11 @@ def save_run_checkpoint(run: _Run, path) -> None:
 def load_run_checkpoint(config: ExperimentConfig, seed: int, path) -> _Run:
     state = ckpt.load_checkpoint(path, ckpt.config_hash(config.raw))
     run = make_run(config, seed)
-    run.load_state_dict(state)
+    try:
+        run.load_state_dict(state)
+    except (LookupError, TypeError, ValueError, OverflowError, AttributeError) as exc:
+        raise ckpt.CheckpointError(f"{path}: the checkpoint payload is not a run's state "
+                                   f"({type(exc).__name__}: {exc})") from exc
     return run
 
 

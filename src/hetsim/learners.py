@@ -232,7 +232,7 @@ class DdqlLearner:
         n = len(actions)
         rows = np.arange(n)
         picked = q[0, rows, actions]
-        losses, dpicked = huber(y, picked, delta=1.0)
+        losses, dpicked = huber(y, picked)
         dq = np.zeros_like(q)
         dq[0, rows, actions] = dpicked / n
         grads, = self.network.backward(cache, dq, self.stack)
@@ -338,23 +338,22 @@ class SupervisedTrainer:
     keeps it.
 
     ``stack`` is the :class:`~hetsim.topology.DeviceStack` whose rows hold
-    this device's parameters (``store``) and its peers'; without one, the
-    device is a stack of one over ``store``.
+    this device's parameters (``store``) and its peers'; one device alone
+    is the stack of one over its store (:meth:`DeviceStack.alone`).
     """
 
     def __init__(self, network: DeviceNetwork, store: ParamStore, optimizer: Optimizer,
                  train_x: np.ndarray, train_y: np.ndarray,
                  val_x: np.ndarray, val_y: np.ndarray,
                  rng: np.random.Generator, round_samples: int = 2000,
-                 minibatch_size: int = 32, stack: DeviceStack | None = None,
-                 taken: dict | None = None):
+                 minibatch_size: int = 32, *, stack: DeviceStack, taken: dict):
         if len(train_x) == 0:
             raise ValueError("empty training shard")
         if len(val_x) == 0:
             raise ValueError("empty validation shard")
         self.network = network
         self.store = store
-        self.stack = DeviceStack.alone(network, store) if stack is None else stack
+        self.stack = stack
         self.optimizer = optimizer
         self.train_x, self.train_y = train_x, train_y
         self.val_x, self.val_y = val_x, val_y
@@ -446,7 +445,7 @@ class SupervisedTrainer:
             correct += int((probs[0].argmax(axis=1) == y[lo:lo + chunk]).sum())
         return correct / len(x)
 
-    def validate_and_snapshot(self, taken: dict | None = None) -> float:
+    def validate_and_snapshot(self, taken: dict) -> float:
         """Validation accuracy; snapshots parameters on strict improvement,
         reusing a snapshot in ``taken`` (see the class docstring)."""
         accuracy = self.evaluate(self.val_x, self.val_y)
@@ -455,8 +454,7 @@ class SupervisedTrainer:
             self._take_snapshot(taken)
         return accuracy
 
-    def _take_snapshot(self, taken: dict | None) -> None:
-        taken = {} if taken is None else taken  # not ``or``: the caller's empty map fills
+    def _take_snapshot(self, taken: dict) -> None:
         flat, peer = self.store.flat, taken.get(self.network)
         if peer is not None and same_bits(peer, flat):
             self.snapshot = peer

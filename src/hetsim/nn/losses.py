@@ -55,22 +55,17 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray):
     return (loss if stacked else float(loss)), dlogits
 
 
-def huber(y_true, y_pred, delta: float = 1.0):
-    """Elementwise Huber loss and d(loss)/d(y_pred).
+def huber(y_true, y_pred):
+    """Elementwise Huber loss (delta 1) and d(loss)/d(y_pred), as arrays.
 
-    Quadratic 0.5*e^2 inside |e| <= delta, linear delta*|e| - 0.5*delta^2
-    outside, with e = y_true - y_pred. Continuous and C1 at the seam.
+    Quadratic 0.5*e^2 inside |e| <= 1, linear |e| - 0.5 outside, with
+    e = y_true - y_pred. Continuous and C1 at the seam.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     y_true = np.asarray(y_true, dtype=np.float64)
     y_pred = np.asarray(y_pred, dtype=np.float64)
     e = y_true - y_pred
     abs_e = np.abs(e)
-    quad = abs_e <= delta
-    loss = np.where(quad, 0.5 * e * e, delta * abs_e - 0.5 * delta * delta)
-    # dL/de = e (quadratic) or delta*sign(e) (linear); de/dy_pred = -1
-    dpred = np.where(quad, -e, -delta * np.sign(e))
-    if loss.ndim == 0:
-        return float(loss), float(dpred)
-    return loss, dpred
+    quad = abs_e <= 1.0
+    loss = np.where(quad, 0.5 * e * e, abs_e - 0.5)
+    # dL/de = e (quadratic) or sign(e) (linear); de/dy_pred = -1
+    return loss, np.where(quad, -e, -np.sign(e))

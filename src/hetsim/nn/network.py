@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import Layer, Softmax
+from .layers import Layer
 from .params import LayerKey, ParamKey, ParamStore
 
 
@@ -147,14 +147,12 @@ class ChainCache:
     tapped: np.ndarray | None = None
 
     def backward(self, dy: np.ndarray, store: ParamStore, grads: ParamStore,
-                 from_logits: bool = False, at_tap=None) -> np.ndarray | None:
+                 at_tap=None) -> np.ndarray | None:
         """Backpropagate through the chain; accumulates into ``grads``,
         returns dx (None with ``reads_input``, see the module docstring).
 
         ``store`` must be the store the forward pass read, with the same
         bits in the chain's span, or the cache is stale (``ValueError``).
-        With ``from_logits`` the chain must end in Softmax and ``dy`` is
-        taken w.r.t. that softmax's input (the fused cross-entropy form).
         With a tap, ``at_tap`` is called with the gradient at the tapped
         activation and returns it with the leaving branch's gradient
         added; the pass goes on with what it returns (never called at the
@@ -165,10 +163,6 @@ class ChainCache:
             raise ValueError("parameters changed since the forward pass; the cache "
                              "is stale, rerun forward")
         steps = list(zip(self.keyed_layers, self.per_layer))
-        if from_logits:
-            if not steps or not isinstance(steps[-1][0][1], Softmax):
-                raise ValueError("from_logits requires a Softmax-terminated network")
-            steps.pop()
         dx = np.asarray(dy)
         first = 1 if self.reads_input else 0
         tap = self.tap if at_tap is not None else None
@@ -281,8 +275,8 @@ def forward_chain(keyed_layers: list[KeyedLayer], store: ParamStore, x: np.ndarr
 
 
 def backward_chain(cache: ChainCache, dy: np.ndarray, store: ParamStore,
-                   grads: ParamStore, from_logits: bool = False) -> np.ndarray | None:
+                   grads: ParamStore) -> np.ndarray | None:
     """:meth:`ChainCache.backward` of a :func:`forward_chain` pass, on the
     one rows of ``store`` and ``grads``; returns dx (B, ...) or None."""
-    dx = cache.backward(np.asarray(dy)[None], store.row(), grads.row(), from_logits)
+    dx = cache.backward(np.asarray(dy)[None], store.row(), grads.row())
     return None if dx is None else dx[0]

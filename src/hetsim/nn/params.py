@@ -63,19 +63,9 @@ class ParamStore:
     only :meth:`view`, :meth:`span_of` and ``flat`` serve such a store.
     """
 
-    def __init__(self, layout: list[tuple[ParamKey, tuple[int, ...]]], dtype=np.float64,
-                 flat: np.ndarray | None = None):
+    def __init__(self, layout: list[tuple[ParamKey, tuple[int, ...]]], dtype=np.float64):
         self._set_layout(layout, dtype)
-        if flat is None:
-            flat = np.zeros(self._size, dtype=self._dtype)
-        else:
-            flat = np.asarray(flat, dtype=self._dtype)
-            if flat.shape != (self._size,):
-                raise ValueError(
-                    f"flat vector has length {flat.shape}, store needs ({self._size},)"
-                )
-            flat = flat.copy()
-        self._bind(flat)
+        self._bind(np.zeros(self._size, dtype=self._dtype))
 
     def _set_layout(self, layout, dtype) -> None:
         self._layout = list(layout)
@@ -165,11 +155,6 @@ class ParamStore:
         """A zero-filled store of the same layout and dtype, with its own
         ``flat``; built without re-validating the layout."""
         return self._twin(np.zeros(self._size, dtype=self._dtype))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ParamStore):
-            return NotImplemented
-        return self._layout == other._layout and np.array_equal(self.flat, other.flat)
 
     def __repr__(self) -> str:
         return f"ParamStore({len(self._layout)} tensors, {self._size} scalars, {self._dtype})"

@@ -58,7 +58,6 @@ class CascadeSpec:
 class ParameterPartition:
     """Lengths of the shared and local slices of a device's flat vector."""
 
-    branch_id: str
     shared_len: int
     local_len: int
 
@@ -192,7 +191,7 @@ class DeviceNetwork:
                         for entry in build_layout(keyed, shape)]
         self._layout = shared_layout + local_layout
         self.partition = ParameterPartition(
-            branch_id, sum(math.prod(s) for _, s in shared_layout),
+            sum(math.prod(s) for _, s in shared_layout),
             sum(math.prod(s) for _, s in local_layout))
 
         self._n_shared = len(shared_layout)

@@ -40,12 +40,14 @@ def _chain_grads(keyed_layers: list[KeyedLayer], store: ParamStore, x, label,
     rng = np.random.default_rng(rng_seed)
     out, cache = forward_chain(keyed_layers, store, x, mode=mode, rng=rng)
     grads = store.zeros_like()
-    ends_in_softmax = isinstance(keyed_layers[-1][1], Softmax)
-    if ends_in_softmax:
-        _, dy = cross_entropy(out, _labels_for(out, label))
+    if isinstance(keyed_layers[-1][1], Softmax):
+        # dL/dprobs of the mean cross-entropy, fed back through the Softmax
+        rows, labels = np.arange(out.shape[0]), _labels_for(out, label)
+        dy = np.zeros_like(out)
+        dy[rows, labels] = -1.0 / (out.shape[0] * out[rows, labels])
     else:
         dy = 2.0 * (out - float(label))
-    backward_chain(cache, dy, store, grads, from_logits=ends_in_softmax)
+    backward_chain(cache, dy, store, grads)
     return grads
 
 

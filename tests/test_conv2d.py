@@ -239,7 +239,7 @@ def test_stacked_devices_get_the_bits_of_the_im2col_layer_alone(shape, dtype, bu
     with mock.patch.object(Conv2D, "BLOCK_BYTES", budget):
         y, dx = _run(layer, store_over(layout, params), store_over(layout, grads), x, dy)
     for d in range(2):
-        ref_grads = ParamStore(layout, dtype=dtype, flat=start[d])
+        ref_grads = store_over(layout, start[d].copy())
         ref_y, ref_dx = _run(reference, store_over(layout, params[d]), ref_grads, x[d], dy[d])
         _assert_same_bits(y[d], ref_y, f"device {d} y")
         _assert_same_bits(dx[d], ref_dx, f"device {d} dx")

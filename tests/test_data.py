@@ -99,7 +99,7 @@ def test_writer_loader_roundtrip(tmp_path):
     n = 4
     features = rng.integers(0, 256, size=(n, 32, 32, 3)).astype(np.float64) / 255.0
     labels = rng.integers(0, 10, size=n)
-    original = Dataset(features, labels, 10, "cifar10")
+    original = Dataset(features, labels, 10)
     path = tmp_path / "rt.bin"
     write_cifar10_binary(original, path)
     again = load_cifar10_binary(path)

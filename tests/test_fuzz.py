@@ -1,6 +1,9 @@
 """The two readers of bytes from outside the run, fuzzed: ``load_checkpoint``
 and ``decode_message`` raise only their own errors, on random bytes and on
-truncated and bit-flipped copies of real input."""
+truncated and bit-flipped copies of real input; so does resuming a run from
+a checkpoint whose payload was mangled and given its own checksum."""
+import hashlib
+import pickle
 import tempfile
 from functools import cache
 from pathlib import Path
@@ -11,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from hetsim.checkpoint import CheckpointError, config_hash, load_checkpoint
 from hetsim.config import parse_config
-from hetsim.harness import make_run
+from hetsim.harness import load_run_checkpoint, make_run
 from hetsim.protocol import (
     GradientUpdate,
     ParamBroadcast,
@@ -67,6 +70,55 @@ def test_a_mangled_checkpoint_raises_checkpoint_error(data):
         path.write_bytes(data)
         with pytest.raises(CheckpointError):
             load_checkpoint(path, conf_hash)
+
+
+_BODY = 8 + 32 + 32  # magic and version, config hash, SHA-256 of the payload
+
+
+@st.composite
+def _payloads(draw):
+    """A mangled copy of the real checkpoint's pickled payload."""
+    real, _ = _real_checkpoint()
+    return draw(_mangled(real[_BODY:]))
+
+
+def _resume(body: bytes) -> None:
+    """Resume seed 7 of the tiny supervised doc from the real checkpoint's
+    header over ``body``, with the SHA-256 of ``body``."""
+    real, _ = _real_checkpoint()
+    config = parse_config(tiny_supervised_doc())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.ckpt"
+        path.write_bytes(real[:_BODY - 32] + hashlib.sha256(body).digest() + body)
+        load_run_checkpoint(config, 7, path)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(body=_payloads())
+def test_a_mangled_payload_under_its_own_checksum_resumes_or_raises_checkpoint_error(body):
+    """The stored SHA-256 is of the payload itself, so a damaged payload can
+    carry a matching one: it must not unpickle into any other error."""
+    try:
+        _resume(body)
+    except CheckpointError:
+        pass
+
+
+@pytest.mark.parametrize("payload", [
+    None, [], {}, {"seed": 7}, {"seed": 7, "round": 1, "rows": [], "devices": [{}, {}]},
+    {"seed": 7, "round": "one", "rows": [], "devices": [{}, {}]},
+], ids=["none", "list", "empty", "seed-only", "device-without-state", "bad-clock"])
+def test_a_payload_that_is_not_a_runs_state_raises_checkpoint_error(payload):
+    with pytest.raises(CheckpointError):
+        _resume(pickle.dumps(payload))
+
+
+def test_a_payload_missing_a_device_raises_checkpoint_error():
+    real, _ = _real_checkpoint()
+    state = pickle.loads(real[_BODY:])
+    state["devices"] = state["devices"][:1]  # the run has two
+    with pytest.raises(CheckpointError, match="holds 1 devices, the run 2"):
+        _resume(pickle.dumps(state))
 
 
 @st.composite

@@ -111,7 +111,7 @@ def tiny_cifar_doc(inputs, mode="heterogeneous", real_width=64, channels=(4, 4),
     rng = np.random.default_rng(1234)
     for name, n in zip(("train.bin", "test.bin"), records):
         pixels = rng.integers(0, 256, size=(n, 32, 32, 3)) / 255.0
-        write_cifar10_binary(Dataset(pixels, rng.integers(0, 10, size=n), 10, "cifar10"),
+        write_cifar10_binary(Dataset(pixels, rng.integers(0, 10, size=n), 10),
                              inputs / name)
     opt = {"algorithm": "rmsprop", "learning_rate": 0.001}
     return {

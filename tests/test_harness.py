@@ -47,6 +47,8 @@ from hetsim.metrics import (
 from hetsim.protocol import ProtocolError
 from hetsim.topology import DeviceStack
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 
 def tiny_supervised_doc(mode="heterogeneous", seeds=(7,)):
     return {
@@ -284,7 +286,16 @@ def test_cascaded_device_must_use_a_cascade_branch():
     doc["topology"]["branches"]["extra"] = [{"kind": "dense", "units": 4},
                                             {"kind": "softmax"}]
     doc["devices"][1]["branch"] = "extra"
-    with pytest.raises(ConfigError, match=r"devices\[1\] \('weak'\).*'extra'"):
+    with pytest.raises(ConfigError, match=r"^topology\.branches\.extra: a cascaded "):
+        parse_config(doc)
+
+
+def test_cascaded_topology_rejects_a_branch_outside_its_cascade():
+    # no device uses it, so it would be neither shape-checked nor described
+    doc = json.loads((CONFIGS / "supervised_synthetic.json").read_text())
+    doc["topology"]["branches"]["typo_branch"] = doc["topology"]["branches"]["complex"]
+    with pytest.raises(ConfigError, match=r"^topology\.branches\.typo_branch: .* "
+                                          r"'complex' and 'lightweight'"):
         parse_config(doc)
 
 
@@ -330,7 +341,7 @@ def _tiny_cifar_doc(tmp_path, records=(8, 4)):
     for key, n in zip(("train_path", "test_path"), records):
         path = tmp_path / f"{key}.bin"
         write_cifar10_binary(Dataset(rng.random((n, 32, 32, 3)), rng.integers(0, 10, n),
-                                     10, "cifar10"), path)
+                                     10), path)
         doc["data"][key] = str(path)
     return doc
 
@@ -1120,6 +1131,22 @@ def test_cli_describe_and_run_and_aggregate(tmp_path, capsys):
         "round,device,phase,metric,median,min,max"
 
 
+@pytest.mark.parametrize("raw,want", [
+    ("metrics.csv", "metrics_agg.csv"),
+    ("./metrics", "metrics_agg.csv"),
+    ("run.v2/metrics", "run.v2/metrics_agg.csv"),
+    ("run.v2/metrics.csv", "run.v2/metrics_agg.csv"),
+])
+def test_cli_aggregate_writes_its_default_output_beside_the_input(
+        tmp_path, monkeypatch, capsys, raw, want):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.v2").mkdir()
+    write_csv([MetricsRow(s, 1, "dev", "test", "accuracy", 0.5) for s in (1, 2)], raw)
+    assert cli_main(["aggregate", raw]) == 0
+    assert capsys.readouterr().out.startswith("aggregated 2 rows into ")
+    assert [str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*_agg.csv")] == [want]
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("make_doc,seeds,at", [(tiny_supervised_doc, (7, 8), 2),
                                                (tiny_rl_doc, (3, 4), 50)])
@@ -1192,6 +1219,26 @@ def test_cli_bad_config_and_foreign_checkpoint_are_errors_not_tracebacks(tmp_pat
         err = capsys.readouterr().err
         assert err.startswith(f"hetsim: error: {message}"), err
         assert "Traceback" not in err
+
+
+def test_cli_resuming_from_another_seeds_checkpoint_is_an_error_naming_both_seeds(
+        tmp_path, monkeypatch, capsys):
+    conf_path = tmp_path / "conf.json"
+    conf_path.write_text(json.dumps(tiny_supervised_doc(seeds=(7, 8))))
+    _usable_cpus(monkeypatch, 1)
+    first = tmp_path / "first"
+    assert cli_main(["run", str(conf_path), "--checkpoint-at", "2", "--out", str(first)]) == 0
+    seven, eight = (first / "checkpoints" / f"seed-{s}.ckpt" for s in (7, 8))
+    blob = seven.read_bytes()
+    seven.write_bytes(eight.read_bytes())
+    eight.write_bytes(blob)
+    capsys.readouterr()
+    assert cli_main(["run", str(conf_path), "--resume", str(first),
+                     "--out", str(tmp_path / "resumed")]) == 2
+    err = capsys.readouterr().err
+    assert err == ("hetsim: error: checkpoint is of seed 8, the run resuming from it is "
+                   "of seed 7\n")
+    assert not (tmp_path / "resumed" / "metrics.csv").exists()
 
 
 @pytest.mark.parametrize("make_doc,clock", [(tiny_supervised_doc, r"seed 7, device {}, round 1"),

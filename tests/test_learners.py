@@ -19,7 +19,7 @@ from hetsim.learners import (
 from hetsim.nn import Adam, RmsProp, Sgd
 from hetsim.nn import network as network_module
 from hetsim.nn.network import ChainPlan, NonFiniteError
-from hetsim.topology import DeviceNetwork, build_cascaded, build_share_first
+from hetsim.topology import DeviceNetwork, DeviceStack, build_cascaded, build_share_first
 from hetsim.nn import Dense, ReLU, Softmax
 
 from one_device import forward_alone
@@ -438,7 +438,8 @@ def _blob_trainer(n_per_class=200, separation=100.0, lr=0.005, seed=0,
         net, store, RmsProp(learning_rate=lr),
         ds.features[:n_train], ds.labels[:n_train],
         ds.features[n_train:], ds.labels[n_train:],
-        rng=np.random.default_rng(seed + 1), round_samples=round_samples)
+        rng=np.random.default_rng(seed + 1), round_samples=round_samples,
+        stack=DeviceStack.alone(net, store), taken={})
 
 
 def test_one_round_on_separable_blobs_reaches_95_percent():
@@ -454,10 +455,12 @@ def _cascade_trainer(seed=0):
     topo = build_cascaded([Dense(6), ReLU()], [Dense(5), ReLU(), Dense(2)],
                           [Dense(2), Softmax()], 0.5, (4,))
     net = DeviceNetwork(topo, "complex")
+    store = net.init_store(np.random.default_rng(seed))
     return SupervisedTrainer(
-        net, net.init_store(np.random.default_rng(seed)), RmsProp(learning_rate=0.01),
+        net, store, RmsProp(learning_rate=0.01),
         ds.features[:150], ds.labels[:150], ds.features[150:], ds.labels[150:],
-        rng=np.random.default_rng(seed + 1), round_samples=64)
+        rng=np.random.default_rng(seed + 1), round_samples=64,
+        stack=DeviceStack.alone(net, store), taken={})
 
 
 def test_eval_passes_build_no_cache_and_take_no_snapshot(monkeypatch):
@@ -479,7 +482,7 @@ def test_eval_passes_build_no_cache_and_take_no_snapshot(monkeypatch):
         before = trainer.store.flatten()
         trainer.evaluate(trainer.train_x, trainer.train_y, chunk=40)
         trainer.evaluate(trainer.val_x, trainer.val_y, flat=before + 0.5)
-        trainer.validate_and_snapshot()
+        trainer.validate_and_snapshot({})
         np.testing.assert_array_equal(trainer.store.flat, before)
     learner.act(np.array([1.0, 0.0]), 0.0)
     learner.q_of(learner.target_store.row(), np.eye(2))
@@ -535,7 +538,7 @@ def test_snapshot_tracks_best_validation_round():
         set_val_accuracy(accuracy)
         trainer.store.flat += 0.01  # parameters move between rounds
         marks.append(trainer.store.flatten())
-        got = trainer.validate_and_snapshot()
+        got = trainer.validate_and_snapshot({})
         preds_then.append(got)
     assert preds_then == [0.5, 0.7, 0.6]
     np.testing.assert_array_equal(trainer.snapshot, marks[1])  # round 2 kept
@@ -547,7 +550,7 @@ def test_constant_accuracy_keeps_first_snapshot():
     for _ in range(3):
         trainer.store.flat += 0.01
         marks.append(trainer.store.flatten())
-        trainer.validate_and_snapshot()
+        trainer.validate_and_snapshot({})
     np.testing.assert_array_equal(trainer.snapshot, marks[0])
 
 
@@ -562,4 +565,4 @@ def test_empty_shard_rejected():
         SupervisedTrainer(trainer.network, trainer.store, Sgd(0.1),
                           trainer.train_x[:0], trainer.train_y[:0],
                           trainer.val_x, trainer.val_y,
-                          rng=np.random.default_rng(0))
+                          rng=np.random.default_rng(0), stack=trainer.stack, taken={})

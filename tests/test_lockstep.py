@@ -190,7 +190,7 @@ def _trainers(stacked, seeds=(0, 1, 2)):
         trainers.append(SupervisedTrainer(
             net, store, RmsProp(0.01), x[:30], y[:30], x[30:], y[30:],
             rng=np.random.default_rng(seeds[d]), round_samples=23, minibatch_size=8,
-            stack=stack if stacked else None))
+            stack=stack if stacked else DeviceStack.alone(net, store), taken={}))
     return trainers
 
 

@@ -20,8 +20,8 @@ def _layout(dims):
 def test_flatten_unflatten_is_identity():
     store = ParamStore(_layout([(3, 4), (4, 2)]))
     store.flat[:] = np.arange(store.size, dtype=np.float64)
-    rebuilt = ParamStore(store.layout, flat=store.flatten())
-    assert rebuilt == store
+    rebuilt = store.over(store.flatten())
+    assert rebuilt.layout == store.layout and np.array_equal(rebuilt.flat, store.flat)
     for key in store.keys():
         np.testing.assert_array_equal(rebuilt.view(key), store.view(key))
 
@@ -32,7 +32,7 @@ def test_flatten_unflatten_is_identity():
 def test_flatten_roundtrip_property(dims, seed):
     store = ParamStore(_layout(dims))
     store.flat[:] = np.random.default_rng(seed).normal(size=store.size)
-    again = ParamStore(store.layout, flat=store.flatten())
+    again = store.over(store.flatten())
     assert np.array_equal(again.flat, store.flat)
     store2 = ParamStore(store.layout)
     store2.set_flat(store.flatten())
@@ -64,7 +64,7 @@ def test_wrong_length_vector_rejected():
     with pytest.raises(ValueError):
         store.set_flat(np.zeros(store.size + 1))
     with pytest.raises(ValueError):
-        ParamStore(store.layout, flat=np.zeros(store.size - 1))
+        store.over(np.zeros(store.size - 1))
 
 
 def test_duplicate_keys_rejected():
@@ -101,7 +101,7 @@ def test_copies_have_views_into_their_own_flat():
     store = ParamStore(_layout([(2, 3), (3, 1)]))
     store.flat[:] = 1.0
     for other in (store.copy(), store.zeros_like(),
-                  ParamStore(store.layout, flat=store.flat)):
+                  store.over(store.flatten())):
         assert _aliases_flat(other)
         assert not any(np.shares_memory(other.view(k), store.flat) for k in other.keys())
         other.view(store.keys()[0])[...] = 5.0
