@@ -26,9 +26,10 @@ each device's mask from its own generator, in its own shape; and Conv2D
 runs its kernels one device at a time.
 
 Conv2D keeps its input, not its im2col matrix: it builds the columns in
-blocks of images (forward) and of input channels (weight gradient), each
+blocks of images (forward) and one kernel tap at a time (backward), each
 with the bits of the one product, and keeps the one product where a block
-could not have them (see its docstring).
+or tap could not have them (see its docstring). MaxPool2D walks its
+window's strided taps with a running maximum, and copies no window.
 """
 from __future__ import annotations
 
@@ -130,22 +131,22 @@ class Conv2D(Layer):
     512-image eval chunk) is built or kept. Forward copies the columns of
     as many whole images as fit in ``BLOCK_BYTES`` (at least one) into one
     reused buffer, multiplies each block into its slice of y and adds the
-    bias once. Backward rebuilds the columns ``GRAD_CHANNELS`` input
-    channels at a time, into one reused buffer, for the weight gradient:
-    the swapped product ``(dy2.T @ cols).T``, block by block. It takes the
-    input gradient one kernel tap at a time: for each (i, j), in row-major
-    order, ``dy2 @ w[i, j].T`` goes into one reused (N*Ho*Wo x Cin)
-    buffer, which is added into the tap's strided slice of a zeroed dx.
+    bias once. Backward works one kernel tap at a time, in row-major
+    order. For the weight gradient it copies the tap's strided slice of x
+    into one reused (N*Ho*Wo x Cin) buffer and adds the swapped product
+    ``(dy2.T @ tap).T`` into ``gw[i, j]``. For the input gradient it puts
+    ``dy2 @ w[i, j].T`` into one reused buffer of that shape, which is
+    added into the tap's strided slice of a zeroed dx.
 
     The bits are those of the one im2col product each replaces. A block
     of images is a slice of the same stacked ``np.matmul``, whose slices
-    are separate products. An element of a channel-block or tap product
-    sums the same terms, in the same order, as in the one product, and
-    the taps are added in the same order. That relies on BLAS giving a
-    product element the same bits whatever the width of the other
-    operand, which OpenBLAS's blocked matrix-matrix kernels do. Other
-    kernels sum in another order, so the one product stays where a block
-    could reach them:
+    are separate products. An element of a tap product sums the same
+    terms, in the same order, as in the one product, and the taps are
+    added in the same order. That relies on BLAS giving a product element
+    the same bits whatever the width of the other operand, which
+    OpenBLAS's blocked matrix-matrix kernels do. Other kernels sum in
+    another order, so the one product stays where a block or tap could
+    reach them:
     - columns that are a view of x (``np.reshape`` without a copy, as
       with one input channel and a one-wide window), which BLAS reads
       with another kernel than a copied block;
@@ -153,13 +154,13 @@ class Conv2D(Layer):
       matrix-vector) or taps of under 4096 reals (the small-matrix
       kernels of some cores; SkylakeX: a transposed product of at most
       1200 outputs);
-    - a weight gradient unless Cin is a multiple of ``GRAD_CHANNELS``
-      above it and each block is at least 32 columns wide and takes more
-      than 10**6 multiply-adds. SkylakeX's small-matrix kernels take
-      products of at most 10**6, and under two BLAS threads narrower
-      blocks or widths that are not a multiple of 8 gave other bits
-      (scanned in both float widths at 1 and 2 threads). With one input
-      channel the product is ``cols.T @ dy2``.
+    - a weight gradient unless Cin is a multiple of 8, at least 32, and
+      each tap product takes more than 10**6 multiply-adds. SkylakeX's
+      small-matrix kernels take products of at most 10**6, and under two
+      BLAS threads column blocks narrower than 32 or of widths that are
+      not a multiple of 8 gave other bits (scanned in both float widths
+      at 1 and 2 threads). With one input channel the product is
+      ``cols.T @ dy2``.
 
     The golden metrics digests are the guard on another BLAS.
     """
@@ -170,7 +171,6 @@ class Conv2D(Layer):
     stride: int = 1
 
     BLOCK_BYTES = 1 << 20  # the columns a forward block copies (at least one image)
-    GRAD_CHANNELS = 8  # the input channels of a weight-gradient block
 
     def __post_init__(self):
         if min(self.kh, self.kw, self.out_channels, self.stride) < 1:
@@ -233,33 +233,30 @@ class Conv2D(Layer):
 
     def _param_grads(self, x, dy, gw, gb):
         cin, cout = x.shape[3], dy.shape[3]
-        kk, step = self.kh * self.kw, self.GRAD_CHANNELS
+        n, ho, wo = dy.shape[:3]
+        kh, kw, s = self.kh, self.kw, self.stride
         dy2 = dy.reshape(-1, cout)
-        windows = self._windows(x)
-        if (cin % step or cin == step or step * kk < 32
-                or len(dy2) * cout * step * kk <= _SMALL_GEMM):  # see the class docstring
-            cols2 = windows.reshape(len(dy2), cin * kk)
+        if cin % 8 or cin < 32 or len(dy2) * cin * cout <= _SMALL_GEMM:  # see the class docstring
+            cols2 = self._windows(x).reshape(len(dy2), cin * kh * kw)
             dwmat = (dy2.T @ cols2).T if cin > 1 else cols2.T @ dy2
-        else:  # the columns of ``step`` channels at a time, in one reused buffer
-            cols = np.empty((len(dy2), step * kk), x.dtype)
-            dwt = np.empty((cout, cin * kk), np.result_type(x, dy))
-            for lo in range(0, cin, step):
-                cols.reshape(windows.shape[:3] + (step, self.kh, self.kw))[...] = (
-                    windows[:, :, :, lo:lo + step])
-                np.matmul(dy2.T, cols, out=dwt[:, lo * kk:(lo + step) * kk])
-            dwmat = dwt.T
-        gw[...] += dwmat.reshape(cin, self.kh, self.kw, cout).transpose(1, 2, 0, 3)
+            gw[...] += dwmat.reshape(cin, kh, kw, cout).transpose(1, 2, 0, 3)
+        else:  # one kernel tap at a time, its columns copied into one reused buffer
+            tap = np.empty((n, ho, wo, cin), x.dtype)
+            for i in range(kh):
+                for j in range(kw):
+                    tap[...] = x[:, i:i + ho * s:s, j:j + wo * s:s, :]
+                    gw[i, j] += (dy2.T @ tap.reshape(-1, cin)).T
         gb[...] += dy2.sum(axis=0)
 
     def backward(self, store, key, x, dy, grads):
         self.backward_params(store, key, x, dy, grads)
         w = store.view((key, "w"))
         dx = np.zeros(x.shape, dtype=dy.dtype)
-        for args in zip(x, dy, w, dx):
+        for args in zip(dy, w, dx):
             self._input_grad(*args)
         return dx
 
-    def _input_grad(self, cache, dy, w, dx):
+    def _input_grad(self, dy, w, dx):
         """Add the input gradient into ``dx``, zeros of the input's shape."""
         n, ho, wo, cout = dy.shape
         cin = dx.shape[3]
@@ -296,6 +293,20 @@ class ReLU(Layer):
 
 @dataclass(frozen=True)
 class MaxPool2D(Layer):
+    """Max over non-overlapping ph x pw windows, over the leading (D, N) axes.
+
+    Forward walks the ``ph*pw`` strided taps ``x[..., i::ph, j::pw, :]``
+    in row-major order with a running ``np.maximum``, and records each
+    output's routing index (its tap) with a strict ``>``, so the first
+    maximum wins a tie, as ``argmax`` does. The index is held in the
+    smallest unsigned dtype that holds ``ph*pw - 1``. Backward adds, for
+    each tap, ``dy`` where the index names the tap (0.0 elsewhere) into
+    the tap's strided slice of a zeroed dx. The bits are those of an argmax over copied windows. A
+    window with a NaN gives a NaN, which a chain rejects; its routing
+    index, and which NaN it gives if the window holds NaNs of other bits,
+    may differ from the argmax's.
+    """
+
     ph: int
     pw: int
     drops_non_finite = True
@@ -313,30 +324,29 @@ class MaxPool2D(Layer):
             raise ShapeError(f"MaxPool2D window {self.ph}x{self.pw} too large for {in_shape}")
         return (ho, wo, c)
 
-    # elementwise but for the argmax, over the leading (D, N) axes
     def forward(self, store, key, x, train, rng):
-        *lead, h, w, c = x.shape
         ph, pw = self.ph, self.pw
-        ho = (h - ph) // ph + 1
-        wo = (w - pw) // pw + 1
-        # windows: (..., H-ph+1, W-pw+1, C, ph, pw) -> subsample by the window
-        windows = sliding_window_view(x, (ph, pw), axis=(-3, -2))[..., ::ph, ::pw, :, :, :]
-        flat = windows.reshape(*lead, ho, wo, c, ph * pw)
-        am = flat.argmax(axis=-1)
-        y = np.take_along_axis(flat, am[..., None], axis=-1)[..., 0]
-        return y, (am, x.shape)
+        ho, wo = x.shape[-3] // ph, x.shape[-2] // pw
+        taps = [x[..., i:i + ho * ph:ph, j:j + wo * pw:pw, :]
+                for i in range(ph) for j in range(pw)]
+        y = taps[0].copy()
+        idx = np.zeros(y.shape, np.min_scalar_type(ph * pw - 1))
+        greater = np.empty(y.shape, bool)
+        for k, tap in enumerate(taps[1:], 1):
+            np.greater(tap, y, out=greater)
+            np.putmask(idx, greater, k)
+            np.maximum(tap, y, out=y)  # a +-0.0 tie gives the second operand: y, as argmax
+        return y, (idx, x.shape)
 
     def backward(self, store, key, cache, dy, grads):
-        am, x_shape = cache
-        *lead, ho, wo, c = dy.shape
+        idx, x_shape = cache
         ph, pw = self.ph, self.pw
-        dwin = np.zeros((*lead, ho, wo, c, ph * pw), dtype=dy.dtype)
-        np.put_along_axis(dwin, am[..., None], dy[..., None], axis=-1)
-        dwin = dwin.reshape(*lead, ho, wo, c, ph, pw)
+        ho, wo = dy.shape[-3:-1]
         dx = np.zeros(x_shape, dtype=dy.dtype)
-        for i in range(ph):
-            for j in range(pw):
-                dx[..., i:i + ho * ph:ph, j:j + wo * pw:pw, :] += dwin[..., i, j]
+        for k in range(ph * pw):
+            i, j = divmod(k, pw)
+            # added into the zeros, not copied: a -0.0 gradient lands as +0.0
+            dx[..., i:i + ho * ph:ph, j:j + wo * pw:pw, :] += np.where(idx == k, dy, 0.0)
         return dx
 
 

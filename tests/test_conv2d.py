@@ -9,9 +9,9 @@ scattered tap by tap. The layer keeps only its input, and must give the
 same bits, in float32 and float64, alone (on its store's one row) and on
 two stacked rows: with its forward in blocks of whole images (one image
 each, under a patched budget), with columns that are a view of the
-input, with its weight gradient in blocks of input channels or in one
-product (the shapes on both sides of the block rule), and with its input
-gradient per tap or in one product. Memory guards check what the layer
+input, with its weight gradient per kernel tap or in one product (the
+shapes on both sides of the tap rule), and with its input gradient per
+tap or in one product. Memory guards check what the layer
 keeps and builds.
 """
 import json
@@ -138,15 +138,16 @@ SHAPES = {
     "small-taps-long-sums": (8, 6, 6, 8, 3, 3, 32, 1),  # BLAS small-matrix kernels
     "just-per-tap": (8, 10, 10, 8, 3, 3, 32, 1),  # 512 rows x 8 channels per tap
     "view-columns": (2, 1, 3, 1, 1, 2, 1, 1),  # a copied block would differ here
-    # 8-channel weight-gradient blocks of 72 x 32 outputs: 400 rows make
-    # 921,600 multiply-adds per block (one product), 441 rows 1,016,064 (blocks)
+    # 16 input channels, so one weight-gradient product on either side of
+    # 10**6 multiply-adds per block of 8 channels (the rule before the
+    # per-tap weight gradient; a per-tap product there differs)
     "channel-blocks-just-below-1e6": (1, 22, 22, 16, 3, 3, 32, 1),
     "channel-blocks-just-above-1e6": (1, 23, 23, 16, 3, 3, 32, 1),
-    # blocks of 32 x 37 = 1,184 and 32 x 38 = 1,216 outputs, the small-kernel
-    # size of a transposed SkylakeX product
+    # products of 32 x 37 = 1,184 and 32 x 38 = 1,216 outputs per 8-channel
+    # block, the small-kernel size of a transposed SkylakeX product
     "channel-blocks-just-below-1200-outputs": (4, 20, 20, 24, 2, 2, 37, 1),
     "channel-blocks-just-above-1200-outputs": (4, 20, 20, 24, 2, 2, 38, 1),
-    "channel-blocks-1x1": (4, 20, 20, 32, 1, 1, 64, 1),  # 8-column blocks: one product
+    "channel-blocks-1x1": (4, 20, 20, 32, 1, 1, 64, 1),  # one tap, whose columns are x
     "channel-blocks-five": (8, 12, 12, 40, 3, 3, 24, 1),
     # 2x2 kernels over 24 channels with 150 or 151 outputs: under two BLAS
     # threads the swapped weight-gradient product differs from ``cols.T @ dy2``
@@ -154,6 +155,15 @@ SHAPES = {
     "wide-outputs-151": (2, 10, 10, 24, 2, 2, 151, 1),
     "wide-outputs-150-blocks": (4, 10, 10, 24, 2, 2, 150, 1),
     "wide-outputs-151-blocks": (4, 10, 10, 24, 2, 2, 151, 1),
+    # the per-tap weight-gradient rule: 32 input channels with R*Cout*Cin
+    # (R = N*Ho*Wo rows) at 10**6 (625 x 50 x 32: one product) and just
+    # above it (391 x 80 x 32 = 1,000,960: taps)
+    "per-tap-grad-at-1e6": (1, 27, 27, 32, 3, 3, 50, 1),
+    "per-tap-grad-just-above-1e6": (1, 19, 25, 32, 3, 3, 80, 1),
+    # 1,600 x 40 x 24 = 1,536,000, but 24 channels: one product
+    "per-tap-grad-cin-24": (16, 12, 12, 24, 3, 3, 40, 1),
+    "per-tap-grad-cin-40": (16, 12, 12, 40, 3, 3, 24, 1),  # 1,600 x 24 x 40: taps
+    "atari-4x4-s2-per-tap": (32, 20, 20, 32, 4, 4, 64, 2),  # 2,592 x 64 x 32: taps
 }
 
 
@@ -291,9 +301,30 @@ def test_forward_and_backward_build_no_im2col_matrix():
     finally:
         tracemalloc.stop()
     peak -= before
-    # the output (3.2 MB) and then one weight-gradient block of 8 channels
-    # (7.2 MB) are the most that is live
+    # the output (3.2 MB), then one tap's columns for the weight gradient
+    # (3.2 MB) or dx and one tap product are the most that is live
     assert peak < cols_bytes / 3, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_the_weight_gradient_copies_one_tap_at_a_time():
+    # the CIFAR stem's second conv at batch 16: one tap's columns are
+    # 16*28*28 x 32 float64 reals, 3.2 MB; the 8-channel blocks it used
+    # before were 7.2 MB
+    n, h, w, cin, cout = 16, 30, 30, 32, 32
+    layer = Conv2D(3, 3, cout)
+    layout = build_layout(make_keyed("net", [layer]), (h, w, cin))
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(1, n, h, w, cin))
+    dy = rng.normal(size=(1, n, h - 2, w - 2, cout))
+    grads = ParamStore(layout)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        layer.backward_params(None, ("net", 0), x, dy, grads.row())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 5e6, f"peak {(peak - before) / 1e6:.2f} MB"
 
 
 def test_an_eval_pass_of_the_cifar_network_builds_no_im2col_matrix():
