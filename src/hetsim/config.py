@@ -21,8 +21,8 @@ from .gridworld import GridWorld
 from .nn.layers import layer_from_dict
 from .nn.optim import make_optimizer
 from .protocol import COORDINATOR_MODES, WEIGHTINGS
-from .topology import (BranchedTopology, build_cascaded, build_share_first,
-                       count_parameters)
+from .topology import (BranchedTopology, DeviceNetwork, build_cascaded, build_share_first,
+                       count_parameters, weakest_branch)
 
 TASKS = ("supervised", "rl")
 MODES = ("isolated", "homogeneous", "heterogeneous")
@@ -251,6 +251,13 @@ class RlConfig:
     warmup_steps: int | None = None  # default: replay capacity / 20 per device
     test_episodes: int = 1
 
+    def warmup(self, replay_capacity: int) -> int:
+        """The replay size at which a device with this capacity starts to
+        train: ``warmup_steps``, by default ``replay_capacity // 20``, and at
+        least one batch."""
+        return max(self.batch_size, replay_capacity // 20 if self.warmup_steps is None
+                   else self.warmup_steps)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -292,7 +299,7 @@ def _check_array_sizes(topology: BranchedTopology, devices, mode: str, task: str
                                   f"array can hold")
             shape = layer.output_shape(shape)
     if mode == "homogeneous":  # every device trains the weakest branch's network
-        counts = [min(count_parameters(topology, b) for b in topology.branches)] * len(devices)
+        counts = [count_parameters(topology, weakest_branch(topology))] * len(devices)
     else:
         counts = [count_parameters(topology, dev.branch) for dev in devices]
     for i, (dev, count) in enumerate(zip(devices, counts)):
@@ -304,6 +311,21 @@ def _check_array_sizes(topology: BranchedTopology, devices, mode: str, task: str
         raise ConfigError(f"devices: {len(devices)} devices of up to {max(counts)} "
                           f"{real_width}-bit parameters, more than the {limit} that one "
                           f"array of their vectors can hold")
+
+
+def check_data_shapes(topology: BranchedTopology, data_in: tuple, data_out: tuple) -> None:
+    """The topology must take the data's input and give one output per class
+    or action. An RL run checks its environment when it is built, so that
+    ``describe`` takes ``configs/atari_topologies.json``, whose networks are
+    for an environment hetsim lacks."""
+    if tuple(topology.input_shape) != data_in:
+        raise ConfigError(f"topology.input_shape {tuple(topology.input_shape)} does not "
+                          f"match the data's {data_in}")
+    for branch_id in topology.branches:
+        out = topology.branch_output_shape(branch_id)
+        if out != data_out:
+            raise ConfigError(f"topology.branches.{branch_id} outputs {out}, the data "
+                              f"needs {data_out}")
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -373,12 +395,21 @@ def parse_config(doc: dict) -> ExperimentConfig:
         total = sum(d.data_fraction for d in devices)
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"data fractions sum to {total}, expected 1")
+        if source == "synthetic":
+            check_data_shapes(topology, (data["dims"],), (data["num_classes"],))
+        else:  # CIFAR-10
+            check_data_shapes(topology, (32, 32, 3), (10,))
+        # the loss reads each trained network's output as class probabilities
+        for branch in ([weakest_branch(topology)] if top["mode"] == "homogeneous"
+                       else [dev.branch for dev in devices]):
+            if not DeviceNetwork(topology, branch).ends_in_softmax:
+                raise ConfigError(f"topology.branches.{branch} must end with a softmax "
+                                  f"layer: a supervised network outputs probabilities")
     else:
         rl = top["rl"] = RlConfig(**_section(top["rl"], RL, "rl", task))
-        # DdqlLearner trains once its replay holds this many transitions;
-        # the default warmup, capacity // 20, always fits
-        warmup = max(rl.batch_size, rl.warmup_steps or 0)
         for i, dev in enumerate(devices):
+            # the device trains once its replay holds this many transitions
+            warmup = rl.warmup(dev.replay_capacity)
             if dev.replay_capacity < warmup:
                 raise ConfigError(
                     f"devices[{i}] ({dev.id!r}): replay_capacity {dev.replay_capacity} is "

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, DeviceConfig, ExperimentConfig
+from .config import ConfigError, DeviceConfig, ExperimentConfig, check_data_shapes
 from .data import Dataset, generate_synthetic_dataset, load_cifar10_binary, partition_dataset
 from .fileio import atomic_open
 from .gridworld import GridWorld
@@ -37,14 +37,8 @@ from .nn.optim import make_optimizer
 from .protocol import Coordinator, sync_round
 from .rng import child_rng, child_seed
 from .topology import (BranchedTopology, DeviceNetwork, DeviceStack, build_share_first,
-                       count_parameters)
+                       count_parameters, weakest_branch)
 from . import checkpoint as ckpt
-
-
-def weakest_branch(topology: BranchedTopology) -> str:
-    """The branch whose full network has the fewest parameters."""
-    return min(topology.branches,
-               key=lambda b: (count_parameters(topology, b), b))
 
 
 def full_share_network(topology: BranchedTopology, branch_id: str) -> DeviceNetwork:
@@ -60,34 +54,15 @@ def build_device_network(config: ExperimentConfig, device: DeviceConfig) -> Devi
     return DeviceNetwork(config.topology, device.branch)
 
 
-def _init_device_stores(networks: list[DeviceNetwork], config: ExperimentConfig,
-                        seed: int, stores=None) -> list:
-    """Each device's initialized store, into ``stores`` if given, in device order.
-
-    Every device's shared block holds the same draws from the "shared"
-    stream (the devices' shared blocks have one layout), so they are drawn
-    once, into the first device's store, and copied into the others'. Each
-    local block draws from its device's own stream.
-    """
-    out = []
-    for net, dev_cfg, store in zip(networks, config.devices, stores or [None] * len(networks)):
-        store = net.init_store(None if out else child_rng(seed, "init", "shared"),
-                               child_rng(seed, "init", dev_cfg.id), config.dtype, store)
-        if out:
-            shared_len = net.partition.shared_len
-            store.flat[:shared_len] = out[0].flat[:shared_len]
-        out.append(store)
-    return out
-
-
 class _Run:
     """One seed's devices, coordinator, sync logging, run loop and checkpoints.
 
-    Subclasses name their clock attribute (``CLOCK``) and the device key of
-    their learner (``LEARNER``), set the clock's last value (``end``), build
-    each device's learner in :meth:`_make_learner`, and define one tick of
-    the clock (``_tick``) and the rows written after the last one
-    (:meth:`finalize`).
+    The devices' parameters are the rows of one :class:`DeviceStack`,
+    ``stack``. Subclasses name their clock attribute (``CLOCK``) and the
+    device key of their learner (``LEARNER``), set the clock's last value
+    (``end``), build each device's learner in :meth:`_make_learner`, and
+    define one tick of the clock (``_tick``) and the rows written after the
+    last one (:meth:`finalize`).
     """
 
     CLOCK: str
@@ -109,10 +84,16 @@ class _Run:
             if key not in nets:
                 nets[key] = build_device_network(config, dev_cfg)
             networks.append(nets[key])
-        stores = self._make_stores(networks)
+        self.stack = DeviceStack(networks, config.dtype)
+        stores = self.stack.stores
         for i, (dev_cfg, net, store) in enumerate(zip(config.devices, networks, stores)):
-            learner, data_size = self._make_learner(
-                i, dev_cfg, net, store, make_optimizer(dev_cfg.optimizer))
+            # the shared blocks have one layout: drawn once from the "shared"
+            # stream, into the first store, and copied into the others
+            net.init_store(store, None if i else child_rng(seed, "init", "shared"),
+                           child_rng(seed, "init", dev_cfg.id))
+            store.flat[:net.partition.shared_len] = stores[0].flat[:net.partition.shared_len]
+            learner, data_size = self._make_learner(i, dev_cfg,
+                                                    make_optimizer(dev_cfg.optimizer))
             self.devices.append({"cfg": dev_cfg, "net": net, "store": store,
                                  self.LEARNER: learner})
             data_sizes.append(data_size)
@@ -123,13 +104,9 @@ class _Run:
                 [dev["store"].flat[:dev["net"].partition.shared_len]
                  for dev in self.devices])
 
-    def _make_stores(self, networks: list[DeviceNetwork]) -> list:
-        """Each device's initialized parameter store, in device order."""
-        return _init_device_stores(networks, self.config, self.seed)
-
-    def _make_learner(self, index: int, dev_cfg: DeviceConfig, net: DeviceNetwork,
-                      store, optimizer):
-        """The device's learner and the data size its merge weight uses."""
+    def _make_learner(self, index: int, dev_cfg: DeviceConfig, optimizer):
+        """Device ``index``'s learner, on its row of ``stack``, and the data
+        size its merge weight uses."""
         raise NotImplementedError
 
     def run(self, checkpoint_at: int | None = None, path=None) -> list[MetricsRow]:
@@ -306,14 +283,11 @@ class SupervisedRun(_Run):
                                               self.partition.val_indices)]
         super().__init__(config, seed)
 
-    def _make_stores(self, networks):
-        # the devices step in lockstep: their parameters are the rows of one stack
-        self.stack = DeviceStack(networks, self.config.dtype)
-        return _init_device_stores(networks, self.config, self.seed, self.stack.stores)
-
-    def _make_learner(self, index, dev_cfg, net, store, optimizer):
+    def _make_learner(self, index, dev_cfg, optimizer):
+        # the devices step in lockstep, on the whole stack
         trainer = SupervisedTrainer(
-            net, store, optimizer, *self._shards[index],
+            self.stack.networks[index], self.stack.stores[index], optimizer,
+            *self._shards[index],
             rng=child_rng(self.seed, "train", dev_cfg.id),
             round_samples=self.config.supervised.round_samples,
             minibatch_size=self.config.supervised.minibatch_size, stack=self.stack,
@@ -389,15 +363,17 @@ class RlRun(_Run):
         if config.rl is None:
             raise ValueError("config has no rl section")
         rl = config.rl
+        env = _make_env(config.environment, rng=None)
+        check_data_shapes(config.topology, (env.state_dim,), (env.n_actions,))
         self.end = rl.total_steps
         self.schedule = EpsilonSchedule(rl.epsilon_start, rl.epsilon_end,
                                         rl.epsilon_decay_steps, rl.epsilon_test)
         super().__init__(config, seed)
 
-    def _make_learner(self, index, dev_cfg, net, store, optimizer):
+    def _make_learner(self, index, dev_cfg, optimizer):
         seed, rl = self.seed, self.config.rl
         learner = DdqlLearner(
-            net, store, optimizer,
+            self.stack.rows[index], optimizer,
             env=_make_env(self.config.environment, child_rng(seed, "env", dev_cfg.id)),
             eval_env=_make_env(self.config.environment,
                                child_rng(seed, "eval-env", dev_cfg.id)),
@@ -406,7 +382,7 @@ class RlRun(_Run):
             replay_rng=child_rng(seed, "replay", dev_cfg.id),
             eval_rng=child_rng(seed, "eval-act", dev_cfg.id),
             gamma=rl.gamma, batch_size=rl.batch_size,
-            warmup_steps=rl.warmup_steps)
+            warmup_steps=rl.warmup(dev_cfg.replay_capacity))
         return learner, dev_cfg.replay_capacity
 
     def play_step(self) -> None:
@@ -443,28 +419,7 @@ class RlRun(_Run):
 # Entry points
 # ---------------------------------------------------------------------------
 
-def _check_data_shapes(config: ExperimentConfig) -> None:
-    """The topology must take the data's input and give one output per class or action."""
-    if config.task == "rl":
-        env = _make_env(config.environment, rng=None)
-        data_in, data_out = (env.state_dim,), (env.n_actions,)
-    elif config.data["source"] == "synthetic":
-        data_in, data_out = (config.data["dims"],), (config.data["num_classes"],)
-    else:  # CIFAR-10
-        data_in, data_out = (32, 32, 3), (10,)
-    topo = config.topology
-    if tuple(topo.input_shape) != data_in:
-        raise ConfigError(f"topology.input_shape {tuple(topo.input_shape)} does not "
-                          f"match the data's {data_in}")
-    for branch_id in topo.branches:
-        out = topo.branch_output_shape(branch_id)
-        if out != data_out:
-            raise ConfigError(f"topology.branches.{branch_id} outputs {out}, the data "
-                              f"needs {data_out}")
-
-
 def make_run(config: ExperimentConfig, seed: int):
-    _check_data_shapes(config)
     return SupervisedRun(config, seed) if config.task == "supervised" else RlRun(config, seed)
 
 

@@ -1,8 +1,9 @@
 """Per-device training loops: double deep Q-learning and round-based
 supervised training.
 
-Both learners own their device's parameters and optimizer; the rest of
-the system touches only the shared slice of those parameters, which the
+Both learners train their device's parameters, a row of a
+:class:`~hetsim.topology.DeviceStack`, with their own optimizer; the rest
+of the system touches only the shared slice of those parameters, which the
 coordinator reads and overwrites at a sync. All randomness comes from
 generators injected at construction.
 """
@@ -166,22 +167,26 @@ class DdqlLearner:
 
     The environment must expose reset() -> state, step(a) -> (state, reward,
     terminal) and n_actions. ``eval_env`` is a separate instance used for
-    test epochs so they never disturb the training episode. The learner
-    trains as a stack of one over ``store`` and reads Q-values on
-    ``store.row()`` and ``target_store.row()``.
+    test epochs so they never disturb the training episode.
+
+    The learner trains on ``stack``, a stack of one row, such as its
+    device's row of a run's :class:`~hetsim.topology.DeviceStack`: devices
+    act at their own rates, so each steps alone. Its network and ``store``
+    are the row's; ``target_store`` is a copy. Q-values are read on
+    ``store.row()`` and ``target_store.row()``. Training starts once the
+    replay holds ``warmup_steps`` transitions (``RlConfig.warmup``).
     """
 
-    def __init__(self, network: DeviceNetwork, store: ParamStore, optimizer: Optimizer,
+    def __init__(self, stack: DeviceStack, optimizer: Optimizer,
                  env, eval_env, replay: ReplayBuffer, schedule: EpsilonSchedule,
                  act_rng: np.random.Generator, replay_rng: np.random.Generator,
-                 eval_rng: np.random.Generator, gamma: float = 0.99,
-                 batch_size: int = 32, warmup_steps: int | None = None):
+                 eval_rng: np.random.Generator, gamma: float, batch_size: int,
+                 warmup_steps: int):
         if not 0.0 < gamma < 1.0:
             raise ValueError("gamma must be in (0, 1)")
-        self.network = network
-        self.store = store
-        self.stack = DeviceStack.alone(network, store)  # trains as a stack of one
-        self.target_store = store.copy()
+        self.stack = stack
+        (self.network,), (self.store,) = stack.networks, stack.stores
+        self.target_store = self.store.copy()
         self.optimizer = optimizer
         self.env = env
         self.eval_env = eval_env
@@ -191,11 +196,9 @@ class DdqlLearner:
         self.replay_rng = replay_rng
         self.eval_rng = eval_rng
         self.gamma = gamma
-        self.n_actions = math.prod(network.output_shape())
+        self.n_actions = math.prod(self.network.output_shape())
         self.batch_size = batch_size
-        if warmup_steps is None:
-            warmup_steps = max(batch_size, replay.capacity // 20)
-        self.warmup_steps = max(warmup_steps, batch_size)
+        self.warmup_steps = warmup_steps
         self.steps = 0  # device-local interaction count
         self._state = None
 
@@ -338,15 +341,16 @@ class SupervisedTrainer:
     keeps it.
 
     ``stack`` is the :class:`~hetsim.topology.DeviceStack` whose rows hold
-    this device's parameters (``store``) and its peers'; one device alone
-    is the stack of one over its store (:meth:`DeviceStack.alone`).
+    this device's parameters (``store``) and its peers', in device order;
+    a device that trains alone has a stack of one, such as
+    ``DeviceStack([network])``.
     """
 
     def __init__(self, network: DeviceNetwork, store: ParamStore, optimizer: Optimizer,
                  train_x: np.ndarray, train_y: np.ndarray,
                  val_x: np.ndarray, val_y: np.ndarray,
-                 rng: np.random.Generator, round_samples: int = 2000,
-                 minibatch_size: int = 32, *, stack: DeviceStack, taken: dict):
+                 rng: np.random.Generator, round_samples: int,
+                 minibatch_size: int, *, stack: DeviceStack, taken: dict):
         if len(train_x) == 0:
             raise ValueError("empty training shard")
         if len(val_x) == 0:

@@ -150,10 +150,12 @@ class Conv2D(Layer):
     - columns that are a view of x (``np.reshape`` without a copy, as
       with one input channel and a one-wide window), which BLAS reads
       with another kernel than a copied block;
-    - an input gradient with one input channel (a tap product would be
-      matrix-vector) or taps of under 4096 reals (the small-matrix
-      kernels of some cores; SkylakeX: a transposed product of at most
-      1200 outputs);
+    - an input gradient unless Cin is a multiple of 8 and each tap holds
+      at least 4096 reals. With one input channel a tap product would be
+      matrix-vector; smaller taps reach the small-matrix kernels of some
+      cores (SkylakeX: a transposed product of at most 1200 outputs); and
+      with Cin of 33 or 36, say, about 1-3% of the tap products' elements
+      had other bits in float64 under one and two BLAS threads;
     - a weight gradient unless Cin is a multiple of 8, at least 32, and
       each tap product takes more than 10**6 multiply-adds. SkylakeX's
       small-matrix kernels take products of at most 10**6, and under two
@@ -262,7 +264,7 @@ class Conv2D(Layer):
         cin = dx.shape[3]
         kh, kw, s = self.kh, self.kw, self.stride
         dy2 = dy.reshape(-1, cout)
-        per_tap = cin > 1 and len(dy2) * cin >= 4096  # see the class docstring
+        per_tap = cin % 8 == 0 and len(dy2) * cin >= 4096  # see the class docstring
         if per_tap:
             tap = np.empty((len(dy2), cin), dtype=np.result_type(dy, w))
         else:

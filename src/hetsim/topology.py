@@ -225,28 +225,23 @@ class DeviceNetwork:
 
     # -- construction ------------------------------------------------------
 
-    def init_store(self, shared_rng: np.random.Generator | None,
-                   local_rng: np.random.Generator | None = None,
-                   dtype=np.float64, store: ParamStore | None = None) -> ParamStore:
-        """Initialize parameters; shared tensors draw from ``shared_rng``.
+    def init_store(self, store: ParamStore, shared_rng: np.random.Generator | None,
+                   local_rng: np.random.Generator | None = None) -> None:
+        """Initialize ``store``, of this network's layout (a device's store
+        of a :class:`DeviceStack`); shared tensors draw from ``shared_rng``.
 
         Devices that agree on the topology and ``shared_rng`` stream get
         bit-identical shared blocks, which is how the coordinator and all
-        devices start from one broadcast state. The values go into
-        ``store`` (of this network's layout, such as a :class:`DeviceStack`
-        row) if one is given, else into a new store of ``dtype``. Without
-        ``shared_rng`` the shared block is left as it is, for a caller that
-        copies in one drawn already.
+        devices start from one broadcast state. Without ``shared_rng`` the
+        shared block is left as it is, for a caller that copies in one drawn
+        already.
         """
-        if store is None:
-            store = ParamStore(self._layout, dtype)
         if shared_rng is not None:
             for keyed, shape in self._shared:
                 init_chain_params(keyed, shape, store, shared_rng)
         rng = local_rng if local_rng is not None else shared_rng
         for keyed, shape in self._local:
             init_chain_params(keyed, shape, store, rng)
-        return store
 
     def count_params(self) -> int:
         return self.partition.total_len
@@ -264,11 +259,11 @@ class DeviceNetwork:
         mode), and the output is (D, B, C), row d with the bits of device
         d's network alone. The stack's chain (``DeviceStack.plan``) runs
         once for all devices, then each device's tail, if it has one, on
-        its one row, and the final softmax once. One device alone is the
-        stack of one over its store (:meth:`DeviceStack.alone`), D = 1.
+        its one row, and the final softmax once. One device alone is a
+        stack of one row, such as a row of a larger stack, D = 1.
         """
         _check_stack("forward", stack)
-        if stack._groups:
+        if not stack._stacked:
             raise ValueError("this stack steps a group at a time, see DeviceStack.groups")
         out, stacked_cache = stack.plan.forward(stack.shared, x, mode, rng)
         tails = None  # the stacked chain's output is every device's logits
@@ -397,7 +392,7 @@ class DeviceNetwork:
 def _check_stack(what: str, stack) -> None:
     if not isinstance(stack, DeviceStack):
         raise TypeError(f"{what} takes a DeviceStack, not {type(stack).__name__}; for "
-                        f"one device's store, pass DeviceStack.alone(network, store)")
+                        f"one device, pass DeviceStack([network]) or a row of a stack")
 
 
 def _stacked_chain(networks) -> tuple[ChainPlan, list]:
@@ -421,24 +416,27 @@ class DeviceStack:
     one over a row of ``grads``, its gradients. :meth:`DeviceNetwork.forward`
     on the stack runs one chain, ``plan``, once for all of its devices: the
     layers they share, or the whole network if they all train one without
-    a merge (one device alone, or homogeneous devices). ``shared`` and
+    a merge (homogeneous devices, or one device). ``shared`` and
     ``shared_grads`` view the tensors that chain reads, stacked (D, *shape).
     Device d's tail runs on ``stores[d].row()`` and ``grad_stores[d].row()``.
-    A stack of one row (:meth:`alone`, or a group below, both built by
-    :meth:`_rows`) has D = 1.
 
-    A stack whose stacked chain reads more than ``GROUP_BYTES`` per device
-    steps one device at a time instead: ``groups`` is then one
-    stack of one row per device, over the same ``params`` and all over the
-    one row of ``grads``. Stacking saves per-call overhead on small layers
-    (two devices of 363 shared float64 reals), but wide ones cost more
-    stacked than one at a time (eight devices of 72,714 took about a third
-    longer), and stacked devices hold their activations at once (two CIFAR
-    stems of 25,834 shared reals: 27 MB more at peak). Otherwise
-    ``groups`` is ``[self]``.
+    ``rows[d]`` is device d's stack of one row, D = 1, over
+    ``params[d:d + 1]`` and ``stores[d]`` (not copies), and over the
+    gradient row of ``grad_stores[d]``. A device that trains alone, as an
+    RL device does, trains on its row; a row has no ``rows`` of its own.
 
-    The networks must agree on their shared layers and on whether their
-    output is a softmax, or the constructor raises ``ValueError``.
+    ``groups`` are the stacks that a pass steps one after another: ``[self]``,
+    or ``rows`` if the networks differ in whether their output is a softmax
+    (a stacked pass applies one) or the stacked chain reads more than
+    ``GROUP_BYTES`` per device. ``grads`` then has one row, which every
+    ``grad_stores[d]`` is over. Stacking saves per-call overhead on small
+    layers (two devices of 363 shared float64 reals), but wide ones cost
+    more stacked than one at a time (eight devices of 72,714 took about a
+    third longer), and stacked devices hold their activations at once (two
+    CIFAR stems of 25,834 shared reals: 27 MB more at peak).
+
+    The networks must agree on their shared layers, or the constructor
+    raises ``ValueError``.
     """
 
     GROUP_BYTES = 1 << 17
@@ -448,25 +446,27 @@ class DeviceStack:
         first = networks[0]
         for net in networks:
             if (net._layout[:net._n_shared] != first._layout[:first._n_shared]
-                    or net._stack_plan.keyed_layers != first._stack_plan.keyed_layers
-                    or net.ends_in_softmax != first.ends_in_softmax):
+                    or net._stack_plan.keyed_layers != first._stack_plan.keyed_layers):
                 raise ValueError("the devices of a stack must share their first layers, "
                                  "at the same offsets")
         params = np.zeros((len(networks), max(net.count_params() for net in networks)),
                           dtype)
         stores = [store_over(net._layout, row) for net, row in zip(networks, params)]
         _, layout = _stacked_chain(networks)
-        stacked = (len(networks) == 1 or sum(math.prod(shape) for _, shape in layout)
-                   * params.itemsize <= self.GROUP_BYTES)
-        grads = np.zeros((len(networks) if stacked else 1, params.shape[1]), params.dtype)
-        self._set(networks, params, stores, grads,
-                  [store_over(net._layout, grads[d if stacked else 0])
-                   for d, net in enumerate(networks)])
+        self._stacked = len(networks) == 1 or (
+            all(net.ends_in_softmax == first.ends_in_softmax for net in networks)
+            and sum(math.prod(shape) for _, shape in layout) * params.itemsize
+            <= self.GROUP_BYTES)
+        grads = np.zeros((len(networks) if self._stacked else 1, params.shape[1]),
+                         params.dtype)
+        grad_stores = [store_over(net._layout, grads[d if self._stacked else 0])
+                       for d, net in enumerate(networks)]
+        self._set(networks, params, stores, grads, grad_stores)
         # no list holds the stack itself: that cycle would keep its arrays
         # alive until the garbage collector ran
-        self._groups = [] if stacked else [
-            DeviceStack._rows(networks[d:d + 1], params[d:d + 1], stores[d:d + 1], grads,
-                              self.grad_stores[d:d + 1]) for d in range(len(networks))]
+        self.rows = [DeviceStack._row(networks[d], params[d:d + 1], stores[d],
+                                      grads[d:d + 1] if self._stacked else grads,
+                                      grad_stores[d]) for d in range(len(networks))]
 
     def _set(self, networks, params, stores, grads, grad_stores) -> None:
         self.networks, self.params, self.stores = networks, params, stores
@@ -476,22 +476,16 @@ class DeviceStack:
         self.shared_grads = store_over(layout, grads)
 
     @classmethod
-    def _rows(cls, *arrays) -> "DeviceStack":
-        """A stack of one row over ``_set``'s arrays, made by the caller."""
-        rows = cls.__new__(cls)
-        rows._set(*arrays)
-        rows._groups = []
-        return rows
+    def _row(cls, network, params, store, grads, grad_store) -> "DeviceStack":
+        """A stack of one row over the arrays of the stack that makes it."""
+        row = cls.__new__(cls)
+        row._set((network,), params, [store], grads, [grad_store])
+        row._stacked, row.rows = True, []
+        return row
 
     @property
     def groups(self) -> list["DeviceStack"]:
-        return self._groups or [self]
-
-    @classmethod
-    def alone(cls, network: DeviceNetwork, store: ParamStore) -> "DeviceStack":
-        """A stack of one device over its own ``store`` (not a copy)."""
-        grads = store.zeros_like()
-        return cls._rows((network,), store.flat[None], [store], grads.flat[None], [grads])
+        return [self] if self._stacked else self.rows
 
 
 def count_parameters(topology: BranchedTopology, branch_id: str) -> int:
@@ -500,6 +494,12 @@ def count_parameters(topology: BranchedTopology, branch_id: str) -> int:
         return DeviceNetwork(topology, branch_id).count_params()
     return chain_count_parameters(
         list(topology.stem) + list(topology.branches[branch_id]), topology.input_shape)
+
+
+def weakest_branch(topology: BranchedTopology) -> str:
+    """The branch whose full network has the fewest parameters."""
+    return min(topology.branches,
+               key=lambda b: (count_parameters(topology, b), b))
 
 
 def count_branch_operations(topology: BranchedTopology, branch_id: str) -> int:

@@ -3,28 +3,39 @@
 ``DeviceNetwork.forward`` and ``backward`` take a
 :class:`~hetsim.topology.DeviceStack`, ``DeviceNetwork.predict`` and every
 layer a store over rows, and their batches carry a leading device axis.
-These helpers run one device that way, over its 1-D store's one row
-(``ParamStore.row``), and take the axis off again, for tests that check
-one device's output or gradients.
+These helpers run one device that way, on a stack of one
+(``DeviceStack([net])``, its parameters in ``stores[0]``) or over its 1-D
+store's one row (``ParamStore.row``), and take the axis off again, for
+tests that check one device's output or gradients.
 """
 import numpy as np
 
 from hetsim.topology import DeviceStack
 
 
-def forward_alone(net, store, x, mode="eval", rng=None):
-    """``net``'s output on ``store`` for the batch ``x``, and the pass's cache;
-    ``rng`` is the device's one generator."""
-    out, cache = net.forward(DeviceStack.alone(net, store), np.asarray(x)[None], mode,
-                             None if rng is None else [rng])
+def one_device(net, shared_rng=None, local_rng=None, dtype=np.float64, flat=None):
+    """``DeviceStack([net])``, its one store initialized by ``net.init_store``
+    from the generators, or holding ``flat``."""
+    stack = DeviceStack([net], dtype)
+    if flat is not None:
+        stack.stores[0].set_flat(flat)
+    else:
+        net.init_store(stack.stores[0], shared_rng, local_rng)
+    return stack
+
+
+def forward_alone(stack, x, mode="eval", rng=None):
+    """The output of the stack of one ``stack`` for the batch ``x``, and the
+    pass's cache; ``rng`` is the device's one generator."""
+    out, cache = stack.networks[0].forward(stack, np.asarray(x)[None], mode,
+                                           None if rng is None else [rng])
     return out[0], cache
 
 
-def backward_alone(net, cache, dy, store, from_logits=False):
+def backward_alone(stack, cache, dy, from_logits=False):
     """The gradient store for the cache of a :func:`forward_alone` pass over
-    ``store`` and its upstream gradient ``dy``, from a new stack of one."""
-    grads, = net.backward(cache, np.asarray(dy)[None], DeviceStack.alone(net, store),
-                          from_logits)
+    ``stack`` and its upstream gradient ``dy``."""
+    grads, = stack.networks[0].backward(cache, np.asarray(dy)[None], stack, from_logits)
     return grads
 
 

@@ -36,7 +36,7 @@ from hetsim.topology import DeviceNetwork, build_cascaded, build_share_first
 from hetsim.harness import full_share_network
 
 from gradcheck import finite_diff_check
-from one_device import backward_alone, forward_alone
+from one_device import backward_alone, forward_alone, one_device
 
 
 def _report(num, ok, started, detail):
@@ -132,22 +132,22 @@ def test_criterion_3_gradient_suite_every_layer_kind():
         rng = np.random.default_rng(7000 + trial)
         topo = build_cascaded([Dense(6)], [Dense(4), Dense(3)],
                               [Dense(3), Softmax()], 0.0, (5,))
-        net = DeviceNetwork(topo, "complex")
-        store = net.init_store(np.random.default_rng(7100 + trial))
+        stack = one_device(DeviceNetwork(topo, "complex"), np.random.default_rng(7100 + trial))
+        store = stack.stores[0]
         x = rng.normal(size=(2, 5))
         y = rng.integers(0, 3, size=2)
-        out, cache = forward_alone(net, store, x, mode="eval")
+        out, cache = forward_alone(stack, x, mode="eval")
         _, dlogits = cross_entropy(out, y)
-        analytic = backward_alone(net, cache, dlogits, store, from_logits=True)
+        analytic = backward_alone(stack, cache, dlogits, from_logits=True)
         numeric = np.zeros(store.size)
         h = 1e-3
         for i in range(store.size):
             orig = store.flat[i]
             store.flat[i] = orig + h
-            up, _ = forward_alone(net, store, x, mode="eval")
+            up, _ = forward_alone(stack, x, mode="eval")
             lu, _ = cross_entropy(up, y)
             store.flat[i] = orig - h
-            down, _ = forward_alone(net, store, x, mode="eval")
+            down, _ = forward_alone(stack, x, mode="eval")
             ld, _ = cross_entropy(down, y)
             store.flat[i] = orig
             numeric[i] = (lu - ld) / (2 * h)
@@ -163,12 +163,12 @@ def test_criterion_3_gradient_suite_every_layer_kind():
 
 # -- 4. homogeneous reduction ------------------------------------------------------
 
-def _local_steps(net, store, optimizer, batches):
+def _local_steps(stack, optimizer, batches):
     for x, y in batches:
-        out, cache = forward_alone(net, store, x, mode="eval")
+        out, cache = forward_alone(stack, x, mode="eval")
         _, dlogits = cross_entropy(out, y)
-        grads = backward_alone(net, cache, dlogits, store, from_logits=True)
-        optimizer.step(store.flat, grads.flat)
+        grads = backward_alone(stack, cache, dlogits, from_logits=True)
+        optimizer.step(stack.stores[0].flat, grads.flat)
 
 
 def test_criterion_4_homogeneous_reduction_matches_reference_averaging():
@@ -184,31 +184,31 @@ def test_criterion_4_homogeneous_reduction_matches_reference_averaging():
 
     # protocol path: two devices under the heterogeneous machinery, full sharing
     nets = [DeviceNetwork(topo, "b") for _ in range(2)]
-    stores = [net.init_store(np.random.default_rng(1234)) for net in nets]
+    stacks = [one_device(net, np.random.default_rng(1234)) for net in nets]
     optimizers = [Sgd(learning_rate=0.05) for _ in range(2)]
     for i in range(2):
         assert nets[i].partition.shared_len == nets[i].count_params()
     coordinator = Coordinator("sync", "data-proportional", sizes,
-                              [store.flat for store in stores])
+                              [stack.stores[0].flat for stack in stacks])
     protocol_trace = []
     for rnd in range(rounds):
         for i in range(2):
-            _local_steps(nets[i], stores[i], optimizers[i], schedule[rnd][i])
+            _local_steps(stacks[i], optimizers[i], schedule[rnd][i])
         sync_round(coordinator)
         protocol_trace.append(coordinator.theta.copy())
 
     # reference: plain parameter averaging, reimplemented from scratch
     ref_net = DeviceNetwork(topo, "b")
-    theta = ref_net.init_store(np.random.default_rng(1234)).flatten()
-    ref_stores = [ref_net.init_store(np.random.default_rng(1234)) for _ in range(2)]
+    ref_stacks = [one_device(ref_net, np.random.default_rng(1234)) for _ in range(2)]
+    theta = ref_stacks[0].stores[0].flatten()
     ref_optimizers = [Sgd(learning_rate=0.05) for _ in range(2)]
     worst = 0.0
     for rnd in range(rounds):
         thetas = []
         for i in range(2):
-            ref_stores[i].set_flat(theta)
-            _local_steps(ref_net, ref_stores[i], ref_optimizers[i], schedule[rnd][i])
-            thetas.append(ref_stores[i].flatten())
+            ref_stacks[i].stores[0].set_flat(theta)
+            _local_steps(ref_stacks[i], ref_optimizers[i], schedule[rnd][i])
+            thetas.append(ref_stacks[i].stores[0].flatten())
         theta = weights[0] * thetas[0] + weights[1] * thetas[1]
         worst = max(worst, float(np.abs(protocol_trace[rnd] - theta).max()))
     _report(4, worst < 1e-10, t0,
@@ -233,24 +233,21 @@ def test_criterion_5_branch_dropout_invariants():
     topo = _cifar_cascade(1.0)
     complex_net = DeviceNetwork(topo, "complex")
     light_net = DeviceNetwork(topo, "lightweight")
-    store_c = complex_net.init_store(np.random.default_rng(0), np.random.default_rng(1))
-    store_l = light_net.init_store(np.random.default_rng(0))
+    stack_c = one_device(complex_net, np.random.default_rng(0), np.random.default_rng(1))
+    stack_l = one_device(light_net, np.random.default_rng(0))
     x = np.random.default_rng(2).random(size=(100, 32, 32, 3))
 
     # p = 1 drops the complex branch in train mode; the shared chain draws
     # its dropout masks first, so one seed gives both networks the same masks
-    out_forced, _ = forward_alone(complex_net, store_c, x, mode="train",
-                                  rng=np.random.default_rng(5))
-    out_light, _ = forward_alone(light_net, store_l, x, mode="train",
-                                 rng=np.random.default_rng(5))
+    out_forced, _ = forward_alone(stack_c, x, mode="train", rng=np.random.default_rng(5))
+    out_light, _ = forward_alone(stack_l, x, mode="train", rng=np.random.default_rng(5))
     bit_equal = np.array_equal(out_forced, out_light)
 
     xb = x[:16]
     yb = np.random.default_rng(3).integers(0, 10, size=16)
-    out, cache = forward_alone(complex_net, store_c, xb, mode="train",
-                               rng=np.random.default_rng(4))
+    out, cache = forward_alone(stack_c, xb, mode="train", rng=np.random.default_rng(4))
     _, dlogits = cross_entropy(out, yb)
-    grads = backward_alone(complex_net, cache, dlogits, store_c, from_logits=True)
+    grads = backward_alone(stack_c, cache, dlogits, from_logits=True)
     local = grads.flat[complex_net.partition.shared_len:]
     zero_grads = local.size > 0 and not np.any(local)
     shared_alive = np.any(grads.flat[:complex_net.partition.shared_len])
@@ -387,7 +384,7 @@ def test_criterion_9_communication_accounting():
                                     "lightweight": light_branch}, (32, 32, 3))
 
     def one_sync(nets):
-        stores = [net.init_store(np.random.default_rng(0), np.random.default_rng(i))
+        stores = [one_device(net, np.random.default_rng(0), np.random.default_rng(i)).stores[0]
                   for i, net in enumerate(nets)]
         coordinator = Coordinator("sync", "uniform-average", [1] * len(nets),
                                   [store.flat[:net.partition.shared_len]

@@ -217,3 +217,55 @@ def test_cli_reports_a_layer_too_large_for_an_array(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("hetsim: error: topology.stem[0]: a Dense layer of more than"), err
         assert "Traceback" not in err
+
+
+def _share_first_doc(mode):
+    """The tiny supervised doc with share-first branches, each ending in Softmax."""
+    doc = tiny_supervised_doc(mode)
+    doc["scheme"] = "share-first"
+    del doc["topology"]["cascade"]
+    doc["topology"]["branches"]["complex"].append({"kind": "softmax"})
+    return doc
+
+
+@pytest.mark.parametrize("mode,branch,trained", [
+    ("heterogeneous", "lightweight", True),
+    ("heterogeneous", "complex", True),
+    ("isolated", "lightweight", True),
+    ("homogeneous", "lightweight", True),  # the weakest branch, which every device trains
+    ("homogeneous", "complex", False),
+])
+def test_a_supervised_network_that_does_not_end_in_softmax_is_a_config_error(
+        tmp_path, capsys, mode, branch, trained):
+    """The loss reads a supervised network's output as probabilities, so a
+    network a run trains without a final softmax fails at parse time, not
+    at its first minibatch."""
+    doc = _share_first_doc(mode)
+    parse_config(doc)
+    doc["topology"]["branches"][branch].pop()
+    if not trained:
+        parse_config(doc)
+        return
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["describe", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert cli_main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"hetsim: error: topology.branches.{branch} must end with a "
+                              f"softmax layer"), err
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (("topology", "input_shape"), [17], r"topology\.input_shape \(17,\) does not match "
+                                        r"the data's \(8,\)"),
+    (("data", "num_classes"), 5, r"topology\.branches\.complex outputs \(4,\), the data "
+                                 r"needs \(5,\)"),
+])
+def test_describe_rejects_a_topology_that_does_not_fit_the_data(tmp_path, capsys, path,
+                                                                 value, message):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps(_set(tiny_supervised_doc(), path, value)))
+    assert cli_main(["describe", str(conf)]) == 2
+    out = capsys.readouterr()
+    assert re.match(f"hetsim: error: {message}", out.err), out.err
+    assert out.out == ""

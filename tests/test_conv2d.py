@@ -32,7 +32,7 @@ from hetsim.nn import Conv2D, build_layout, make_keyed
 from hetsim.nn.params import ParamStore, store_over
 from hetsim.topology import DeviceNetwork
 
-from one_device import LayerAlone, predict_alone
+from one_device import LayerAlone, one_device, predict_alone
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -164,6 +164,13 @@ SHAPES = {
     "per-tap-grad-cin-24": (16, 12, 12, 24, 3, 3, 40, 1),
     "per-tap-grad-cin-40": (16, 12, 12, 40, 3, 3, 24, 1),  # 1,600 x 24 x 40: taps
     "atari-4x4-s2-per-tap": (32, 20, 20, 32, 4, 4, 64, 2),  # 2,592 x 64 x 32: taps
+    # input channels that are not a multiple of 8, with taps of at least
+    # 4096 reals: a per-tap input gradient gave other bits in float64
+    "input-grad-cin-33": (2, 20, 23, 33, 3, 3, 54, 1),
+    "input-grad-cin-36-cout-27": (2, 21, 19, 36, 3, 3, 27, 1),
+    "input-grad-cin-36-cout-104": (3, 25, 14, 36, 3, 3, 104, 1),
+    "input-grad-cin-36-cout-21": (7, 12, 17, 36, 3, 3, 21, 1),
+    "input-grad-cin-36-cout-91": (6, 11, 9, 36, 3, 3, 91, 1),
 }
 
 
@@ -334,7 +341,7 @@ def test_an_eval_pass_of_the_cifar_network_builds_no_im2col_matrix():
     # when they were built; it now peaks at about 58 MB
     config = parse_config(json.loads((CONFIGS / "supervised_cifar10.json").read_text()))
     net = DeviceNetwork(config.topology, "complex")
-    store = net.init_store(np.random.default_rng(0))
+    store = one_device(net, np.random.default_rng(0)).stores[0]
     x = np.random.default_rng(1).random((64, 32, 32, 3))
     tracemalloc.start()
     try:

@@ -27,7 +27,7 @@ from hetsim import topology as topo
 from hetsim.nn.losses import cross_entropy
 
 from gradcheck import finite_diff_check
-from one_device import backward_alone, forward_alone
+from one_device import backward_alone, forward_alone, one_device
 
 H = 1e-3
 TOL = 1e-4
@@ -151,26 +151,26 @@ def test_add_combine_gradient():
         complex_branch = [Dense(5), Dense(3)]
         light_branch = [Dense(3), Softmax()]
         t = topo.build_cascaded(stem, complex_branch, light_branch, 0.0, (4,))
-        net = topo.DeviceNetwork(t, "complex")
-        store = net.init_store(np.random.default_rng(4000 + trial))
+        stack = one_device(topo.DeviceNetwork(t, "complex"),
+                           np.random.default_rng(4000 + trial))
+        store = stack.stores[0]
         x = rng.normal(size=(3, 4))
         label = np.array([trial % 3] * 3)
 
-        out, cache = forward_alone(net, store, x, mode="eval")
+        out, cache = forward_alone(stack, x, mode="eval")
         _, dlogits = cross_entropy(out, label)
-        analytic = backward_alone(net, cache, dlogits, store, from_logits=True)
+        analytic = backward_alone(stack, cache, dlogits, from_logits=True)
 
         numeric = store.zeros_like()
-        work = store.copy()
         for i in range(store.size):
-            orig = work.flat[i]
-            work.flat[i] = orig + H
-            up, _ = forward_alone(net, work, x, mode="eval")
+            orig = store.flat[i]
+            store.flat[i] = orig + H
+            up, _ = forward_alone(stack, x, mode="eval")
             lu, _ = cross_entropy(up, label)
-            work.flat[i] = orig - H
-            down, _ = forward_alone(net, work, x, mode="eval")
+            store.flat[i] = orig - H
+            down, _ = forward_alone(stack, x, mode="eval")
             ld, _ = cross_entropy(down, label)
-            work.flat[i] = orig
+            store.flat[i] = orig
             numeric.flat[i] = (lu - ld) / (2 * H)
         denom = np.maximum(np.maximum(np.abs(analytic.flat), np.abs(numeric.flat)), 1e-2)
         assert (np.abs(analytic.flat - numeric.flat) / denom).max() < TOL
@@ -188,8 +188,7 @@ def test_cache_reuse_after_parameter_mutation_is_an_error():
 def _cascade_complex(seed=3):
     t = topo.build_cascaded([Dense(6), ReLU()], [Dense(5), ReLU(), Dense(3)],
                             [Dense(4), ReLU(), Dense(3), Softmax()], 0.5, (4,))
-    net = topo.DeviceNetwork(t, "complex")
-    return net, net.init_store(np.random.default_rng(seed))
+    return one_device(topo.DeviceNetwork(t, "complex"), np.random.default_rng(seed))
 
 
 @pytest.mark.parametrize("tensor", [
@@ -198,13 +197,13 @@ def _cascade_complex(seed=3):
     (("branch:complex", 2), "w"),        # local complex branch
 ])
 def test_write_to_any_part_of_a_cascade_makes_its_cache_stale(tensor):
-    net, store = _cascade_complex()
+    stack = _cascade_complex()
     x = np.random.default_rng(0).normal(size=(2, 4))
-    probs, cache = forward_alone(net, store, x, mode="train", rng=np.random.default_rng(1))
+    probs, cache = forward_alone(stack, x, mode="train", rng=np.random.default_rng(1))
     _, dlogits = cross_entropy(probs, np.array([0, 2]))
-    store.view(tensor).reshape(-1)[0] += 1e-12
+    stack.stores[0].view(tensor).reshape(-1)[0] += 1e-12
     with pytest.raises(ValueError, match="stale"):
-        backward_alone(net, cache, dlogits, store, from_logits=True)
+        backward_alone(stack, cache, dlogits, from_logits=True)
 
 
 def test_zero_to_negative_zero_write_makes_the_cache_stale():
@@ -275,15 +274,14 @@ def test_first_layer_skip_gives_the_gradients_of_a_full_backward(name, dtype):
     for plan in vars(full).values():  # every chain of ``full`` returns its dx
         if isinstance(plan, ChainPlan):
             plan.reads_input = False
-    store = net.init_store(np.random.default_rng(5), dtype=dtype)
     x = np.random.default_rng(6).normal(size=(5, *t.input_shape))
     labels = np.arange(5) % 3
     grads = []
     for network in (net, full):
-        probs, cache = forward_alone(network, store, x, mode="train",
-                                     rng=np.random.default_rng(7))
+        stack = one_device(network, np.random.default_rng(5), dtype=dtype)
+        probs, cache = forward_alone(stack, x, mode="train", rng=np.random.default_rng(7))
         _, dlogits = cross_entropy(probs, labels)
-        grads.append(backward_alone(network, cache, dlogits, store, from_logits=True).flat)
+        grads.append(backward_alone(stack, cache, dlogits, from_logits=True).flat)
         first = cache[0]  # the shared chain, which reads x
         assert first.reads_input == (network is net)
     assert grads[0].dtype == dtype
@@ -293,7 +291,7 @@ def test_first_layer_skip_gives_the_gradients_of_a_full_backward(name, dtype):
 def test_only_a_plan_that_reads_the_input_skips_dx():
     t = FIRST_LAYER_NETS["plain-conv-first"]()
     net = topo.DeviceNetwork(t, "b")
-    store = net.init_store(np.random.default_rng(0))
+    store = one_device(net, np.random.default_rng(0)).stores[0]
     x = np.random.default_rng(1).normal(size=(2, 8, 8, 3))
     row = store.row()
     out, cache = net._stack_plan.forward(row, x[None])  # the stem, which reads x

@@ -420,6 +420,29 @@ def test_same_config_same_seed_byte_identical_csv(tmp_path):
         (tmp_path / "b" / "metrics_agg.csv").read_bytes()
 
 
+@pytest.mark.parametrize("softmax", [False, True], ids=["q-values", "mixed-outputs"])
+def test_rl_devices_train_on_the_rows_of_the_runs_stack(softmax):
+    """Every RL device trains on its row of the run's one stack, and starts
+    once its replay holds the config's warmup. A powerful branch that ends
+    in Softmax beside a weak one that does not makes a stack that steps a
+    row at a time; the run still runs."""
+    doc = tiny_rl_doc()
+    if softmax:
+        doc["topology"]["branches"]["complex"].append({"kind": "softmax"})
+    run = make_run(parse_config(doc), 3)
+    stack = run.stack
+    assert (stack.groups is stack.rows) == softmax
+    for d, dev in enumerate(run.devices):
+        learner = dev["learner"]
+        assert learner.stack is stack.rows[d] and learner.network is stack.networks[d]
+        assert learner.store is dev["store"] is stack.stores[d]
+        assert learner.store.flat.base is stack.params
+        assert learner.warmup_steps == run.config.rl.warmup(dev["cfg"].replay_capacity) == 32
+    rows = run.run()
+    assert {r.device for r in rows} == {"powerful", "weak"}
+    assert all(math.isfinite(r.value) for r in rows)
+
+
 def test_rl_run_deterministic_and_sync_cadence():
     config = parse_config(tiny_rl_doc())
     run_a, run_b = make_run(config, 3), make_run(config, 3)

@@ -19,10 +19,10 @@ from hetsim.learners import (
 from hetsim.nn import Adam, RmsProp, Sgd
 from hetsim.nn import network as network_module
 from hetsim.nn.network import ChainPlan, NonFiniteError
-from hetsim.topology import DeviceNetwork, DeviceStack, build_cascaded, build_share_first
+from hetsim.topology import DeviceNetwork, build_cascaded, build_share_first
 from hetsim.nn import Dense, ReLU, Softmax
 
-from one_device import forward_alone
+from one_device import forward_alone, one_device
 
 
 # -- replay buffer ---------------------------------------------------------------
@@ -247,10 +247,9 @@ def toy_mdp_q_star(gamma=0.9):
 
 def _q_learner(seed=0, gamma=0.9):
     topo = build_share_first([Dense(32), ReLU()], {"b": [Dense(2)]}, (2,))
-    net = DeviceNetwork(topo, "b")
-    store = net.init_store(np.random.default_rng(seed))
     return DdqlLearner(
-        net, store, Adam(learning_rate=0.005),
+        one_device(DeviceNetwork(topo, "b"), np.random.default_rng(seed)),
+        Adam(learning_rate=0.005),
         env=ToyMdp(), eval_env=ToyMdp(),
         replay=ReplayBuffer(500),
         schedule=EpsilonSchedule(1.0, 0.2, decay_steps=1000, test=0.0),
@@ -291,14 +290,15 @@ def _grid_learner(seed, test_epsilon=0.2):
                          max_episode_steps=15, rng=np.random.default_rng([seed, stream]))
 
     topo = build_share_first([Dense(12), ReLU()], {"b": [Dense(4)]}, (16,))
-    net = DeviceNetwork(topo, "b")
     return DdqlLearner(
-        net, net.init_store(np.random.default_rng(seed)), Adam(learning_rate=0.01),
+        one_device(DeviceNetwork(topo, "b"), np.random.default_rng(seed)),
+        Adam(learning_rate=0.01),
         env=grid(0), eval_env=grid(1), replay=ReplayBuffer(200),
         schedule=EpsilonSchedule(1.0, 0.1, decay_steps=100, test=test_epsilon),
         act_rng=np.random.default_rng([seed, 2]),
         replay_rng=np.random.default_rng([seed, 3]),
-        eval_rng=np.random.default_rng([seed, 4]), batch_size=8, warmup_steps=16)
+        eval_rng=np.random.default_rng([seed, 4]), gamma=0.99, batch_size=8,
+        warmup_steps=16)
 
 
 def _reference_test_epoch(learner, episodes):
@@ -431,15 +431,14 @@ def _blob_trainer(n_per_class=200, separation=100.0, lr=0.005, seed=0,
     from hetsim.data import generate_synthetic_dataset
     ds = generate_synthetic_dataset(2, n_per_class, 4, separation, seed=seed)
     topo = build_share_first([Dense(16), ReLU()], {"b": [Dense(2), Softmax()]}, (4,))
-    net = DeviceNetwork(topo, "b")
-    store = net.init_store(np.random.default_rng(seed))
+    stack = one_device(DeviceNetwork(topo, "b"), np.random.default_rng(seed))
     n_train = int(0.8 * len(ds))
     return SupervisedTrainer(
-        net, store, RmsProp(learning_rate=lr),
+        stack.networks[0], stack.stores[0], RmsProp(learning_rate=lr),
         ds.features[:n_train], ds.labels[:n_train],
         ds.features[n_train:], ds.labels[n_train:],
         rng=np.random.default_rng(seed + 1), round_samples=round_samples,
-        stack=DeviceStack.alone(net, store), taken={})
+        minibatch_size=32, stack=stack, taken={})
 
 
 def test_one_round_on_separable_blobs_reaches_95_percent():
@@ -454,13 +453,12 @@ def _cascade_trainer(seed=0):
     ds = generate_synthetic_dataset(2, 100, 4, 3.0, seed=seed)
     topo = build_cascaded([Dense(6), ReLU()], [Dense(5), ReLU(), Dense(2)],
                           [Dense(2), Softmax()], 0.5, (4,))
-    net = DeviceNetwork(topo, "complex")
-    store = net.init_store(np.random.default_rng(seed))
+    stack = one_device(DeviceNetwork(topo, "complex"), np.random.default_rng(seed))
     return SupervisedTrainer(
-        net, store, RmsProp(learning_rate=0.01),
+        stack.networks[0], stack.stores[0], RmsProp(learning_rate=0.01),
         ds.features[:150], ds.labels[:150], ds.features[150:], ds.labels[150:],
-        rng=np.random.default_rng(seed + 1), round_samples=64,
-        stack=DeviceStack.alone(net, store), taken={})
+        rng=np.random.default_rng(seed + 1), round_samples=64, minibatch_size=32,
+        stack=stack, taken={})
 
 
 def test_eval_passes_build_no_cache_and_take_no_snapshot(monkeypatch):
@@ -526,7 +524,7 @@ def test_snapshot_tracks_best_validation_round():
 
     def set_val_accuracy(target):
         # craft labels agreeing with the current model on a chosen fraction
-        probs, _ = forward_alone(trainer.network, trainer.store, x, mode="eval")
+        probs, _ = forward_alone(trainer.stack, x, mode="eval")
         pred = probs.argmax(axis=1)
         y = pred.copy()
         n_wrong = round((1 - target) * len(x))
@@ -564,5 +562,6 @@ def test_empty_shard_rejected():
     with pytest.raises(ValueError):
         SupervisedTrainer(trainer.network, trainer.store, Sgd(0.1),
                           trainer.train_x[:0], trainer.train_y[:0],
-                          trainer.val_x, trainer.val_y,
-                          rng=np.random.default_rng(0), stack=trainer.stack, taken={})
+                          trainer.val_x, trainer.val_y, rng=np.random.default_rng(0),
+                          round_samples=2000, minibatch_size=32, stack=trainer.stack,
+                          taken={})

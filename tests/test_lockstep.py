@@ -22,7 +22,7 @@ from hetsim.nn import (
 from hetsim.nn.params import store_over
 from hetsim.topology import DeviceNetwork, DeviceStack
 
-from one_device import backward_alone, forward_alone, predict_alone
+from one_device import backward_alone, forward_alone, one_device, predict_alone
 
 
 def _dense_cascade():
@@ -62,7 +62,7 @@ def _networks(case):
 def _stack(networks, dtype=np.float64):
     stack = DeviceStack(networks, dtype)
     for d, (net, store) in enumerate(zip(networks, stack.stores)):
-        net.init_store(np.random.default_rng(0), np.random.default_rng(10 + d), store=store)
+        net.init_store(store, np.random.default_rng(0), np.random.default_rng(10 + d))
     return stack
 
 
@@ -80,7 +80,8 @@ def test_a_stack_step_gives_each_device_the_bits_of_its_own_step(case, dtype, ba
                                                                   monkeypatch):
     networks = _networks(case)
     stack = _stack(networks, dtype)
-    alone = [store.copy() for store in stack.stores]
+    alone = [one_device(net, flat=store.flat, dtype=dtype)
+             for net, store in zip(networks, stack.stores)]
     rng = np.random.default_rng(3)
     x = rng.standard_normal((len(networks), batch) + networks[0].input_shape)
     y = rng.integers(0, 4, size=(len(networks), batch))
@@ -88,10 +89,10 @@ def test_a_stack_step_gives_each_device_the_bits_of_its_own_step(case, dtype, ba
                                        [np.random.default_rng(d) for d in range(len(x))])
     loss, dlogits = cross_entropy(probs, y)
     grads = networks[0].backward(cache, dlogits, stack, from_logits=True)
-    for d, (net, store) in enumerate(zip(networks, alone)):
-        p, c = forward_alone(net, store, x[d], "train", np.random.default_rng(d))
+    for d, one in enumerate(alone):
+        p, c = forward_alone(one, x[d], "train", np.random.default_rng(d))
         l, dl = cross_entropy(p, y[d])
-        g = backward_alone(net, c, dl, store, from_logits=True)
+        g = backward_alone(one, c, dl, from_logits=True)
         assert _same_bits(probs[d], p) and loss[d] == l and _same_bits(dlogits[d], dl)
         assert _same_bits(grads[d].flat, g.flat), d
     # eval mode, on the whole stack and on groups of one row: the same bits
@@ -100,9 +101,10 @@ def test_a_stack_step_gives_each_device_the_bits_of_its_own_step(case, dtype, ba
     grouped.params[...] = stack.params
     assert [len(g.stores) for g in grouped.groups] == [1] * len(x)
     out, _ = networks[0].forward(stack, x, "eval")
-    for d, (net, store, group) in enumerate(zip(networks, alone, grouped.groups)):
+    assert grouped.groups is grouped.rows
+    for d, (net, one, group) in enumerate(zip(networks, alone, grouped.groups)):
         assert group.stores[0] is grouped.stores[d] and group.params.base is grouped.params
-        assert _same_bits(out[d], predict_alone(net, store, x[d]))
+        assert _same_bits(out[d], predict_alone(net, one.stores[0], x[d]))
         assert _same_bits(networks[0].forward(group, x[d:d + 1], "eval")[0][0], out[d])
 
 
@@ -116,17 +118,17 @@ def test_a_stack_of_wide_devices_steps_them_one_at_a_time_over_one_gradient_row(
     x = np.random.default_rng(1).standard_normal((4, 7, 6))
     with pytest.raises(ValueError, match="a group at a time"):
         networks[0].forward(stack, x, "eval")
-    alone = [store.copy() for store in stack.stores]
-    for d, (net, store, group) in enumerate(zip(networks, alone, stack.groups)):
+    alone = [one_device(net, flat=store.flat) for net, store in zip(networks, stack.stores)]
+    for d, (one, group) in enumerate(zip(alone, stack.groups)):
         assert group.grads is stack.grads and group.grad_stores[0] is stack.grad_stores[d]
         rng = np.random.default_rng(d)
         probs, cache = networks[0].forward(group, x[d:d + 1], "train", [rng])
         _, dlogits = cross_entropy(probs, np.zeros((1, 7), dtype=int))
         got, = networks[0].backward(cache, dlogits, group, from_logits=True)
         assert got.flat.base is stack.grads
-        p, c = forward_alone(net, store, x[d], "train", np.random.default_rng(d))
+        p, c = forward_alone(one, x[d], "train", np.random.default_rng(d))
         _, dl = cross_entropy(p, np.zeros(7, dtype=int))
-        assert _same_bits(got.flat, backward_alone(net, c, dl, store, from_logits=True).flat)
+        assert _same_bits(got.flat, backward_alone(one, c, dl, from_logits=True).flat)
 
 
 def test_padding_of_shorter_rows_is_never_written():
@@ -176,6 +178,47 @@ def test_devices_of_a_stack_must_share_their_first_layers():
         DeviceStack(nets)
 
 
+@pytest.mark.parametrize("case", CASES)
+def test_a_row_steps_its_device_on_the_stacks_own_arrays(case):
+    """``rows[d]`` is a stack of one over row d of ``params`` and of
+    ``grads``: a step on it writes the stack's arrays, with the bits of a
+    step on a stack of that device alone."""
+    networks = _networks(case)
+    stack = _stack(networks)
+    assert stack.groups == [stack] and len(stack.rows) == len(networks)
+    x = np.random.default_rng(1).standard_normal((len(networks), 5) + networks[0].input_shape)
+    for d, (net, row) in enumerate(zip(networks, stack.rows)):
+        assert row.networks == (net,) and row.stores[0] is stack.stores[d]
+        assert row.grad_stores[0] is stack.grad_stores[d] and row.rows == []
+        assert row.params.base is stack.params and row.grads.base is stack.grads
+        one = one_device(net, flat=stack.stores[d].flat)
+        got, want = (forward_alone(s, x[d], "train", np.random.default_rng(d))
+                     for s in (row, one))
+        dl = cross_entropy(got[0], np.zeros(5, dtype=int))[1]
+        assert _same_bits(got[0], want[0])
+        grads = backward_alone(row, got[1], dl, from_logits=True)
+        assert grads is stack.grad_stores[d]
+        assert _same_bits(grads.flat, backward_alone(one, want[1], dl, from_logits=True).flat)
+
+
+def test_networks_that_differ_in_their_softmax_step_one_row_at_a_time():
+    """A share-first stack whose branches differ in whether they end in
+    Softmax is built, as an RL run's is, but steps a row at a time: a pass
+    over several rows applies one softmax to all of them."""
+    topo = build_share_first([Dense(8), ReLU()],
+                             {"probs": [Dense(4), Softmax()], "q": [Dense(4)]}, (6,))
+    networks = [DeviceNetwork(topo, "probs"), DeviceNetwork(topo, "q")]
+    stack = _stack(networks)
+    assert stack.groups is stack.rows and stack.grads.shape[0] == 1
+    x = np.random.default_rng(1).standard_normal((2, 3, 6))
+    with pytest.raises(ValueError, match="a group at a time"):
+        networks[0].forward(stack, x, "eval")
+    for d, (net, row) in enumerate(zip(networks, stack.rows)):
+        out, _ = net.forward(row, x[d:d + 1], "eval")
+        assert _same_bits(out[0], predict_alone(net, stack.stores[d], x[d]))
+        assert np.allclose(out.sum(axis=-1), 1.0) == net.ends_in_softmax
+
+
 def _trainers(stacked, seeds=(0, 1, 2)):
     """Three trainers on a cascade, in one stack or each alone, with the same
     initial parameters, shards and generators."""
@@ -186,11 +229,11 @@ def _trainers(stacked, seeds=(0, 1, 2)):
     trainers = []
     for d, net in enumerate(networks):
         x, y = data.standard_normal((40, 6)), data.integers(0, 4, size=40)
-        store = stack.stores[d] if stacked else stack.stores[d].copy()
+        own = stack if stacked else one_device(net, flat=stack.stores[d].flat)
         trainers.append(SupervisedTrainer(
-            net, store, RmsProp(0.01), x[:30], y[:30], x[30:], y[30:],
-            rng=np.random.default_rng(seeds[d]), round_samples=23, minibatch_size=8,
-            stack=stack if stacked else DeviceStack.alone(net, store), taken={}))
+            net, own.stores[d if stacked else 0], RmsProp(0.01), x[:30], y[:30], x[30:],
+            y[30:], rng=np.random.default_rng(seeds[d]), round_samples=23, minibatch_size=8,
+            stack=own, taken={}))
     return trainers
 
 

@@ -19,9 +19,9 @@ from hetsim.nn import (
     cross_entropy,
 )
 from hetsim.nn.params import store_over
-from hetsim.topology import DeviceNetwork, DeviceStack
+from hetsim.topology import DeviceNetwork
 
-from one_device import backward_alone, forward_alone, predict_alone
+from one_device import backward_alone, forward_alone, one_device, predict_alone
 
 
 def atari_topology():
@@ -139,11 +139,11 @@ def small_cascade(p):
 
 def test_cascaded_p0_includes_both_branches():
     topo = small_cascade(0.0)
-    net = DeviceNetwork(topo, "complex")
-    store = net.init_store(np.random.default_rng(0), np.random.default_rng(1))
+    stack = one_device(DeviceNetwork(topo, "complex"), np.random.default_rng(0),
+                       np.random.default_rng(1))
     x = np.random.default_rng(2).normal(size=(6, 5))
-    out_train, _ = forward_alone(net, store, x, mode="train", rng=np.random.default_rng(3))
-    out_eval, _ = forward_alone(net, store, x, mode="eval")
+    out_train, _ = forward_alone(stack, x, mode="train", rng=np.random.default_rng(3))
+    out_eval, _ = forward_alone(stack, x, mode="eval")
     np.testing.assert_allclose(out_train, out_eval)  # p=0: mask is all-keep, scale 1
 
 
@@ -151,26 +151,26 @@ def test_cascaded_p1_equals_standalone_lightweight_bitwise():
     topo = small_cascade(1.0)
     complex_net = DeviceNetwork(topo, "complex")
     light_net = DeviceNetwork(topo, "lightweight")
-    store_c = complex_net.init_store(np.random.default_rng(0), np.random.default_rng(1))
-    store_l = light_net.init_store(np.random.default_rng(0))
+    stack_c = one_device(complex_net, np.random.default_rng(0), np.random.default_rng(1))
+    stack_l = one_device(light_net, np.random.default_rng(0))
     # stores agree on the shared block by construction
     s = light_net.partition.shared_len
-    assert np.array_equal(store_c.flat[:s], store_l.flat[:s])
+    assert np.array_equal(stack_c.stores[0].flat[:s], stack_l.stores[0].flat[:s])
     x = np.random.default_rng(2).normal(size=(100, 5))
-    out_c, _ = forward_alone(complex_net, store_c, x, mode="train", rng=np.random.default_rng(3))
-    out_l, _ = forward_alone(light_net, store_l, x, mode="eval")
+    out_c, _ = forward_alone(stack_c, x, mode="train", rng=np.random.default_rng(3))
+    out_l, _ = forward_alone(stack_l, x, mode="eval")
     assert np.array_equal(out_c, out_l)
 
 
 def test_cascaded_dropped_branch_gets_zero_gradient():
     topo = small_cascade(1.0)
     net = DeviceNetwork(topo, "complex")
-    store = net.init_store(np.random.default_rng(0), np.random.default_rng(1))
+    stack = one_device(net, np.random.default_rng(0), np.random.default_rng(1))
     x = np.random.default_rng(2).normal(size=(8, 5))
     labels = np.random.default_rng(4).integers(0, 4, size=8)
-    out, cache = forward_alone(net, store, x, mode="train", rng=np.random.default_rng(3))
+    out, cache = forward_alone(stack, x, mode="train", rng=np.random.default_rng(3))
     _, dlogits = cross_entropy(out, labels)
-    grads = backward_alone(net, cache, dlogits, store, from_logits=True)
+    grads = backward_alone(stack, cache, dlogits, from_logits=True)
     s = net.partition.shared_len
     local_grads = grads.flat[s:]
     assert local_grads.size > 0
@@ -183,19 +183,19 @@ def test_lightweight_standalone_equals_cascade_under_forced_drop_all_inputs():
     topo = small_cascade(1.0)
     complex_net = DeviceNetwork(topo, "complex")
     light_net = DeviceNetwork(topo, "lightweight")
-    store_c = complex_net.init_store(np.random.default_rng(10), np.random.default_rng(11))
-    store_l = light_net.init_store(np.random.default_rng(10))
+    stack_c = one_device(complex_net, np.random.default_rng(10), np.random.default_rng(11))
+    stack_l = one_device(light_net, np.random.default_rng(10))
     rng = np.random.default_rng(12)
     for _ in range(5):
         x = rng.normal(size=(20, 5))
-        out_c, _ = forward_alone(complex_net, store_c, x, mode="train", rng=rng)
-        out_l, _ = forward_alone(light_net, store_l, x, mode="eval")
+        out_c, _ = forward_alone(stack_c, x, mode="train", rng=rng)
+        out_l, _ = forward_alone(stack_l, x, mode="eval")
         assert np.array_equal(out_c, out_l)
 
 
 def test_canonical_layout_is_stable_across_runs():
-    a, b = (DeviceNetwork(cifar_cascaded(), "complex").init_store(
-        np.random.default_rng(0)).layout for _ in range(2))
+    a, b = (one_device(DeviceNetwork(cifar_cascaded(), "complex"),
+                       np.random.default_rng(0)).stores[0].layout for _ in range(2))
     assert a == b
     names = [key for key, _ in a]
     # shared block: stem first, then the lightweight branch, then local complex
@@ -213,10 +213,10 @@ def test_canonical_layout_is_stable_across_runs():
 ])
 def test_predict_is_the_eval_forward_bit_for_bit(make_topo, branch, dtype):
     net = DeviceNetwork(make_topo(), branch)
-    store = net.init_store(np.random.default_rng(0), np.random.default_rng(1), dtype=dtype)
+    stack = one_device(net, np.random.default_rng(0), np.random.default_rng(1), dtype)
     x = np.random.default_rng(2).normal(size=(3, *net.input_shape))
-    want, _ = forward_alone(net, store, x, mode="eval")
-    got = predict_alone(net, store, x)
+    want, _ = forward_alone(stack, x, mode="eval")
+    got = predict_alone(net, stack.stores[0], x)
     assert got.dtype == want.dtype == dtype
     assert np.array_equal(got.view(f"u{got.itemsize}"), want.view(f"u{want.itemsize}"))
 
@@ -225,26 +225,27 @@ def test_predict_is_the_eval_forward_bit_for_bit(make_topo, branch, dtype):
 
 def _one_device(branch="complex"):
     net = DeviceNetwork(small_cascade(0.5), branch)
-    store = net.init_store(np.random.default_rng(0), np.random.default_rng(1))
-    return net, store, np.random.default_rng(2).normal(size=(3, 5))
+    stack = one_device(net, np.random.default_rng(0), np.random.default_rng(1))
+    return stack, np.random.default_rng(2).normal(size=(3, 5))
 
 
 def test_forward_on_a_plain_store_is_a_type_error_naming_the_stack():
-    net, store, x = _one_device()
-    with pytest.raises(TypeError, match=r"DeviceStack\.alone\(network, store\)"):
-        net.forward(store, x[None])
+    stack, x = _one_device()
+    with pytest.raises(TypeError, match=r"DeviceStack\(\[network\]\)"):
+        stack.networks[0].forward(stack.stores[0], x[None])
 
 
 def test_backward_on_a_plain_store_is_a_type_error_naming_the_stack():
-    net, store, x = _one_device()
-    probs, cache = forward_alone(net, store, x)
-    with pytest.raises(TypeError, match=r"DeviceStack\.alone\(network, store\)"):
-        net.backward(cache, probs[None], store)
+    stack, x = _one_device()
+    probs, cache = forward_alone(stack, x)
+    with pytest.raises(TypeError, match=r"DeviceStack\(\[network\]\)"):
+        stack.networks[0].backward(cache, probs[None], stack.stores[0])
 
 
 @pytest.mark.parametrize("branch", ["complex", "lightweight"])
 def test_predict_without_the_row_axis_is_a_type_error_naming_the_row(branch):
-    net, store, x = _one_device(branch)
+    stack, x = _one_device(branch)
+    net, store = stack.networks[0], stack.stores[0]
     for row, batch in ((store, x), (store, x[None]), (store.row(), x)):
         with pytest.raises(TypeError, match=r"store\.row\(\).*\(1, B, \.\.\.\)"):
             net.predict(row, batch)
@@ -265,8 +266,7 @@ def _train_pass(net, stack, seed):
 @pytest.mark.parametrize("branch", ["complex", "lightweight"])
 def test_backward_refills_one_gradient_store(branch):
     net = DeviceNetwork(small_cascade(0.5), branch)
-    store = net.init_store(np.random.default_rng(0), np.random.default_rng(1))
-    stack = DeviceStack.alone(net, store)
+    stack = one_device(net, np.random.default_rng(0), np.random.default_rng(1))
     first, = net.backward(*_train_pass(net, stack, 2), stack, from_logits=True)
     kept = first.flat.copy()
     cache, dlogits = _train_pass(net, stack, 3)
@@ -274,14 +274,14 @@ def test_backward_refills_one_gradient_store(branch):
     assert second is first
     assert not np.array_equal(second.flat, kept)
     # zeroed first, not accumulated: the bits of a new stack's first backward
-    want, = net.backward(cache, dlogits, DeviceStack.alone(net, store), from_logits=True)
+    want, = net.backward(cache, dlogits, one_device(net, flat=stack.stores[0].flat),
+                         from_logits=True)
     assert second.flat.tobytes() == want.flat.tobytes()
 
 
 def test_backward_store_holds_the_bits_of_a_backward_chain_into_fresh_zeros():
     net = DeviceNetwork(small_cascade(0.5), "lightweight")  # one chain, to its logits
-    store = net.init_store(np.random.default_rng(0))
-    stack = DeviceStack.alone(net, store)
+    stack = one_device(net, np.random.default_rng(0))
     for seed in (2, 3):  # the second pass refills the store of the first
         cache, dlogits = _train_pass(net, stack, seed)
         got, = net.backward(cache, dlogits, stack, from_logits=True)
@@ -294,9 +294,7 @@ def test_a_store_of_another_dtype_gets_a_new_gradient_store():
     net = DeviceNetwork(small_cascade(0.5), "complex")
     grads = []
     for dtype in (np.float32, np.float64):
-        store = net.init_store(np.random.default_rng(0), np.random.default_rng(1),
-                               dtype=dtype)
-        stack = DeviceStack.alone(net, store)
+        stack = one_device(net, np.random.default_rng(0), np.random.default_rng(1), dtype)
         grads.append(net.backward(*_train_pass(net, stack, 2), stack, from_logits=True)[0])
     assert grads[1] is not grads[0]
     assert (grads[0].dtype, grads[1].dtype) == (np.float32, np.float64)
