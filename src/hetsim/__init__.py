@@ -12,7 +12,7 @@ from .config import ExperimentConfig, load_config, parse_config
 from .data import Dataset, generate_synthetic_dataset, load_cifar10_binary, partition_dataset
 from .gridworld import GridWorld
 from .harness import RlRun, SupervisedRun, describe, make_run, run_experiment
-from .learners import DdqlLearner, EpsilonSchedule, ReplayBuffer, SupervisedTrainer
+from .learners import DdqlLearner, ReplayBuffer, SupervisedTrainer
 from .protocol import (
     Coordinator,
     GradientUpdate,
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BranchedTopology", "Coordinator", "Dataset", "DdqlLearner", "DeviceNetwork",
-    "EpsilonSchedule", "ExperimentConfig", "GradientUpdate",
+    "ExperimentConfig", "GradientUpdate",
     "GridWorld", "ParamBroadcast", "ParameterPartition", "ReplayBuffer",
     "RlRun", "SupervisedRun", "SupervisedTrainer", "build_cascaded",
     "build_share_first", "compute_merge_weights", "count_parameters",

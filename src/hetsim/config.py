@@ -22,7 +22,7 @@ from .nn.layers import layer_from_dict
 from .nn.optim import make_optimizer
 from .protocol import COORDINATOR_MODES, WEIGHTINGS
 from .topology import (BranchedTopology, DeviceNetwork, build_cascaded, build_share_first,
-                       count_parameters, weakest_branch)
+                       full_share_network, weakest_branch)
 
 TASKS = ("supervised", "rl")
 MODES = ("isolated", "homogeneous", "heterogeneous")
@@ -216,6 +216,9 @@ def _section(doc, table: dict[str, Key], where: str, task) -> dict:
 
 @dataclass(frozen=True)
 class DeviceConfig:
+    """One entry of ``devices``. ``network``, the :class:`DeviceNetwork` the
+    device trains, is built by :func:`parse_config`, never read from the
+    document, and shared by every device that trains the same network."""
     id: str
     branch: str
     data_fraction: float | None = None
@@ -223,6 +226,7 @@ class DeviceConfig:
     replay_capacity: int | None = None
     optimizer: dict = field(default_factory=lambda: {"algorithm": "sgd",
                                                      "learning_rate": 0.01})
+    network: DeviceNetwork | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -240,6 +244,9 @@ class SupervisedConfig:
 
 @dataclass(frozen=True)
 class RlConfig:
+    """The ``rl`` section, in global steps, and the settings every DDQL
+    learner reads: ``gamma``, :meth:`epsilon` and ``epsilon_test``,
+    ``batch_size`` and :meth:`warmup`."""
     total_steps: int
     sync_period: int
     gamma: float = 0.99
@@ -258,6 +265,14 @@ class RlConfig:
         return max(self.batch_size, replay_capacity // 20 if self.warmup_steps is None
                    else self.warmup_steps)
 
+    def epsilon(self, t: int) -> float:
+        """The exploration rate at a device's step ``t``: linear from the start
+        to the end value over ``epsilon_decay_steps``, then flat."""
+        if t >= self.epsilon_decay_steps:
+            return self.epsilon_end
+        frac = t / self.epsilon_decay_steps
+        return self.epsilon_start + (self.epsilon_end - self.epsilon_start) * frac
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -270,8 +285,8 @@ class ExperimentConfig:
     coordinator: CoordinatorConfig
     supervised: SupervisedConfig | None = None
     rl: RlConfig | None = None
-    data: dict | None = None
-    environment: dict | None = None
+    data: dict | None = None  # synthetic: test_per_class filled in
+    environment: dict | None = None  # the GridWorld's keyword arguments
     real_width: int = 64
     raw: dict = field(default_factory=dict, repr=False)
 
@@ -280,7 +295,7 @@ class ExperimentConfig:
         return np.float64 if self.real_width == 64 else np.float32
 
 
-def _check_array_sizes(topology: BranchedTopology, devices, mode: str, task: str,
+def _check_array_sizes(topology: BranchedTopology, devices, task: str,
                        real_width: int) -> None:
     """Every parameter array of a run must fit: a layer, a device's vector
     or (supervised) the seed's (devices x largest vector) stack whose reals
@@ -298,10 +313,7 @@ def _check_array_sizes(topology: BranchedTopology, devices, mode: str, task: str
                                   f"than {limit} {real_width}-bit parameters, which no "
                                   f"array can hold")
             shape = layer.output_shape(shape)
-    if mode == "homogeneous":  # every device trains the weakest branch's network
-        counts = [count_parameters(topology, weakest_branch(topology))] * len(devices)
-    else:
-        counts = [count_parameters(topology, dev.branch) for dev in devices]
+    counts = [dev.network.count_params() for dev in devices]
     for i, (dev, count) in enumerate(zip(devices, counts)):
         if count > limit:
             raise ConfigError(f"devices[{i}] ({dev.id!r}): a network of {count} "
@@ -362,6 +374,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     except ValueError as exc:  # a ShapeError, no branch, or the branch dropout range
         raise ConfigError(f"topology: {exc}") from exc
 
+    homogeneous = top["mode"] == "homogeneous"
+    networks: dict[str, DeviceNetwork] = {}  # by branch, or one ("") in homogeneous mode
     devices = []
     for i, entry in enumerate(top["devices"]):
         where = f"devices[{i}]"
@@ -377,10 +391,14 @@ def parse_config(doc: dict) -> ExperimentConfig:
                 make_optimizer(dev["optimizer"])
             except (TypeError, ValueError) as exc:  # an unknown algorithm or setting
                 raise ConfigError(f"{where}.optimizer: {exc}") from exc
-        devices.append(DeviceConfig(**dev))
+        key = "" if homogeneous else dev["branch"]
+        if key not in networks:
+            networks[key] = (full_share_network(topology, weakest_branch(topology))
+                             if homogeneous else DeviceNetwork(topology, dev["branch"]))
+        devices.append(DeviceConfig(**dev, network=networks[key]))
     if len({d.id for d in devices}) != len(devices):
         raise ConfigError("device ids must be unique")
-    _check_array_sizes(topology, devices, top["mode"], task, top.get("real_width", 64))
+    _check_array_sizes(topology, devices, task, top.get("real_width", 64))
 
     coordinator = _section(top.get("coordinator", {}), COORDINATOR, "coordinator", task)
     top.update(seeds=tuple(top["seeds"]), topology=topology, devices=tuple(devices),
@@ -397,16 +415,20 @@ def parse_config(doc: dict) -> ExperimentConfig:
             raise ConfigError(f"data fractions sum to {total}, expected 1")
         if source == "synthetic":
             check_data_shapes(topology, (data["dims"],), (data["num_classes"],))
+            data.setdefault("test_per_class", max(1, data["per_class"] // 5))
         else:  # CIFAR-10
             check_data_shapes(topology, (32, 32, 3), (10,))
         # the loss reads each trained network's output as class probabilities
-        for branch in ([weakest_branch(topology)] if top["mode"] == "homogeneous"
-                       else [dev.branch for dev in devices]):
-            if not DeviceNetwork(topology, branch).ends_in_softmax:
-                raise ConfigError(f"topology.branches.{branch} must end with a softmax "
-                                  f"layer: a supervised network outputs probabilities")
+        for net in networks.values():
+            if not net.ends_in_softmax:
+                raise ConfigError(f"topology.branches.{net.branch_id} must end with a "
+                                  f"softmax layer: a supervised network outputs probabilities")
     else:
         rl = top["rl"] = RlConfig(**_section(top["rl"], RL, "rl", task))
+        if rl.sync_period > rl.total_steps:  # every RL row is written at a sync event
+            raise ConfigError(f"rl.sync_period {rl.sync_period} is above rl.total_steps "
+                              f"{rl.total_steps}: the run would end before its first sync "
+                              f"and write no rows")
         for i, dev in enumerate(devices):
             # the device trains once its replay holds this many transitions
             warmup = rl.warmup(dev.replay_capacity)
@@ -418,8 +440,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
                     f"{rl.warmup_steps}), so the device would never train")
         env = top["environment"] = _section(
             top["environment"], ENVIRONMENT, "environment", task)
+        del env["type"]  # one type: the other keys are the GridWorld's arguments
         try:
-            GridWorld(**{k: v for k, v in env.items() if k != "type"})
+            GridWorld(**env)
         except ValueError as exc:
             raise ConfigError(f"environment: {exc}") from exc
     return ExperimentConfig(**top, raw=doc)

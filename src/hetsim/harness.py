@@ -30,28 +30,19 @@ from .config import ConfigError, DeviceConfig, ExperimentConfig, check_data_shap
 from .data import Dataset, generate_synthetic_dataset, load_cifar10_binary, partition_dataset
 from .fileio import atomic_open
 from .gridworld import GridWorld
-from .learners import DdqlLearner, EpsilonSchedule, ReplayBuffer, SupervisedTrainer, same_bits
+from .learners import DdqlLearner, ReplayBuffer, SupervisedTrainer, same_bits
 from .metrics import MetricsRow, write_aggregated_csv, write_csv
 from .nn.network import NonFiniteError
 from .nn.optim import make_optimizer
 from .protocol import Coordinator, sync_round
 from .rng import child_rng, child_seed
-from .topology import (BranchedTopology, DeviceNetwork, DeviceStack, build_share_first,
-                       count_parameters, weakest_branch)
+from .topology import DeviceNetwork, DeviceStack, count_parameters
 from . import checkpoint as ckpt
 
 
-def full_share_network(topology: BranchedTopology, branch_id: str) -> DeviceNetwork:
-    """A single-chain network with every parameter shared (homogeneous mode)."""
-    chain = list(topology.stem) + list(topology.branches[branch_id])
-    flat_topo = build_share_first(chain, {branch_id: ()}, topology.input_shape)
-    return DeviceNetwork(flat_topo, branch_id)
-
-
 def build_device_network(config: ExperimentConfig, device: DeviceConfig) -> DeviceNetwork:
-    if config.mode == "homogeneous":
-        return full_share_network(config.topology, weakest_branch(config.topology))
-    return DeviceNetwork(config.topology, device.branch)
+    """The network ``device`` trains, which :func:`~hetsim.config.parse_config` built."""
+    return device.network
 
 
 class _Run:
@@ -75,18 +66,12 @@ class _Run:
         self.rows: list[MetricsRow] = []
         self.devices: list[dict] = []
         data_sizes = []
-        # devices that train the same network share one DeviceNetwork (it
-        # holds no parameters or buffers)
-        nets: dict[str, DeviceNetwork] = {}
-        networks = []
-        for dev_cfg in config.devices:
-            key = "" if config.mode == "homogeneous" else dev_cfg.branch
-            if key not in nets:
-                nets[key] = build_device_network(config, dev_cfg)
-            networks.append(nets[key])
-        self.stack = DeviceStack(networks, config.dtype)
+        # devices that train the same network share the config's one
+        # DeviceNetwork (it holds no parameters or buffers)
+        self.stack = DeviceStack([dev_cfg.network for dev_cfg in config.devices], config.dtype)
         stores = self.stack.stores
-        for i, (dev_cfg, net, store) in enumerate(zip(config.devices, networks, stores)):
+        for i, (dev_cfg, net, store) in enumerate(zip(config.devices, self.stack.networks,
+                                                      stores)):
             # the shared blocks have one layout: drawn once from the "shared"
             # stream, into the first store, and copied into the others
             net.init_store(store, None if i else child_rng(seed, "init", "shared"),
@@ -114,9 +99,14 @@ class _Run:
 
         With ``checkpoint_at``, the run is saved to ``path`` when its clock
         reaches that value (at once if it is there already), and goes on.
-        A ``checkpoint_at`` outside [clock, end] is a ``ConfigError``.
+        A ``checkpoint_at`` outside [clock, end] is a ``ConfigError``, and
+        one without a ``path`` a ``ValueError``; either is raised before
+        the first tick.
         """
         if checkpoint_at is not None:
+            if path is None:
+                raise ValueError(f"checkpoint_at {checkpoint_at} needs a path to save the "
+                                 f"checkpoint to; none was given")
             clock = getattr(self, self.CLOCK)
             if not clock <= checkpoint_at <= self.end:
                 raise ConfigError(f"cannot checkpoint at {self.CLOCK} {checkpoint_at}: the "
@@ -172,7 +162,11 @@ class _Run:
         if len(state["devices"]) != len(self.devices):
             raise ckpt.CheckpointError(f"checkpoint holds {len(state['devices'])} devices, "
                                        f"the run {len(self.devices)}")
-        setattr(self, self.CLOCK, int(state[self.CLOCK]))
+        clock = int(state[self.CLOCK])
+        if clock > self.end:  # the rows past the end are not an uninterrupted run's
+            raise ckpt.CheckpointError(f"checkpoint is at {self.CLOCK} {clock}, past the "
+                                       f"config's end at {self.CLOCK} {self.end}")
+        setattr(self, self.CLOCK, clock)
         for dev, dev_state in zip(self.devices, state["devices"]):
             dev[self.LEARNER].load_state_dict(dev_state[self.LEARNER])
         if self.coordinator is not None:
@@ -239,8 +233,8 @@ def _load_supervised_data(config: ExperimentConfig, seed: int) -> tuple[Dataset,
             d["num_classes"], d["per_class"], d["dims"], d["class_separation"],
             child_seed(seed, "data"))
         test = generate_synthetic_dataset(
-            d["num_classes"], d.get("test_per_class", max(1, d["per_class"] // 5)),
-            d["dims"], d["class_separation"], child_seed(seed, "data-test"))
+            d["num_classes"], d["test_per_class"], d["dims"], d["class_separation"],
+            child_seed(seed, "data-test"))
         return train, test
     return _load_cifar(d, "train_path"), _load_cifar(d, "test_path")
 
@@ -343,11 +337,6 @@ class SupervisedRun(_Run):
 # Reinforcement-learning runs
 # ---------------------------------------------------------------------------
 
-def _make_env(env: dict, rng) -> GridWorld:
-    """A gridworld from the parsed ``environment`` section (cells are tuples)."""
-    return GridWorld(rng=rng, **{k: v for k, v in env.items() if k != "type"})
-
-
 def _acts_now(global_step: int, rate: float) -> bool:
     """A device with interaction rate v acts on the steps where floor(t*v) grows."""
     return int(np.floor(global_step * rate)) > int(np.floor((global_step - 1) * rate))
@@ -362,27 +351,21 @@ class RlRun(_Run):
     def __init__(self, config: ExperimentConfig, seed: int):
         if config.rl is None:
             raise ValueError("config has no rl section")
-        rl = config.rl
-        env = _make_env(config.environment, rng=None)
+        env = GridWorld(**config.environment)
         check_data_shapes(config.topology, (env.state_dim,), (env.n_actions,))
-        self.end = rl.total_steps
-        self.schedule = EpsilonSchedule(rl.epsilon_start, rl.epsilon_end,
-                                        rl.epsilon_decay_steps, rl.epsilon_test)
+        self.end = config.rl.total_steps
         super().__init__(config, seed)
 
     def _make_learner(self, index, dev_cfg, optimizer):
-        seed, rl = self.seed, self.config.rl
+        seed, env = self.seed, self.config.environment
         learner = DdqlLearner(
             self.stack.rows[index], optimizer,
-            env=_make_env(self.config.environment, child_rng(seed, "env", dev_cfg.id)),
-            eval_env=_make_env(self.config.environment,
-                               child_rng(seed, "eval-env", dev_cfg.id)),
-            replay=ReplayBuffer(dev_cfg.replay_capacity), schedule=self.schedule,
+            env=GridWorld(rng=child_rng(seed, "env", dev_cfg.id), **env),
+            eval_env=GridWorld(rng=child_rng(seed, "eval-env", dev_cfg.id), **env),
+            replay=ReplayBuffer(dev_cfg.replay_capacity), rl=self.config.rl,
             act_rng=child_rng(seed, "act", dev_cfg.id),
             replay_rng=child_rng(seed, "replay", dev_cfg.id),
-            eval_rng=child_rng(seed, "eval-act", dev_cfg.id),
-            gamma=rl.gamma, batch_size=rl.batch_size,
-            warmup_steps=rl.warmup(dev_cfg.replay_capacity))
+            eval_rng=child_rng(seed, "eval-act", dev_cfg.id))
         return learner, dev_cfg.replay_capacity
 
     def play_step(self) -> None:
@@ -538,7 +521,7 @@ def describe(config: ExperimentConfig) -> str:
                      f"(operation estimate {ops:,})")
     width_bytes = np.dtype(config.dtype).itemsize
     for dev_cfg in config.devices:
-        net = build_device_network(config, dev_cfg)
+        net = dev_cfg.network
         part = net.partition
         sync_bytes = 0 if config.mode == "isolated" else part.shared_len * width_bytes
         lines.append(

@@ -10,10 +10,10 @@ generators injected at construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RlConfig
 from .nn.losses import cross_entropy, huber
 from .nn.network import NonFiniteError
 from .nn.optim import Optimizer
@@ -109,24 +109,8 @@ class ReplayBuffer:
 
 
 # ---------------------------------------------------------------------------
-# Epsilon schedule
+# Double deep Q-learning
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EpsilonSchedule:
-    """Linear decay from start to end over decay_steps, then flat."""
-
-    start: float = 1.0
-    end: float = 0.1
-    decay_steps: int = 1_000_000
-    test: float = 0.02
-
-    def value(self, t: int) -> float:
-        if t >= self.decay_steps:
-            return self.end
-        frac = t / self.decay_steps
-        return self.start + (self.end - self.start) * frac
-
 
 def explore_action(epsilon: float, n_actions: int, rng: np.random.Generator) -> int | None:
     """The exploring half of the epsilon-greedy rule: a uniform action in
@@ -145,10 +129,6 @@ def greedy_action(q_values: np.ndarray) -> int:
     """Argmax over the Q-values; the lowest index wins ties."""
     return int(np.argmax(q_values))
 
-
-# ---------------------------------------------------------------------------
-# Double deep Q-learning
-# ---------------------------------------------------------------------------
 
 def ddql_targets(rewards, next_states, terminals, gamma,
                  q_next_online: np.ndarray, q_next_target: np.ndarray) -> np.ndarray:
@@ -173,17 +153,17 @@ class DdqlLearner:
     device's row of a run's :class:`~hetsim.topology.DeviceStack`: devices
     act at their own rates, so each steps alone. Its network and ``store``
     are the row's; ``target_store`` is a copy. Q-values are read on
-    ``store.row()`` and ``target_store.row()``. Training starts once the
-    replay holds ``warmup_steps`` transitions (``RlConfig.warmup``).
+    ``store.row()`` and ``target_store.row()``. ``rl``, the parsed ``rl``
+    section, gives the discount ``gamma``, the exploration rates
+    (``rl.epsilon(steps)``, and ``epsilon_test`` in test epochs) and the
+    replay ``batch_size``; training starts once the replay holds
+    ``warmup_steps`` transitions, ``rl.warmup(replay.capacity)``.
     """
 
     def __init__(self, stack: DeviceStack, optimizer: Optimizer,
-                 env, eval_env, replay: ReplayBuffer, schedule: EpsilonSchedule,
+                 env, eval_env, replay: ReplayBuffer, rl: RlConfig,
                  act_rng: np.random.Generator, replay_rng: np.random.Generator,
-                 eval_rng: np.random.Generator, gamma: float, batch_size: int,
-                 warmup_steps: int):
-        if not 0.0 < gamma < 1.0:
-            raise ValueError("gamma must be in (0, 1)")
+                 eval_rng: np.random.Generator):
         self.stack = stack
         (self.network,), (self.store,) = stack.networks, stack.stores
         self.target_store = self.store.copy()
@@ -191,14 +171,12 @@ class DdqlLearner:
         self.env = env
         self.eval_env = eval_env
         self.replay = replay
-        self.schedule = schedule
+        self.rl = rl
         self.act_rng = act_rng
         self.replay_rng = replay_rng
         self.eval_rng = eval_rng
-        self.gamma = gamma
         self.n_actions = math.prod(self.network.output_shape())
-        self.batch_size = batch_size
-        self.warmup_steps = warmup_steps
+        self.warmup_steps = rl.warmup(replay.capacity)
         self.steps = 0  # device-local interaction count
         self._state = None
 
@@ -228,7 +206,7 @@ class DdqlLearner:
         """One minibatch update; returns the mean Huber loss."""
         q_next_online = self.q_of(self.store.row(), next_states)
         q_next_target = self.q_of(self.target_store.row(), next_states)
-        y = ddql_targets(rewards, next_states, terminals, self.gamma,
+        y = ddql_targets(rewards, next_states, terminals, self.rl.gamma,
                          q_next_online, q_next_target)
         q, cache = self.network.forward(self.stack, states[None], mode="train",
                                         rng=[self.act_rng])
@@ -246,19 +224,19 @@ class DdqlLearner:
         """One environment interaction plus one training minibatch when warm."""
         if self._state is None:
             self._state = self.env.reset()
-        eps = self.schedule.value(self.steps)
+        eps = self.rl.epsilon(self.steps)
         action = self.act(self._state, eps)
         next_state, reward, done = self.env.step(action)
         self.replay.add(self._state, action, reward, next_state, done)
         self._state = None if done else next_state
         self.steps += 1
         if len(self.replay) >= self.warmup_steps:
-            self.train_batch(*self.replay.sample(self.replay_rng, self.batch_size))
+            self.train_batch(*self.replay.sample(self.replay_rng, self.rl.batch_size))
 
     # -- evaluation & synchronization -----------------------------------------
 
     def test_epoch(self, episodes: int = 1) -> float:
-        """Mean return of greedy-ish episodes (epsilon = schedule.test).
+        """Mean return of greedy-ish episodes (epsilon = ``rl.epsilon_test``).
 
         Each step draws the explore decision first, as :meth:`act` does,
         and runs the network only on a greedy step. The parameters cannot
@@ -276,7 +254,7 @@ class DdqlLearner:
             done = False
             ep = 0.0
             while not done:
-                action = explore_action(self.schedule.test, self.n_actions, self.eval_rng)
+                action = explore_action(self.rl.epsilon_test, self.n_actions, self.eval_rng)
                 if action is None:
                     key = state.tobytes()
                     action = greedy.get(key)

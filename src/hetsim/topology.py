@@ -488,12 +488,22 @@ class DeviceStack:
         return [self] if self._stacked else self.rows
 
 
+def full_share_network(topology: BranchedTopology, branch_id: str) -> DeviceNetwork:
+    """A single-chain network with every parameter shared (homogeneous mode)."""
+    chain = list(topology.stem) + list(topology.branches[branch_id])
+    flat_topo = build_share_first(chain, {branch_id: ()}, topology.input_shape)
+    return DeviceNetwork(flat_topo, branch_id)
+
+
 def count_parameters(topology: BranchedTopology, branch_id: str) -> int:
-    """Total parameter count of the stem plus the given branch's network."""
-    if topology.cascade is not None and branch_id == topology.cascade.complex_branch:
-        return DeviceNetwork(topology, branch_id).count_params()
-    return chain_count_parameters(
+    """Total parameter count of the stem plus the given branch's network
+    (with the lightweight branch it holds, for a cascade's complex one)."""
+    count = chain_count_parameters(
         list(topology.stem) + list(topology.branches[branch_id]), topology.input_shape)
+    if topology.cascade is not None and branch_id == topology.cascade.complex_branch:
+        count += chain_count_parameters(topology.branches[topology.cascade.lightweight_branch],
+                                        topology.stem_output_shape)
+    return count
 
 
 def weakest_branch(topology: BranchedTopology) -> str:

@@ -32,8 +32,8 @@ from hetsim.nn import (
 from hetsim.nn.params import ParamStore
 from hetsim.nn.network import build_layout
 from hetsim.protocol import Coordinator, merge_deltas, sync_round
-from hetsim.topology import DeviceNetwork, build_cascaded, build_share_first
-from hetsim.harness import full_share_network
+from hetsim.topology import (DeviceNetwork, build_cascaded, build_share_first,
+                             full_share_network)
 
 from gradcheck import finite_diff_check
 from one_device import backward_alone, forward_alone, one_device

@@ -164,6 +164,11 @@ SHAPES = {
     "per-tap-grad-cin-24": (16, 12, 12, 24, 3, 3, 40, 1),
     "per-tap-grad-cin-40": (16, 12, 12, 40, 3, 3, 24, 1),  # 1,600 x 24 x 40: taps
     "atari-4x4-s2-per-tap": (32, 20, 20, 32, 4, 4, 64, 2),  # 2,592 x 64 x 32: taps
+    # above 10**6 multiply-adds but Cin not a multiple of 8: one product, as
+    # per-tap weight gradients gave other bits in float64 under one and two
+    # BLAS threads (1,024 x 37 x 33 and 784 x 40 x 36)
+    "per-tap-grad-cin-33": (16, 10, 10, 33, 3, 3, 37, 1),
+    "per-tap-grad-cin-36": (4, 16, 16, 36, 3, 3, 40, 1),
     # input channels that are not a multiple of 8, with taps of at least
     # 4096 reals: a per-tap input gradient gave other bits in float64
     "input-grad-cin-33": (2, 20, 23, 33, 3, 3, 54, 1),

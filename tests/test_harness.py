@@ -32,7 +32,6 @@ from hetsim.harness import (
     make_run,
     run_experiment,
     save_run_checkpoint,
-    weakest_branch,
 )
 from hetsim.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from hetsim.data import Dataset, write_cifar10_binary
@@ -45,7 +44,7 @@ from hetsim.metrics import (
     write_csv,
 )
 from hetsim.protocol import ProtocolError
-from hetsim.topology import DeviceStack
+from hetsim.topology import DeviceNetwork, DeviceStack, weakest_branch
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -209,10 +208,19 @@ def _with_fraction(index, fraction):
     # a replay that cannot hold its warmup (batch_size 32) never trains
     (tiny_rl_doc, ("devices", 1, "replay_capacity"), 20),
     (tiny_rl_doc, ("rl", "warmup_steps"), 61),
+    # a run that ends before its first sync event writes no rows (120 steps)
+    (tiny_rl_doc, ("rl", "sync_period"), 121),
 ])
 def test_bad_run_lengths_and_rates_rejected(make_doc, path, value):
     with pytest.raises(ConfigError, match=path[-1]):
         parse_config(_set(make_doc(), path, value))
+
+
+def test_a_sync_period_past_the_run_names_both_keys():
+    doc = _set(tiny_rl_doc(), ("rl", "sync_period"), 121)
+    with pytest.raises(ConfigError, match=r"rl\.sync_period 121 is above rl\.total_steps 120"):
+        parse_config(doc)
+    parse_config(_set(doc, ("rl", "sync_period"), 120))  # one sync event, at the end
 
 
 def test_replay_below_its_warmup_names_the_device():
@@ -578,6 +586,39 @@ def test_devices_that_train_one_network_share_it():
     assert nets[0] is nets[1] is nets[2]
 
 
+def _third_device(doc):
+    """The doc with a third device, on the lightweight branch."""
+    third = dict(doc["devices"][1], id="weak2")
+    if doc["task"] == "supervised":
+        doc["devices"][1]["data_fraction"] = third["data_fraction"] = 0.1
+    doc["devices"].append(third)
+    return doc
+
+
+@pytest.mark.parametrize("mode", ["isolated", "homogeneous", "heterogeneous"])
+@pytest.mark.parametrize("make_doc", [tiny_supervised_doc, tiny_rl_doc])
+def test_a_config_builds_each_network_once_and_a_run_builds_none(monkeypatch, make_doc,
+                                                                  mode):
+    built = []
+    init = DeviceNetwork.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(DeviceNetwork, "__init__", counting)
+    config = parse_config(_third_device(make_doc(mode, seeds=(3, 4))))
+    nets = [dev.network for dev in config.devices]
+    assert built == ([nets[0]] if mode == "homogeneous" else nets[:2])
+    assert nets[1] is nets[2] and (nets[0] is nets[1]) == (mode == "homogeneous")
+    built.clear()
+    describe(config)
+    for seed in config.seeds:
+        run = make_run(config, seed)
+        assert all(a is b for a, b in zip(run.stack.networks, nets, strict=True))
+    assert built == []
+
+
 def test_homogeneous_finalize_scores_each_distinct_snapshot_once(monkeypatch):
     doc = tiny_supervised_doc("homogeneous")
     doc["devices"] = [{"id": f"d{i}", "branch": "lightweight", "data_fraction": 0.25,
@@ -819,6 +860,29 @@ def test_checkpoint_at_the_start_and_the_end_equals_a_fresh_run(tmp_path, make_d
         path = tmp_path / f"{at}.ckpt"
         make_run(config, seed).run(checkpoint_at=at, path=path)
         assert load_run_checkpoint(config, seed, path).run() == straight
+
+
+@pytest.mark.parametrize("make_doc,seed,length,shorter", [
+    (tiny_supervised_doc, 7, ("supervised", "rounds"), 2),
+    (tiny_rl_doc, 3, ("rl", "total_steps"), 80)])
+def test_resuming_past_the_configs_end_is_a_checkpoint_error(tmp_path, make_doc, seed, length,
+                                                             shorter):
+    config = parse_config(make_doc())
+    run = make_run(config, seed)
+    end = run.end
+    path = tmp_path / "run.ckpt"
+    run.run(checkpoint_at=end, path=path)
+    shorter_config = parse_config(_set(make_doc(), length, shorter))
+    with pytest.raises(CheckpointError, match=rf"at {run.CLOCK} {end}, past the config's "
+                                              rf"end at {run.CLOCK} {shorter}$"):
+        load_run_checkpoint(shorter_config, seed, path)
+
+
+def test_checkpoint_at_without_a_path_raises_before_the_first_tick():
+    run = make_run(parse_config(tiny_supervised_doc()), 7)
+    with pytest.raises(ValueError, match="path"):
+        run.run(checkpoint_at=2)
+    assert run.round == 0 and run.rows == []
 
 
 def test_checkpoint_before_the_resumed_clock_rejected(tmp_path):

@@ -1,15 +1,16 @@
 """Learner behaviour: replay ring, epsilon schedule, double-Q targets,
 convergence on a known MDP, and the supervised round loop."""
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hetsim.config import RlConfig
 from hetsim.learners import (
     DdqlLearner,
-    EpsilonSchedule,
     ReplayBuffer,
     SupervisedTrainer,
     ddql_targets,
@@ -125,18 +126,24 @@ def test_replay_state_dict_round_trip(n_adds):
 
 # -- epsilon schedule -------------------------------------------------------------
 
+def _rl(**settings):
+    """An ``rl`` section for a learner built by hand; the run length and
+    sync period are the harness's, which a learner never reads."""
+    return RlConfig(total_steps=1, sync_period=1, **settings)
+
+
 def test_epsilon_endpoints_exact():
-    sched = EpsilonSchedule(1.0, 0.1, decay_steps=1_000_000, test=0.02)
-    assert sched.value(0) == 1.0
-    assert sched.value(1_000_000) == 0.1
-    assert sched.value(5_000_000) == 0.1
+    rl = _rl(epsilon_start=1.0, epsilon_end=0.1, epsilon_decay_steps=1_000_000)
+    assert rl.epsilon(0) == 1.0
+    assert rl.epsilon(1_000_000) == 0.1
+    assert rl.epsilon(5_000_000) == 0.1
 
 
 def test_epsilon_piecewise_linear_and_non_increasing():
-    sched = EpsilonSchedule(1.0, 0.1, decay_steps=100)
-    values = [sched.value(t) for t in range(0, 301)]
+    rl = _rl(epsilon_start=1.0, epsilon_end=0.1, epsilon_decay_steps=100)
+    values = [rl.epsilon(t) for t in range(0, 301)]
     assert all(a >= b for a, b in zip(values, values[1:]))
-    assert sched.value(50) == pytest.approx(0.55)
+    assert rl.epsilon(50) == pytest.approx(0.55)
     # linear on the decay segment: second differences vanish
     seg = values[:101]
     diffs = np.diff(seg)
@@ -252,11 +259,11 @@ def _q_learner(seed=0, gamma=0.9):
         Adam(learning_rate=0.005),
         env=ToyMdp(), eval_env=ToyMdp(),
         replay=ReplayBuffer(500),
-        schedule=EpsilonSchedule(1.0, 0.2, decay_steps=1000, test=0.0),
+        rl=_rl(gamma=gamma, epsilon_start=1.0, epsilon_end=0.2, epsilon_decay_steps=1000,
+               epsilon_test=0.0, batch_size=32, warmup_steps=64),
         act_rng=np.random.default_rng(seed + 1),
         replay_rng=np.random.default_rng(seed + 2),
-        eval_rng=np.random.default_rng(seed + 3),
-        gamma=gamma, batch_size=32, warmup_steps=64)
+        eval_rng=np.random.default_rng(seed + 3))
 
 
 def test_ddql_converges_to_bellman_optimal_q():
@@ -294,11 +301,11 @@ def _grid_learner(seed, test_epsilon=0.2):
         one_device(DeviceNetwork(topo, "b"), np.random.default_rng(seed)),
         Adam(learning_rate=0.01),
         env=grid(0), eval_env=grid(1), replay=ReplayBuffer(200),
-        schedule=EpsilonSchedule(1.0, 0.1, decay_steps=100, test=test_epsilon),
+        rl=_rl(gamma=0.99, epsilon_start=1.0, epsilon_end=0.1, epsilon_decay_steps=100,
+               epsilon_test=test_epsilon, batch_size=8, warmup_steps=16),
         act_rng=np.random.default_rng([seed, 2]),
         replay_rng=np.random.default_rng([seed, 3]),
-        eval_rng=np.random.default_rng([seed, 4]), gamma=0.99, batch_size=8,
-        warmup_steps=16)
+        eval_rng=np.random.default_rng([seed, 4]))
 
 
 def _reference_test_epoch(learner, episodes):
@@ -310,7 +317,7 @@ def _reference_test_epoch(learner, episodes):
         ep = 0.0
         while not done:
             q = learner.q_of(learner.store.row(), state[None])[0]
-            action = _epsilon_greedy(q, learner.schedule.test, learner.eval_rng)
+            action = _epsilon_greedy(q, learner.rl.epsilon_test, learner.eval_rng)
             state, reward, done = learner.eval_env.step(action)
             ep += reward
         total += ep
@@ -358,10 +365,11 @@ def _reference_act(learner, state, epsilon):
 @pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0, None])  # None: decaying
 def test_act_runs_the_network_only_on_exploit_steps_and_acts_as_before(
         epsilon, monkeypatch):
-    schedule = (EpsilonSchedule(1.0, 0.05, decay_steps=1500, test=0.2) if epsilon is None
-                else EpsilonSchedule(epsilon, epsilon, decay_steps=1, test=0.2))
+    schedule = (dict(epsilon_start=1.0, epsilon_end=0.05, epsilon_decay_steps=1500)
+                if epsilon is None else
+                dict(epsilon_start=epsilon, epsilon_end=epsilon, epsilon_decay_steps=1))
     learner, reference = _grid_learner(6), _grid_learner(6)
-    learner.schedule = reference.schedule = schedule
+    learner.rl = reference.rl = dataclasses.replace(learner.rl, epsilon_test=0.2, **schedule)
     predicts = []
     predict = DeviceNetwork.predict
 
@@ -415,7 +423,8 @@ def test_a_nan_parameter_raises_at_the_first_greedy_act():
 
 def test_a_nan_parameter_raises_at_the_first_train_batch():
     learner = _grid_learner(0)
-    learner.schedule = EpsilonSchedule(1.0, 1.0, decay_steps=1, test=0.2)
+    learner.rl = dataclasses.replace(learner.rl, epsilon_start=1.0, epsilon_end=1.0,
+                                     epsilon_decay_steps=1, epsilon_test=0.2)
     learner.store.flat[0] = np.nan
     for _ in range(learner.warmup_steps - 1):
         learner.interact()  # exploring acts, replay still cold: nothing reads Q

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from hetsim import build_cascaded, build_share_first
-from hetsim.harness import full_share_network
 from hetsim.learners import SupervisedTrainer
 from hetsim.nn import (
     Conv2D,
@@ -20,7 +19,7 @@ from hetsim.nn import (
     cross_entropy,
 )
 from hetsim.nn.params import store_over
-from hetsim.topology import DeviceNetwork, DeviceStack
+from hetsim.topology import DeviceNetwork, DeviceStack, full_share_network
 
 from one_device import backward_alone, forward_alone, one_device, predict_alone
 
