@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gridworld import GridWorld
-from .nn.layers import layer_from_dict
+from .nn.layers import layer_from_dict, walk
 from .nn.optim import make_optimizer
 from .protocol import COORDINATOR_MODES, WEIGHTINGS
 from .topology import (BranchedTopology, DeviceNetwork, build_cascaded, build_share_first,
@@ -295,31 +295,29 @@ class ExperimentConfig:
         return np.float64 if self.real_width == 64 else np.float32
 
 
-def _check_array_sizes(topology: BranchedTopology, devices, task: str,
-                       real_width: int) -> None:
+def _check_array_sizes(topology: BranchedTopology, devices, real_width: int) -> None:
     """Every parameter array of a run must fit: a layer, a device's vector
-    or (supervised) the seed's (devices x largest vector) stack whose reals
-    of ``real_width`` bits take more bytes than ``np.intp`` counts (so also
-    one whose count does not fit it) is a ConfigError naming it, and no
-    array of it is made."""
+    or the seed's (devices x largest vector) stack, which every run of
+    either task makes, whose reals of ``real_width`` bits take more bytes
+    than ``np.intp`` counts (so also one whose count does not fit it) is a
+    ConfigError naming it, and no array of it is made."""
     limit = np.iinfo(np.intp).max // (real_width // 8)
     chains = [("topology.stem", topology.stem, topology.input_shape)] + [
         (f"topology.branches.{bid}", layers, topology.stem_output_shape)
         for bid, layers in topology.branches.items()]
-    for where, layers, shape in chains:
-        for i, layer in enumerate(layers):
+    for where, layers, input_shape in chains:
+        for i, (layer, shape) in enumerate(walk(layers, input_shape)):
             if sum(math.prod(p) for p in layer.param_shapes(shape).values()) > limit:
                 raise ConfigError(f"{where}[{i}]: a {type(layer).__name__} layer of more "
                                   f"than {limit} {real_width}-bit parameters, which no "
                                   f"array can hold")
-            shape = layer.output_shape(shape)
     counts = [dev.network.count_params() for dev in devices]
     for i, (dev, count) in enumerate(zip(devices, counts)):
         if count > limit:
             raise ConfigError(f"devices[{i}] ({dev.id!r}): a network of {count} "
                               f"{real_width}-bit parameters, more than the {limit} an "
                               f"array can hold")
-    if task == "supervised" and len(devices) * max(counts, default=0) > limit:
+    if len(devices) * max(counts, default=0) > limit:
         raise ConfigError(f"devices: {len(devices)} devices of up to {max(counts)} "
                           f"{real_width}-bit parameters, more than the {limit} that one "
                           f"array of their vectors can hold")
@@ -398,7 +396,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         devices.append(DeviceConfig(**dev, network=networks[key]))
     if len({d.id for d in devices}) != len(devices):
         raise ConfigError("device ids must be unique")
-    _check_array_sizes(topology, devices, task, top.get("real_width", 64))
+    _check_array_sizes(topology, devices, top.get("real_width", 64))
 
     coordinator = _section(top.get("coordinator", {}), COORDINATOR, "coordinator", task)
     top.update(seeds=tuple(top["seeds"]), topology=topology, devices=tuple(devices),

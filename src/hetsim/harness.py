@@ -48,12 +48,14 @@ def build_device_network(config: ExperimentConfig, device: DeviceConfig) -> Devi
 class _Run:
     """One seed's devices, coordinator, sync logging, run loop and checkpoints.
 
-    The devices' parameters are the rows of one :class:`DeviceStack`,
-    ``stack``. Subclasses name their clock attribute (``CLOCK``) and the
-    device key of their learner (``LEARNER``), set the clock's last value
-    (``end``), build each device's learner in :meth:`_make_learner`, and
-    define one tick of the clock (``_tick``) and the rows written after the
-    last one (:meth:`finalize`).
+    Device ``k`` (``config.devices[k]``) has the id ``ids[k]``, row ``k`` of
+    one :class:`DeviceStack`, ``stack``, and the learner ``learners[k]``.
+    Subclasses name their clock attribute (``CLOCK``) and a learner's
+    checkpoint key (``LEARNER``), set the clock's last value (``end``) and
+    the data sizes that weight the devices' merge (``data_sizes``) before
+    this constructor runs, build each device's learner in
+    :meth:`_make_learner`, and define one tick of the clock (``_tick``) and
+    the rows written after the last one (:meth:`finalize`).
     """
 
     CLOCK: str
@@ -64,35 +66,42 @@ class _Run:
         self.seed = seed
         setattr(self, self.CLOCK, 0)
         self.rows: list[MetricsRow] = []
-        self.devices: list[dict] = []
-        data_sizes = []
+        self.ids = [dev_cfg.id for dev_cfg in config.devices]
         # devices that train the same network share the config's one
         # DeviceNetwork (it holds no parameters or buffers)
         self.stack = DeviceStack([dev_cfg.network for dev_cfg in config.devices], config.dtype)
         stores = self.stack.stores
-        for i, (dev_cfg, net, store) in enumerate(zip(config.devices, self.stack.networks,
-                                                      stores)):
-            # the shared blocks have one layout: drawn once from the "shared"
-            # stream, into the first store, and copied into the others
-            net.init_store(store, None if i else child_rng(seed, "init", "shared"),
-                           child_rng(seed, "init", dev_cfg.id))
-            store.flat[:net.partition.shared_len] = stores[0].flat[:net.partition.shared_len]
-            learner, data_size = self._make_learner(i, dev_cfg,
-                                                    make_optimizer(dev_cfg.optimizer))
-            self.devices.append({"cfg": dev_cfg, "net": net, "store": store,
-                                 self.LEARNER: learner})
-            data_sizes.append(data_size)
+        # the shared blocks have one layout (the stack checks it): drawn once
+        # from the "shared" stream, into the first store, and copied into the others
+        shared_len = self.stack.networks[0].partition.shared_len
+        self.learners = []
+        for i, (dev_cfg, store) in enumerate(zip(config.devices, stores)):
+            dev_cfg.network.init_store(store, None if i else child_rng(seed, "init", "shared"),
+                                       child_rng(seed, "init", dev_cfg.id))
+            store.flat[:shared_len] = stores[0].flat[:shared_len]
+            self.learners.append(self._make_learner(i, dev_cfg,
+                                                    make_optimizer(dev_cfg.optimizer)))
         self.coordinator = None
         if config.mode != "isolated":
             self.coordinator = Coordinator(
-                config.coordinator.mode, config.coordinator.weighting, data_sizes,
-                [dev["store"].flat[:dev["net"].partition.shared_len]
-                 for dev in self.devices])
+                config.coordinator.mode, config.coordinator.weighting, self.data_sizes,
+                [store.flat[:shared_len] for store in stores])
 
     def _make_learner(self, index: int, dev_cfg: DeviceConfig, optimizer):
-        """Device ``index``'s learner, on its row of ``stack``, and the data
-        size its merge weight uses."""
+        """Device ``index``'s learner, on its row of ``stack``."""
         raise NotImplementedError
+
+    def _each(self, call) -> list:
+        """``call(dev_cfg, learner)`` for each device in row order, the results
+        in a list. A ``NonFiniteError`` from a call names that device."""
+        results = []
+        for k, (dev_cfg, learner) in enumerate(zip(self.config.devices, self.learners)):
+            try:
+                results.append(call(dev_cfg, learner))
+            except NonFiniteError as exc:
+                exc.device = k
+                raise
+        return results
 
     def run(self, checkpoint_at: int | None = None, path=None) -> list[MetricsRow]:
         """Tick the clock to ``end``, then :meth:`finalize`; return the rows.
@@ -120,7 +129,7 @@ class _Run:
         except NonFiniteError as exc:  # name where the run diverged
             where = [f"seed {self.seed}"]
             if exc.device is not None:
-                where.append(f"device {self.devices[exc.device]['cfg'].id}")
+                where.append(f"device {self.ids[exc.device]}")
             where.append(f"{self.CLOCK} {getattr(self, self.CLOCK)}")
             raise NonFiniteError(f"{', '.join(where)}: {exc}") from exc
         return self.rows
@@ -134,18 +143,18 @@ class _Run:
 
     def _sync_and_log(self, t: int) -> None:
         """One sync round, then a bytes_sent row per device (zero if isolated)."""
-        sent = ([0] * len(self.devices) if self.coordinator is None
+        sent = ([0] * len(self.ids) if self.coordinator is None
                 else sync_round(self.coordinator))
-        for dev, nbytes in zip(self.devices, sent):
-            self._row(t, dev["cfg"].id, "train", "bytes_sent", float(nbytes))
+        for device, nbytes in zip(self.ids, sent):
+            self._row(t, device, "train", "bytes_sent", float(nbytes))
 
     # -- checkpointing --------------------------------------------------------
 
     def state_dict(self) -> dict:
         state = {"seed": self.seed, self.CLOCK: getattr(self, self.CLOCK),
                  "rows": [astuple(row) for row in self.rows],
-                 "devices": [{self.LEARNER: dev[self.LEARNER].state_dict()}
-                             for dev in self.devices]}
+                 "devices": [{self.LEARNER: learner.state_dict()}
+                             for learner in self.learners]}
         if self.coordinator is not None:
             state["coordinator"] = {"theta": self.coordinator.theta.copy()}
             saved = {}  # one copy of each reference, however many devices share it
@@ -159,16 +168,16 @@ class _Run:
         if state["seed"] != self.seed:
             raise ckpt.CheckpointError(f"checkpoint is of seed {state['seed']}, the run "
                                        f"resuming from it is of seed {self.seed}")
-        if len(state["devices"]) != len(self.devices):
+        if len(state["devices"]) != len(self.learners):
             raise ckpt.CheckpointError(f"checkpoint holds {len(state['devices'])} devices, "
-                                       f"the run {len(self.devices)}")
+                                       f"the run {len(self.learners)}")
         clock = int(state[self.CLOCK])
         if clock > self.end:  # the rows past the end are not an uninterrupted run's
             raise ckpt.CheckpointError(f"checkpoint is at {self.CLOCK} {clock}, past the "
                                        f"config's end at {self.CLOCK} {self.end}")
         setattr(self, self.CLOCK, clock)
-        for dev, dev_state in zip(self.devices, state["devices"]):
-            dev[self.LEARNER].load_state_dict(dev_state[self.LEARNER])
+        for learner, dev_state in zip(self.learners, state["devices"]):
+            learner.load_state_dict(dev_state[self.LEARNER])
         if self.coordinator is not None:
             refs = self.coordinator.refs
             for k, (ref, dev_state) in enumerate(zip(refs, state["devices"])):
@@ -185,13 +194,6 @@ class _Run:
             self.coordinator.theta[...] = _checked(
                 self.coordinator.theta, state["coordinator"]["theta"], "theta")
         self.rows = [MetricsRow(*row) for row in state["rows"]]
-
-
-def _on_device(exc: NonFiniteError, index: int) -> NonFiniteError:
-    """``exc``, naming device ``index``: it came from that device's own call
-    (on a stack of one, whose index is 0)."""
-    exc.device = index
-    return exc
 
 
 def _checked(dst: np.ndarray, saved, name: str) -> np.ndarray:
@@ -275,6 +277,7 @@ class SupervisedRun(_Run):
                          pool.features[val], pool.labels[val])
                         for train, val in zip(self.partition.train_indices,
                                               self.partition.val_indices)]
+        self.data_sizes = [self.partition.shard_size(k) for k in range(len(fractions))]
         super().__init__(config, seed)
 
     def _make_learner(self, index, dev_cfg, optimizer):
@@ -285,23 +288,20 @@ class SupervisedRun(_Run):
             rng=child_rng(self.seed, "train", dev_cfg.id),
             round_samples=self.config.supervised.round_samples,
             minibatch_size=self.config.supervised.minibatch_size, stack=self.stack,
-            taken={dev["net"]: dev["trainer"].snapshot for dev in self.devices})
-        return trainer, self.partition.shard_size(index)
+            taken={trainer.network: trainer.snapshot for trainer in self.learners})
+        return trainer
 
     def play_round(self) -> None:
         self.round += 1
-        first, *peers = [dev["trainer"] for dev in self.devices]
-        for dev, (loss, acc) in zip(self.devices, first.train_round(tuple(peers))):
-            self._row(self.round, dev["cfg"].id, "train", "loss", loss)
-            self._row(self.round, dev["cfg"].id, "train", "accuracy", acc)
+        first, *peers = self.learners
+        for device, (loss, acc) in zip(self.ids, first.train_round(tuple(peers))):
+            self._row(self.round, device, "train", "loss", loss)
+            self._row(self.round, device, "train", "accuracy", acc)
         self._sync_and_log(self.round)
         taken = {}  # the snapshots taken this round, see SupervisedTrainer
-        for k, dev in enumerate(self.devices):
-            try:
-                val_acc = dev["trainer"].validate_and_snapshot(taken)
-            except NonFiniteError as exc:
-                raise _on_device(exc, k)
-            self._row(self.round, dev["cfg"].id, "validation", "accuracy", val_acc)
+        accs = self._each(lambda dev_cfg, trainer: trainer.validate_and_snapshot(taken))
+        for device, val_acc in zip(self.ids, accs):
+            self._row(self.round, device, "validation", "accuracy", val_acc)
 
     _tick = play_round
 
@@ -317,20 +317,18 @@ class SupervisedRun(_Run):
         most often as the same array.
         """
         scored: list[tuple[DeviceNetwork, np.ndarray, float]] = []
-        for k, dev in enumerate(self.devices):
-            trainer, net = dev["trainer"], dev["net"]
-            snap = trainer.snapshot
+
+        def score(dev_cfg, trainer):
+            net, snap = dev_cfg.network, trainer.snapshot
             for other, other_snap, acc in scored:
                 if other is net and same_bits(other_snap, snap):
-                    break
-            else:
-                try:
-                    acc = trainer.evaluate(self.test_set.features, self.test_set.labels,
-                                           flat=snap)
-                except NonFiniteError as exc:
-                    raise _on_device(exc, k)
-                scored.append((net, snap, acc))
-            self._row(self.round, dev["cfg"].id, "test", "accuracy", acc)
+                    return acc
+            acc = trainer.evaluate(self.test_set.features, self.test_set.labels, flat=snap)
+            scored.append((net, snap, acc))
+            return acc
+
+        for device, acc in zip(self.ids, self._each(score)):
+            self._row(self.round, device, "test", "accuracy", acc)
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +352,7 @@ class RlRun(_Run):
         env = GridWorld(**config.environment)
         check_data_shapes(config.topology, (env.state_dim,), (env.n_actions,))
         self.end = config.rl.total_steps
+        self.data_sizes = [dev_cfg.replay_capacity for dev_cfg in config.devices]
         super().__init__(config, seed)
 
     def _make_learner(self, index, dev_cfg, optimizer):
@@ -366,36 +365,33 @@ class RlRun(_Run):
             act_rng=child_rng(seed, "act", dev_cfg.id),
             replay_rng=child_rng(seed, "replay", dev_cfg.id),
             eval_rng=child_rng(seed, "eval-act", dev_cfg.id))
-        return learner, dev_cfg.replay_capacity
+        return learner
 
     def play_step(self) -> None:
         """One tick of the global clock: interactions, then any sync event."""
         self.step += 1
-        for k, dev in enumerate(self.devices):
-            if _acts_now(self.step, dev["cfg"].rate):
-                try:
-                    dev["learner"].interact()
-                except NonFiniteError as exc:
-                    raise _on_device(exc, k)
+        self._each(self._act)
         if self.step % self.config.rl.sync_period == 0:
             self._sync_event()
 
     _tick = play_step
+
+    def _act(self, dev_cfg: DeviceConfig, learner: DdqlLearner) -> None:
+        if _acts_now(self.step, dev_cfg.rate):
+            learner.interact()
 
     def finalize(self) -> None:
         """Nothing: every RL row is written at a sync event."""
 
     def _sync_event(self) -> None:
         # test epoch first, then synchronization, then the target copy
-        for k, dev in enumerate(self.devices):
-            try:
-                reward = dev["learner"].test_epoch(self.config.rl.test_episodes)
-            except NonFiniteError as exc:
-                raise _on_device(exc, k)
-            self._row(self.step, dev["cfg"].id, "test", "reward", reward)
+        episodes = self.config.rl.test_episodes
+        rewards = self._each(lambda dev_cfg, learner: learner.test_epoch(episodes))
+        for device, reward in zip(self.ids, rewards):
+            self._row(self.step, device, "test", "reward", reward)
         self._sync_and_log(self.step)
-        for dev in self.devices:
-            dev["learner"].copy_target()
+        for learner in self.learners:
+            learner.copy_target()
 
 
 # ---------------------------------------------------------------------------

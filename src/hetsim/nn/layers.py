@@ -34,6 +34,7 @@ window's strided taps with a running maximum, and copies no window.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -156,13 +157,11 @@ class Conv2D(Layer):
       cores (SkylakeX: a transposed product of at most 1200 outputs); and
       with Cin of 33 or 36, say, about 1-3% of the tap products' elements
       had other bits in float64 under one and two BLAS threads;
-    - a weight gradient unless Cin is a multiple of 8, at least 32, and
-      each tap product takes more than 10**6 multiply-adds. SkylakeX's
-      small-matrix kernels take products of at most 10**6, and under two
-      BLAS threads column blocks narrower than 32 or of widths that are
-      not a multiple of 8 gave other bits (scanned in both float widths
-      at 1 and 2 threads). With one input channel the product is
-      ``cols.T @ dy2``.
+    - a weight gradient unless Cin is a multiple of 8 and each tap product
+      takes more than 10**6 multiply-adds. SkylakeX's small-matrix kernels
+      take products of at most 10**6, and with Cin of 33 or 36, say, tap
+      products had other bits in float64 under one and two BLAS threads.
+      With one input channel the product is ``cols.T @ dy2``.
 
     The golden metrics digests are the guard on another BLAS.
     """
@@ -238,7 +237,7 @@ class Conv2D(Layer):
         n, ho, wo = dy.shape[:3]
         kh, kw, s = self.kh, self.kw, self.stride
         dy2 = dy.reshape(-1, cout)
-        if cin % 8 or cin < 32 or len(dy2) * cin * cout <= _SMALL_GEMM:  # see the class docstring
+        if cin % 8 or len(dy2) * cin * cout <= _SMALL_GEMM:  # see the class docstring
             cols2 = self._windows(x).reshape(len(dy2), cin * kh * kw)
             dwmat = (dy2.T @ cols2).T if cin > 1 else cols2.T @ dy2
             gw[...] += dwmat.reshape(cin, kh, kw, cout).transpose(1, 2, 0, 3)
@@ -481,24 +480,25 @@ def output_shape(layer: Layer, in_shape: Shape) -> Shape:
     return layer.output_shape(tuple(in_shape))
 
 
-def chain_shapes(layers: tuple[Layer, ...] | list[Layer], input_shape: Shape) -> list[Shape]:
-    """Per-layer output shapes of a sequential chain (validates it composes)."""
-    shapes = []
+def walk(layers: tuple[Layer, ...] | list[Layer],
+         input_shape: Shape) -> Iterator[tuple[Layer, Shape]]:
+    """Each layer of a sequential chain with the input shape it takes; the
+    walk checks that every layer accepts its input (a ``ShapeError`` if not)."""
     shape = tuple(input_shape)
     for layer in layers:
+        yield layer, shape
         shape = layer.output_shape(shape)
-        shapes.append(shape)
-    return shapes
+
+
+def chain_shapes(layers: tuple[Layer, ...] | list[Layer], input_shape: Shape) -> list[Shape]:
+    """Per-layer output shapes of a sequential chain (validates it composes)."""
+    return [layer.output_shape(shape) for layer, shape in walk(layers, input_shape)]
 
 
 def count_parameters(layers: tuple[Layer, ...] | list[Layer], input_shape: Shape) -> int:
     """Total scalar parameter count of a sequential chain."""
-    total = 0
-    shape = tuple(input_shape)
-    for layer in layers:
-        total += sum(math.prod(p) for p in layer.param_shapes(shape).values())
-        shape = layer.output_shape(shape)
-    return total
+    return sum(math.prod(p) for layer, shape in walk(layers, input_shape)
+               for p in layer.param_shapes(shape).values())
 
 
 def count_operations(layers: tuple[Layer, ...] | list[Layer], input_shape: Shape) -> int:
@@ -508,10 +508,4 @@ def count_operations(layers: tuple[Layer, ...] | list[Layer], input_shape: Shape
     this estimate (MACs for Dense/Conv2D, one op per element for
     activations and pooling) is for relative comparisons only.
     """
-    total = 0
-    shape = tuple(input_shape)
-    for layer in layers:
-        out = layer.output_shape(shape)
-        total += layer.operations(shape)
-        shape = out
-    return total
+    return sum(layer.operations(shape) for layer, shape in walk(layers, input_shape))

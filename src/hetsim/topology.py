@@ -495,15 +495,20 @@ def full_share_network(topology: BranchedTopology, branch_id: str) -> DeviceNetw
     return DeviceNetwork(flat_topo, branch_id)
 
 
+def _branch_chains(topology: BranchedTopology, branch_id: str) -> list[tuple[tuple, tuple]]:
+    """(layers, input shape) of each chain of a branch's network: the stem
+    and the branch, and a cascade complex branch's lightweight logits."""
+    chains = [(topology.stem + topology.branches[branch_id], topology.input_shape)]
+    if topology.cascade is not None and branch_id == topology.cascade.complex_branch:
+        light = topology.branches[topology.cascade.lightweight_branch]
+        chains.append((light[:-1], topology.stem_output_shape))
+    return chains
+
+
 def count_parameters(topology: BranchedTopology, branch_id: str) -> int:
     """Total parameter count of the stem plus the given branch's network
     (with the lightweight branch it holds, for a cascade's complex one)."""
-    count = chain_count_parameters(
-        list(topology.stem) + list(topology.branches[branch_id]), topology.input_shape)
-    if topology.cascade is not None and branch_id == topology.cascade.complex_branch:
-        count += chain_count_parameters(topology.branches[topology.cascade.lightweight_branch],
-                                        topology.stem_output_shape)
-    return count
+    return sum(chain_count_parameters(*chain) for chain in _branch_chains(topology, branch_id))
 
 
 def weakest_branch(topology: BranchedTopology) -> str:
@@ -514,11 +519,8 @@ def weakest_branch(topology: BranchedTopology) -> str:
 
 def count_branch_operations(topology: BranchedTopology, branch_id: str) -> int:
     """Forward-pass operation estimate for the stem plus one branch."""
-    ops = count_operations(list(topology.stem) + list(topology.branches[branch_id]),
-                           topology.input_shape)
-    if topology.cascade is not None and branch_id == topology.cascade.complex_branch:
-        light = topology.branches[topology.cascade.lightweight_branch]
-        ops += count_operations(list(light[:-1]), topology.stem_output_shape)
-        out = topology.branch_output_shape(branch_id)
-        ops += int(np.prod(out))  # the add at the combine point
+    chains = _branch_chains(topology, branch_id)
+    ops = sum(count_operations(*chain) for chain in chains)
+    if len(chains) > 1:  # the add at the cascade's combine point
+        ops += math.prod(topology.branch_output_shape(branch_id))
     return ops

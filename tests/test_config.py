@@ -175,7 +175,8 @@ def _parse_peak(doc):
 # network (stem, complex branch and lightweight head: about 24u reals)
 # does not at u = 2**56, nor the two devices' stack of those vectors at
 # 2**55. In homogeneous mode both devices train the weakest network (about
-# 12u). An RL device holds its own vector (about 22u), so no stack is made.
+# 12u). An RL run stacks its devices' vectors too: its powerful device's
+# (about 22u) fits an array at u = 2**55, the stack of two does not.
 @pytest.mark.parametrize("make_doc,units,message", [
     (tiny_supervised_doc, 2**56,
      r"^devices\[0\] \('powerful'\): a network of \d+ 64-bit parameters, more than the "
@@ -184,9 +185,11 @@ def _parse_peak(doc):
      r"^devices: 2 devices of up to \d+ 64-bit parameters, more than the "
      r"1152921504606846975 that one array of their vectors can hold$"),
     (lambda: tiny_supervised_doc("homogeneous"), 2**55, None),
-    (tiny_rl_doc, 2**55, None),
+    (tiny_rl_doc, 2**55,
+     r"^devices: 2 devices of up to \d+ 64-bit parameters, more than the "
+     r"1152921504606846975 that one array of their vectors can hold$"),
     (tiny_rl_doc, 2**56, r"^devices\[0\] \('powerful'\): a network of"),
-], ids=["device-vector", "stack", "homogeneous-parses", "rl-parses", "rl-device-vector"])
+], ids=["device-vector", "stack", "homogeneous-parses", "rl-stack", "rl-device-vector"])
 def test_a_network_or_stack_too_large_for_an_array_is_a_config_error(make_doc, units,
                                                                       message):
     result, peak = _parse_peak(_set(make_doc(), ("topology", "stem", 0, "units"), units))
@@ -197,10 +200,11 @@ def test_a_network_or_stack_too_large_for_an_array_is_a_config_error(make_doc, u
     assert peak < 1 << 20, f"parsing allocated {peak} bytes"
 
 
-def test_cli_reports_a_stack_too_large_for_an_array(tmp_path, capsys):
+@pytest.mark.parametrize("make_doc", [tiny_supervised_doc, tiny_rl_doc],
+                         ids=["supervised", "rl"])
+def test_cli_reports_a_stack_too_large_for_an_array(tmp_path, capsys, make_doc):
     path = tmp_path / "conf.json"
-    path.write_text(json.dumps(_set(tiny_supervised_doc(), ("topology", "stem", 0, "units"),
-                                    2**55)))
+    path.write_text(json.dumps(_set(make_doc(), ("topology", "stem", 0, "units"), 2**55)))
     for argv in (["describe", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
         assert cli_main(argv) == 2, argv
         err = capsys.readouterr().err

@@ -160,9 +160,14 @@ SHAPES = {
     # above it (391 x 80 x 32 = 1,000,960: taps)
     "per-tap-grad-at-1e6": (1, 27, 27, 32, 3, 3, 50, 1),
     "per-tap-grad-just-above-1e6": (1, 19, 25, 32, 3, 3, 80, 1),
-    # 1,600 x 40 x 24 = 1,536,000, but 24 channels: one product
-    "per-tap-grad-cin-24": (16, 12, 12, 24, 3, 3, 40, 1),
+    "per-tap-grad-cin-24": (16, 12, 12, 24, 3, 3, 40, 1),  # 1,600 x 40 x 24: taps
     "per-tap-grad-cin-40": (16, 12, 12, 40, 3, 3, 24, 1),  # 1,600 x 24 x 40: taps
+    # fewer than 32 input channels, a multiple of 8, above 10**6: taps
+    "per-tap-grad-cin-8": (16, 12, 12, 8, 3, 3, 96, 1),  # 1,600 x 96 x 8
+    "per-tap-grad-cin-8-2x2": (8, 17, 17, 8, 2, 2, 80, 1),  # 2,048 x 80 x 8
+    "per-tap-grad-cin-16": (16, 12, 12, 16, 3, 3, 48, 1),  # 1,600 x 48 x 16
+    "per-tap-grad-cin-16-s2": (8, 25, 25, 16, 3, 3, 64, 2),  # 1,152 x 64 x 16
+    "per-tap-grad-cin-24-s2": (16, 21, 21, 24, 3, 3, 64, 2),  # 1,600 x 64 x 24
     "atari-4x4-s2-per-tap": (32, 20, 20, 32, 4, 4, 64, 2),  # 2,592 x 64 x 32: taps
     # above 10**6 multiply-adds but Cin not a multiple of 8: one product, as
     # per-tap weight gradients gave other bits in float64 under one and two

@@ -440,12 +440,12 @@ def test_rl_devices_train_on_the_rows_of_the_runs_stack(softmax):
     run = make_run(parse_config(doc), 3)
     stack = run.stack
     assert (stack.groups is stack.rows) == softmax
-    for d, dev in enumerate(run.devices):
-        learner = dev["learner"]
+    assert run.ids == ["powerful", "weak"]
+    for d, (dev_cfg, learner) in enumerate(zip(run.config.devices, run.learners, strict=True)):
         assert learner.stack is stack.rows[d] and learner.network is stack.networks[d]
-        assert learner.store is dev["store"] is stack.stores[d]
+        assert learner.store is stack.stores[d]
         assert learner.store.flat.base is stack.params
-        assert learner.warmup_steps == run.config.rl.warmup(dev["cfg"].replay_capacity) == 32
+        assert learner.warmup_steps == run.config.rl.warmup(dev_cfg.replay_capacity) == 32
     rows = run.run()
     assert {r.device for r in rows} == {"powerful", "weak"}
     assert all(math.isfinite(r.value) for r in rows)
@@ -456,8 +456,7 @@ def test_rl_run_deterministic_and_sync_cadence():
     run_a, run_b = make_run(config, 3), make_run(config, 3)
     rows_a, rows_b = run_a.run(), run_b.run()
     assert rows_a == rows_b
-    for a, b in zip(run_a.devices, run_b.devices):
-        np.testing.assert_array_equal(a["store"].flat, b["store"].flat)
+    np.testing.assert_array_equal(run_a.stack.params, run_b.stack.params)
     test_steps = sorted({r.round for r in rows_a if r.phase == "test"})
     assert test_steps == [40, 80, 120]  # exactly every sync_period
 
@@ -468,11 +467,11 @@ def test_target_networks_adopt_the_broadcast_at_sync_events():
     while run.step < config.rl.sync_period:
         run.play_step()
     theta = run.coordinator.theta
-    for dev in run.devices:
-        shared_len = dev["net"].partition.shared_len
-        target_shared = dev["learner"].target_store.flat[:shared_len]
+    for learner in run.learners:
+        shared_len = learner.network.partition.shared_len
+        target_shared = learner.target_store.flat[:shared_len]
         np.testing.assert_array_equal(target_shared, theta)
-        online_shared = dev["store"].flat[:shared_len]
+        online_shared = learner.store.flat[:shared_len]
         np.testing.assert_array_equal(online_shared, theta)
 
 
@@ -481,9 +480,8 @@ def test_isolated_target_copy_equals_local_online_params():
     run = make_run(config, 3)
     while run.step < config.rl.sync_period:
         run.play_step()
-    for dev in run.devices:
-        np.testing.assert_array_equal(dev["learner"].target_store.flat,
-                                      dev["store"].flat)
+    for learner in run.learners:
+        np.testing.assert_array_equal(learner.target_store.flat, learner.store.flat)
 
 
 def test_isolated_rl_devices_do_not_interact():
@@ -506,10 +504,8 @@ def test_rate_gating_quarters_the_weak_interactions():
     config = parse_config(doc)
     run = make_run(config, 3)
     run.run()
-    powerful = next(d for d in run.devices if d["cfg"].id == "powerful")
-    weak = next(d for d in run.devices if d["cfg"].id == "weak")
-    assert powerful["learner"].steps == 120
-    assert weak["learner"].steps == 30
+    steps = {device: learner.steps for device, learner in zip(run.ids, run.learners)}
+    assert steps == {"powerful": 120, "weak": 30}
 
 
 @pytest.mark.parametrize("rate,steps", [
@@ -521,8 +517,8 @@ def test_a_device_of_rate_r_acts_floor_t_r_times_in_t_steps(rate, steps):
     doc["rl"].update(total_steps=steps, sync_period=steps)
     run = make_run(parse_config(doc), 3)
     run.run()
-    weak = next(d for d in run.devices if d["cfg"].id == "weak")
-    assert weak["learner"].steps == math.floor(steps * rate)
+    weak = run.learners[run.ids.index("weak")]
+    assert weak.steps == math.floor(steps * rate)
 
 
 def test_real_width_32_runs_and_scales_bytes():
@@ -540,9 +536,9 @@ def test_homogeneous_rl_devices_agree_after_sync():
     run = make_run(config, 3)
     while run.step < config.rl.sync_period:
         run.play_step()
-    a, b = run.devices
-    assert a["net"].partition.shared_len == a["net"].count_params()
-    np.testing.assert_array_equal(a["store"].flat, b["store"].flat)
+    a, b = run.learners
+    assert a.network.partition.shared_len == a.network.count_params()
+    np.testing.assert_array_equal(a.store.flat, b.store.flat)
 
 
 def test_seed_offset_shifts_seeds(tmp_path):
@@ -579,10 +575,10 @@ def _distinct_bits(arrays) -> int:
 def test_devices_that_train_one_network_share_it():
     doc = tiny_rl_doc()
     doc["devices"].append(dict(doc["devices"][1], id="weak2"))
-    nets = [dev["net"] for dev in make_run(parse_config(doc), 3).devices]
+    nets = [learner.network for learner in make_run(parse_config(doc), 3).learners]
     assert nets[1] is nets[2] and nets[0] is not nets[1]
     doc["mode"] = "homogeneous"
-    nets = [dev["net"] for dev in make_run(parse_config(doc), 3).devices]
+    nets = [learner.network for learner in make_run(parse_config(doc), 3).learners]
     assert nets[0] is nets[1] is nets[2]
 
 
@@ -627,15 +623,15 @@ def test_homogeneous_finalize_scores_each_distinct_snapshot_once(monkeypatch):
     run = make_run(parse_config(doc), 7)
     while run.round < run.config.supervised.rounds:
         run.play_round()
-    snapshots = [dev["trainer"].snapshot for dev in run.devices]
+    snapshots = [trainer.snapshot for trainer in run.learners]
     scored = _count_test_passes(monkeypatch, run)
     run.finalize()
-    assert len(scored) == _distinct_bits(snapshots) < len(run.devices)
+    assert len(scored) == _distinct_bits(snapshots) < len(run.learners)
     assert _distinct_bits(scored) == len(scored)
     # each device's row is the accuracy its own pass would give
     assert _test_accuracies(run) == [
-        dev["trainer"].evaluate(run.test_set.features, run.test_set.labels,
-                                flat=dev["trainer"].snapshot) for dev in run.devices]
+        trainer.evaluate(run.test_set.features, run.test_set.labels, flat=trainer.snapshot)
+        for trainer in run.learners]
 
 
 def test_heterogeneous_finalize_scores_every_device(monkeypatch):
@@ -643,12 +639,12 @@ def test_heterogeneous_finalize_scores_every_device(monkeypatch):
     run.play_round()
     scored = _count_test_passes(monkeypatch, run)
     run.finalize()
-    assert len(scored) == len(run.devices) == 2
+    assert len(scored) == len(run.learners) == 2
 
 
 def test_snapshots_that_differ_in_the_sign_of_a_zero_are_both_scored(monkeypatch):
     run = make_run(parse_config(tiny_supervised_doc("homogeneous")), 7)
-    first, second = (dev["trainer"] for dev in run.devices)
+    first, second = run.learners
     first.snapshot = first.snapshot.copy()  # snapshots are read-only: write copies
     first.snapshot[0] = 0.0
     second.snapshot = first.snapshot.copy()
@@ -672,7 +668,7 @@ def test_snapshots_are_read_only_and_bit_identical_ones_are_one_array(mode, tmp_
     doc = _homogeneous_devices(tiny_supervised_doc("homogeneous"), 4)
     doc["coordinator"]["mode"] = mode
     run = make_run(parse_config(doc), 7)
-    trainers = [dev["trainer"] for dev in run.devices]
+    trainers = run.learners
     assert all(t.snapshot is trainers[0].snapshot for t in trainers)  # one broadcast state
     for _ in range(3):
         before = [t.snapshot for t in trainers]
@@ -688,7 +684,7 @@ def test_snapshots_are_read_only_and_bit_identical_ones_are_one_array(mode, tmp_
             trainer.snapshot[0] = 0.0
     save_run_checkpoint(run, tmp_path / "run.ckpt")  # a shared snapshot is saved once
     fresh = load_run_checkpoint(parse_config(doc), 7, tmp_path / "run.ckpt")
-    resumed = [dev["trainer"].snapshot for dev in fresh.devices]
+    resumed = [trainer.snapshot for trainer in fresh.learners]
     assert [[a is b for b in resumed] for a in resumed] == [
         [a is b for b in snapshots] for a in snapshots]
     for got, want in zip(resumed, snapshots):
@@ -715,7 +711,7 @@ def test_building_eight_homogeneous_devices_holds_one_reference_and_one_snapshot
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    vector = run.devices[0]["store"].flat.nbytes
+    vector = run.stack.stores[0].flat.nbytes
     assert vector > DeviceStack.GROUP_BYTES  # so the devices step one at a time
     assert peak < 18 * vector, peak / vector
 
@@ -829,8 +825,7 @@ def test_supervised_checkpoint_resume_bit_identical(tmp_path):
     resumed = load_run_checkpoint(config, 7, path)
     assert resumed.round == 3
     assert resumed.run() == straight_rows
-    for a, b in zip(resumed.devices, straight.devices):
-        np.testing.assert_array_equal(a["store"].flat, b["store"].flat)
+    np.testing.assert_array_equal(resumed.stack.params, straight.stack.params)
 
 
 def test_rl_checkpoint_resume_bit_identical(tmp_path):
@@ -846,10 +841,9 @@ def test_rl_checkpoint_resume_bit_identical(tmp_path):
     assert resumed.run() == straight_rows
     # the rows of this short run barely depend on training, so compare the
     # parameters the resumed optimizer state and target net produced
-    for a, b in zip(resumed.devices, straight.devices):
-        np.testing.assert_array_equal(a["store"].flat, b["store"].flat)
-        np.testing.assert_array_equal(a["learner"].target_store.flat,
-                                      b["learner"].target_store.flat)
+    np.testing.assert_array_equal(resumed.stack.params, straight.stack.params)
+    for a, b in zip(resumed.learners, straight.learners, strict=True):
+        np.testing.assert_array_equal(a.target_store.flat, b.target_store.flat)
 
 
 @pytest.mark.parametrize("make_doc,seed", [(tiny_supervised_doc, 7), (tiny_rl_doc, 3)])
